@@ -62,8 +62,10 @@ fn bench_breakdown(c: &mut Criterion) {
     }
     let fixed = CsrGrid::empty();
     let obj = Objective::new(ObjectiveWeights::default(), Axis::Z, hs, &radii, &fixed);
+    let mut ws = Workspace::new();
+    let mut grad = vec![0.0; coords.len()];
     c.bench_function("objective_breakdown_500", |b| {
-        b.iter(|| black_box(obj.breakdown(black_box(&coords))))
+        b.iter(|| black_box(obj.value_grad_breakdown_ws(black_box(&coords), &mut grad, &mut ws)))
     });
 }
 

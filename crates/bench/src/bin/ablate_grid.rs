@@ -1,23 +1,20 @@
 //! Ablation — the neighbor pipeline (DESIGN.md §5).
 //!
-//! Three comparisons, each with identical-value assertions:
+//! Two measurements of the live pair-search paths, each with
+//! identical-value assertions:
 //!
-//! 1. **Cross term, grid vs naive** — `P(C, C')` couples the batch with the
-//!    whole fixed bed; evaluated naively the per-step cost grows linearly
-//!    with the bed, which would turn the paper's linear Fig. 8 scaling
-//!    quadratic. The grid's cost must stay flat.
-//! 2. **CSR grid vs HashMap grid** — build + query throughput of the flat
-//!    [`CsrGrid`] against the original [`CellGrid`] oracle on the same bed.
-//! 3. **Verlet lists vs per-step grid** — full objective gradient evaluation
-//!    over a simulated optimization trajectory (many evaluations, small
-//!    displacements), where the skin list amortizes pair search across
-//!    steps.
+//! 1. **Verlet lists vs the naive oracle on a growing bed** — `P(C, C')`
+//!    couples the batch with the whole fixed bed; evaluated naively the
+//!    per-step cost grows linearly with the bed, which would turn the
+//!    paper's linear Fig. 8 scaling quadratic. The production path's cost
+//!    must stay flat.
+//! 2. **Verlet skin sweep** — candidate-list length against rebuild
+//!    frequency over a simulated optimization trajectory.
 //!
 //! Results are also written to `target/experiments/BENCH_neighbor.json`.
 
 use adampack_bench::{cli, secs, timed, JsonReport};
-use adampack_core::grid::CellGrid;
-use adampack_core::objective::{CrossMode, Objective, ObjectiveWeights};
+use adampack_core::objective::{Objective, ObjectiveWeights};
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Axis, Vec3};
 use rand::rngs::StdRng;
@@ -43,10 +40,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut report = JsonReport::new("neighbor");
 
-    println!("# Ablation 1 — cross-term evaluation: cell grid vs naive scan");
+    println!("# Ablation 1 — objective evaluation: Verlet lists vs naive scan");
     println!(
         "{:>10} {:>14} {:>14} {:>10}",
-        "bed_size", "grid_ms", "naive_ms", "ratio"
+        "bed_size", "verlet_ms", "naive_ms", "ratio"
     );
 
     for bed_size in [1_000usize, 5_000, 20_000, 80_000] {
@@ -77,15 +74,17 @@ fn main() {
         }
         let mut grad = vec![0.0; coords.len()];
 
-        let grid_obj = Objective::new(ObjectiveWeights::default(), Axis::Z, hs, &radii, &fixed)
-            .with_cross_mode(CrossMode::Grid);
+        let skin = NeighborParams::default().skin_for(&radii);
+        let verlet_obj = Objective::new(ObjectiveWeights::default(), Axis::Z, hs, &radii, &fixed)
+            .with_neighbor(NeighborStrategy::Verlet, skin);
         let naive_obj = Objective::new(ObjectiveWeights::default(), Axis::Z, hs, &radii, &fixed)
-            .with_cross_mode(CrossMode::Naive);
+            .with_neighbor(NeighborStrategy::Naive, skin);
 
-        let (vg, t_grid) = timed(|| {
+        let mut ws = Workspace::new();
+        let (vv, t_verlet) = timed(|| {
             let mut v = 0.0;
             for _ in 0..evals {
-                v = grid_obj.value_and_grad(&coords, &mut grad);
+                v = verlet_obj.value_and_grad_ws(&coords, &mut grad, &mut ws);
             }
             v
         });
@@ -97,149 +96,25 @@ fn main() {
             v
         });
         assert!(
-            (vg - vn).abs() <= 1e-9 * vg.abs().max(1.0),
-            "strategies disagree: {vg} vs {vn}"
+            (vv - vn).abs() <= 1e-9 * vv.abs().max(1.0),
+            "strategies disagree: {vv} vs {vn}"
         );
-        let (g_ms, n_ms) = (
-            secs(t_grid) * 1e3 / evals as f64,
+        let (v_ms, n_ms) = (
+            secs(t_verlet) * 1e3 / evals as f64,
             secs(t_naive) * 1e3 / evals as f64,
         );
         println!(
-            "{bed_size:>10} {g_ms:>14.3} {n_ms:>14.3} {:>10.1}",
-            n_ms / g_ms
+            "{bed_size:>10} {v_ms:>14.3} {n_ms:>14.3} {:>10.1}",
+            n_ms / v_ms
         );
-        json_row(&mut report, "cross_grid_vs_naive", bed_size, g_ms, n_ms);
-
-        // Ablation 2 on the same bed: CSR vs HashMap build + full query sweep.
-        // Each structure may scan a different candidate superset (cell sizes
-        // differ); the invariant both must satisfy is the set of *true* hits
-        // within reach, so candidates are filtered by the distance predicate.
-        let reach = 2.0 * radius;
-        let csr_pass = || {
-            let g = CsrGrid::build(&centers, &radii_fixed);
-            let mut hits = 0usize;
-            for &c in &centers {
-                g.for_neighbors(c, reach, |_, cj, rj| {
-                    if c.distance(cj) < reach + rj {
-                        hits += 1;
-                    }
-                });
-            }
-            hits
-        };
-        let hash_pass = || {
-            let g = CellGrid::build(&centers, &radii_fixed);
-            let mut hits = 0usize;
-            for &c in &centers {
-                g.for_neighbors(c, reach, |_, cj, rj| {
-                    if c.distance(cj) < reach + rj {
-                        hits += 1;
-                    }
-                });
-            }
-            hits
-        };
-        let (h_csr, t_csr) = timed(csr_pass);
-        let (h_hash, t_hash) = timed(hash_pass);
-        assert_eq!(
-            h_csr, h_hash,
-            "CSR and HashMap grids find different hit sets"
-        );
-        let (c_ms, h_ms) = (secs(t_csr) * 1e3, secs(t_hash) * 1e3);
-        println!(
-            "{:>10} csr {c_ms:>10.3} ms   hashmap {h_ms:>10.3} ms   speedup {:>6.2}x",
-            "",
-            h_ms / c_ms
-        );
-        json_row(&mut report, "csr_vs_hashmap", bed_size, c_ms, h_ms);
+        json_row(&mut report, "verlet_vs_naive", bed_size, v_ms, n_ms);
     }
-    println!("# expected: naive cost grows with the bed, grid cost stays flat");
+    println!("# expected: naive cost grows with the bed, Verlet cost stays flat");
 
-    // Ablation 3 — Verlet skin lists vs per-step grid over an optimizer-like
-    // trajectory: `evals` gradient evaluations with small jitter between
-    // them, the regime Algorithm 1 spends nearly all its time in.
-    println!("\n# Ablation 3 — Verlet skin lists vs per-step grid (moving batch)");
-    println!(
-        "{:>8} {:>14} {:>14} {:>8} {:>9}",
-        "batch", "grid_ms", "verlet_ms", "ratio", "rebuilds"
-    );
-    for n in [500usize, 1000, 2000, 4000] {
-        let bed_size = 4 * n;
-        let mut centers = Vec::with_capacity(bed_size);
-        let mut radii_fixed = Vec::with_capacity(bed_size);
-        for i in 0..bed_size {
-            let z = 0.05 + (i as f64) * 6.0e-5;
-            centers.push(Vec3::new(
-                rng.gen_range(-0.95..0.95),
-                rng.gen_range(-0.95..0.95),
-                z,
-            ));
-            radii_fixed.push(radius);
-        }
-        let bed_top = 0.05 + bed_size as f64 * 6.0e-5;
-        let fixed = CsrGrid::build(&centers, &radii_fixed);
-        let radii = vec![radius; n];
-        let mut coords = Vec::with_capacity(3 * n);
-        for _ in 0..n {
-            coords.extend_from_slice(&[
-                rng.gen_range(-0.95..0.95),
-                rng.gen_range(-0.95..0.95),
-                bed_top + rng.gen_range(0.0..0.3),
-            ]);
-        }
-        let mut grad = vec![0.0; coords.len()];
-        // Pre-generate per-eval jitter so both strategies see the exact same
-        // trajectory (typical Adam step ≪ skin/2).
-        let step = 0.02 * radius;
-        let jitter: Vec<f64> = (0..evals * coords.len())
-            .map(|_| rng.gen_range(-step..step))
-            .collect();
-
-        let base = ObjectiveWeights::default();
-        let skin = NeighborParams::default().skin_for(&radii);
-        let grid_obj = Objective::new(base, Axis::Z, hs, &radii, &fixed)
-            .with_neighbor(NeighborStrategy::Grid, skin);
-        let verlet_obj = Objective::new(base, Axis::Z, hs, &radii, &fixed)
-            .with_neighbor(NeighborStrategy::Verlet, skin);
-
-        let mut run = |obj: &Objective| {
-            let mut ws = Workspace::new();
-            let mut c = coords.clone();
-            let (v, t) = timed(|| {
-                let mut v = 0.0;
-                let len = c.len();
-                for e in 0..evals {
-                    v = obj.value_and_grad_ws(&c, &mut grad, &mut ws);
-                    for (x, j) in c.iter_mut().zip(&jitter[e * len..]) {
-                        *x += j;
-                    }
-                }
-                v
-            });
-            (v, t, ws.verlet_rebuilds())
-        };
-        let (vg, t_grid, _) = run(&grid_obj);
-        let (vv, t_verlet, rebuilds) = run(&verlet_obj);
-        assert!(
-            (vg - vv).abs() <= 1e-9 * vg.abs().max(1.0),
-            "verlet disagrees with grid: {vg} vs {vv}"
-        );
-        let (g_ms, v_ms) = (
-            secs(t_grid) * 1e3 / evals as f64,
-            secs(t_verlet) * 1e3 / evals as f64,
-        );
-        println!(
-            "{n:>8} {g_ms:>14.3} {v_ms:>14.3} {:>8.2} {rebuilds:>9}",
-            g_ms / v_ms
-        );
-        json_row(&mut report, "verlet_vs_grid", n, v_ms, g_ms);
-    }
-    println!("# expected: Verlet amortizes pair search; rebuilds ≪ evals");
-
-    // Ablation 4 — skin sweep at one batch size: a small skin gives short
+    // Ablation 2 — skin sweep at one batch size: a small skin gives short
     // candidate lists but frequent rebuilds, a large skin the opposite; the
     // sweep locates the trade-off around the default factor.
-    println!("\n# Ablation 4 — Verlet skin-factor sweep (batch 2000, same trajectory)");
+    println!("\n# Ablation 2 — Verlet skin-factor sweep (batch 2000, same trajectory)");
     println!(
         "{:>12} {:>14} {:>9}",
         "skin_factor", "verlet_ms", "rebuilds"

@@ -1,5 +1,6 @@
-//! Kernel-layer benchmark (DESIGN.md §9): `scalar_legacy` vs `scalar` vs
-//! `simd` on one thread, for the three hot phases PR 4 vectorized:
+//! Kernel-layer benchmark (DESIGN.md §9): the `scalar` oracle vs the
+//! canonical `simd` kernel on one thread, for the three vectorized hot
+//! phases:
 //!
 //! 1. **pairs** — fused objective value+gradient on a crowded batch over a
 //!    fixed bed (pair-term dominated; Verlet pipeline with warm lists, so
@@ -8,16 +9,8 @@
 //!    around a tight box (plane-term dominated, pair candidates scarce).
 //! 3. **optimizer** — the Adam/AMSGrad slot update.
 //!
-//! `scalar_legacy` is the pre-PR-4 arithmetic — a `sqrt` on every candidate
-//! pair, no squared-distance early-out; its optimizer update is the scalar
-//! one (that arithmetic never changed). `scalar` is the current sqrt-free
-//! oracle, `simd` the canonical 4-lane path. `scalar` and `simd` must agree
-//! **bitwise**; `scalar_legacy` agrees to ≤ 1e-9 relative (its rejection
-//! test can differ only on measure-zero rounding boundaries).
-//!
-//! The PR acceptance line is printed at the end: the `simd` kernel must
-//! evaluate the fused objective ≥ 1.5× faster than `scalar_legacy` at
-//! n = 2000. Results are also written to
+//! `scalar` is the sqrt-free oracle, `simd` the canonical 4-lane path; the
+//! two must agree **bitwise** on every phase. Results are also written to
 //! `target/experiments/BENCH_kernels.json`.
 
 use adampack_bench::{aggregate, cli, json_str, secs, timed, Agg, JsonReport};
@@ -28,8 +21,6 @@ use adampack_geometry::{shapes, Axis, Vec3};
 use adampack_opt::{Adam, AdamConfig, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const KERNELS: [Kernel; 3] = [Kernel::LegacyScalar, Kernel::Scalar, Kernel::Simd];
 
 struct Scene {
     container: Container,
@@ -100,14 +91,14 @@ fn plane_scene(n: usize) -> Scene {
 }
 
 /// Times the fused `value_and_grad_ws` per kernel on a fixed configuration.
-/// Returns per-eval milliseconds in [`KERNELS`] order after cross-checking
-/// the values (scalar ≡ simd bitwise, legacy to 1e-9 relative).
-fn bench_objective(scene: &Scene, repeats: usize, evals: usize) -> [Agg; 3] {
+/// Returns per-eval milliseconds in [`Kernel::ALL`] order after checking that
+/// the kernels agree bitwise.
+fn bench_objective(scene: &Scene, repeats: usize, evals: usize) -> [Agg; 2] {
     let hs = scene.container.halfspaces();
     let mut grad = vec![0.0; scene.coords.len()];
-    let mut aggs = Vec::with_capacity(3);
-    let mut values = [0.0f64; 3];
-    for (k, kernel) in KERNELS.iter().enumerate() {
+    let mut aggs = Vec::with_capacity(2);
+    let mut values = [0.0f64; 2];
+    for (k, kernel) in Kernel::ALL.iter().enumerate() {
         let obj = Objective::new(
             ObjectiveWeights::default(),
             Axis::Z,
@@ -137,32 +128,25 @@ fn bench_objective(scene: &Scene, repeats: usize, evals: usize) -> [Agg; 3] {
         aggs.push(aggregate(&samples));
     }
     assert_eq!(
+        values[0].to_bits(),
         values[1].to_bits(),
-        values[2].to_bits(),
         "scalar and simd kernels must agree bitwise: {} vs {}",
-        values[1],
-        values[2]
-    );
-    assert!(
-        (values[0] - values[1]).abs() <= 1e-9 * values[1].abs().max(1.0),
-        "legacy kernel disagrees: {} vs {}",
         values[0],
         values[1]
     );
-    [aggs[0], aggs[1], aggs[2]]
+    [aggs[0], aggs[1]]
 }
 
-/// Times the Adam/AMSGrad update per kernel on a fixed gradient. The legacy
-/// baseline shares the scalar update (the optimizer arithmetic never changed
-/// pre-PR-4), so all three trajectories must agree bitwise.
-fn bench_adam(n: usize, repeats: usize, steps: usize) -> [Agg; 3] {
+/// Times the Adam/AMSGrad update per kernel on a fixed gradient; the two
+/// trajectories must agree bitwise.
+fn bench_adam(n: usize, repeats: usize, steps: usize) -> [Agg; 2] {
     let dims = 3 * n;
     let mut rng = StdRng::seed_from_u64(11 + n as u64);
     let init: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let grads: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut aggs = Vec::with_capacity(3);
-    let mut finals: Vec<Vec<f64>> = Vec::with_capacity(3);
-    for kernel in KERNELS {
+    let mut aggs = Vec::with_capacity(2);
+    let mut finals: Vec<Vec<f64>> = Vec::with_capacity(2);
+    for kernel in Kernel::ALL {
         let mut samples = Vec::with_capacity(repeats);
         let mut p = Vec::new();
         for _ in 0..repeats {
@@ -186,47 +170,39 @@ fn bench_adam(n: usize, repeats: usize, steps: usize) -> [Agg; 3] {
         finals.push(p);
         aggs.push(aggregate(&samples));
     }
-    for other in [0, 2] {
-        for (i, (a, b)) in finals[1].iter().zip(&finals[other]).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{} optimizer trajectory diverged at param {i}",
-                KERNELS[other]
-            );
-        }
+    for (i, (a, b)) in finals[0].iter().zip(&finals[1]).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "optimizer trajectories diverged at param {i}"
+        );
     }
-    [aggs[0], aggs[1], aggs[2]]
+    [aggs[0], aggs[1]]
 }
 
 fn header() {
     println!(
-        "{:>8} {:>18} {:>12} {:>12} {:>13} {:>13}",
-        "n", "scalar_legacy_ms", "scalar_ms", "simd_ms", "simd/legacy", "simd/scalar"
+        "{:>8} {:>12} {:>12} {:>13}",
+        "n", "scalar_ms", "simd_ms", "simd/scalar"
     );
 }
 
-fn print_row(n: usize, ms: &[Agg; 3]) {
+fn print_row(n: usize, ms: &[Agg; 2]) {
     println!(
-        "{n:>8} {:>18.4} {:>12.4} {:>12.4} {:>13.2} {:>13.2}",
+        "{n:>8} {:>12.4} {:>12.4} {:>13.2}",
         ms[0].mean,
         ms[1].mean,
-        ms[2].mean,
-        ms[0].mean / ms[2].mean,
-        ms[1].mean / ms[2].mean
+        ms[0].mean / ms[1].mean
     );
 }
 
-fn json_row(report: &mut JsonReport, phase: &str, n: usize, ms: &[Agg; 3]) {
+fn json_row(report: &mut JsonReport, phase: &str, n: usize, ms: &[Agg; 2]) {
     report.row(format!(
         "{{\"phase\": \"{phase}\", \"n\": {n}, \
-         \"scalar_legacy_ms\": {:.5}, \"scalar_ms\": {:.5}, \"simd_ms\": {:.5}, \
-         \"speedup_vs_legacy\": {:.3}, \"speedup_vs_scalar\": {:.3}}}",
+         \"scalar_ms\": {:.5}, \"simd_ms\": {:.5}, \"speedup_vs_scalar\": {:.3}}}",
         ms[0].mean,
         ms[1].mean,
-        ms[2].mean,
-        ms[0].mean / ms[2].mean,
-        ms[1].mean / ms[2].mean
+        ms[0].mean / ms[1].mean
     ));
 }
 
@@ -249,7 +225,6 @@ fn run(repeats: usize) {
     );
     let sizes = [500usize, 2000, 8000];
     let mut report = JsonReport::new("kernels");
-    let mut acceptance = None;
 
     println!("# phase 'pairs' — fused value+gradient, crowded batch over a fixed bed");
     header();
@@ -258,9 +233,6 @@ fn run(repeats: usize) {
         let evals = (400_000 / n).max(5);
         let ms = bench_objective(&scene, repeats, evals);
         print_row(n, &ms);
-        if n == 2000 {
-            acceptance = Some(ms[0].mean / ms[2].mean);
-        }
         json_row(&mut report, "pairs", n, &ms);
     }
 
@@ -288,22 +260,10 @@ fn run(repeats: usize) {
         json_row(&mut report, "optimizer", n, &ms);
     }
 
-    let speedup = acceptance.expect("n = 2000 ran");
-    // The >= 1.5x bar is stated against the default (sse2-baseline) build;
-    // with -C target-feature=+avx2 the legacy baseline auto-vectorizes too,
-    // so that leg reports a smaller ratio against a faster baseline.
-    println!(
-        "# acceptance: simd vs scalar_legacy fused objective eval at n = 2000: \
-         {speedup:.2}x (target >= 1.5x on the default sse2-baseline build; \
-         this build: '{}')",
-        wide::backend_name()
-    );
-
     report
         .meta("backend", json_str(wide::backend_name()))
         .meta("detected_isa", json_str(wide::detected_isa()))
-        .meta("threads", 1)
-        .meta("acceptance_speedup_n2000", format!("{speedup:.3}"));
+        .meta("threads", 1);
     let path = report.write().expect("write BENCH_kernels.json");
     println!("# wrote {}", path.display());
 }

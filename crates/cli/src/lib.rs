@@ -158,11 +158,9 @@ pub struct PackOptions {
     /// thread). Purely a performance knob: results are bitwise identical
     /// for any value.
     pub threads: usize,
-    /// Arithmetic kernel override (`--kernel scalar|simd|simd_mixed`);
-    /// `None` defers to the configuration's `params.kernel` (default
-    /// `simd`). `scalar` and `simd` produce bitwise identical packings;
-    /// `simd_mixed` trades exactness for f32 rejection bandwidth within a
-    /// documented relative budget.
+    /// Arithmetic kernel override (`--kernel scalar|simd`); `None` defers
+    /// to the configuration's `params.kernel` (default `simd`). `scalar`
+    /// and `simd` produce bitwise identical packings.
     pub kernel: Option<Kernel>,
     /// Gravity-axis tiling override (`--tiles`); `None` defers to the
     /// configuration's `params.tiles` (default 1 = monolithic). Purely a
@@ -467,9 +465,8 @@ fn run_pack_configured(
     }
     if params.tiles > 1 && params.neighbor.strategy == NeighborStrategy::Naive {
         return Err(CliError::Usage(
-            "tiles > 1 requires a grid-backed neighbor strategy \
-             ('auto', 'grid' or 'verlet'): the naive cross scan reads every \
-             bed sphere and defeats slab retirement"
+            "tiles > 1 requires neighbor strategy 'auto' or 'verlet': the \
+             naive cross scan reads every bed sphere and defeats slab retirement"
                 .into(),
         ));
     }
@@ -1023,6 +1020,17 @@ mod tests {
     use super::*;
     use adampack_geometry::{shapes, Vec3};
     use adampack_io::write_stl_ascii;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every `run_pack_opts` call reconfigures process-global telemetry
+    /// (timeline gate, log level, system metrics); tests that pack hold
+    /// this lock for their whole body so a concurrent run cannot flip
+    /// those switches mid-run. Poisoning is ignored: a failed test must
+    /// not cascade into the others.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn setup_config(dir: &Path, algorithm: &str, with_zones: bool) -> PathBuf {
         std::fs::create_dir_all(dir).unwrap();
@@ -1044,6 +1052,7 @@ mod tests {
 
     #[test]
     fn pack_without_zones_uses_registry_algorithm() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_rsa");
         let cfg = setup_config(&dir, "RSA", false);
         let summary = run_pack(&cfg, None).unwrap();
@@ -1054,6 +1063,7 @@ mod tests {
 
     #[test]
     fn pack_with_zones_and_vtk_output() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_zones");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", true);
         let out = dir.join("out.vtk");
@@ -1065,6 +1075,7 @@ mod tests {
 
     #[test]
     fn csv_and_xyz_outputs() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_formats");
         let cfg = setup_config(&dir, "DROP_AND_ROLL", false);
         for ext in ["csv", "xyz"] {
@@ -1083,6 +1094,7 @@ mod tests {
 
     #[test]
     fn pack_with_trace_and_metrics_outputs() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_trace");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let trace = dir.join("run.jsonl");
@@ -1109,6 +1121,7 @@ mod tests {
 
     #[test]
     fn kernel_override_produces_identical_packing() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_kernel");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let mut summaries = Vec::new();
@@ -1134,6 +1147,7 @@ mod tests {
 
     #[test]
     fn zoned_non_collective_rejected() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_zoned_rsa");
         let cfg = setup_config(&dir, "RSA", true);
         assert!(matches!(run_pack(&cfg, None), Err(CliError::Usage(_))));
@@ -1141,6 +1155,7 @@ mod tests {
 
     #[test]
     fn unknown_algorithm_rejected() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_unknown");
         let cfg = setup_config(&dir, "SIMULATED_ANNEALING", false);
         let err = run_pack(&cfg, None).unwrap_err();
@@ -1158,8 +1173,39 @@ mod tests {
         assert!(info.contains("hull planes"));
     }
 
+    /// Configs naming a deleted kernel or neighbor strategy fail as config
+    /// errors (exit 3) that name the accepted values.
+    #[test]
+    fn removed_knob_values_are_config_errors() {
+        let dir = std::env::temp_dir().join("adampack_cli_removed_knobs");
+        let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
+        let base = std::fs::read_to_string(&cfg).unwrap();
+        for (extra, accepted) in [
+            (
+                "neighbor:\n    strategy: grid\n",
+                "'auto', 'verlet' or 'naive'",
+            ),
+            (
+                concat!("    kernel: simd_", "mixed\n"),
+                "'scalar' or 'simd'",
+            ),
+        ] {
+            let yaml = if extra.starts_with("    ") {
+                base.replace("params:\n", &format!("params:\n{extra}"))
+            } else {
+                format!("{base}{extra}")
+            };
+            let path = dir.join("removed.yaml");
+            std::fs::write(&path, yaml).unwrap();
+            let err = run_info(&path).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{err}");
+            assert!(err.to_string().contains(accepted), "{err}");
+        }
+    }
+
     #[test]
     fn missing_config_is_io_error() {
+        let _serial = serial();
         let err = run_pack(Path::new("/definitely/not/here.yaml"), None).unwrap_err();
         assert!(matches!(err, CliError::Config(_)));
     }
@@ -1194,6 +1240,7 @@ mod tests {
 
     #[test]
     fn checkpoint_flag_writes_a_resumable_file() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_ckpt");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("run.ckpt");
@@ -1214,6 +1261,7 @@ mod tests {
 
     #[test]
     fn resume_without_checkpoint_path_is_usage_error() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_resume_nopath");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let opts = PackOptions {
@@ -1227,6 +1275,7 @@ mod tests {
 
     #[test]
     fn resume_without_existing_checkpoint_starts_fresh() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_resume_fresh");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("never_written.ckpt");
@@ -1247,6 +1296,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_without_fallback_is_checkpoint_error() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_resume_corrupt");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("run.ckpt");
@@ -1264,6 +1314,7 @@ mod tests {
 
     #[test]
     fn batched_pack_writes_per_system_outputs() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let out = dir.join("sweep.csv");
@@ -1283,6 +1334,7 @@ mod tests {
 
     #[test]
     fn duplicate_batch_flag_values_are_a_usage_error() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched_dup");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let opts = PackOptions {
@@ -1302,6 +1354,7 @@ mod tests {
 
     #[test]
     fn batched_system_matches_single_run_bitwise() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched_parity");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let single = run_pack_opts(
@@ -1336,6 +1389,7 @@ mod tests {
 
     #[test]
     fn batched_resume_under_different_sweep_is_exit_7() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched_resume");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("sweep.ckpt");
@@ -1374,6 +1428,7 @@ mod tests {
 
     #[test]
     fn resume_under_different_threads_or_kernel_is_exit_7() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_ctx_fingerprint");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("run.ckpt");
@@ -1411,6 +1466,7 @@ mod tests {
 
     #[test]
     fn timeline_manifest_and_diagnostics_for_single_run() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_timeline");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let out = dir.join("out.csv");
@@ -1458,6 +1514,7 @@ mod tests {
 
     #[test]
     fn batched_run_labels_metrics_manifests_and_timeline_per_system() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched_obs");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let out = dir.join("sweep.csv");
@@ -1503,6 +1560,7 @@ mod tests {
 
     #[test]
     fn observability_never_steers_the_packing() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_obs_inert");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let plain = run_pack_opts(
@@ -1549,6 +1607,7 @@ mod tests {
 
     #[test]
     fn open_container_mesh_rejected_naming_the_facet() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_badmesh");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         // Overwrite the container with an open box (one facet removed).

@@ -15,7 +15,7 @@ USAGE:
     adampack pack <config.yaml> [--out <file.{csv,vtk,xyz}>]
                   [--trace-out <run.jsonl>] [--metrics-out <metrics.prom>]
                   [--log-level <error|warn|info|debug|trace|off>]
-                  [--threads <n>] [--kernel <scalar|simd|simd_mixed>]
+                  [--threads <n>] [--kernel <scalar|simd>]
                   [--tiles <n>]
                   [--checkpoint <run.ckpt>] [--checkpoint-every <steps>]
                   [--checkpoint-keep <n>] [--resume]
@@ -71,9 +71,6 @@ bitwise identical for any value.
 --kernel overrides the configuration's `params.kernel` arithmetic
 kernel for the hot loops (default simd). scalar and simd produce
 bitwise identical packings; scalar survives as the correctness oracle.
-simd_mixed rejects pair candidates in f32 (accumulating in f64) for
-extra bandwidth; it is bitwise self-reproducible and matches the exact
-kernels within a documented relative budget (1e-5 on the objective).
 
 --tiles overrides the configuration's `params.tiles` gravity-axis
 tiling (default 1 = monolithic). With N > 1 tiles the container's
@@ -82,8 +79,7 @@ slab below the bed surface are retired from the resident hot set, so
 memory tracks the active surface instead of the particle total. Purely
 a memory knob: tiled packings are bitwise identical to untiled ones,
 and a guard makes any sub-horizon query a hard error (exit 8) instead
-of silent drift. Requires a grid-backed neighbor strategy (auto, grid
-or verlet).
+of silent drift. Requires neighbor strategy auto or verlet.
 
 --checkpoint writes a crash-resume checkpoint (atomic temp+rename,
 rotated history) every --checkpoint-every optimizer steps (default 500),
@@ -258,7 +254,7 @@ fn dispatch(args: Vec<String>) -> Result<(), CliError> {
                             .ok_or_else(|| CliError::Usage("--kernel requires a name".into()))?;
                         opts.kernel = Some(Kernel::parse(v).ok_or_else(|| {
                             CliError::Usage(format!(
-                                "--kernel expects 'scalar', 'simd' or 'simd_mixed', got '{v}'"
+                                "--kernel expects 'scalar' or 'simd', got '{v}'"
                             ))
                         })?);
                     }
@@ -453,8 +449,19 @@ mod tests {
         let err = dispatch(args(&["pack", "cfg.yaml", "--kernel", "avx512"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         let msg = err.to_string();
-        assert!(msg.contains("'scalar', 'simd' or 'simd_mixed'"), "{msg}");
+        assert!(msg.contains("'scalar' or 'simd'"), "{msg}");
         assert!(msg.contains("avx512"), "{msg}");
+    }
+
+    /// The deleted mixed-precision kernel is a usage error, not a panic.
+    #[test]
+    fn removed_kernel_is_usage_error_naming_accepted_values() {
+        let mixed = concat!("simd_", "mixed");
+        let err = dispatch(args(&["pack", "cfg.yaml", "--kernel", mixed])).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains("'scalar' or 'simd'"), "{msg}");
+        assert!(msg.contains(mixed), "{msg}");
     }
 
     #[test]

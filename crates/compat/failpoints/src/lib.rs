@@ -16,11 +16,63 @@
 //!
 //! Sites are plain `&'static str` names; the registry is a tiny fixed-size
 //! table (no HashMap, no heap) guarded by a mutex that only the *armed*
-//! path and the control functions touch. Tests that arm failpoints must
-//! serialize themselves (the registry is process-global).
+//! path and the control functions touch. The registry is process-global,
+//! so tests take a [`FailGuard`]: it serializes them on one lock and
+//! disarms everything when the test ends, also when it panics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes [`FailGuard`] holders.
+static GUARD_LOCK: Mutex<()> = Mutex::new(());
+
+/// Exclusive, scoped use of the failpoint registry.
+///
+/// A test that arms sites — or that runs code containing sites another test
+/// in the same process may arm — holds a guard for its whole body. Creating
+/// one takes a process-wide lock and starts from a clean registry; dropping
+/// it disarms every site before releasing the lock, on unwind too. A lock
+/// poisoned by a panicking holder is recovered, so one failed test does not
+/// cascade into the rest.
+#[must_use = "the registry is held only while the guard lives"]
+pub struct FailGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl FailGuard {
+    /// Takes the lock with every site disarmed.
+    pub fn unarmed() -> FailGuard {
+        let lock = GUARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        reset();
+        FailGuard { _lock: lock }
+    }
+
+    /// Takes the lock and arms `site` (schedule as in [`arm`]).
+    pub fn arm(site: &'static str, skip: u64, times: u64) -> FailGuard {
+        let guard = FailGuard::unarmed();
+        guard.rearm(site, skip, times);
+        guard
+    }
+
+    /// Arms `site` under this guard: another site, or a fresh schedule for
+    /// one already armed.
+    pub fn rearm(&self, site: &'static str, skip: u64, times: u64) {
+        arm(site, skip, times);
+    }
+
+    /// Disarms every site; the guard keeps the lock.
+    pub fn reset(&self) {
+        reset();
+    }
+}
+
+impl Drop for FailGuard {
+    fn drop(&mut self) {
+        reset();
+    }
+}
 
 #[cfg(feature = "enabled")]
 mod imp {
@@ -175,15 +227,10 @@ pub use imp_off::{arm, disarm, hits, reset, should_fail};
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // The registry is process-global; serialize the tests.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn unarmed_site_never_fails() {
-        let _g = LOCK.lock().unwrap();
-        reset();
+        let _fp = FailGuard::unarmed();
         for _ in 0..100 {
             assert!(!should_fail("test.unarmed"));
         }
@@ -191,27 +238,23 @@ mod tests {
 
     #[test]
     fn skip_then_fire_times_then_pass() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        arm("test.site", 3, 2);
+        let fp = FailGuard::arm("test.site", 3, 2);
         let fired: Vec<bool> = (0..8).map(|_| should_fail("test.site")).collect();
         assert_eq!(
             fired,
             [false, false, false, true, true, false, false, false]
         );
         assert_eq!(hits("test.site"), 2);
-        reset();
+        fp.reset();
         assert!(!should_fail("test.site"));
     }
 
     #[test]
     fn rearm_replaces_schedule_and_disarm_clears() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        arm("test.re", 0, 1);
+        let fp = FailGuard::arm("test.re", 0, 1);
         assert!(should_fail("test.re"));
         assert!(!should_fail("test.re"), "times exhausted");
-        arm("test.re", 0, 1);
+        fp.rearm("test.re", 0, 1);
         assert!(should_fail("test.re"), "re-arm restarts the schedule");
         disarm("test.re");
         assert!(!should_fail("test.re"));
@@ -220,11 +263,21 @@ mod tests {
 
     #[test]
     fn sites_are_independent() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        arm("test.a", 0, 1);
+        let _fp = FailGuard::arm("test.a", 0, 1);
         assert!(!should_fail("test.b"));
         assert!(should_fail("test.a"));
-        reset();
+    }
+
+    /// The guard disarms on unwind and its lock survives the poisoning.
+    #[test]
+    fn guard_resets_when_the_holder_panics() {
+        let outcome = std::thread::spawn(|| {
+            let _fp = FailGuard::arm("test.panic", 0, u64::MAX);
+            panic!("test body fails while armed");
+        })
+        .join();
+        assert!(outcome.is_err());
+        let _fp = FailGuard::unarmed();
+        assert!(!should_fail("test.panic"), "site leaked past the panic");
     }
 }

@@ -419,43 +419,13 @@ pub mod par {
         }
     }
 
-    /// Calls `f(i, &mut items[i])` for every `i` in `order`, in parallel,
-    /// visiting slots in the permuted sequence (e.g. Morton order) so
-    /// spatially sorted sweeps walk neighbor memory coherently.
-    ///
-    /// `order` **must** be a permutation of `0..items.len()` — each slot is
-    /// then written by exactly one task, exactly as in [`for_each_slot`].
-    /// Slot `i` receives the identical call either way; only the visit
-    /// sequence changes, so per-slot results are bitwise independent of
-    /// `order`.
-    pub fn for_each_slot_perm<T, F>(items: &mut [T], order: &[u32], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        assert_eq!(order.len(), n, "order length mismatch");
-        debug_check_permutation(order, n);
-        let jobs = job_count(n);
-        let raw = RawSlice::new(items);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            annotate_chunk(start, start + len, || {
-                for &idx in &order[start..start + len] {
-                    let i = idx as usize;
-                    assert!(i < n, "order entry {i} out of range");
-                    // SAFETY: `order` is a permutation, so every slot is
-                    // visited by exactly one chunk.
-                    let slot = unsafe { raw.window(i, 1) };
-                    f(i, &mut slot[0]);
-                }
-            });
-        });
-    }
-
     /// Permuted-order variant of [`for_each_chunk_zip`]: calls
     /// `f(i, &mut a[i*chunk..][..chunk], &mut b[i])` for every `i` in
-    /// `order` (which **must** be a permutation of `0..b.len()`).
+    /// `order` (which **must** be a permutation of `0..b.len()`), visiting
+    /// slots in the permuted sequence (e.g. Morton order) so spatially
+    /// sorted sweeps walk neighbor memory coherently. Each slot pair is
+    /// written by exactly one task and receives the identical call either
+    /// way, so per-slot results are bitwise independent of `order`.
     ///
     /// Panics unless `a.len() == b.len() * chunk` and
     /// `order.len() == b.len()`.
@@ -989,11 +959,6 @@ mod tests {
         };
         for threads in [1, 3, 8] {
             with_threads(threads, || {
-                let mut v = vec![0usize; n];
-                par::for_each_slot_perm(&mut v, &order, |i, slot| *slot = i * 3 + 1);
-                for (i, &x) in v.iter().enumerate() {
-                    assert_eq!(x, i * 3 + 1, "{threads} threads");
-                }
                 let mut grad = vec![0u64; n * 3];
                 let mut vals = vec![0u64; n];
                 par::for_each_chunk_zip_perm(&mut grad, 3, &mut vals, &order, |i, g, v| {
@@ -1015,8 +980,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "order length mismatch")]
     fn permuted_loop_rejects_short_order() {
-        let mut v = vec![0usize; 8];
-        par::for_each_slot_perm(&mut v, &[0, 1, 2], |_, _| {});
+        let (mut a, mut b) = (vec![0usize; 8], vec![0usize; 8]);
+        par::for_each_chunk_zip_perm(&mut a, 1, &mut b, &[0, 1, 2], |_, _, _| {});
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! # wide (offline compat)
 //!
 //! Offline API-subset substitute for the crates.io `wide` crate: a 4-lane
-//! `f64` SIMD vector ([`f64x4`]) — plus its single-precision sibling
-//! [`f32x4`] for the mixed-precision kernel — with three interchangeable
-//! backends:
+//! `f64` SIMD vector ([`f64x4`]) with three interchangeable backends:
 //!
 //! * **portable** — a plain `[f64; 4]` evaluated lane-by-lane (any target);
 //! * **sse2** — two `__m128d` halves (the x86-64 baseline, always present);
@@ -152,99 +150,6 @@ impl Div for f64x4 {
     #[inline]
     fn div(self, rhs: f64x4) -> f64x4 {
         f64x4(backend::div(self.0, rhs.0))
-    }
-}
-
-/// A vector of four `f32` lanes, for the opt-in mixed-precision kernel.
-///
-/// Same determinism contract as [`f64x4`]: element-wise correctly rounded
-/// IEEE-754 single-precision operations, bitwise-identical across backends
-/// (the x86 builds use one `__m128`; the portable build a `[f32; 4]`).
-#[derive(Clone, Copy, Debug)]
-pub struct f32x4(backend::f32impl::Repr);
-
-impl f32x4 {
-    /// Number of lanes.
-    pub const LANES: usize = 4;
-
-    /// All four lanes set to `v`.
-    #[inline]
-    pub fn splat(v: f32) -> Self {
-        f32x4(backend::f32impl::splat(v))
-    }
-
-    /// Builds a vector from four lane values.
-    #[inline]
-    pub fn from_array(a: [f32; 4]) -> Self {
-        f32x4(backend::f32impl::from_array(a))
-    }
-
-    /// Loads the first four elements of `s` (panics when `s.len() < 4`).
-    #[inline]
-    pub fn from_slice(s: &[f32]) -> Self {
-        f32x4(backend::f32impl::from_array([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Extracts the lanes as an array.
-    #[inline]
-    pub fn to_array(self) -> [f32; 4] {
-        backend::f32impl::to_array(self.0)
-    }
-
-    /// Element-wise square root (IEEE correctly rounded on every backend).
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        f32x4(backend::f32impl::sqrt(self.0))
-    }
-
-    /// Element-wise `_mm_max_ps`-style maximum: `if a > b { a } else { b }`.
-    #[inline]
-    pub fn max(self, rhs: Self) -> Self {
-        f32x4(backend::f32impl::max(self.0, rhs.0))
-    }
-
-    /// Element-wise ordered `<`, as a per-lane bitmask.
-    #[inline]
-    pub fn lt(self, rhs: Self) -> Mask4 {
-        Mask4(backend::f32impl::lt(self.0, rhs.0))
-    }
-
-    /// Element-wise ordered `>`, as a per-lane bitmask.
-    #[inline]
-    pub fn gt(self, rhs: Self) -> Mask4 {
-        Mask4(backend::f32impl::gt(self.0, rhs.0))
-    }
-}
-
-impl Add for f32x4 {
-    type Output = f32x4;
-    #[inline]
-    fn add(self, rhs: f32x4) -> f32x4 {
-        f32x4(backend::f32impl::add(self.0, rhs.0))
-    }
-}
-
-impl Sub for f32x4 {
-    type Output = f32x4;
-    #[inline]
-    fn sub(self, rhs: f32x4) -> f32x4 {
-        f32x4(backend::f32impl::sub(self.0, rhs.0))
-    }
-}
-
-impl Mul for f32x4 {
-    type Output = f32x4;
-    #[inline]
-    fn mul(self, rhs: f32x4) -> f32x4 {
-        f32x4(backend::f32impl::mul(self.0, rhs.0))
-    }
-}
-
-impl Div for f32x4 {
-    type Output = f32x4;
-    #[inline]
-    fn div(self, rhs: f32x4) -> f32x4 {
-        f32x4(backend::f32impl::div(self.0, rhs.0))
     }
 }
 
@@ -418,51 +323,6 @@ mod tests {
         assert_eq!(m[1].to_bits(), 7.0f64.to_bits(), "NaN lhs→second operand");
         assert!(m[2].is_nan(), "NaN rhs→second operand");
         assert_eq!(m[3].to_bits(), 0.0f64.to_bits());
-    }
-
-    /// The `f32` lanes obey the same contract as the `f64` ones: every op
-    /// bitwise-identical to the scalar single-precision expression.
-    #[test]
-    fn f32_ops_match_scalar_bitwise() {
-        let xs = [0.1f32, -1.0e-38, 7.213e8, -123.456];
-        let ys = [3.3f32, 2.0e-38, -1.9e-7, 123.456];
-        let x = f32x4::from_array(xs);
-        let y = f32x4::from_array(ys);
-        let check = |got: f32x4, want: [f32; 4], what: &str| {
-            let g = got.to_array();
-            for lane in 0..4 {
-                assert_eq!(
-                    g[lane].to_bits(),
-                    want[lane].to_bits(),
-                    "{what}: lane {lane}: {} vs {}",
-                    g[lane],
-                    want[lane]
-                );
-            }
-        };
-        check(x + y, std::array::from_fn(|i| xs[i] + ys[i]), "add");
-        check(x - y, std::array::from_fn(|i| xs[i] - ys[i]), "sub");
-        check(x * y, std::array::from_fn(|i| xs[i] * ys[i]), "mul");
-        check(x / y, std::array::from_fn(|i| xs[i] / ys[i]), "div");
-        let pos = [0.1f32, 4.0, 7.213e8, 2.0e-38];
-        let p = f32x4::from_array(pos);
-        check(p.sqrt(), std::array::from_fn(|i| pos[i].sqrt()), "sqrt");
-        check(
-            x.max(y),
-            std::array::from_fn(|i| if xs[i] > ys[i] { xs[i] } else { ys[i] }),
-            "max",
-        );
-        assert_eq!(
-            x.lt(y).to_bits(),
-            0b1011,
-            "0.1<3.3, -e-38<2e-38, 7e8>-2e-7, -123<123"
-        );
-        assert_eq!(x.gt(y).to_bits(), 0b0100);
-        assert_eq!(f32x4::splat(2.5).to_array(), [2.5f32; 4]);
-        assert_eq!(
-            f32x4::from_slice(&[1.0, 2.0, 3.0, 4.0, 9.0]).to_array(),
-            [1.0f32, 2.0, 3.0, 4.0]
-        );
     }
 
     #[test]

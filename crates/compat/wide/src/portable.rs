@@ -75,77 +75,3 @@ pub(crate) fn gt(a: Repr, b: Repr) -> u8 {
     }
     bits
 }
-
-/// Single-precision lanes for the mixed-precision kernel: the same
-/// lane-by-lane reference arithmetic, over `f32`.
-pub(crate) mod f32impl {
-    pub(crate) type Repr = [f32; 4];
-
-    #[inline]
-    pub(crate) fn splat(v: f32) -> Repr {
-        [v; 4]
-    }
-
-    #[inline]
-    pub(crate) fn from_array(a: [f32; 4]) -> Repr {
-        a
-    }
-
-    #[inline]
-    pub(crate) fn to_array(r: Repr) -> [f32; 4] {
-        r
-    }
-
-    #[inline]
-    pub(crate) fn add(a: Repr, b: Repr) -> Repr {
-        std::array::from_fn(|i| a[i] + b[i])
-    }
-
-    #[inline]
-    pub(crate) fn sub(a: Repr, b: Repr) -> Repr {
-        std::array::from_fn(|i| a[i] - b[i])
-    }
-
-    #[inline]
-    pub(crate) fn mul(a: Repr, b: Repr) -> Repr {
-        std::array::from_fn(|i| a[i] * b[i])
-    }
-
-    #[inline]
-    pub(crate) fn div(a: Repr, b: Repr) -> Repr {
-        std::array::from_fn(|i| a[i] / b[i])
-    }
-
-    #[inline]
-    pub(crate) fn sqrt(a: Repr) -> Repr {
-        std::array::from_fn(|i| a[i].sqrt())
-    }
-
-    /// `_mm_max_ps` semantics (second operand on equal/unordered lanes).
-    #[inline]
-    pub(crate) fn max(a: Repr, b: Repr) -> Repr {
-        std::array::from_fn(|i| if a[i] > b[i] { a[i] } else { b[i] })
-    }
-
-    #[inline]
-    pub(crate) fn lt(a: Repr, b: Repr) -> u8 {
-        let mut bits = 0u8;
-        for i in 0..4 {
-            if a[i] < b[i] {
-                bits |= 1 << i;
-            }
-        }
-        bits
-    }
-
-    #[inline]
-    pub(crate) fn gt(a: Repr, b: Repr) -> u8 {
-        let mut bits = 0u8;
-        for i in 0..4 {
-            if a[i] > b[i] {
-                bits |= 1 << i;
-            }
-        }
-        bits
-    }
-}

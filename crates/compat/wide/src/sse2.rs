@@ -82,71 +82,3 @@ pub(crate) fn gt(a: Repr, b: Repr) -> u8 {
         (lo | (hi << 2)) as u8
     }
 }
-
-/// Single-precision lanes for the mixed-precision kernel: one `__m128`
-/// holds all four `f32` lanes (SSE, part of the same x86-64 baseline).
-pub(crate) mod f32impl {
-    use core::arch::x86_64::*;
-
-    #[derive(Clone, Copy, Debug)]
-    pub(crate) struct Repr(__m128);
-
-    #[inline]
-    pub(crate) fn splat(v: f32) -> Repr {
-        unsafe { Repr(_mm_set1_ps(v)) }
-    }
-
-    #[inline]
-    pub(crate) fn from_array(a: [f32; 4]) -> Repr {
-        unsafe { Repr(_mm_setr_ps(a[0], a[1], a[2], a[3])) }
-    }
-
-    #[inline]
-    pub(crate) fn to_array(r: Repr) -> [f32; 4] {
-        let mut out = [0.0f32; 4];
-        unsafe {
-            _mm_storeu_ps(out.as_mut_ptr(), r.0);
-        }
-        out
-    }
-
-    #[inline]
-    pub(crate) fn add(a: Repr, b: Repr) -> Repr {
-        unsafe { Repr(_mm_add_ps(a.0, b.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn sub(a: Repr, b: Repr) -> Repr {
-        unsafe { Repr(_mm_sub_ps(a.0, b.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn mul(a: Repr, b: Repr) -> Repr {
-        unsafe { Repr(_mm_mul_ps(a.0, b.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn div(a: Repr, b: Repr) -> Repr {
-        unsafe { Repr(_mm_div_ps(a.0, b.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn sqrt(a: Repr) -> Repr {
-        unsafe { Repr(_mm_sqrt_ps(a.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn max(a: Repr, b: Repr) -> Repr {
-        unsafe { Repr(_mm_max_ps(a.0, b.0)) }
-    }
-
-    #[inline]
-    pub(crate) fn lt(a: Repr, b: Repr) -> u8 {
-        unsafe { _mm_movemask_ps(_mm_cmplt_ps(a.0, b.0)) as u8 }
-    }
-
-    #[inline]
-    pub(crate) fn gt(a: Repr, b: Repr) -> u8 {
-        unsafe { _mm_movemask_ps(_mm_cmpgt_ps(a.0, b.0)) as u8 }
-    }
-}

@@ -69,11 +69,9 @@ pub struct AlgoParams {
     /// one per hardware thread. Results are bitwise identical for any
     /// value; this is purely a performance knob.
     pub threads: usize,
-    /// Arithmetic kernel for the hot loops (`kernel`): `simd` (default),
-    /// `scalar` or `simd_mixed`. `simd` and `scalar` produce bitwise
-    /// identical packings; `simd_mixed` rejects pairs in f32 and is only
-    /// reproducible against itself (within the documented budget of the
-    /// exact kernels).
+    /// Arithmetic kernel for the hot loops (`kernel`): `simd` (default)
+    /// or `scalar`. Both produce bitwise identical packings; `scalar` is
+    /// the correctness oracle.
     pub kernel: Kernel,
     /// Gravity-axis tiling (`tiles`), default 1 = monolithic. With `tiles:
     /// T > 1` the container's altitude range is split into T slabs and
@@ -102,7 +100,7 @@ impl Default for AlgoParams {
 /// The `neighbor:` block (pair-search pipeline knobs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborConfig {
-    /// `strategy:` — `auto` (default), `verlet`, `grid` or `naive`.
+    /// `strategy:` — `auto` (default), `verlet` or `naive`.
     pub strategy: NeighborStrategy,
     /// `skin_factor:` — Verlet skin as a fraction of the largest batch
     /// radius, default 0.4.
@@ -648,7 +646,7 @@ impl PackingConfig {
                 params.kernel = Kernel::parse(v).ok_or_else(|| {
                     field(format!(
                         "params.kernel: unknown kernel '{v}' \
-                         (expected 'scalar', 'simd' or 'simd_mixed')"
+                         (expected 'scalar' or 'simd')"
                     ))
                 })?;
             }
@@ -687,17 +685,12 @@ impl PackingConfig {
         let mut neighbor = NeighborConfig::default();
         if let Some(nb) = root.get("neighbor") {
             if let Some(v) = nb.get("strategy").and_then(Value::as_str) {
-                neighbor.strategy = match v.to_ascii_lowercase().as_str() {
-                    "auto" => NeighborStrategy::Auto,
-                    "verlet" => NeighborStrategy::Verlet,
-                    "grid" => NeighborStrategy::Grid,
-                    "naive" => NeighborStrategy::Naive,
-                    other => {
-                        return Err(field(format!(
-                            "neighbor.strategy: unknown strategy '{other}'"
-                        )))
-                    }
-                };
+                neighbor.strategy = NeighborStrategy::parse(v).ok_or_else(|| {
+                    field(format!(
+                        "neighbor.strategy: unknown strategy '{v}' \
+                         (expected 'auto', 'verlet' or 'naive')"
+                    ))
+                })?;
             }
             if let Some(v) = nb.get("skin_factor").and_then(Value::as_f64) {
                 if !(v > 0.0 && v.is_finite()) {
@@ -1485,18 +1478,29 @@ zones:
         let e = PackingConfig::from_str(src).unwrap_err();
         assert!(e.to_string().contains("avx512"), "{e}");
         // Usage errors must name every accepted value.
-        for accepted in ["'scalar'", "'simd'", "'simd_mixed'"] {
+        for accepted in ["'scalar'", "'simd'"] {
             assert!(e.to_string().contains(accepted), "{e} missing {accepted}");
         }
     }
 
+    /// Knob values whose implementations were deleted (the mixed-precision
+    /// kernel, the per-evaluation grid strategy) end in a typed config
+    /// error naming the accepted values, never a panic.
     #[test]
-    fn mixed_kernel_knob_parses() {
+    fn removed_kernel_and_strategy_values_are_config_errors() {
         let base = "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n";
-        let src = format!("{base}params:\n  kernel: \"simd_mixed\"\n");
-        let cfg = PackingConfig::from_str(&src).unwrap();
-        assert_eq!(cfg.params.kernel, Kernel::SimdMixed);
-        assert_eq!(cfg.to_packing_params().kernel, Kernel::SimdMixed);
+        let mixed = concat!("simd_", "mixed");
+        let e =
+            PackingConfig::from_str(&format!("{base}params:\n  kernel: {mixed}\n")).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains(mixed), "{msg}");
+        assert!(msg.contains("'scalar' or 'simd'"), "{msg}");
+
+        let e =
+            PackingConfig::from_str(&format!("{base}neighbor:\n  strategy: grid\n")).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains("'grid'"), "{msg}");
+        assert!(msg.contains("'auto', 'verlet' or 'naive'"), "{msg}");
     }
 
     #[test]

@@ -50,14 +50,8 @@ pub fn to_yaml(cfg: &PackingConfig) -> String {
     };
     writeln!(s, "gravity_axis: {axis}").unwrap();
     if cfg.neighbor != NeighborConfig::default() {
-        let strategy = match cfg.neighbor.strategy {
-            adampack_core::NeighborStrategy::Auto => "auto",
-            adampack_core::NeighborStrategy::Verlet => "verlet",
-            adampack_core::NeighborStrategy::Grid => "grid",
-            adampack_core::NeighborStrategy::Naive => "naive",
-        };
         writeln!(s, "neighbor:").unwrap();
-        writeln!(s, "    strategy: \"{strategy}\"").unwrap();
+        writeln!(s, "    strategy: \"{}\"", cfg.neighbor.strategy.name()).unwrap();
         writeln!(s, "    skin_factor: {}", cfg.neighbor.skin_factor).unwrap();
         writeln!(s, "    order: \"{}\"", cfg.neighbor.order.name()).unwrap();
     }

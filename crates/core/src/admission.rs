@@ -22,8 +22,8 @@ use crate::psd::Psd;
 /// allocator headroom. `128` rounds the measured ~90 B up.
 const BYTES_PER_RESIDENT_SPHERE: u64 = 128;
 
-/// Bytes the workspace holds per batch particle: SoA f64+f32 coordinate
-/// columns (48 B), positions (24 B), objective values/breakdowns
+/// Bytes the workspace holds per batch particle: SoA coordinate columns
+/// (32 B), positions (24 B), objective values/breakdowns
 /// (~48 B), optimizer moments (48 B), Morton keys (12 B), and the
 /// Verlet candidate lists, which dominate — a dense batch sees tens of
 /// candidates per particle at 4 B each. `512` bounds all of it.

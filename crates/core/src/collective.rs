@@ -1247,9 +1247,7 @@ impl CollectivePacker {
             // breakdown from one neighbor traversal, with a loss bitwise
             // equal to the untraced call's.
             let (z, breakdown) = if self.tracer.is_some() {
-                let (z, b) =
-                    objective.value_grad_breakdown_ws(&coords, &mut grad, &mut self.workspace);
-                (z, b)
+                objective.value_grad_breakdown_ws(&coords, &mut grad, &mut self.workspace)
             } else {
                 let z = objective.value_and_grad_ws(&coords, &mut grad, &mut self.workspace);
                 (z, Default::default())

@@ -40,7 +40,7 @@
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
 use adampack_geometry::{HalfSpaceSet, Vec3};
-use wide::{f32x4, f64x4};
+use wide::f64x4;
 
 use crate::objective::pair_direction;
 
@@ -67,12 +67,6 @@ pub(crate) struct SoaCoords {
     pub y: Vec<f64>,
     pub z: Vec<f64>,
     pub r: Vec<f64>,
-    /// Single-precision mirrors of the columns, populated only when the
-    /// mixed-precision kernel is active (see [`SoaCoords::refresh_f32`]).
-    pub xf: Vec<f32>,
-    pub yf: Vec<f32>,
-    pub zf: Vec<f32>,
-    pub rf: Vec<f32>,
     n: usize,
 }
 
@@ -98,33 +92,6 @@ impl SoaCoords {
         }
     }
 
-    /// Mirrors the (already refreshed) `f64` columns into the `f32`
-    /// columns for the mixed-precision rejection lanes. Padding survives
-    /// the narrowing unchanged (`+∞ → +∞f32`, `0 → 0f32`).
-    pub fn refresh_f32(&mut self) {
-        for (dst, src) in [
-            (&mut self.xf, &self.x),
-            (&mut self.yf, &self.y),
-            (&mut self.zf, &self.z),
-            (&mut self.rf, &self.r),
-        ] {
-            dst.clear();
-            dst.extend(src.iter().map(|&v| v as f32));
-        }
-    }
-
-    /// Borrowed view of the `f32` columns (panics in debug builds when
-    /// [`SoaCoords::refresh_f32`] has not run since the last refresh).
-    pub fn f32_view(&self) -> F32View<'_> {
-        debug_assert_eq!(self.xf.len(), self.x.len(), "refresh_f32 not run");
-        F32View {
-            x: &self.xf,
-            y: &self.yf,
-            z: &self.zf,
-            r: &self.rf,
-        }
-    }
-
     /// Number of real (un-padded) entries.
     #[allow(dead_code)] // used by tests; handy for future callers
     pub fn len(&self) -> usize {
@@ -141,8 +108,6 @@ impl SoaCoords {
     pub fn resident_bytes(&self) -> usize {
         (self.x.capacity() + self.y.capacity() + self.z.capacity() + self.r.capacity())
             * std::mem::size_of::<f64>()
-            + (self.xf.capacity() + self.yf.capacity() + self.zf.capacity() + self.rf.capacity())
-                * std::mem::size_of::<f32>()
     }
 }
 
@@ -187,30 +152,22 @@ impl PlaneSoa {
 // Pair sources
 // ---------------------------------------------------------------------------
 
-/// Scalar candidate access for the hot-pair body: one candidate as
-/// `(center, radius)`. Split from [`PairSource`] so the mixed-precision
-/// [`F32View`] (which gathers `f32` lanes but widens hits to `f64`) can
-/// share the exact scalar body.
-pub(crate) trait PointSource {
-    /// One candidate as `(center, radius)` for the scalar hot-pair path.
-    fn point(&self, j: usize) -> (Vec3, f64);
-}
-
 /// Where a pair kernel reads candidate spheres from: the batch SoA snapshot
 /// (intra pairs) or the fixed bed's center/radius arrays (cross pairs).
-pub(crate) trait PairSource: PointSource {
+pub(crate) trait PairSource {
+    /// One candidate as `(center, radius)` for the scalar hot-pair path.
+    fn point(&self, j: usize) -> (Vec3, f64);
+
     /// Loads four candidates' `x/y/z/r` into lanes.
     fn gather(&self, idx: [usize; LANES]) -> (f64x4, f64x4, f64x4, f64x4);
 }
 
-impl PointSource for SoaCoords {
+impl PairSource for SoaCoords {
     #[inline]
     fn point(&self, j: usize) -> (Vec3, f64) {
         (SoaCoords::point(self, j), self.r[j])
     }
-}
 
-impl PairSource for SoaCoords {
     #[inline]
     fn gather(&self, idx: [usize; LANES]) -> (f64x4, f64x4, f64x4, f64x4) {
         (
@@ -229,14 +186,12 @@ pub(crate) struct FixedView<'a> {
     pub radii: &'a [f64],
 }
 
-impl PointSource for FixedView<'_> {
+impl PairSource for FixedView<'_> {
     #[inline]
     fn point(&self, j: usize) -> (Vec3, f64) {
         (self.centers[j], self.radii[j])
     }
-}
 
-impl PairSource for FixedView<'_> {
     #[inline]
     fn gather(&self, idx: [usize; LANES]) -> (f64x4, f64x4, f64x4, f64x4) {
         (
@@ -245,101 +200,6 @@ impl PairSource for FixedView<'_> {
             f64x4::from_array(idx.map(|j| self.centers[j].z)),
             f64x4::from_array(idx.map(|j| self.radii[j])),
         )
-    }
-}
-
-/// Borrowed single-precision columns for the mixed-precision kernel: the
-/// batch snapshot's `f32` mirror or the fixed bed's [`FixedMirror`].
-///
-/// The 4-lane rejection test reads these `f32` columns directly (half the
-/// memory traffic of the `f64` path — the point of the mixed kernel);
-/// candidates that pass are *widened* back to `f64` by [`PointSource::point`]
-/// and re-tested/accumulated with the exact scalar body. The only precision
-/// loss is therefore the one coordinate quantization `f64 → f32`, bounded
-/// by the documented budget (`objective::MIXED_REL_BUDGET`).
-pub(crate) struct F32View<'a> {
-    pub x: &'a [f32],
-    pub y: &'a [f32],
-    pub z: &'a [f32],
-    pub r: &'a [f32],
-}
-
-impl PointSource for F32View<'_> {
-    #[inline]
-    fn point(&self, j: usize) -> (Vec3, f64) {
-        (
-            Vec3::new(self.x[j] as f64, self.y[j] as f64, self.z[j] as f64),
-            self.r[j] as f64,
-        )
-    }
-}
-
-impl F32View<'_> {
-    /// Loads four candidates' `x/y/z/r` into single-precision lanes.
-    #[inline]
-    fn gather_f32(&self, idx: [usize; LANES]) -> (f32x4, f32x4, f32x4, f32x4) {
-        (
-            f32x4::from_array(idx.map(|j| self.x[j])),
-            f32x4::from_array(idx.map(|j| self.y[j])),
-            f32x4::from_array(idx.map(|j| self.z[j])),
-            f32x4::from_array(idx.map(|j| self.r[j])),
-        )
-    }
-}
-
-/// Owned single-precision mirror of the fixed bed's sphere arrays, cached
-/// in the workspace and re-narrowed only when the bed's generation counter
-/// moves (once per batch in steady state, not per evaluation).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FixedMirror {
-    x: Vec<f32>,
-    y: Vec<f32>,
-    z: Vec<f32>,
-    r: Vec<f32>,
-    generation: u64,
-    valid: bool,
-}
-
-impl FixedMirror {
-    /// Re-narrows from the bed arrays unless `generation` matches the
-    /// cached snapshot.
-    pub fn sync(&mut self, centers: &[Vec3], radii: &[f64], generation: u64) {
-        if self.valid && self.generation == generation {
-            debug_assert_eq!(self.x.len(), centers.len());
-            return;
-        }
-        for col in [&mut self.x, &mut self.y, &mut self.z, &mut self.r] {
-            col.clear();
-        }
-        self.x.extend(centers.iter().map(|c| c.x as f32));
-        self.y.extend(centers.iter().map(|c| c.y as f32));
-        self.z.extend(centers.iter().map(|c| c.z as f32));
-        self.r.extend(radii.iter().map(|&r| r as f32));
-        self.generation = generation;
-        self.valid = true;
-    }
-
-    /// Drops the cached snapshot (workspace reset between batches).
-    #[allow(dead_code)] // safety hatch for callers that mutate the bed out-of-band
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Borrowed lane view of the mirror.
-    pub fn view(&self) -> F32View<'_> {
-        debug_assert!(self.valid, "FixedMirror::sync not run");
-        F32View {
-            x: &self.x,
-            y: &self.y,
-            z: &self.z,
-            r: &self.r,
-        }
-    }
-
-    /// Resident bytes of the mirror's columns (capacity, not length).
-    pub fn resident_bytes(&self) -> usize {
-        (self.x.capacity() + self.y.capacity() + self.z.capacity() + self.r.capacity())
-            * std::mem::size_of::<f32>()
     }
 }
 
@@ -353,7 +213,7 @@ impl FixedMirror {
 /// reproduce it bit for bit). With `INTRA` the self-pair is skipped and
 /// the gradient carries the ordered-pair factor 2.
 #[inline]
-fn hot_pair<S: PointSource, const RECORD: bool, const INTRA: bool>(
+fn hot_pair<S: PairSource, const RECORD: bool, const INTRA: bool>(
     ci: Vec3,
     ri: f64,
     i: usize,
@@ -382,7 +242,7 @@ fn hot_pair<S: PointSource, const RECORD: bool, const INTRA: bool>(
 /// Scalar candidate test + hot-pair body — the tail path of the chunked
 /// kernels. Identical FP sequence to one SIMD lane.
 #[inline]
-fn scalar_pair<S: PointSource, const RECORD: bool, const INTRA: bool>(
+fn scalar_pair<S: PairSource, const RECORD: bool, const INTRA: bool>(
     ci: Vec3,
     ri: f64,
     i: usize,
@@ -533,190 +393,6 @@ pub(crate) fn pairs_dense<const RECORD: bool>(
                         k + lane,
                         d2a[lane],
                         soa,
-                        v,
-                        g,
-                        rec,
-                    );
-                }
-            }
-        }
-        k += LANES;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mixed-precision pair kernels (f32 rejection, f64 accumulation)
-// ---------------------------------------------------------------------------
-//
-// The `simd_mixed` kernel halves the memory traffic of the dominant
-// operation — rejecting non-penetrating candidates — by testing four
-// candidates per `f32x4` lane group against single-precision columns.
-// Lanes that pass are widened back to `f64` and re-tested + accumulated
-// with the *exact* scalar body (`scalar_pair`), so:
-//
-//   * accumulators (value, gradient, breakdown) are always full `f64`;
-//   * the only precision loss versus the `f64` oracle is the coordinate
-//     quantization `f64 → f32` of the candidate columns, which can drop
-//     (never add) boundary-grazing pairs whose penetration is within the
-//     quantization noise and perturb surviving pairs' contributions by
-//     O(2⁻²⁴) relative — see `objective::MIXED_REL_BUDGET`;
-//   * results remain bitwise-reproducible against *themselves* on every
-//     backend and thread count (same candidate order, same element-wise
-//     correctly-rounded f32 ops on every backend).
-
-/// Four-candidate f32 rejection + widened-f64 hot body, lane order.
-#[inline]
-fn process4_mixed<const RECORD: bool, const INTRA: bool>(
-    ci: Vec3,
-    ri: f64,
-    i: usize,
-    alpha: f64,
-    idx: [usize; LANES],
-    src: &F32View<'_>,
-    v: &mut f64,
-    g: &mut Vec3,
-    rec: &mut f64,
-) {
-    let (xs, ys, zs, rs) = src.gather_f32(idx);
-    let dx = f32x4::splat(ci.x as f32) - xs;
-    let dy = f32x4::splat(ci.y as f32) - ys;
-    let dz = f32x4::splat(ci.z as f32) - zs;
-    let d2 = dx * dx + dy * dy;
-    let d2 = d2 + dz * dz;
-    let sr = f32x4::splat(ri as f32) + rs;
-    let hit = d2.lt(sr * sr);
-    if hit.any() {
-        for lane in 0..LANES {
-            if hit.test(lane) {
-                // `scalar_pair` re-tests in f64 on the widened candidate, so
-                // a spuriously passing f32 lane cannot contribute a negative
-                // penetration.
-                scalar_pair::<F32View<'_>, RECORD, INTRA>(
-                    ci, ri, i, alpha, idx[lane], src, v, g, rec,
-                );
-            }
-        }
-    }
-}
-
-/// Scalar tail of the mixed kernels: same f32 test, same widened body.
-#[inline]
-fn scalar_pair_mixed<const RECORD: bool, const INTRA: bool>(
-    ci: Vec3,
-    ri: f64,
-    i: usize,
-    alpha: f64,
-    j: usize,
-    src: &F32View<'_>,
-    v: &mut f64,
-    g: &mut Vec3,
-    rec: &mut f64,
-) {
-    let dx = ci.x as f32 - src.x[j];
-    let dy = ci.y as f32 - src.y[j];
-    let dz = ci.z as f32 - src.z[j];
-    let d2 = (dx * dx + dy * dy) + dz * dz;
-    let sr = ri as f32 + src.r[j];
-    if d2 < sr * sr {
-        scalar_pair::<F32View<'_>, RECORD, INTRA>(ci, ri, i, alpha, j, src, v, g, rec);
-    }
-}
-
-/// Mixed-precision pair scan over an explicit candidate index list.
-#[inline]
-pub(crate) fn pairs_sparse_mixed<const RECORD: bool, const INTRA: bool>(
-    ci: Vec3,
-    ri: f64,
-    i: usize,
-    alpha: f64,
-    idx: &[u32],
-    src: &F32View<'_>,
-    v: &mut f64,
-    g: &mut Vec3,
-    rec: &mut f64,
-) {
-    let lanes_end = idx.len() - idx.len() % LANES;
-    let mut k = 0;
-    while k < lanes_end {
-        let q = [
-            idx[k] as usize,
-            idx[k + 1] as usize,
-            idx[k + 2] as usize,
-            idx[k + 3] as usize,
-        ];
-        process4_mixed::<RECORD, INTRA>(ci, ri, i, alpha, q, src, v, g, rec);
-        k += LANES;
-    }
-    for &j in &idx[lanes_end..] {
-        scalar_pair_mixed::<RECORD, INTRA>(ci, ri, i, alpha, j as usize, src, v, g, rec);
-    }
-}
-
-/// Mixed-precision pair scan over the contiguous index range `0..n`.
-#[inline]
-pub(crate) fn pairs_range_mixed<const RECORD: bool, const INTRA: bool>(
-    ci: Vec3,
-    ri: f64,
-    i: usize,
-    alpha: f64,
-    n: usize,
-    src: &F32View<'_>,
-    v: &mut f64,
-    g: &mut Vec3,
-    rec: &mut f64,
-) {
-    let lanes_end = n - n % LANES;
-    let mut k = 0;
-    while k < lanes_end {
-        process4_mixed::<RECORD, INTRA>(ci, ri, i, alpha, [k, k + 1, k + 2, k + 3], src, v, g, rec);
-        k += LANES;
-    }
-    for j in lanes_end..n {
-        scalar_pair_mixed::<RECORD, INTRA>(ci, ri, i, alpha, j, src, v, g, rec);
-    }
-}
-
-/// Mixed-precision dense intra scan over the whole padded f32 snapshot:
-/// contiguous single-precision lane loads, no gather, no tail (`+∞f32`
-/// padding fails every mask).
-#[inline]
-pub(crate) fn pairs_dense_mixed<const RECORD: bool>(
-    ci: Vec3,
-    ri: f64,
-    i: usize,
-    alpha: f64,
-    soa: &SoaCoords,
-    v: &mut f64,
-    g: &mut Vec3,
-    rec: &mut f64,
-) {
-    let src = soa.f32_view();
-    let (cix, ciy, ciz, riv) = (
-        f32x4::splat(ci.x as f32),
-        f32x4::splat(ci.y as f32),
-        f32x4::splat(ci.z as f32),
-        f32x4::splat(ri as f32),
-    );
-    let padded = src.x.len();
-    let mut k = 0;
-    while k < padded {
-        let dx = cix - f32x4::from_slice(&src.x[k..]);
-        let dy = ciy - f32x4::from_slice(&src.y[k..]);
-        let dz = ciz - f32x4::from_slice(&src.z[k..]);
-        let d2 = dx * dx + dy * dy;
-        let d2 = d2 + dz * dz;
-        let sr = riv + f32x4::from_slice(&src.r[k..]);
-        let hit = d2.lt(sr * sr);
-        if hit.any() {
-            for lane in 0..LANES {
-                if hit.test(lane) {
-                    scalar_pair::<F32View<'_>, RECORD, true>(
-                        ci,
-                        ri,
-                        i,
-                        alpha,
-                        k + lane,
-                        &src,
                         v,
                         g,
                         rec,
@@ -931,77 +607,6 @@ mod tests {
             assert_eq!(g.z.to_bits(), rg.z.to_bits());
             assert_eq!(rec.to_bits(), rrec.to_bits());
         }
-    }
-
-    /// The mixed kernel must stay inside the documented relative budget
-    /// against the f64 oracle, and be bitwise self-reproducible.
-    #[test]
-    fn mixed_kernel_within_budget_and_self_deterministic() {
-        use crate::objective::MIXED_REL_BUDGET;
-        for n in [1usize, 3, 7, 53, 128, 130] {
-            let mut soa = test_soa(n);
-            soa.refresh_f32();
-            let idx: Vec<u32> = (0..n as u32).collect();
-            let order: Vec<usize> = (0..n).collect();
-            for i in [0, n / 2, n - 1] {
-                let ci = soa.point(i);
-                let ri = soa.r[i];
-                let (mut v, mut g, mut rec) = (0.0, Vec3::ZERO, 0.0);
-                let view = soa.f32_view();
-                pairs_sparse_mixed::<true, true>(
-                    ci, ri, i, 100.0, &idx, &view, &mut v, &mut g, &mut rec,
-                );
-                let (rv, rg, rrec) = scalar_reference::<true>(&soa, i, 100.0, &order);
-                let tol = MIXED_REL_BUDGET * rv.abs().max(1.0);
-                assert!((v - rv).abs() <= tol, "n={n} i={i}: {v} vs {rv}");
-                assert!((rec - rrec).abs() <= MIXED_REL_BUDGET * rrec.abs().max(1.0));
-                for (got, want) in [(g.x, rg.x), (g.y, rg.y), (g.z, rg.z)] {
-                    assert!(
-                        (got - want).abs() <= MIXED_REL_BUDGET * want.abs().max(1.0) * 10.0,
-                        "gradient n={n} i={i}: {got} vs {want}"
-                    );
-                }
-                // Dense and sparse mixed paths agree bitwise (same hits,
-                // same widened body, same order).
-                let (mut v2, mut g2, mut r2) = (0.0, Vec3::ZERO, 0.0);
-                pairs_dense_mixed::<true>(ci, ri, i, 100.0, &soa, &mut v2, &mut g2, &mut r2);
-                assert_eq!(v.to_bits(), v2.to_bits(), "n={n} i={i}");
-                assert_eq!(g.x.to_bits(), g2.x.to_bits());
-                // Self-determinism: a second evaluation is bitwise equal.
-                let (mut v3, mut g3, mut r3) = (0.0, Vec3::ZERO, 0.0);
-                pairs_sparse_mixed::<true, true>(
-                    ci, ri, i, 100.0, &idx, &view, &mut v3, &mut g3, &mut r3,
-                );
-                assert_eq!(v.to_bits(), v3.to_bits());
-                assert_eq!(g.z.to_bits(), g3.z.to_bits());
-                assert_eq!(rec.to_bits(), r3.to_bits());
-            }
-        }
-    }
-
-    /// The fixed-bed f32 mirror re-narrows only when the generation moves.
-    #[test]
-    fn fixed_mirror_tracks_generation() {
-        let centers = vec![Vec3::new(0.25, -1.5, 3.0), Vec3::new(1.0, 2.0, -0.125)];
-        let radii = vec![0.5, 0.25];
-        let mut mirror = FixedMirror::default();
-        mirror.sync(&centers, &radii, 7);
-        {
-            let view = mirror.view();
-            assert_eq!(view.x, &[0.25f32, 1.0]);
-            assert_eq!(view.r, &[0.5f32, 0.25]);
-        }
-        // Same generation: stale arrays are NOT re-read (cache hit).
-        let moved = vec![Vec3::ZERO, Vec3::ZERO];
-        mirror.sync(&moved, &radii, 7);
-        assert_eq!(mirror.view().x, &[0.25f32, 1.0]);
-        // New generation: re-narrowed.
-        mirror.sync(&moved, &radii, 8);
-        assert_eq!(mirror.view().x, &[0.0f32, 0.0]);
-        assert!(mirror.resident_bytes() >= 2 * 4 * std::mem::size_of::<f32>());
-        mirror.invalidate();
-        mirror.sync(&centers, &radii, 8);
-        assert_eq!(mirror.view().x, &[0.25f32, 1.0], "invalidate forces resync");
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //!   ([`neighbor::CsrGrid`]), skin-padded Verlet candidate lists and the
 //!   allocation-free step [`neighbor::Workspace`] that make both
 //!   penetration terms O(n·k) with amortized pair search,
-//! * [`grid`] — the original HashMap cell-list, kept as the correctness
-//!   oracle for the CSR grid's property tests,
 //! * [`psd`] — particle-size distributions (Constant / Uniform / Normal /
 //!   LogNormal and mixtures),
 //! * [`collective`] — the Algorithm 1 driver ([`CollectivePacker`]),
@@ -76,7 +74,6 @@ pub mod checkpoint;
 pub mod collective;
 pub mod container;
 pub mod diagnostics;
-pub mod grid;
 pub(crate) mod kernels;
 pub mod manifest;
 pub mod metrics;

@@ -1,8 +1,7 @@
 //! The neighbor pipeline: CSR cell grid, Verlet skin lists and the
 //! allocation-free step workspace.
 //!
-//! Three layers replace (and outperform) the HashMap cell-list in
-//! [`crate::grid`] on the optimizer's hot path:
+//! Three layers serve the optimizer's hot path:
 //!
 //! 1. [`CsrGrid`] — a flat compressed-sparse-row grid: particles are
 //!    counting-sorted into `cell_start`/`entries` over the bounded AABB of
@@ -22,8 +21,8 @@
 //!    so steady-state optimizer steps perform **zero heap allocation**
 //!    (verified by a counting global allocator in the test suite).
 //!
-//! The old [`crate::grid::CellGrid`] stays as the correctness oracle: the
-//! property suite asserts CSR == HashMap == brute force on random clouds.
+//! Exhaustive scans ([`NeighborStrategy::Naive`]) are the correctness
+//! oracle: the property suite asserts CSR == brute force on random clouds.
 //!
 //! Determinism: queries visit cells in a fixed z→y→x order and entries in
 //! counting-sort order, both independent of thread count; Verlet lists
@@ -36,24 +35,48 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use adampack_geometry::{Aabb, Axis, Vec3};
 use rayon::par;
 
-use crate::kernels::{FixedMirror, PlaneSoa, SoaCoords};
+use crate::kernels::{PlaneSoa, SoaCoords};
 use crate::objective::ObjectiveBreakdown;
 use crate::particle::{coords, Particle};
 
 /// How the objective searches for interacting sphere pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborStrategy {
-    /// Pick per batch: Verlet lists above [`VERLET_THRESHOLD`] particles,
-    /// plain grid/naive selection below (list upkeep only pays off once
-    /// the pair scan dominates).
+    /// Pick per batch: Verlet lists from [`VERLET_THRESHOLD`] particles
+    /// up; below it a naive intra scan plus CSR cell-grid queries against
+    /// the bed (list upkeep only pays off once the pair scan dominates).
     #[default]
     Auto,
     /// Skin-padded Verlet candidate lists rebuilt on demand (fastest).
     Verlet,
-    /// CSR cell-grid queries every evaluation (no lists).
-    Grid,
     /// Exhaustive O(n²) scans (correctness oracle; small batches).
     Naive,
+}
+
+impl NeighborStrategy {
+    /// Every strategy, in knob order.
+    pub const ALL: [NeighborStrategy; 3] = [
+        NeighborStrategy::Auto,
+        NeighborStrategy::Verlet,
+        NeighborStrategy::Naive,
+    ];
+
+    /// Parses the user-facing knob value (`"auto"` / `"verlet"` /
+    /// `"naive"`, any case).
+    pub fn parse(s: &str) -> Option<NeighborStrategy> {
+        NeighborStrategy::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(s))
+    }
+
+    /// Canonical knob spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            NeighborStrategy::Auto => "auto",
+            NeighborStrategy::Verlet => "verlet",
+            NeighborStrategy::Naive => "naive",
+        }
+    }
 }
 
 /// Batch size at which [`NeighborStrategy::Auto`] switches to Verlet lists.
@@ -140,8 +163,7 @@ const SCAN_BLOCK: usize = 4096;
 
 /// A flat counting-sorted cell grid over spheres.
 ///
-/// Drop-in replacement for [`crate::grid::CellGrid`] (same query surface)
-/// with contiguous storage: `entries[cell_start[c]..cell_start[c + 1]]`
+/// Contiguous storage: `entries[cell_start[c]..cell_start[c + 1]]`
 /// holds the indices of the spheres whose center falls in cell `c`, and
 /// cells are linearized x-fastest so a query's x-row of cells is one
 /// contiguous `entries` range.
@@ -178,10 +200,6 @@ pub struct CsrGrid {
     keys: Vec<u32>,
     /// Per-chunk histogram scratch for the parallel counting sort.
     sort_scratch: Vec<u32>,
-    /// Bumped whenever the sphere arrays change (rebuilds and pushes);
-    /// lets downstream caches (the mixed kernel's f32 mirror) re-narrow
-    /// only when the content actually moved.
-    generation: u64,
     /// Hot-window state; `None` outside tiled runs.
     hot: Option<HotWindow>,
     /// Queries whose window could have reached below the hot floor.
@@ -218,7 +236,6 @@ impl Clone for CsrGrid {
             pending: self.pending.clone(),
             keys: self.keys.clone(),
             sort_scratch: self.sort_scratch.clone(),
-            generation: self.generation,
             hot: self.hot,
             horizon_misses: AtomicU64::new(self.horizon_misses.load(Ordering::Relaxed)),
         }
@@ -259,7 +276,6 @@ impl CsrGrid {
             pending: Vec::new(),
             keys: Vec::new(),
             sort_scratch: Vec::new(),
-            generation: 0,
             hot: None,
             horizon_misses: AtomicU64::new(0),
         }
@@ -270,7 +286,6 @@ impl CsrGrid {
     pub fn rebuild(&mut self, centers: &[Vec3], radii: &[f64]) {
         assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
         self.hot = None;
-        self.generation = self.generation.wrapping_add(1);
         self.centers.clear();
         self.centers.extend_from_slice(centers);
         self.radii.clear();
@@ -323,7 +338,6 @@ impl CsrGrid {
         up: Vec3,
         horizon: f64,
     ) {
-        self.generation = self.generation.wrapping_add(1);
         self.horizon_misses.store(0, Ordering::Relaxed);
         let (lo_s, hi_s, max_r) = par::map_reduce(
             n,
@@ -396,7 +410,6 @@ impl CsrGrid {
     /// CSR structure once it exceeds a fraction of the binned population.
     pub fn push(&mut self, center: Vec3, radius: f64) {
         let i = self.centers.len() as u32;
-        self.generation = self.generation.wrapping_add(1);
         self.centers.push(center);
         self.radii.push(radius);
         self.max_radius = self.max_radius.max(radius);
@@ -592,12 +605,6 @@ impl CsrGrid {
     /// Bounding box of all indexed spheres (surface-inclusive).
     pub fn bounds(&self) -> Aabb {
         self.bounds
-    }
-
-    /// Content generation: bumped on every rebuild and push. Downstream
-    /// caches (the mixed kernel's f32 mirror) key on this.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// True when the grid is in hot-window mode ([`CsrGrid::rebuild_hot`]).
@@ -1112,8 +1119,7 @@ pub struct Workspace {
     /// Per-particle breakdown partials for the fused traced evaluation
     /// (reduced sequentially, like `values`).
     pub(crate) breakdowns: Vec<ObjectiveBreakdown>,
-    /// Batch cell grid (per-evaluation in grid mode, per-rebuild in
-    /// Verlet mode).
+    /// Batch cell grid (Verlet-rebuild scratch).
     pub(crate) batch_grid: CsrGrid,
     /// Position scratch for coordinate-buffer → `Vec3` views.
     pub(crate) positions: Vec<Vec3>,
@@ -1125,9 +1131,6 @@ pub struct Workspace {
     /// SoA snapshot of the container planes for the vectorized half-space
     /// loop.
     pub(crate) plane_soa: PlaneSoa,
-    /// Single-precision mirror of the fixed bed for the mixed-precision
-    /// kernel's rejection lanes (re-narrowed per bed generation).
-    pub(crate) fixed_f32: FixedMirror,
     /// Morton sort scratch: `(key << 32) | index` per particle.
     sweep_keys: Vec<u64>,
     /// The Morton visit permutation (sweep position → particle index).
@@ -1265,7 +1268,6 @@ impl Workspace {
             + self.verlet.resident_bytes()
             + self.soa.resident_bytes()
             + self.plane_soa.resident_bytes()
-            + self.fixed_f32.resident_bytes()
             + self.sweep_keys.capacity() * size_of::<u64>()
             + self.sweep_order.capacity() * size_of::<u32>()
     }
@@ -1299,7 +1301,6 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::CellGrid;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1329,12 +1330,20 @@ mod tests {
         assert!(g.bounds().is_empty());
     }
 
+    fn brute_force_overlapping(centers: &[Vec3], radii: &[f64], p: Vec3, r: f64) -> Vec<usize> {
+        (0..centers.len())
+            .filter(|&i| {
+                let min_dist = r + radii[i];
+                p.distance_sq(centers[i]) < min_dist * min_dist
+            })
+            .collect()
+    }
+
     #[test]
-    fn matches_hashmap_oracle_on_random_clouds() {
+    fn matches_brute_force_on_random_clouds() {
         for trial in 0..10 {
             let (centers, radii) = random_cloud(1000 + trial, 300, 3.0);
             let csr = CsrGrid::build(&centers, &radii);
-            let oracle = CellGrid::build(&centers, &radii);
             let mut rng = StdRng::seed_from_u64(2000 + trial);
             for _ in 0..50 {
                 let p = Vec3::new(
@@ -1345,7 +1354,7 @@ mod tests {
                 let r = rng.gen_range(0.05..0.5);
                 assert_eq!(
                     csr.overlapping(p, r),
-                    oracle.overlapping(p, r),
+                    brute_force_overlapping(&centers, &radii, p, r),
                     "trial {trial}"
                 );
             }
@@ -1696,6 +1705,20 @@ mod tests {
         ws.reset_batch();
         let recomputed: Vec<u32> = ws.refresh_sweep_order(&moved, n).to_vec();
         assert_ne!(recomputed, order, "reset must recompute from new coords");
+    }
+
+    #[test]
+    fn strategy_parse_and_name_roundtrip() {
+        for strategy in NeighborStrategy::ALL {
+            assert_eq!(NeighborStrategy::parse(strategy.name()), Some(strategy));
+        }
+        assert_eq!(
+            NeighborStrategy::parse("VERLET"),
+            Some(NeighborStrategy::Verlet)
+        );
+        // The per-evaluation grid strategy was folded into `auto`.
+        assert_eq!(NeighborStrategy::parse("grid"), None);
+        assert_eq!(NeighborStrategy::default(), NeighborStrategy::Auto);
     }
 
     #[test]

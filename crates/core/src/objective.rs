@@ -22,12 +22,14 @@
 //!
 //! ## Neighbor pipeline
 //!
-//! Pair search is pluggable via [`NeighborStrategy`]: exhaustive scans
-//! (oracle), per-evaluation [`CsrGrid`] queries, or skin-padded Verlet
+//! Pair search is chosen by [`NeighborStrategy`]: skin-padded Verlet
 //! candidate lists from [`crate::neighbor`] that amortize the search over
-//! many optimizer steps. The hot entry points
-//! [`Objective::value_and_grad_ws`]/[`Objective::value_ws`] thread a
-//! [`Workspace`] through so steady-state evaluations are allocation-free.
+//! many optimizer steps (with a naive-intra / [`CsrGrid`]-cross plan for
+//! batches too small to amortize list upkeep), or exhaustive scans (the
+//! oracle). The hot entry points [`Objective::value_and_grad_ws`] and
+//! [`Objective::value_grad_breakdown_ws`] share one evaluation body and
+//! thread a [`Workspace`] through so steady-state evaluations are
+//! allocation-free.
 //!
 //! Both kernels are data-parallel over batch particles: particle `i`'s slot
 //! of the gradient buffer is written by exactly one task, and per-particle
@@ -41,7 +43,7 @@ use adampack_telemetry::metrics::EVALS_TOTAL;
 use adampack_telemetry::Phase;
 use rayon::par;
 
-use crate::kernels::{self, FixedMirror, FixedView, PlaneSoa, SoaCoords};
+use crate::kernels::{self, FixedView, PlaneSoa, SoaCoords};
 use crate::neighbor::{
     CsrGrid, NeighborStrategy, SweepOrder, VerletLists, Workspace, VERLET_THRESHOLD,
 };
@@ -100,70 +102,17 @@ pub struct ObjectiveBreakdown {
     pub total: f64,
 }
 
-/// How the cross-layer penetration term is evaluated (under the grid
-/// pipeline; [`NeighborStrategy::Verlet`] supersedes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossMode {
-    /// Cell-list neighbour queries (default; O(batch · k)).
-    Grid,
-    /// Exhaustive scan over the fixed bed (O(batch · packed); kept for the
-    /// ablation benchmark and as a correctness oracle).
-    Naive,
-}
-
-/// How the intra-batch penetration term is evaluated (under the grid
-/// pipeline; [`NeighborStrategy::Verlet`] supersedes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntraMode {
-    /// Pick by batch size: grid above [`INTRA_GRID_THRESHOLD`], naive below
-    /// (the grid's rebuild-per-step cost only pays off for large batches).
-    Auto,
-    /// Exhaustive O(n²) row scan.
-    Naive,
-    /// Rebuild a cell-list over the batch every evaluation; O(n·k) queries.
-    Grid,
-}
-
-/// Batch size above which [`IntraMode::Auto`] switches to the grid.
-///
-/// Measured crossover (see the `ablate_intra` bench): the naive scan wins
-/// below ~500 particles, the grid wins from ~1000 (1.7× there, 8.5× at
-/// 5000); 768 splits the gap conservatively.
-pub const INTRA_GRID_THRESHOLD: usize = 768;
-
 /// Default Verlet skin as a fraction of the largest batch radius.
 pub const DEFAULT_SKIN_FACTOR: f64 = 0.4;
 
-/// Relative accuracy budget of the mixed-precision kernel
-/// ([`Kernel::SimdMixed`]) versus the exact `f64` oracle, applied as
-/// `|mixed − exact| ≤ MIXED_REL_BUDGET · max(|exact|, 1)` to the value and
-/// with a 10× factor to each gradient component.
-///
-/// Rationale: the only inexact step is narrowing candidate coordinates to
-/// `f32` — surviving pairs are re-tested and accumulated in `f64` on the
-/// widened (quantized) coordinates. Per pair the value perturbation is
-/// O(2⁻²⁴) ≈ 6·10⁻⁸ relative; a boundary-grazing pair may be dropped
-/// entirely, losing at most the quantization noise times α. With O(10²)
-/// contributing pairs per particle and α = 10², that stacks to ~10⁻⁵
-/// relative — hence 1e-5. Gradient components carry the 10× factor because
-/// each contributing pair adds `±2α·dir` where only the unit direction is
-/// perturbed (by O(2⁻²⁴·‖c‖/d)): the absolute error per pair is ~α·10⁻⁷
-/// regardless of how completely opposing pairs cancel, so near-cancelled
-/// components see it undamped. The parity suite enforces this budget in
-/// place of the bitwise-zero contract the full-precision SIMD kernel keeps.
-pub const MIXED_REL_BUDGET: f64 = 1e-5;
-
-/// Resolved per-evaluation intra-batch pair source.
-enum IntraPlan<'w> {
+/// Resolved per-evaluation pair sources.
+enum PairPlan<'w> {
+    /// Exhaustive intra and cross scans ([`NeighborStrategy::Naive`]).
     Naive,
-    Grid(&'w CsrGrid),
-    Verlet(&'w VerletLists),
-}
-
-/// Resolved per-evaluation fixed-bed pair source.
-enum CrossPlan<'w> {
-    Naive,
-    Grid,
+    /// [`NeighborStrategy::Auto`] below [`VERLET_THRESHOLD`]: exhaustive
+    /// intra scan, fixed-bed candidates from its [`CsrGrid`].
+    SmallBatch,
+    /// Both terms walk the workspace's Verlet lists.
     Verlet(&'w VerletLists),
 }
 
@@ -175,8 +124,6 @@ pub struct Objective<'a> {
     halfspaces: &'a HalfSpaceSet,
     radii: &'a [f64],
     fixed: &'a CsrGrid,
-    cross_mode: CrossMode,
-    intra_mode: IntraMode,
     strategy: NeighborStrategy,
     skin: f64,
     kernel: Kernel,
@@ -203,8 +150,6 @@ impl<'a> Objective<'a> {
             halfspaces,
             radii,
             fixed,
-            cross_mode: CrossMode::Grid,
-            intra_mode: IntraMode::Auto,
             strategy: NeighborStrategy::Auto,
             skin: (DEFAULT_SKIN_FACTOR * r_max).max(1e-9),
             kernel: Kernel::default(),
@@ -212,11 +157,9 @@ impl<'a> Objective<'a> {
         }
     }
 
-    /// Selects the arithmetic kernel for the hot loops. The scalar and
-    /// SIMD kernels produce bitwise identical results (same candidate
-    /// order, same IEEE sequence per element); [`Kernel::LegacyScalar`] is
-    /// the pre-vectorization baseline (a `sqrt` per candidate, no
-    /// squared-distance early-out) kept for benchmarking only.
+    /// Selects the arithmetic kernel for the hot loops. The scalar oracle
+    /// and the SIMD kernel produce bitwise identical results (same
+    /// candidate order, same IEEE sequence per element).
     pub fn with_kernel(mut self, kernel: Kernel) -> Objective<'a> {
         self.kernel = kernel;
         self
@@ -249,25 +192,9 @@ impl<'a> Objective<'a> {
         self.order
     }
 
-    /// Selects the cross-term evaluation strategy (ablation hook). Also
-    /// pins the pipeline to [`NeighborStrategy::Grid`] so the mode choice
-    /// actually takes effect.
-    pub fn with_cross_mode(mut self, mode: CrossMode) -> Objective<'a> {
-        self.cross_mode = mode;
-        self.strategy = NeighborStrategy::Grid;
-        self
-    }
-
-    /// Selects the intra-batch evaluation strategy (ablation hook). Also
-    /// pins the pipeline to [`NeighborStrategy::Grid`].
-    pub fn with_intra_mode(mut self, mode: IntraMode) -> Objective<'a> {
-        self.intra_mode = mode;
-        self.strategy = NeighborStrategy::Grid;
-        self
-    }
-
     /// Selects the neighbor pipeline and Verlet skin (absolute length;
-    /// ignored outside the Verlet strategy). Panics on a non-positive skin.
+    /// ignored when no Verlet lists are built). Panics on a non-positive
+    /// skin.
     pub fn with_neighbor(mut self, strategy: NeighborStrategy, skin: f64) -> Objective<'a> {
         assert!(
             skin > 0.0 && skin.is_finite(),
@@ -283,25 +210,12 @@ impl<'a> Objective<'a> {
         self.skin
     }
 
-    fn use_intra_grid(&self) -> bool {
-        match self.intra_mode {
-            IntraMode::Auto => self.radii.len() >= INTRA_GRID_THRESHOLD,
-            IntraMode::Naive => false,
-            IntraMode::Grid => true,
-        }
-    }
-
-    /// The strategy actually used for this batch size.
-    fn resolved_strategy(&self) -> NeighborStrategy {
+    /// True when this batch's pairs come from Verlet lists.
+    fn uses_verlet(&self) -> bool {
         match self.strategy {
-            NeighborStrategy::Auto => {
-                if self.radii.len() >= VERLET_THRESHOLD {
-                    NeighborStrategy::Verlet
-                } else {
-                    NeighborStrategy::Grid
-                }
-            }
-            s => s,
+            NeighborStrategy::Auto => self.radii.len() >= VERLET_THRESHOLD,
+            NeighborStrategy::Verlet => true,
+            NeighborStrategy::Naive => false,
         }
     }
 
@@ -310,11 +224,11 @@ impl<'a> Objective<'a> {
         self.radii.len()
     }
 
-    /// Evaluates `Z(C)` without computing the gradient (convenience;
-    /// allocates a throwaway workspace — hot paths use [`Self::value_ws`]).
+    /// Evaluates `Z(C)` (convenience; allocates a throwaway workspace and
+    /// gradient buffer — hot paths use [`Self::value_and_grad_ws`]).
     pub fn value(&self, c: &[f64]) -> f64 {
-        let mut ws = Workspace::new();
-        self.value_ws(c, &mut ws)
+        let mut grad = vec![0.0; c.len()];
+        self.value_and_grad(c, &mut grad)
     }
 
     /// Evaluates `Z(C)` and writes `∂Z/∂C` into `grad` (convenience;
@@ -325,48 +239,6 @@ impl<'a> Objective<'a> {
         self.value_and_grad_ws(c, grad, &mut ws)
     }
 
-    /// Evaluates `Z(C)` only, reusing the workspace's buffers. No gradient
-    /// buffer is touched or required.
-    pub fn value_ws(&self, c: &[f64], ws: &mut Workspace) -> f64 {
-        let n = self.radii.len();
-        assert_eq!(c.len(), 3 * n, "coordinate buffer size mismatch");
-        let morton = ws.use_morton(self.order, c, n);
-        if morton {
-            ws.refresh_sweep_order(c, n);
-        }
-        let Workspace {
-            values,
-            batch_grid,
-            positions,
-            verlet,
-            evals,
-            soa,
-            plane_soa,
-            fixed_f32,
-            sweep_order,
-            ..
-        } = ws;
-        *evals += 1;
-        EVALS_TOTAL.inc();
-        values.clear();
-        values.resize(n, 0.0);
-        self.refresh_snapshots(c, soa, plane_soa, fixed_f32);
-        let (intra, cross) = self.plans(c, batch_grid, positions, verlet);
-        let (soa, plane_soa, fixed_f32) = (&*soa, &*plane_soa, &*fixed_f32);
-        let _span = adampack_telemetry::span(self.kernel_phase());
-        let body = |i: usize, vslot: &mut f64| {
-            let (v, _) = self.particle_term(i, c, &intra, &cross, soa, plane_soa, fixed_f32);
-            *vslot = v;
-        };
-        if morton {
-            par::for_each_slot_perm(values, sweep_order, body);
-        } else {
-            par::for_each_slot(values, body);
-        }
-        // Sequential reduction keeps the result bitwise-deterministic.
-        values.iter().sum()
-    }
-
     /// Evaluates `Z(C)` and writes `∂Z/∂C` into `grad` (overwritten),
     /// reusing the workspace's buffers: the steady-state step path performs
     /// zero heap allocation.
@@ -374,62 +246,30 @@ impl<'a> Objective<'a> {
     /// Cost: one fused pair scan. Deterministic for fixed inputs regardless
     /// of the thread count.
     pub fn value_and_grad_ws(&self, c: &[f64], grad: &mut [f64], ws: &mut Workspace) -> f64 {
-        let n = self.radii.len();
-        assert_eq!(c.len(), 3 * n, "coordinate buffer size mismatch");
-        assert_eq!(grad.len(), 3 * n, "gradient buffer size mismatch");
-        let morton = ws.use_morton(self.order, c, n);
-        if morton {
-            ws.refresh_sweep_order(c, n);
-        }
-        let Workspace {
-            values,
-            batch_grid,
-            positions,
-            verlet,
-            evals,
-            soa,
-            plane_soa,
-            fixed_f32,
-            sweep_order,
-            ..
-        } = ws;
-        *evals += 1;
-        EVALS_TOTAL.inc();
-        values.clear();
-        values.resize(n, 0.0);
-        self.refresh_snapshots(c, soa, plane_soa, fixed_f32);
-        let (intra, cross) = self.plans(c, batch_grid, positions, verlet);
-        let (soa, plane_soa, fixed_f32) = (&*soa, &*plane_soa, &*fixed_f32);
-        let _span = adampack_telemetry::span(self.kernel_phase());
-        let body = |i: usize, gslot: &mut [f64], vslot: &mut f64| {
-            let (v, g) = self.particle_term(i, c, &intra, &cross, soa, plane_soa, fixed_f32);
-            gslot[0] = g.x;
-            gslot[1] = g.y;
-            gslot[2] = g.z;
-            *vslot = v;
-        };
-        if morton {
-            par::for_each_chunk_zip_perm(grad, 3, values, sweep_order, body);
-        } else {
-            par::for_each_chunk_zip(grad, 3, values, body);
-        }
-        if failpoints::should_fail("core.objective.eval") {
-            return f64::NAN;
-        }
-        // Sequential reduction keeps the result bitwise-deterministic.
-        values.iter().sum()
+        self.evaluate::<f64>(c, grad, ws).0
     }
 
-    /// Fused traced evaluation: value, gradient **and** the unweighted
-    /// term breakdown from one neighbor traversal, so a traced step pays
-    /// the same single sweep as an untraced one (the seed tracer re-ran
-    /// [`Self::breakdown_ws`] as a second full pass).
+    /// Traced evaluation: value, gradient **and** the unweighted term
+    /// breakdown from the same single neighbor traversal.
     ///
     /// The returned loss is bitwise identical to what
-    /// [`Self::value_and_grad_ws`] computes for the same inputs: the
-    /// per-particle value arithmetic is shared and the recording only adds
-    /// separate accumulators, never reorders the value ops.
+    /// [`Self::value_and_grad_ws`] computes for the same inputs: both run
+    /// the same body, and recording only adds separate accumulators, never
+    /// reorders the value ops.
     pub fn value_grad_breakdown_ws(
+        &self,
+        c: &[f64],
+        grad: &mut [f64],
+        ws: &mut Workspace,
+    ) -> (f64, ObjectiveBreakdown) {
+        self.evaluate::<ObjectiveBreakdown>(c, grad, ws)
+    }
+
+    /// The one evaluation body behind both workspace entry points. The
+    /// per-particle slot type `P` decides whether the term breakdown is
+    /// recorded; everything else — plan, sweep order, kernel, reduction
+    /// order — is shared.
+    fn evaluate<P: Partial>(
         &self,
         c: &[f64],
         grad: &mut [f64],
@@ -443,6 +283,7 @@ impl<'a> Objective<'a> {
             ws.refresh_sweep_order(c, n);
         }
         let Workspace {
+            values,
             breakdowns,
             batch_grid,
             positions,
@@ -450,187 +291,94 @@ impl<'a> Objective<'a> {
             evals,
             soa,
             plane_soa,
-            fixed_f32,
             sweep_order,
             ..
         } = ws;
         *evals += 1;
         EVALS_TOTAL.inc();
-        breakdowns.clear();
-        breakdowns.resize(n, ObjectiveBreakdown::default());
-        self.refresh_snapshots(c, soa, plane_soa, fixed_f32);
-        let (intra, cross) = self.plans(c, batch_grid, positions, verlet);
-        let (soa, plane_soa, fixed_f32) = (&*soa, &*plane_soa, &*fixed_f32);
-        let _span = adampack_telemetry::span(self.kernel_phase());
-        let body = |i: usize, gslot: &mut [f64], bslot: &mut ObjectiveBreakdown| {
-            let (v, g, mut b) =
-                self.particle_term_impl::<true>(i, c, &intra, &cross, soa, plane_soa, fixed_f32);
+        let slots = P::slots(values, breakdowns);
+        slots.clear();
+        slots.resize(n, P::default());
+        if self.kernel == Kernel::Simd {
+            // The scalar oracle reads the interleaved buffer directly.
+            soa.refresh(c, self.radii);
+            plane_soa.refresh(self.halfspaces);
+        }
+        let plan = self.plan(c, batch_grid, positions, verlet);
+        let (soa, plane_soa) = (&*soa, &*plane_soa);
+        let _span = adampack_telemetry::span(match self.kernel {
+            Kernel::Simd => Phase::KernelSimd,
+            Kernel::Scalar => Phase::KernelScalar,
+        });
+        let body = |i: usize, gslot: &mut [f64], slot: &mut P| {
+            let (g, partial) = P::term(self, i, c, &plan, soa, plane_soa);
             gslot[0] = g.x;
             gslot[1] = g.y;
             gslot[2] = g.z;
-            b.total = v;
-            *bslot = b;
+            *slot = partial;
         };
         if morton {
-            par::for_each_chunk_zip_perm(grad, 3, breakdowns, sweep_order, body);
+            par::for_each_chunk_zip_perm(grad, 3, slots, sweep_order, body);
         } else {
-            par::for_each_chunk_zip(grad, 3, breakdowns, body);
+            par::for_each_chunk_zip(grad, 3, slots, body);
         }
-        // Sequential reduction keeps every field bitwise-deterministic;
-        // `total` sums the exact per-particle values the untraced path
-        // reduces, in the same order.
-        let mut sum = ObjectiveBreakdown::default();
-        for b in breakdowns.iter() {
-            sum.penetration_intra += b.penetration_intra;
-            sum.penetration_cross += b.penetration_cross;
-            sum.altitude += b.altitude;
-            sum.exterior += b.exterior;
-            sum.total += b.total;
-        }
+        // Sequential reduction keeps the result bitwise-deterministic.
+        let (total, sum) = P::reduce(slots);
         if failpoints::should_fail("core.objective.eval") {
             return (f64::NAN, sum);
         }
-        (sum.total, sum)
+        (total, sum)
     }
 
-    /// Refreshes the workspace structures the resolved strategy needs and
-    /// returns the pair-source plans for this evaluation.
-    fn plans<'w>(
+    /// Refreshes the workspace structures the strategy needs and returns
+    /// the pair plan for this evaluation.
+    fn plan<'w>(
         &self,
         c: &[f64],
         batch_grid: &'w mut CsrGrid,
         positions: &'w mut Vec<Vec3>,
         verlet: &'w mut VerletLists,
-    ) -> (IntraPlan<'w>, CrossPlan<'w>) {
-        match self.resolved_strategy() {
-            NeighborStrategy::Verlet => {
-                if verlet.skin() != self.skin || verlet.needs_rebuild(c) {
-                    verlet.rebuild(c, self.radii, self.fixed, self.skin, batch_grid, positions);
-                }
-                let lists: &'w VerletLists = verlet;
-                (IntraPlan::Verlet(lists), CrossPlan::Verlet(lists))
+    ) -> PairPlan<'w> {
+        if self.uses_verlet() {
+            if verlet.skin() != self.skin || verlet.needs_rebuild(c) {
+                verlet.rebuild(c, self.radii, self.fixed, self.skin, batch_grid, positions);
             }
-            NeighborStrategy::Grid | NeighborStrategy::Auto => {
-                let cross = match self.cross_mode {
-                    CrossMode::Grid => CrossPlan::Grid,
-                    CrossMode::Naive => CrossPlan::Naive,
-                };
-                if self.use_intra_grid() {
-                    positions.clear();
-                    for i in 0..self.radii.len() {
-                        positions.push(coords::get(c, i));
-                    }
-                    batch_grid.rebuild(positions, self.radii);
-                    (IntraPlan::Grid(batch_grid), cross)
-                } else {
-                    (IntraPlan::Naive, cross)
-                }
-            }
-            NeighborStrategy::Naive => (IntraPlan::Naive, CrossPlan::Naive),
+            PairPlan::Verlet(verlet)
+        } else if self.strategy == NeighborStrategy::Naive {
+            PairPlan::Naive
+        } else {
+            PairPlan::SmallBatch
         }
     }
 
-    /// Refreshes the workspace's SoA snapshots when a vector kernel will
-    /// consume them (the scalar kernels read the interleaved buffer
-    /// directly, so the copies would be dead work). The mixed kernel also
-    /// narrows the batch columns to `f32` and syncs the fixed-bed mirror
-    /// (a no-op while the bed's generation counter is unchanged).
-    fn refresh_snapshots(
-        &self,
-        c: &[f64],
-        soa: &mut SoaCoords,
-        plane_soa: &mut PlaneSoa,
-        fixed_f32: &mut FixedMirror,
-    ) {
-        match self.kernel {
-            Kernel::Simd => {
-                soa.refresh(c, self.radii);
-                plane_soa.refresh(self.halfspaces);
-            }
-            Kernel::SimdMixed => {
-                soa.refresh(c, self.radii);
-                soa.refresh_f32();
-                plane_soa.refresh(self.halfspaces);
-                fixed_f32.sync(
-                    self.fixed.centers(),
-                    self.fixed.radii(),
-                    self.fixed.generation(),
-                );
-            }
-            Kernel::Scalar | Kernel::LegacyScalar => {}
-        }
-    }
-
-    /// Telemetry phase for the selected kernel.
-    fn kernel_phase(&self) -> Phase {
-        match self.kernel {
-            Kernel::Simd => Phase::KernelSimd,
-            Kernel::SimdMixed => Phase::KernelSimdMixed,
-            Kernel::Scalar | Kernel::LegacyScalar => Phase::KernelScalar,
-        }
-    }
-
-    /// Particle `i`'s contribution `(vᵢ, ∂Z/∂cᵢ)` to the objective.
+    /// Particle `i`'s contribution `(vᵢ, ∂Z/∂cᵢ)` to the objective, through
+    /// the selected kernel. With `RECORD` the unweighted term magnitudes
+    /// are accumulated into a breakdown alongside the value — as *extra*
+    /// accumulators only, so the value/gradient FP sequence is identical to
+    /// the non-recording instantiation. `breakdown.total` is left 0.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn particle_term(
+    fn particle_term<const RECORD: bool>(
         &self,
         i: usize,
         c: &[f64],
-        intra: &IntraPlan,
-        cross: &CrossPlan,
+        plan: &PairPlan,
         soa: &SoaCoords,
         plane_soa: &PlaneSoa,
-        fixed_f32: &FixedMirror,
-    ) -> (f64, Vec3) {
-        let (v, g, _) =
-            self.particle_term_impl::<false>(i, c, intra, cross, soa, plane_soa, fixed_f32);
-        (v, g)
-    }
-
-    /// The shared per-particle kernel dispatcher. With `RECORD` the
-    /// unweighted term magnitudes are accumulated into a breakdown
-    /// alongside the value — as *extra* accumulators only, so the
-    /// value/gradient FP sequence is identical to the non-recording
-    /// instantiation (the traced loss stays bitwise equal to the untraced
-    /// one). `breakdown.total` is left 0; callers stamp it.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn particle_term_impl<const RECORD: bool>(
-        &self,
-        i: usize,
-        c: &[f64],
-        intra: &IntraPlan,
-        cross: &CrossPlan,
-        soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
-        fixed_f32: &FixedMirror,
     ) -> (f64, Vec3, ObjectiveBreakdown) {
         match self.kernel {
-            Kernel::Simd => self.particle_term_simd::<RECORD>(i, intra, cross, soa, plane_soa),
-            Kernel::SimdMixed => {
-                self.particle_term_mixed::<RECORD>(i, intra, cross, soa, plane_soa, fixed_f32)
-            }
-            Kernel::Scalar => self.particle_term_scalar::<RECORD, false>(i, c, intra, cross),
-            Kernel::LegacyScalar => self.particle_term_scalar::<RECORD, true>(i, c, intra, cross),
+            Kernel::Simd => self.particle_term_simd::<RECORD>(i, plan, soa, plane_soa),
+            Kernel::Scalar => self.particle_term_scalar::<RECORD>(i, c, plan),
         }
     }
 
-    /// Scalar per-particle kernel. `LEGACY` reproduces the pre-vectorization
-    /// arithmetic (one `sqrt` per candidate, compare `d < sum_r`); the
-    /// current scalar path tests `d² < sum_r²` first and only pays the
-    /// `sqrt` for actual hits. On hit both compute the identical `d`
-    /// (`sqrt(d²)` of the same dot product), so the hot-pair arithmetic is
-    /// bitwise unchanged — the early-out can differ from the legacy
-    /// condition only when `d²` rounds across `sum_r²` exactly at contact,
-    /// a measure-zero FP-order change documented in the determinism suite.
+    /// Scalar per-particle kernel (the oracle): tests `d² < sum_r²` per
+    /// candidate and only pays the `sqrt` for actual hits.
     #[inline]
-    fn particle_term_scalar<const RECORD: bool, const LEGACY: bool>(
+    fn particle_term_scalar<const RECORD: bool>(
         &self,
         i: usize,
         c: &[f64],
-        intra: &IntraPlan,
-        cross: &CrossPlan,
+        plan: &PairPlan,
     ) -> (f64, Vec3, ObjectiveBreakdown) {
         let ObjectiveWeights { alpha, beta, gamma } = self.weights;
         let ci = coords::get(c, i);
@@ -642,87 +390,47 @@ impl<'a> Objective<'a> {
         // Intra-batch penetration: row i of the ordered pair sum. Summing
         // rows reproduces the full ordered total; the gradient of that
         // total w.r.t. cᵢ collects both (i,j) and (j,i), hence the factor 2.
-        let mut intra_hit = |j: usize, cj: Vec3, sum_r: f64, d: f64| {
-            v += alpha * (sum_r - d);
-            if RECORD {
-                b.penetration_intra += sum_r - d;
-            }
-            let dir = pair_direction(ci, cj, d, i, j);
-            // p_ij = sum_r − ‖cᵢ−cⱼ‖ ⇒ ∂p/∂cᵢ = −dir.
-            g -= dir * (2.0 * alpha);
-        };
-        let mut intra_term = |j: usize, cj: Vec3, rj: f64| {
+        let mut intra_term = |j: usize| {
             if j == i {
                 return;
             }
-            let sum_r = ri + rj;
-            if LEGACY {
-                let d = ci.distance(cj);
-                if d < sum_r {
-                    intra_hit(j, cj, sum_r, d);
+            let cj = coords::get(c, j);
+            let sum_r = ri + self.radii[j];
+            let d_sq = ci.distance_sq(cj);
+            if d_sq < sum_r * sum_r {
+                let d = d_sq.sqrt();
+                v += alpha * (sum_r - d);
+                if RECORD {
+                    b.penetration_intra += sum_r - d;
                 }
-            } else {
-                let d_sq = ci.distance_sq(cj);
-                if d_sq < sum_r * sum_r {
-                    intra_hit(j, cj, sum_r, d_sq.sqrt());
-                }
+                // p_ij = sum_r − ‖cᵢ−cⱼ‖ ⇒ ∂p/∂cᵢ = −dir.
+                g -= pair_direction(ci, cj, d, i, j) * (2.0 * alpha);
             }
         };
-        match intra {
-            IntraPlan::Naive => {
-                for j in 0..self.radii.len() {
-                    intra_term(j, coords::get(c, j), self.radii[j]);
-                }
-            }
-            IntraPlan::Grid(grid) => grid.for_neighbors(ci, ri, &mut intra_term),
-            IntraPlan::Verlet(lists) => {
-                for &j in lists.intra(i) {
-                    let j = j as usize;
-                    intra_term(j, coords::get(c, j), self.radii[j]);
-                }
-            }
+        match plan {
+            PairPlan::Verlet(lists) => lists.intra(i).iter().for_each(|&j| intra_term(j as usize)),
+            PairPlan::Naive | PairPlan::SmallBatch => (0..self.radii.len()).for_each(intra_term),
         }
 
         // Cross-layer penetration against the fixed bed (each pair counted
         // once; only batch coordinates carry gradient).
-        let mut cross_hit = |cf: Vec3, sum_r: f64, d: f64| {
-            v += alpha * (sum_r - d);
-            if RECORD {
-                b.penetration_cross += sum_r - d;
-            }
-            let dir = pair_direction(ci, cf, d, i, usize::MAX);
-            g -= dir * alpha;
-        };
-        let mut cross_term = |cf: Vec3, rf: f64| {
+        let mut cross_term = |k: usize| {
+            let (cf, rf) = self.fixed.sphere(k);
             let sum_r = ri + rf;
-            if LEGACY {
-                let d = ci.distance(cf);
-                if d < sum_r {
-                    cross_hit(cf, sum_r, d);
+            let d_sq = ci.distance_sq(cf);
+            if d_sq < sum_r * sum_r {
+                let d = d_sq.sqrt();
+                v += alpha * (sum_r - d);
+                if RECORD {
+                    b.penetration_cross += sum_r - d;
                 }
-            } else {
-                let d_sq = ci.distance_sq(cf);
-                if d_sq < sum_r * sum_r {
-                    cross_hit(cf, sum_r, d_sq.sqrt());
-                }
+                g -= pair_direction(ci, cf, d, i, usize::MAX) * alpha;
             }
         };
-        match cross {
-            CrossPlan::Naive => {
-                for k in 0..self.fixed.len() {
-                    let (cf, rf) = self.fixed.sphere(k);
-                    cross_term(cf, rf);
-                }
-            }
-            CrossPlan::Grid => self
-                .fixed
-                .for_neighbors(ci, ri, |_, cf, rf| cross_term(cf, rf)),
-            CrossPlan::Verlet(lists) => {
-                for &k in lists.cross(i) {
-                    let (cf, rf) = self.fixed.sphere(k as usize);
-                    cross_term(cf, rf);
-                }
-            }
+        match plan {
+            PairPlan::Verlet(lists) => lists.cross(i).iter().for_each(|&k| cross_term(k as usize)),
+            PairPlan::SmallBatch => self.fixed.for_neighbors(ci, ri, |k, _, _| cross_term(k)),
+            PairPlan::Naive => (0..self.fixed.len()).for_each(cross_term),
         }
 
         // Exterior distance over the container planes.
@@ -749,16 +457,15 @@ impl<'a> Objective<'a> {
     }
 
     /// SIMD per-particle kernel: walks the same candidate rows in the same
-    /// order as the scalar path but tests four candidates at a time with a
-    /// branchless `d² < (rᵢ+rⱼ)²` rejection; hit lanes fall through to the
-    /// exact scalar hot-pair body in lane order, so the output is bitwise
-    /// identical to [`Self::particle_term_scalar::<RECORD, false>`].
+    /// order as the scalar oracle but tests four candidates at a time with
+    /// a branchless `d² < (rᵢ+rⱼ)²` rejection; hit lanes fall through to
+    /// the exact scalar hot-pair body in lane order, so the output is
+    /// bitwise identical to [`Self::particle_term_scalar`].
     #[inline]
     fn particle_term_simd<const RECORD: bool>(
         &self,
         i: usize,
-        intra: &IntraPlan,
-        cross: &CrossPlan,
+        plan: &PairPlan,
         soa: &SoaCoords,
         plane_soa: &PlaneSoa,
     ) -> (f64, Vec3, ObjectiveBreakdown) {
@@ -769,31 +476,8 @@ impl<'a> Objective<'a> {
         let mut g = Vec3::ZERO;
         let mut b = ObjectiveBreakdown::default();
 
-        match intra {
-            IntraPlan::Naive => kernels::pairs_dense::<RECORD>(
-                ci,
-                ri,
-                i,
-                alpha,
-                soa,
-                &mut v,
-                &mut g,
-                &mut b.penetration_intra,
-            ),
-            IntraPlan::Grid(grid) => grid.for_neighbor_rows(ci, ri, |row| {
-                kernels::pairs_sparse::<SoaCoords, RECORD, true>(
-                    ci,
-                    ri,
-                    i,
-                    alpha,
-                    row,
-                    soa,
-                    &mut v,
-                    &mut g,
-                    &mut b.penetration_intra,
-                )
-            }),
-            IntraPlan::Verlet(lists) => kernels::pairs_sparse::<SoaCoords, RECORD, true>(
+        match plan {
+            PairPlan::Verlet(lists) => kernels::pairs_sparse::<SoaCoords, RECORD, true>(
                 ci,
                 ri,
                 i,
@@ -804,156 +488,54 @@ impl<'a> Objective<'a> {
                 &mut g,
                 &mut b.penetration_intra,
             ),
-        }
-
-        let fixed_view = FixedView {
-            centers: self.fixed.centers(),
-            radii: self.fixed.radii(),
-        };
-        match cross {
-            CrossPlan::Naive => kernels::pairs_range::<FixedView, RECORD, false>(
+            PairPlan::Naive | PairPlan::SmallBatch => kernels::pairs_dense::<RECORD>(
                 ci,
                 ri,
                 i,
                 alpha,
-                self.fixed.len(),
-                &fixed_view,
+                soa,
+                &mut v,
+                &mut g,
+                &mut b.penetration_intra,
+            ),
+        }
+
+        let bed = FixedView {
+            centers: self.fixed.centers(),
+            radii: self.fixed.radii(),
+        };
+        match plan {
+            PairPlan::Verlet(lists) => kernels::pairs_sparse::<FixedView, RECORD, false>(
+                ci,
+                ri,
+                i,
+                alpha,
+                lists.cross(i),
+                &bed,
                 &mut v,
                 &mut g,
                 &mut b.penetration_cross,
             ),
-            CrossPlan::Grid => self.fixed.for_neighbor_rows(ci, ri, |row| {
+            PairPlan::SmallBatch => self.fixed.for_neighbor_rows(ci, ri, |row| {
                 kernels::pairs_sparse::<FixedView, RECORD, false>(
                     ci,
                     ri,
                     i,
                     alpha,
                     row,
-                    &fixed_view,
+                    &bed,
                     &mut v,
                     &mut g,
                     &mut b.penetration_cross,
                 )
             }),
-            CrossPlan::Verlet(lists) => kernels::pairs_sparse::<FixedView, RECORD, false>(
-                ci,
-                ri,
-                i,
-                alpha,
-                lists.cross(i),
-                &fixed_view,
-                &mut v,
-                &mut g,
-                &mut b.penetration_cross,
-            ),
-        }
-
-        kernels::planes_term::<RECORD>(ci, ri, gamma, plane_soa, &mut v, &mut g, &mut b.exterior);
-
-        let altitude = self.axis.altitude(ci);
-        v += beta * altitude;
-        if RECORD {
-            b.altitude += altitude;
-        }
-        g += self.axis.up() * beta;
-
-        (v, g, b)
-    }
-
-    /// Mixed-precision per-particle kernel: identical candidate walk to
-    /// [`Self::particle_term_simd`], but the four-wide rejection test reads
-    /// single-precision columns (halving the traffic of the dominant
-    /// memory-bound operation) and only surviving lanes fall through to the
-    /// exact widened-`f64` hot-pair body. Accuracy contract:
-    /// [`MIXED_REL_BUDGET`]; plane and altitude terms stay full `f64`.
-    #[inline]
-    fn particle_term_mixed<const RECORD: bool>(
-        &self,
-        i: usize,
-        intra: &IntraPlan,
-        cross: &CrossPlan,
-        soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
-        fixed_f32: &FixedMirror,
-    ) -> (f64, Vec3, ObjectiveBreakdown) {
-        let ObjectiveWeights { alpha, beta, gamma } = self.weights;
-        let ci = soa.point(i);
-        let ri = self.radii[i];
-        let mut v = 0.0;
-        let mut g = Vec3::ZERO;
-        let mut b = ObjectiveBreakdown::default();
-
-        let batch_f32 = soa.f32_view();
-        match intra {
-            IntraPlan::Naive => kernels::pairs_dense_mixed::<RECORD>(
-                ci,
-                ri,
-                i,
-                alpha,
-                soa,
-                &mut v,
-                &mut g,
-                &mut b.penetration_intra,
-            ),
-            IntraPlan::Grid(grid) => grid.for_neighbor_rows(ci, ri, |row| {
-                kernels::pairs_sparse_mixed::<RECORD, true>(
-                    ci,
-                    ri,
-                    i,
-                    alpha,
-                    row,
-                    &batch_f32,
-                    &mut v,
-                    &mut g,
-                    &mut b.penetration_intra,
-                )
-            }),
-            IntraPlan::Verlet(lists) => kernels::pairs_sparse_mixed::<RECORD, true>(
-                ci,
-                ri,
-                i,
-                alpha,
-                lists.intra(i),
-                &batch_f32,
-                &mut v,
-                &mut g,
-                &mut b.penetration_intra,
-            ),
-        }
-
-        let bed_f32 = fixed_f32.view();
-        match cross {
-            CrossPlan::Naive => kernels::pairs_range_mixed::<RECORD, false>(
+            PairPlan::Naive => kernels::pairs_range::<FixedView, RECORD, false>(
                 ci,
                 ri,
                 i,
                 alpha,
                 self.fixed.len(),
-                &bed_f32,
-                &mut v,
-                &mut g,
-                &mut b.penetration_cross,
-            ),
-            CrossPlan::Grid => self.fixed.for_neighbor_rows(ci, ri, |row| {
-                kernels::pairs_sparse_mixed::<RECORD, false>(
-                    ci,
-                    ri,
-                    i,
-                    alpha,
-                    row,
-                    &bed_f32,
-                    &mut v,
-                    &mut g,
-                    &mut b.penetration_cross,
-                )
-            }),
-            CrossPlan::Verlet(lists) => kernels::pairs_sparse_mixed::<RECORD, false>(
-                ci,
-                ri,
-                i,
-                alpha,
-                lists.cross(i),
-                &bed_f32,
+                &bed,
                 &mut v,
                 &mut g,
                 &mut b.penetration_cross,
@@ -971,96 +553,90 @@ impl<'a> Objective<'a> {
 
         (v, g, b)
     }
+}
 
-    /// Evaluates the individual terms (diagnostics; single-threaded).
-    ///
-    /// Honors the configured [`IntraMode`]/[`CrossMode`] so term costs
-    /// track the production pipeline instead of always scanning O(n²)
-    /// ([`NeighborStrategy::Verlet`] reports via the grid, which yields the
-    /// same pair set).
-    pub fn breakdown(&self, c: &[f64]) -> ObjectiveBreakdown {
-        let mut ws = Workspace::new();
-        self.breakdown_ws(c, &mut ws)
+/// A per-particle partial-result slot of [`Objective::evaluate`]: the
+/// value alone (`f64`, untraced) or the value with its term breakdown
+/// ([`ObjectiveBreakdown`], traced). Picks the workspace buffer, the
+/// recording instantiation of the kernels and the sequential reduction.
+trait Partial: Copy + Default + Send {
+    /// This slot type's scratch vector in the workspace.
+    fn slots<'w>(
+        values: &'w mut Vec<f64>,
+        breakdowns: &'w mut Vec<ObjectiveBreakdown>,
+    ) -> &'w mut Vec<Self>;
+
+    /// Particle `i`'s gradient and slot value.
+    fn term(
+        obj: &Objective,
+        i: usize,
+        c: &[f64],
+        plan: &PairPlan,
+        soa: &SoaCoords,
+        plane_soa: &PlaneSoa,
+    ) -> (Vec3, Self);
+
+    /// Sequential reduction over slot index: `(Z, summed breakdown)`.
+    fn reduce(slots: &[Self]) -> (f64, ObjectiveBreakdown);
+}
+
+impl Partial for f64 {
+    fn slots<'w>(values: &'w mut Vec<f64>, _: &'w mut Vec<ObjectiveBreakdown>) -> &'w mut Vec<f64> {
+        values
     }
 
-    /// [`Self::breakdown`] with caller-owned scratch: reuses the
-    /// workspace's position buffer and batch grid, so per-step tracing
-    /// doesn't allocate fresh structures each evaluation.
-    ///
-    /// The batch grid is overwritten; both neighbor pipelines only use it
-    /// as build-time scratch, so a subsequent [`Self::value_and_grad_ws`]
-    /// call is unaffected.
-    pub fn breakdown_ws(&self, c: &[f64], ws: &mut Workspace) -> ObjectiveBreakdown {
-        let n = self.radii.len();
-        assert_eq!(c.len(), 3 * n, "coordinate buffer size mismatch");
-        let mut b = ObjectiveBreakdown::default();
-        // Read centres through the SoA snapshot rather than interleaved
-        // `coords::get` gathers, matching the production kernels' memory
-        // layout (and exercising the refresh path for the diagnostics too).
-        let Workspace {
-            positions,
-            batch_grid,
-            soa,
-            ..
-        } = ws;
-        soa.refresh(c, self.radii);
-        let intra_grid: Option<&CsrGrid> = if self.use_intra_grid() {
-            positions.clear();
-            for i in 0..n {
-                positions.push(soa.point(i));
-            }
-            batch_grid.rebuild(positions, self.radii);
-            Some(batch_grid)
-        } else {
-            None
-        };
-        for i in 0..n {
-            let ci = soa.point(i);
-            let ri = self.radii[i];
-            let mut intra_term = |j: usize, cj: Vec3, rj: f64| {
-                if j == i {
-                    return;
-                }
-                let sum_r = ri + rj;
-                // Squared-distance early-out: only hits pay the sqrt.
-                let d_sq = ci.distance_sq(cj);
-                if d_sq < sum_r * sum_r {
-                    b.penetration_intra += sum_r - d_sq.sqrt();
-                }
-            };
-            match &intra_grid {
-                Some(grid) => grid.for_neighbors(ci, ri, &mut intra_term),
-                None => {
-                    for j in 0..n {
-                        intra_term(j, soa.point(j), self.radii[j]);
-                    }
-                }
-            }
-            let mut cross_term = |cf: Vec3, rf: f64| {
-                let sum_r = ri + rf;
-                let d_sq = ci.distance_sq(cf);
-                if d_sq < sum_r * sum_r {
-                    b.penetration_cross += sum_r - d_sq.sqrt();
-                }
-            };
-            match self.cross_mode {
-                CrossMode::Grid => self
-                    .fixed
-                    .for_neighbors(ci, ri, |_, cf, rf| cross_term(cf, rf)),
-                CrossMode::Naive => {
-                    for k in 0..self.fixed.len() {
-                        let (cf, rf) = self.fixed.sphere(k);
-                        cross_term(cf, rf);
-                    }
-                }
-            }
-            b.exterior += self.halfspaces.sphere_exterior_distance(ci, ri);
-            b.altitude += self.axis.altitude(ci);
+    #[inline]
+    fn term(
+        obj: &Objective,
+        i: usize,
+        c: &[f64],
+        plan: &PairPlan,
+        soa: &SoaCoords,
+        plane_soa: &PlaneSoa,
+    ) -> (Vec3, f64) {
+        let (v, g, _) = obj.particle_term::<false>(i, c, plan, soa, plane_soa);
+        (g, v)
+    }
+
+    fn reduce(slots: &[f64]) -> (f64, ObjectiveBreakdown) {
+        (slots.iter().sum(), ObjectiveBreakdown::default())
+    }
+}
+
+impl Partial for ObjectiveBreakdown {
+    fn slots<'w>(
+        _: &'w mut Vec<f64>,
+        breakdowns: &'w mut Vec<ObjectiveBreakdown>,
+    ) -> &'w mut Vec<ObjectiveBreakdown> {
+        breakdowns
+    }
+
+    #[inline]
+    fn term(
+        obj: &Objective,
+        i: usize,
+        c: &[f64],
+        plan: &PairPlan,
+        soa: &SoaCoords,
+        plane_soa: &PlaneSoa,
+    ) -> (Vec3, ObjectiveBreakdown) {
+        let (v, g, mut b) = obj.particle_term::<true>(i, c, plan, soa, plane_soa);
+        b.total = v;
+        (g, b)
+    }
+
+    /// Every field sums sequentially; `total` sums the exact per-particle
+    /// values the untraced path reduces, in the same order.
+    fn reduce(slots: &[ObjectiveBreakdown]) -> (f64, ObjectiveBreakdown) {
+        let mut sum = ObjectiveBreakdown::default();
+        for b in slots {
+            sum.penetration_intra += b.penetration_intra;
+            sum.penetration_cross += b.penetration_cross;
+            sum.altitude += b.altitude;
+            sum.exterior += b.exterior;
+            sum.total += b.total;
         }
-        b.total = self.weights.alpha * (b.penetration_intra + b.penetration_cross)
-            + self.weights.beta * b.altitude
-            + self.weights.gamma * b.exterior;
-        b
+        (sum.total, sum)
     }
 }
 
@@ -1119,7 +695,7 @@ mod tests {
         assert!((v - 3.0).abs() < 1e-12, "v = {v}");
         assert_eq!(&grad[..2], &[0.0, 0.0]);
         assert!((grad[2] - 10.0).abs() < 1e-12);
-        let b = obj.breakdown(&c);
+        let (_, b) = obj.value_grad_breakdown_ws(&c, &mut grad, &mut Workspace::new());
         assert_eq!(b.penetration_intra, 0.0);
         assert_eq!(b.penetration_cross, 0.0);
         assert_eq!(b.exterior, 0.0);
@@ -1188,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_naive_cross_agree() {
+    fn small_batch_plan_matches_naive() {
         let hs = box_halfspaces();
         let mut centers = Vec::new();
         let mut radii_fixed = Vec::new();
@@ -1211,9 +787,10 @@ mod tests {
             0.7, -0.7, -0.5,
         ];
         let w = ObjectiveWeights::default();
+        // Three particles: Auto runs the naive-intra / CSR-cross plan.
         let grid_obj = Objective::new(w, Axis::Z, &hs, &radii, &fixed);
-        let naive_obj =
-            Objective::new(w, Axis::Z, &hs, &radii, &fixed).with_cross_mode(CrossMode::Naive);
+        let naive_obj = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
+            .with_neighbor(NeighborStrategy::Naive, 0.05);
         let mut g1 = vec![0.0; 9];
         let mut g2 = vec![0.0; 9];
         let v1 = grid_obj.value_and_grad(&c, &mut g1);
@@ -1296,23 +873,23 @@ mod tests {
             }
         }
         let fixed = CsrGrid::build(&bed_centers, &bed_radii);
-        let n = 90;
-        let radii: Vec<f64> = (0..n).map(|i| 0.08 + 0.002 * (i % 7) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.61803398875;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.7) % 1.4) - 0.7,
-                ((t * 2.3) % 1.2) - 0.75,
-            ]);
-        }
         let w = ObjectiveWeights::default();
-        for strategy in [
-            NeighborStrategy::Naive,
-            NeighborStrategy::Grid,
-            NeighborStrategy::Verlet,
+        // 20 particles put Auto on its small-batch plan, 90 on Verlet lists.
+        for (n, strategy) in [
+            (20, NeighborStrategy::Auto),
+            (90, NeighborStrategy::Naive),
+            (90, NeighborStrategy::Verlet),
         ] {
+            let radii: Vec<f64> = (0..n).map(|i| 0.08 + 0.002 * (i % 7) as f64).collect();
+            let mut c = Vec::with_capacity(3 * n);
+            for i in 0..n {
+                let t = i as f64 * 0.61803398875;
+                c.extend_from_slice(&[
+                    (t % 1.4) - 0.7,
+                    ((t * 1.7) % 1.4) - 0.7,
+                    ((t * 2.3) % 1.2) - 0.75,
+                ]);
+            }
             let scalar = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
                 .with_neighbor(strategy, 0.05)
                 .with_kernel(Kernel::Scalar);
@@ -1340,109 +917,6 @@ mod tests {
         }
     }
 
-    /// The intra-grid pipeline (batch above [`INTRA_GRID_THRESHOLD`])
-    /// routes through `for_neighbor_rows`; prove SIMD ≡ scalar there too.
-    #[test]
-    fn simd_kernel_matches_scalar_bitwise_under_intra_grid() {
-        let hs = box_halfspaces();
-        let fixed = CsrGrid::empty();
-        let n = 64;
-        let radii: Vec<f64> = (0..n).map(|i| 0.09 + 0.003 * (i % 5) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.37;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.9) % 1.4) - 0.7,
-                ((t * 2.7) % 1.2) - 0.7,
-            ]);
-        }
-        let w = ObjectiveWeights::default();
-        let mut gs = vec![0.0; 3 * n];
-        let mut gv = vec![0.0; 3 * n];
-        let vs = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-            .with_intra_mode(IntraMode::Grid)
-            .with_kernel(Kernel::Scalar)
-            .value_and_grad(&c, &mut gs);
-        let vv = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-            .with_intra_mode(IntraMode::Grid)
-            .with_kernel(Kernel::Simd)
-            .value_and_grad(&c, &mut gv);
-        assert_eq!(vs.to_bits(), vv.to_bits());
-        for (a, b) in gs.iter().zip(&gv) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// The mixed-precision kernel stays inside [`MIXED_REL_BUDGET`] of the
-    /// scalar oracle on every neighbor pipeline, and is bitwise
-    /// deterministic against itself (same candidate order, element-wise
-    /// identical f32 ops on every backend).
-    #[test]
-    fn mixed_kernel_within_budget_across_strategies() {
-        let hs = box_halfspaces();
-        let mut bed_centers = Vec::new();
-        let mut bed_radii = Vec::new();
-        for i in 0..6 {
-            for j in 0..6 {
-                bed_centers.push(Vec3::new(
-                    -0.75 + 0.3 * i as f64,
-                    -0.75 + 0.3 * j as f64,
-                    -0.8,
-                ));
-                bed_radii.push(0.16);
-            }
-        }
-        let fixed = CsrGrid::build(&bed_centers, &bed_radii);
-        let n = 90;
-        let radii: Vec<f64> = (0..n).map(|i| 0.08 + 0.002 * (i % 7) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.61803398875;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.7) % 1.4) - 0.7,
-                ((t * 2.3) % 1.2) - 0.75,
-            ]);
-        }
-        let w = ObjectiveWeights::default();
-        for strategy in [
-            NeighborStrategy::Naive,
-            NeighborStrategy::Grid,
-            NeighborStrategy::Verlet,
-        ] {
-            let scalar = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-                .with_neighbor(strategy, 0.05)
-                .with_kernel(Kernel::Scalar);
-            let mixed = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-                .with_neighbor(strategy, 0.05)
-                .with_kernel(Kernel::SimdMixed);
-            let mut ws_s = Workspace::new();
-            let mut ws_m = Workspace::new();
-            let mut gs = vec![0.0; 3 * n];
-            let mut gm = vec![0.0; 3 * n];
-            let vs = scalar.value_and_grad_ws(&c, &mut gs, &mut ws_s);
-            let vm = mixed.value_and_grad_ws(&c, &mut gm, &mut ws_m);
-            let tol = |x: f64| MIXED_REL_BUDGET * x.abs().max(1.0);
-            assert!((vs - vm).abs() <= tol(vs), "{strategy:?}: {vs} vs {vm}");
-            for (k, (a, b)) in gs.iter().zip(&gm).enumerate() {
-                // Documented 10× factor for gradient components (α-scaled
-                // direction sums; see MIXED_REL_BUDGET).
-                assert!(
-                    (a - b).abs() <= 10.0 * tol(*a),
-                    "{strategy:?} grad[{k}]: {a} vs {b}"
-                );
-            }
-            // Self-determinism: a second evaluation is bitwise identical.
-            let mut gm2 = vec![0.0; 3 * n];
-            let vm2 = mixed.value_and_grad_ws(&c, &mut gm2, &mut ws_m);
-            assert_eq!(vm.to_bits(), vm2.to_bits(), "{strategy:?} replay value");
-            for (a, b) in gm.iter().zip(&gm2) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?} replay grad");
-            }
-        }
-    }
-
     /// The Morton sweep permutation re-sequences the parallel loop only:
     /// results are bitwise identical to the strided oracle order for every
     /// kernel and pipeline (slots are disjoint and the reduction stays
@@ -1463,8 +937,8 @@ mod tests {
             ]);
         }
         let w = ObjectiveWeights::default();
-        for kernel in [Kernel::Scalar, Kernel::Simd, Kernel::SimdMixed] {
-            for strategy in [NeighborStrategy::Grid, NeighborStrategy::Verlet] {
+        for kernel in Kernel::ALL {
+            for strategy in [NeighborStrategy::Naive, NeighborStrategy::Verlet] {
                 let strided = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
                     .with_neighbor(strategy, 0.05)
                     .with_kernel(kernel)
@@ -1496,67 +970,38 @@ mod tests {
                     bs.penetration_cross.to_bits(),
                     bm.penetration_cross.to_bits()
                 );
-                // value_ws agrees with the fused path under Morton too.
-                let vw = morton.value_ws(&c, &mut ws_m);
-                assert_eq!(
-                    vw.to_bits(),
-                    vm.to_bits(),
-                    "{kernel:?}/{strategy:?} value_ws"
-                );
+                // The untraced path agrees with the traced one under Morton.
+                let vu = morton.value_and_grad_ws(&c, &mut gs, &mut ws_m);
+                assert_eq!(vu.to_bits(), vm.to_bits(), "{kernel:?}/{strategy:?}");
             }
         }
     }
 
-    /// The legacy scalar kernel (sqrt per candidate) agrees with the new
-    /// sqrt-free scalar path to tight tolerance — identical arithmetic on
-    /// hits, differing only in the rejection test's FP order.
     #[test]
-    fn legacy_scalar_agrees_with_sqrt_free_scalar() {
-        let hs = box_halfspaces();
-        let fixed = CsrGrid::build(&[Vec3::new(0.0, 0.0, -0.7)], &[0.25]);
-        let n = 40;
-        let radii: Vec<f64> = (0..n).map(|i| 0.1 + 0.004 * (i % 3) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.7548776662;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.3) % 1.4) - 0.7,
-                ((t * 2.1) % 1.0) - 0.8,
-            ]);
-        }
-        let w = ObjectiveWeights::default();
-        let mut gl = vec![0.0; 3 * n];
-        let mut gn = vec![0.0; 3 * n];
-        let vl = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-            .with_kernel(Kernel::LegacyScalar)
-            .value_and_grad(&c, &mut gl);
-        let vn = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-            .with_kernel(Kernel::Scalar)
-            .value_and_grad(&c, &mut gn);
-        assert_eq!(vl.to_bits(), vn.to_bits(), "{vl} vs {vn}");
-        for (a, b) in gl.iter().zip(&gn) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn value_ws_matches_value_and_grad() {
+    fn traced_and_untraced_entry_points_agree_bitwise() {
         let hs = box_halfspaces();
         let fixed = CsrGrid::build(&[Vec3::new(0.0, 0.0, -0.7)], &[0.25]);
         let radii = [0.3, 0.25];
         let c = [0.1, 0.05, -0.45, 0.35, 0.1, -0.3];
         let obj = Objective::new(ObjectiveWeights::default(), Axis::Z, &hs, &radii, &fixed);
         let mut ws = Workspace::new();
-        let mut grad = vec![0.0; 6];
-        let v1 = obj.value_ws(&c, &mut ws);
-        let v2 = obj.value_and_grad_ws(&c, &mut grad, &mut ws);
+        let (mut g1, mut g2) = (vec![0.0; 6], vec![0.0; 6]);
+        let v1 = obj.value_and_grad_ws(&c, &mut g1, &mut ws);
+        let (v2, b) = obj.value_grad_breakdown_ws(&c, &mut g2, &mut ws);
         assert_eq!(v1.to_bits(), v2.to_bits());
+        assert_eq!(b.total.to_bits(), v2.to_bits());
+        assert_eq!(obj.value(&c).to_bits(), v1.to_bits());
+        for (a, b) in g1.iter().zip(&g2) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         assert_eq!(ws.evals(), 2);
+        assert!(b.penetration_intra > 0.0 && b.penetration_cross > 0.0);
     }
 
+    /// Every pair plan reports the same term breakdown, and the weighted
+    /// terms add up to the total.
     #[test]
-    fn breakdown_honors_configured_modes() {
+    fn breakdown_agrees_across_pair_plans() {
         let hs = box_halfspaces();
         let mut centers = Vec::new();
         let mut bed_radii = Vec::new();
@@ -1578,33 +1023,32 @@ mod tests {
             c.extend_from_slice(&[(t % 1.2) - 0.6, ((t * 1.9) % 1.2) - 0.6, -0.55]);
         }
         let w = ObjectiveWeights::default();
-        let combos = [
-            (IntraMode::Naive, CrossMode::Naive),
-            (IntraMode::Naive, CrossMode::Grid),
-            (IntraMode::Grid, CrossMode::Naive),
-            (IntraMode::Grid, CrossMode::Grid),
-        ];
-        let reference = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-            .with_intra_mode(IntraMode::Naive)
-            .with_cross_mode(CrossMode::Naive)
-            .breakdown(&c);
+        let breakdown = |strategy| {
+            let mut grad = vec![0.0; c.len()];
+            Objective::new(w, Axis::Z, &hs, &radii, &fixed)
+                .with_neighbor(strategy, 0.05)
+                .value_grad_breakdown_ws(&c, &mut grad, &mut Workspace::new())
+                .1
+        };
+        let reference = breakdown(NeighborStrategy::Naive);
         assert!(reference.penetration_intra > 0.0);
         assert!(reference.penetration_cross > 0.0);
-        for (im, cm) in combos {
-            let b = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-                .with_intra_mode(im)
-                .with_cross_mode(cm)
-                .breakdown(&c);
-            let close = |a: f64, bb: f64| (a - bb).abs() < 1e-9 * a.abs().max(1.0);
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9 * a.abs().max(1.0);
+        let weighted = w.alpha * (reference.penetration_intra + reference.penetration_cross)
+            + w.beta * reference.altitude
+            + w.gamma * reference.exterior;
+        assert!(close(weighted, reference.total));
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Verlet] {
+            let b = breakdown(strategy);
             assert!(
                 close(b.penetration_intra, reference.penetration_intra),
-                "{im:?}/{cm:?}"
+                "{strategy:?}"
             );
             assert!(
                 close(b.penetration_cross, reference.penetration_cross),
-                "{im:?}/{cm:?}"
+                "{strategy:?}"
             );
-            assert!(close(b.total, reference.total), "{im:?}/{cm:?}");
+            assert!(close(b.total, reference.total), "{strategy:?}");
         }
     }
 
@@ -1722,47 +1166,17 @@ mod tests {
     }
 
     #[test]
-    fn intra_grid_and_naive_agree() {
+    fn auto_switches_to_verlet_at_threshold() {
         let hs = box_halfspaces();
         let fixed = CsrGrid::empty();
-        // A crowded batch with many overlaps.
-        let n = 60;
-        let radii: Vec<f64> = (0..n).map(|i| 0.08 + 0.002 * (i % 7) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.61803398875;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.7) % 1.4) - 0.7,
-                ((t * 2.3) % 1.4) - 0.7,
-            ]);
-        }
         let w = ObjectiveWeights::default();
-        let naive =
-            Objective::new(w, Axis::Z, &hs, &radii, &fixed).with_intra_mode(IntraMode::Naive);
-        let grid = Objective::new(w, Axis::Z, &hs, &radii, &fixed).with_intra_mode(IntraMode::Grid);
-        let mut g1 = vec![0.0; 3 * n];
-        let mut g2 = vec![0.0; 3 * n];
-        let v1 = naive.value_and_grad(&c, &mut g1);
-        let v2 = grid.value_and_grad(&c, &mut g2);
-        assert!((v1 - v2).abs() < 1e-9 * v1.abs().max(1.0), "{v1} vs {v2}");
-        for (a, b) in g1.iter().zip(&g2) {
-            assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn auto_mode_switches_at_threshold() {
-        let hs = box_halfspaces();
-        let fixed = CsrGrid::empty();
-        let small = vec![0.1; 4];
-        let obj = Objective::new(ObjectiveWeights::default(), Axis::Z, &hs, &small, &fixed);
-        assert!(!obj.use_intra_grid());
-        assert_eq!(obj.resolved_strategy(), NeighborStrategy::Grid);
-        let big = vec![0.01; INTRA_GRID_THRESHOLD];
-        let obj = Objective::new(ObjectiveWeights::default(), Axis::Z, &hs, &big, &fixed);
-        assert!(obj.use_intra_grid());
-        assert_eq!(obj.resolved_strategy(), NeighborStrategy::Verlet);
+        let small = vec![0.1; VERLET_THRESHOLD - 1];
+        assert!(!Objective::new(w, Axis::Z, &hs, &small, &fixed).uses_verlet());
+        let big = vec![0.01; VERLET_THRESHOLD];
+        assert!(Objective::new(w, Axis::Z, &hs, &big, &fixed).uses_verlet());
+        let naive = Objective::new(w, Axis::Z, &hs, &big, &fixed)
+            .with_neighbor(NeighborStrategy::Naive, 0.05);
+        assert!(!naive.uses_verlet());
     }
 
     #[test]

@@ -301,9 +301,7 @@ pub struct PackingParams {
     pub sentinel: SentinelParams,
     /// Arithmetic kernel for the hot loops (objective pair/plane scans and
     /// the Adam update). `Simd` and `Scalar` are bitwise interchangeable;
-    /// the scalar path survives as the correctness oracle. `SimdMixed`
-    /// trades the bitwise contract for an f32-coordinate rejection test
-    /// within [`crate::objective::MIXED_REL_BUDGET`].
+    /// the scalar path survives as the correctness oracle.
     pub kernel: Kernel,
     /// Gravity-axis domain tiles. `1` (default) keeps the whole bed hot;
     /// `t > 1` splits the container span into `t` slabs and retires settled
@@ -362,7 +360,7 @@ impl PackingParams {
         assert!(self.tiles >= 1, "tiles must be >= 1");
         assert!(
             self.tiles == 1 || self.neighbor.strategy != NeighborStrategy::Naive,
-            "tiles > 1 requires a grid-backed neighbor strategy \
+            "tiles > 1 requires neighbor strategy 'auto' or 'verlet' \
              (the naive cross scan reads every bed sphere, defeating retirement)"
         );
         self.weights.validate();
@@ -478,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grid-backed neighbor strategy")]
+    #[should_panic(expected = "requires neighbor strategy 'auto' or 'verlet'")]
     fn tiling_with_naive_strategy_rejected() {
         let p = PackingParams {
             tiles: 4,

@@ -1,10 +1,10 @@
 //! Property tests for the packing core: PSD sampling, grid-vs-brute-force
-//! (CSR and HashMap grids against the O(n²) scan), objective invariants,
-//! Verlet-vs-naive agreement over an optimization trajectory, optimizer
-//! descent.
+//! (the CSR grid against the O(n²) scan), objective invariants, every pair
+//! plan against the naive oracle, Verlet-vs-naive agreement over an
+//! optimization trajectory, optimizer descent.
 
-use adampack_core::grid::CellGrid;
-use adampack_core::objective::{CrossMode, IntraMode, Objective, ObjectiveWeights};
+use adampack_core::neighbor::{NeighborStrategy, Workspace};
+use adampack_core::objective::{Objective, ObjectiveWeights};
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Axis, Vec3};
 use proptest::prelude::*;
@@ -70,11 +70,7 @@ proptest! {
                 q.distance_sq(pts[i]) < m * m
             })
             .collect();
-        // Both grid implementations must agree with the O(n²) scan: the
-        // HashMap cell-list is the long-standing oracle, the CSR grid is
-        // the production path.
-        let hash = CellGrid::build(&pts, &radii);
-        prop_assert_eq!(hash.overlapping(q, qr), want.clone());
+        // The production CSR grid must agree with the O(n²) scan.
         let csr = CsrGrid::build(&pts, &radii);
         prop_assert_eq!(csr.overlapping(q, qr), want.clone());
         // And an incrementally-grown CSR grid sees the same set.
@@ -102,7 +98,8 @@ proptest! {
             &radii,
             &fixed,
         );
-        let b = obj.breakdown(&coords);
+        let mut grad = vec![0.0; coords.len()];
+        let (v, b) = obj.value_grad_breakdown_ws(&coords, &mut grad, &mut Workspace::new());
         // Penetration and exterior terms are sums of non-negative hinges.
         prop_assert!(b.penetration_intra >= 0.0);
         prop_assert!(b.penetration_cross >= 0.0);
@@ -113,15 +110,17 @@ proptest! {
             + w.beta * b.altitude
             + w.gamma * b.exterior;
         prop_assert!((b.total - expect).abs() < 1e-9 * expect.abs().max(1.0));
-        // value_and_grad agrees with breakdown.
-        let v = obj.value(&coords);
-        prop_assert!((v - b.total).abs() < 1e-9 * v.abs().max(1.0));
+        // The traced total is the returned loss, bitwise.
+        prop_assert_eq!(v.to_bits(), b.total.to_bits());
     }
 
+    /// Every pair plan — Auto's small-batch plan (naive intra, CSR
+    /// cross) below the Verlet threshold, Verlet lists above it — matches
+    /// the exhaustive oracle on random beds and batches.
     #[test]
-    fn cross_modes_agree_on_random_beds(
+    fn pair_plans_agree_with_naive_on_random_beds(
         bed in prop::collection::vec((-0.9f64..0.9, -0.9f64..0.9, -0.9f64..0.0), 1..60),
-        batch in prop::collection::vec((-0.9f64..0.9, -0.9f64..0.9, -0.3f64..0.9), 1..20),
+        batch in prop::collection::vec((-0.9f64..0.9, -0.9f64..0.9, -0.3f64..0.9), 1..60),
     ) {
         let bed_pts: Vec<Vec3> = bed.iter().map(|&(x, y, z)| Vec3::new(x, y, z)).collect();
         let bed_radii = vec![0.15; bed_pts.len()];
@@ -130,36 +129,21 @@ proptest! {
         let coords: Vec<f64> = batch.iter().flat_map(|&(x, y, z)| [x, y, z]).collect();
         let container = box_container();
         let w = ObjectiveWeights::default();
-        let mk = |mode| {
-            Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
-                .with_cross_mode(mode)
+        let eval = |strategy| {
+            let mut grad = vec![0.0; coords.len()];
+            let v = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
+                .with_neighbor(strategy, 0.05)
+                .value_and_grad(&coords, &mut grad);
+            (v, grad)
         };
-        let mut g1 = vec![0.0; coords.len()];
-        let mut g2 = vec![0.0; coords.len()];
-        let v1 = mk(CrossMode::Grid).value_and_grad(&coords, &mut g1);
-        let v2 = mk(CrossMode::Naive).value_and_grad(&coords, &mut g2);
-        prop_assert!((v1 - v2).abs() < 1e-9 * v1.abs().max(1.0));
-        for (a, b) in g1.iter().zip(&g2) {
-            prop_assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
+        let (v0, g0) = eval(NeighborStrategy::Naive);
+        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Verlet] {
+            let (v, g) = eval(strategy);
+            prop_assert!((v - v0).abs() < 1e-9 * v0.abs().max(1.0), "{:?}", strategy);
+            for (a, b) in g.iter().zip(&g0) {
+                prop_assert!((a - b).abs() < 1e-9 * b.abs().max(1.0), "{:?}", strategy);
+            }
         }
-    }
-
-    #[test]
-    fn intra_modes_agree_on_random_batches(
-        batch in prop::collection::vec((-0.9f64..0.9, -0.9f64..0.9, -0.9f64..0.9), 2..40),
-    ) {
-        let radii = vec![0.2; batch.len()];
-        let coords: Vec<f64> = batch.iter().flat_map(|&(x, y, z)| [x, y, z]).collect();
-        let container = box_container();
-        let fixed = CsrGrid::empty();
-        let w = ObjectiveWeights::default();
-        let mk = |mode| {
-            Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
-                .with_intra_mode(mode)
-        };
-        let v1 = mk(IntraMode::Naive).value(&coords);
-        let v2 = mk(IntraMode::Grid).value(&coords);
-        prop_assert!((v1 - v2).abs() < 1e-9 * v1.abs().max(1.0), "{v1} vs {v2}");
     }
 
     #[test]
@@ -214,7 +198,6 @@ proptest! {
 /// small Adam steps with intermittent list rebuilds.
 #[test]
 fn verlet_matches_naive_over_optimizer_trajectory() {
-    use adampack_core::neighbor::{NeighborStrategy, Workspace};
     use adampack_opt::Optimizer;
     use rand::Rng;
 

@@ -177,6 +177,7 @@ impl RotatingCheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failpoints::FailGuard;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -188,6 +189,8 @@ mod tests {
 
     #[test]
     fn write_atomic_replaces_and_cleans_temp() {
+        // Write paths contain failpoint sites other tests here arm.
+        let _fp = FailGuard::unarmed();
         let dir = temp_dir("replace");
         let path = dir.join("run.ckpt");
         write_atomic(&path, b"one").unwrap();
@@ -203,6 +206,7 @@ mod tests {
 
     #[test]
     fn rotation_keeps_exactly_keep_last() {
+        let _fp = FailGuard::unarmed();
         let dir = temp_dir("rotate");
         let path = dir.join("run.ckpt");
         let mut w = RotatingCheckpointWriter::new(&path, 3);
@@ -221,6 +225,7 @@ mod tests {
 
     #[test]
     fn keep_last_one_never_rotates() {
+        let _fp = FailGuard::unarmed();
         let dir = temp_dir("single");
         let path = dir.join("run.ckpt");
         let mut w = RotatingCheckpointWriter::new(&path, 1);
@@ -243,10 +248,11 @@ mod tests {
     fn enospc_failpoint_degrades_without_clobbering() {
         let dir = temp_dir("enospc");
         let path = dir.join("run.ckpt");
+        let fp = FailGuard::unarmed();
         write_atomic(&path, b"good").unwrap();
-        failpoints::arm(FAILPOINT_WRITE_ENOSPC, 0, 1);
+        fp.rearm(FAILPOINT_WRITE_ENOSPC, 0, 1);
         let err = write_atomic(&path, b"new").expect_err("disk was full");
-        failpoints::reset();
+        fp.reset();
         assert!(err.is_disk_full(), "{err:?}");
         assert_eq!(
             fs::read(&path).unwrap(),
@@ -264,15 +270,15 @@ mod tests {
     fn injected_failpoint_errors_are_not_disk_full() {
         let dir = temp_dir("notfull");
         let path = dir.join("run.ckpt");
-        failpoints::arm(FAILPOINT_CHECKPOINT_WRITE, 0, 1);
+        let _fp = FailGuard::arm(FAILPOINT_CHECKPOINT_WRITE, 0, 1);
         let err = write_atomic(&path, b"x").expect_err("failpoint armed");
-        failpoints::reset();
         assert!(!err.is_disk_full(), "{err:?}");
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn write_failure_to_unwritable_dir_is_typed() {
+        let _fp = FailGuard::unarmed();
         let err = write_atomic("/nonexistent-dir/x.ckpt", b"x").expect_err("wrote to the void");
         assert!(matches!(err, Error::Io { op: "create", .. }), "{err:?}");
     }

@@ -143,8 +143,7 @@ impl Optimizer for Adam {
         // identical for any thread count. The SIMD kernel fuses four slots
         // per lane but performs the identical IEEE operation sequence per
         // element, so scalar and simd trajectories are bitwise identical
-        // too (the `LegacyScalar` bench baseline shares the scalar update —
-        // the pre-PR-4 optimizer arithmetic never changed).
+        // too.
         let upd = Update {
             lr,
             beta1,
@@ -154,10 +153,7 @@ impl Optimizer for Adam {
             bc1,
             bc2,
         };
-        // The optimizer state stays full f64 under every kernel; SimdMixed
-        // lowers only the objective's pair coordinates, so its slot updates
-        // take the (bitwise-equivalent) fused f64 path.
-        let simd = matches!(self.cfg.kernel, Kernel::Simd | Kernel::SimdMixed);
+        let simd = self.cfg.kernel == Kernel::Simd;
         if amsgrad {
             par::for_each_window_zip4(
                 params,

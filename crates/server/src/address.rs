@@ -15,8 +15,9 @@
 //!   counts coalesce for free.
 //!
 //! Everything that *can* change the artifact — seed, PSD, learning-rate
-//! schedule, kernel (`simd_mixed` is intentionally not bitwise-equal to
-//! `simd`), acceptance thresholds, container geometry — stays in the hash.
+//! schedule, acceptance thresholds, container geometry — stays in the
+//! hash. So does the kernel: `scalar` and `simd` pack identical bytes, but
+//! folding them together would re-address every cached `scalar` artifact.
 //! The container's AABB and volume are folded in by the fingerprint
 //! itself, so two configs pointing at different STL files collide only if
 //! the hulls are geometrically indistinguishable to the packer.
@@ -108,9 +109,9 @@ mod tests {
         let mut seeded = base.clone();
         seeded.seed = base.seed.wrapping_add(1);
         assert_ne!(a, content_address(&c, &seeded), "seed changes the bytes");
-        let mut mixed = base.clone();
-        mixed.kernel = Kernel::SimdMixed;
-        assert_ne!(a, content_address(&c, &mixed), "kernel changes the bytes");
+        let mut scalar = base.clone();
+        scalar.kernel = Kernel::Scalar;
+        assert_ne!(a, content_address(&c, &scalar), "kernel stays hashed");
     }
 
     #[test]

@@ -419,11 +419,6 @@ pub static PHASE_KERNEL_SIMD: Histogram = Histogram::new(
     "adampack_phase_kernel_simd_nanoseconds",
     "SIMD-kernel fused objective evaluation time",
 );
-/// Mixed-precision-kernel fused objective evaluation time.
-pub static PHASE_KERNEL_SIMD_MIXED: Histogram = Histogram::new(
-    "adampack_phase_kernel_simd_mixed_nanoseconds",
-    "Mixed-precision-kernel fused objective evaluation time",
-);
 
 /// Resident bytes of the packing loop's hot set (bed grid + workspace
 /// buffers). In a tiled run this tracks the active surface, not total N;
@@ -472,7 +467,7 @@ static COUNTERS: [&Counter; 27] = [
     &SERVER_DISK_FULL_TOTAL,
 ];
 
-static HISTOGRAMS: [&Histogram; 10] = [
+static HISTOGRAMS: [&Histogram; 9] = [
     &PHASE_SPAWN,
     &PHASE_GRADIENT,
     &PHASE_OPTIMIZER,
@@ -482,7 +477,6 @@ static HISTOGRAMS: [&Histogram; 10] = [
     &PHASE_GRID_BUILD,
     &PHASE_KERNEL_SCALAR,
     &PHASE_KERNEL_SIMD,
-    &PHASE_KERNEL_SIMD_MIXED,
 ];
 
 /// A packing-loop phase with a dedicated duration histogram.
@@ -506,9 +500,6 @@ pub enum Phase {
     KernelScalar,
     /// Fused objective evaluation through the vectorized kernel.
     KernelSimd,
-    /// Fused objective evaluation through the mixed-precision kernel
-    /// (f32 rejection lanes, f64 accumulation).
-    KernelSimdMixed,
 }
 
 impl Phase {
@@ -524,7 +515,6 @@ impl Phase {
             Phase::GridBuild => &PHASE_GRID_BUILD,
             Phase::KernelScalar => &PHASE_KERNEL_SCALAR,
             Phase::KernelSimd => &PHASE_KERNEL_SIMD,
-            Phase::KernelSimdMixed => &PHASE_KERNEL_SIMD_MIXED,
         }
     }
 
@@ -540,7 +530,6 @@ impl Phase {
             Phase::GridBuild => "grid_build",
             Phase::KernelScalar => "kernel_scalar",
             Phase::KernelSimd => "kernel_simd",
-            Phase::KernelSimdMixed => "kernel_simd_mixed",
         }
     }
 }

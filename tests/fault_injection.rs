@@ -23,14 +23,15 @@
 //! * **Grid rebuild panic** — the JSONL trace file stays parseable
 //!   line-by-line thanks to the sink's drop-flush guard.
 //!
-//! The failpoint registry is process-global, so every test here serializes
-//! on one mutex (poison-tolerant: the panic test poisons it by design).
+//! The failpoint registry is process-global, so every test here holds a
+//! `failpoints::FailGuard` for its whole body (poison-tolerant: the panic
+//! test poisons the lock by design).
 
 use std::fs;
 use std::io::BufWriter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use adampack_core::checkpoint::{self, BatchedRunState, RunState};
 use adampack_core::prelude::*;
@@ -40,18 +41,7 @@ use adampack_io::{
     RotatingCheckpointWriter,
 };
 use adampack_telemetry::{JsonlWriter, StepRecord, TraceSink};
-
-/// Serializes tests around the process-global failpoint registry. Also
-/// clears any armed site so a poisoned predecessor can't leak faults.
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
-
-fn failpoint_guard() -> MutexGuard<'static, ()> {
-    let guard = FAILPOINT_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoints::reset();
-    guard
-}
+use failpoints::FailGuard;
 
 /// See tests/determinism.rs: raise the pool-width cap before the first
 /// parallel region resolves it, so 1-core CI still exercises parallelism.
@@ -234,7 +224,7 @@ fn assert_same_trace(expected: &[&StepRecord], got: &[StepRecord], what: &str) {
 
 #[test]
 fn kill_and_resume_is_bitwise_identical_across_kernels_and_threads() {
-    let _guard = failpoint_guard();
+    let _fp = FailGuard::unarmed();
     for kernel in [Kernel::Simd, Kernel::Scalar] {
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -281,7 +271,7 @@ fn batched_specs() -> Vec<SystemSpec> {
 
 #[test]
 fn batched_kill_and_resume_is_bitwise_identical() {
-    let _guard = failpoint_guard();
+    let _fp = FailGuard::unarmed();
     force_parallel_hardware();
     let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
     let container = Container::from_mesh(&mesh).unwrap();
@@ -324,7 +314,7 @@ fn batched_kill_and_resume_is_bitwise_identical() {
 
 #[test]
 fn every_sampled_checkpoint_is_a_valid_resume_point() {
-    let _guard = failpoint_guard();
+    let _fp = FailGuard::unarmed();
     let (straight, blobs, trace) = straight_run(21, Kernel::default(), 45);
     assert!(blobs.len() >= 2, "need several cadence points");
     // First, middle and last cadence points (the full set is O(steps/45)
@@ -340,7 +330,7 @@ fn every_sampled_checkpoint_is_a_valid_resume_point() {
 
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_rotated_history() {
-    let _guard = failpoint_guard();
+    let _fp = FailGuard::unarmed();
     let (_, blobs, _) = straight_run(33, Kernel::default(), 30);
     assert!(blobs.len() >= 2);
     let older = &blobs[blobs.len() - 2];
@@ -373,7 +363,7 @@ fn corrupt_newest_checkpoint_falls_back_to_rotated_history() {
 
 #[test]
 fn bit_flipped_checkpoint_is_rejected_not_resumed() {
-    let _guard = failpoint_guard();
+    let _fp = FailGuard::unarmed();
     let (_, blobs, _) = straight_run(4, Kernel::default(), 60);
     let good = &blobs[0];
     // Flip one payload bit well inside the particle section: the section
@@ -396,10 +386,9 @@ fn bit_flipped_checkpoint_is_rejected_not_resumed() {
 
 #[test]
 fn injected_objective_nan_is_recovered_by_the_sentinel() {
-    let _guard = failpoint_guard();
     // One NaN objective evaluation mid-run: the sentinel must roll back to
     // its last good snapshot, cut the learning rate, and finish finite.
-    failpoints::arm("core.objective.eval", 40, 1);
+    let _fp = FailGuard::arm("core.objective.eval", 40, 1);
     let mut p = packer(5, Kernel::default());
     let result = p.try_pack(&psd()).expect("one NaN must not kill the run");
     assert_eq!(failpoints::hits("core.objective.eval"), 1, "site fired");
@@ -412,19 +401,16 @@ fn injected_objective_nan_is_recovered_by_the_sentinel() {
     for b in &result.batches {
         assert!(b.best_fitness.is_finite(), "post-recovery fitness finite");
     }
-    failpoints::reset();
 }
 
 #[test]
 fn unrecoverable_nan_stream_exhausts_the_budget_into_a_typed_error() {
-    let _guard = failpoint_guard();
     // Every evaluation after the tenth returns NaN: rollbacks can't help,
     // so the run must stop with the typed divergence error instead of
     // looping forever or packing garbage.
-    failpoints::arm("core.objective.eval", 10, u64::MAX);
+    let _fp = FailGuard::arm("core.objective.eval", 10, u64::MAX);
     let mut p = packer(5, Kernel::default());
     let err = p.try_pack(&psd()).expect_err("divergence budget must trip");
-    failpoints::reset();
     match err {
         PackError::Diverged {
             batch, recoveries, ..
@@ -438,12 +424,11 @@ fn unrecoverable_nan_stream_exhausts_the_budget_into_a_typed_error() {
 
 #[test]
 fn checkpoint_write_failure_is_counted_and_does_not_abort_the_run() {
-    let _guard = failpoint_guard();
     let path = temp_path("tolerated.ckpt");
     let _ = fs::remove_file(&path);
     // First cadence write fails (injected before the atomic rename, so no
     // file appears); the run continues and later cadence points persist.
-    failpoints::arm("io.checkpoint.write", 0, 1);
+    let fp = FailGuard::arm("io.checkpoint.write", 0, 1);
     let mut p = packer(11, Kernel::default());
     p.set_checkpoint_sink(
         Box::new(FileSink(RotatingCheckpointWriter::new(&path, 2))),
@@ -451,7 +436,7 @@ fn checkpoint_write_failure_is_counted_and_does_not_abort_the_run() {
     );
     let result = p.try_pack(&psd()).expect("failing sink must not abort");
     assert_eq!(failpoints::hits("io.checkpoint.write"), 1);
-    failpoints::reset();
+    fp.reset();
     assert!(result.reached_target(), "run completes normally");
     let bytes = fs::read(&path).expect("later cadence points still write");
     let state = checkpoint::decode(&bytes).expect("surviving file is valid");
@@ -462,7 +447,7 @@ fn checkpoint_write_failure_is_counted_and_does_not_abort_the_run() {
 
 #[test]
 fn dir_fsync_failure_is_typed_and_leaves_a_valid_fallback_chain() {
-    let _guard = failpoint_guard();
+    let fp = FailGuard::unarmed();
     let path = temp_path("durable.ckpt");
     for p in checkpoint_candidates(&path, 8) {
         let _ = fs::remove_file(p);
@@ -473,10 +458,10 @@ fn dir_fsync_failure_is_typed_and_leaves_a_valid_fallback_chain() {
     // Arm the durability barrier: the next save's rename lands, but the
     // parent-directory fsync that would persist it fails — the power-loss
     // window write_atomic exists to close.
-    failpoints::arm("io.checkpoint.dir_sync", 0, 1);
+    fp.rearm("io.checkpoint.dir_sync", 0, 1);
     let err = w.save(b"gen2").expect_err("fsync dir failure must surface");
     assert_eq!(failpoints::hits("io.checkpoint.dir_sync"), 1);
-    failpoints::reset();
+    fp.reset();
     assert!(
         matches!(
             err,
@@ -504,27 +489,25 @@ fn dir_fsync_failure_is_typed_and_leaves_a_valid_fallback_chain() {
 
 #[test]
 fn output_write_failpoints_surface_errors_instead_of_partial_files() {
-    let _guard = failpoint_guard();
     let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(1.0));
 
-    failpoints::arm("io.stl.write", 0, 1);
+    let fp = FailGuard::arm("io.stl.write", 0, 1);
     let err = write_stl_ascii(&mut Vec::new(), &mesh, "box").unwrap_err();
     assert!(err.to_string().contains("io.stl.write"), "{err}");
 
-    failpoints::arm("io.csv.write", 0, 1);
+    fp.rearm("io.csv.write", 0, 1);
     let err =
         write_particles_csv(&mut Vec::new(), vec![(Vec3::ZERO, 0.1, 0usize, 0usize)]).unwrap_err();
     assert!(err.to_string().contains("io.csv.write"), "{err}");
 
-    failpoints::arm("io.vtk.write", 0, 1);
+    fp.rearm("io.vtk.write", 0, 1);
     let err = write_particles_vtk(&mut Vec::new(), &[(Vec3::ZERO, 0.1, 0)], "t").unwrap_err();
     assert!(err.to_string().contains("io.vtk.write"), "{err}");
-    failpoints::reset();
 }
 
 #[test]
 fn grid_rebuild_panic_leaves_a_parseable_jsonl_trace() {
-    let _guard = failpoint_guard();
+    let fp = FailGuard::unarmed();
     let trace_path = temp_path("panic_trace.jsonl");
     let _ = fs::remove_file(&trace_path);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -534,7 +517,9 @@ fn grid_rebuild_panic_leaves_a_parseable_jsonl_trace() {
         p.set_trace_sink(Box::new(JsonlWriter::new(BufWriter::new(file))));
         // Arm once batch 0 has finished (its trace drains to the file at
         // the batch boundary): the next grid rebin — batch 1's neighbor
-        // canonicalization — then panics mid-run.
+        // canonicalization — then panics mid-run. The callback outlives
+        // any borrow of `fp`, so it arms directly; the test's guard holds
+        // the registry and disarms it afterwards.
         p.set_batch_callback(|stats| {
             if stats.index == 0 {
                 failpoints::arm("core.grid.rebuild", 0, 1);
@@ -545,7 +530,7 @@ fn grid_rebuild_panic_leaves_a_parseable_jsonl_trace() {
         p.try_pack(&psd())
     }));
     assert!(outcome.is_err(), "armed rebuild must panic");
-    failpoints::reset();
+    fp.reset();
 
     let contents = fs::read_to_string(&trace_path).unwrap();
     let lines: Vec<&str> = contents.lines().collect();

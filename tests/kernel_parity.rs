@@ -7,7 +7,7 @@
 //! must walk the identical trajectory.
 
 use adampack_core::neighbor::{CsrGrid, NeighborStrategy, Workspace};
-use adampack_core::objective::{Objective, ObjectiveWeights, MIXED_REL_BUDGET};
+use adampack_core::objective::{Objective, ObjectiveWeights};
 use adampack_core::{Container, Kernel};
 use adampack_geometry::{shapes, Axis, Vec3};
 use adampack_opt::{Adam, AdamConfig, Optimizer};
@@ -38,7 +38,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Value + gradient + breakdown agree bitwise for every neighbor
-    /// pipeline, on batches whose size sweeps the 4-lane remainder cases.
+    /// pipeline, on batches whose size sweeps the 4-lane remainder cases
+    /// (and, under `Auto`, both sides of the Verlet threshold).
     #[test]
     fn scalar_and_simd_objectives_agree_bitwise(
         seed_offsets in prop::collection::vec(-0.9f64..0.9, 3),
@@ -59,13 +60,9 @@ proptest! {
             ]);
         }
         let w = ObjectiveWeights::default();
-        for strategy in [
-            NeighborStrategy::Naive,
-            NeighborStrategy::Grid,
-            NeighborStrategy::Verlet,
-        ] {
+        for strategy in NeighborStrategy::ALL {
             let mut out = Vec::new();
-            for kernel in [Kernel::Scalar, Kernel::Simd] {
+            for kernel in Kernel::ALL {
                 let obj = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
                     .with_neighbor(strategy, 0.04)
                     .with_kernel(kernel);
@@ -95,68 +92,6 @@ proptest! {
         }
     }
 
-    /// The mixed-precision kernel ([`Kernel::SimdMixed`]) keeps its
-    /// documented accuracy budget against the scalar oracle on randomized
-    /// crowded configurations: value within `MIXED_REL_BUDGET` relative,
-    /// every gradient component within the 10× factor (α-scaled direction
-    /// sums do not cancel the f32 quantization noise), on every neighbor
-    /// pipeline — and replays bitwise against itself.
-    #[test]
-    fn mixed_kernel_budget_parity(
-        seed_offsets in prop::collection::vec(-0.9f64..0.9, 3),
-        n in 1usize..40,
-        n_fixed in 0usize..30,
-        scale in 0.4f64..1.0,
-    ) {
-        let container = box_container();
-        let fixed = bed(n_fixed);
-        let radii: Vec<f64> = (0..n).map(|i| 0.07 + 0.015 * ((i % 5) as f64)).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.61803398875;
-            c.extend_from_slice(&[
-                scale * ((t % 1.8) - 0.9) + 0.05 * seed_offsets[0],
-                scale * (((t * 1.7) % 1.8) - 0.9) + 0.05 * seed_offsets[1],
-                scale * (((t * 2.3) % 1.6) - 0.9) + 0.05 * seed_offsets[2],
-            ]);
-        }
-        let w = ObjectiveWeights::default();
-        let tol = |x: f64| MIXED_REL_BUDGET * x.abs().max(1.0);
-        for strategy in [
-            NeighborStrategy::Naive,
-            NeighborStrategy::Grid,
-            NeighborStrategy::Verlet,
-        ] {
-            let scalar = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
-                .with_neighbor(strategy, 0.04)
-                .with_kernel(Kernel::Scalar);
-            let mixed = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
-                .with_neighbor(strategy, 0.04)
-                .with_kernel(Kernel::SimdMixed);
-            let (mut ws_s, mut ws_m) = (Workspace::new(), Workspace::new());
-            let mut gs = vec![0.0; 3 * n];
-            let mut gm = vec![0.0; 3 * n];
-            let vs = scalar.value_and_grad_ws(&c, &mut gs, &mut ws_s);
-            let vm = mixed.value_and_grad_ws(&c, &mut gm, &mut ws_m);
-            prop_assert!(
-                (vs - vm).abs() <= tol(vs),
-                "{:?}: value {} vs {} (budget {})", strategy, vs, vm, tol(vs)
-            );
-            for (k, (a, b)) in gs.iter().zip(&gm).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 10.0 * tol(*a),
-                    "{:?}: grad[{}] {} vs {}", strategy, k, a, b
-                );
-            }
-            let mut gm2 = vec![0.0; 3 * n];
-            let vm2 = mixed.value_and_grad_ws(&c, &mut gm2, &mut ws_m);
-            prop_assert_eq!(vm.to_bits(), vm2.to_bits(), "{:?}: replay value", strategy);
-            for (a, b) in gm.iter().zip(&gm2) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: replay grad", strategy);
-            }
-        }
-    }
-
     /// The lane-fused Adam/AMSGrad update matches the scalar update bitwise
     /// over a multi-step trajectory (including the bias-correction warm-up
     /// and the AMSGrad running maximum).
@@ -170,7 +105,7 @@ proptest! {
         let amsgrad = amsgrad_bit == 1;
         let n = init.len();
         let mut trajectories = Vec::new();
-        for kernel in [Kernel::Scalar, Kernel::Simd] {
+        for kernel in Kernel::ALL {
             let mut p = init.clone();
             let mut opt = Adam::new(
                 AdamConfig {

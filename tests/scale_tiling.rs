@@ -1,6 +1,5 @@
-//! Million-particle scale-out contracts (PR 8): gravity-axis tiling,
-//! Morton-ordered pair sweeps and the mixed-precision kernel, proven at
-//! the public-API level.
+//! Million-particle scale-out contracts: gravity-axis tiling and
+//! Morton-ordered pair sweeps, proven at the public-API level.
 //!
 //! The load-bearing claims, each tested here end-to-end:
 //!
@@ -13,12 +12,6 @@
 //!   one-writer-per-slot and values reduce over slot index, not visit
 //!   order), so `order: morton` and `order: strided` packings coincide
 //!   at 0 ULP.
-//! - **The mixed kernel stays inside its documented budget.** `simd_mixed`
-//!   rejects pairs in f32 and is only *self*-deterministic; against the
-//!   exact kernels it must stay within `MIXED_REL_BUDGET` on the
-//!   objective (10x per gradient component — unit directions are
-//!   quantized, and opposing pair contributions do not cancel the
-//!   perturbation).
 
 use std::sync::{Arc, Mutex};
 
@@ -118,39 +111,6 @@ fn morton_and_strided_orders_produce_identical_packings() {
         let strided = pack_with(1, kernel, SweepOrder::Strided);
         assert_same_packing(&morton, &strided, &format!("{kernel}: morton vs strided"));
     }
-}
-
-#[test]
-fn mixed_kernel_packs_and_is_self_deterministic() {
-    // simd_mixed trades bitwise agreement with the exact kernels for f32
-    // rejection bandwidth; what it must keep is (a) a physically valid
-    // packing under the same acceptance thresholds and (b) bitwise
-    // self-reproducibility — including under tiling.
-    let a = pack_with(1, Kernel::SimdMixed, SweepOrder::Morton);
-    let b = pack_with(1, Kernel::SimdMixed, SweepOrder::Morton);
-    assert_same_packing(&a, &b, "simd_mixed replay");
-    assert!(a.particles.len() >= 48, "mixed kernel packed too little");
-    let tiled = pack_with(5, Kernel::SimdMixed, SweepOrder::Morton);
-    assert_same_packing(&a, &tiled, "simd_mixed tiled vs untiled");
-    // Against the exact kernels the mixed trajectory diverges (the f32
-    // rejection perturbation compounds chaotically over batches — the
-    // per-evaluation budget is proven in `kernel_parity.rs`), so the
-    // end-to-end contract is packing *quality*: the same acceptance
-    // thresholds hold, so yield and overlap discipline must match.
-    let exact = pack_with(1, Kernel::Simd, SweepOrder::Morton);
-    assert!(
-        a.particles.len() * 10 >= exact.particles.len() * 9,
-        "mixed yield collapsed: {} vs {} exact",
-        a.particles.len(),
-        exact.particles.len()
-    );
-    let (cm, ce) = (contact_stats(&a.particles), contact_stats(&exact.particles));
-    assert!(
-        cm.max_overlap_ratio <= (2.0 * ce.max_overlap_ratio).max(0.02),
-        "mixed overlaps degraded: max {} vs {} exact",
-        cm.max_overlap_ratio,
-        ce.max_overlap_ratio
-    );
 }
 
 /// In-memory checkpoint sink (the encode/decode codec stays on the path so

@@ -16,27 +16,18 @@
 //!   resubmitted job from the newest *valid* checkpoint (the newest file
 //!   is corrupted on purpose) and produces byte-identical output.
 //!
-//! Servers bind `127.0.0.1:0`. The process-global failpoint registry and
-//! telemetry counters serialize the tests on one mutex.
+//! Servers bind `127.0.0.1:0`. Every test holds a `failpoints::FailGuard`
+//! for its whole body: it guards the process-global failpoint registry and
+//! serializes the tests around the process-global telemetry counters.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use adampack_cli::{run_pack_opts, PackOptions};
 use adampack_geometry::{shapes, Vec3};
 use adampack_io::{checkpoint_candidates, write_stl_ascii};
 use adampack_server::{client, ServeOptions, Server, ServerHandle, FAILPOINT_WORKER_CRASH};
-
-static SERVER_LOCK: Mutex<()> = Mutex::new(());
-
-fn guard() -> MutexGuard<'static, ()> {
-    let guard = SERVER_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoints::reset();
-    guard
-}
+use failpoints::FailGuard;
 
 /// A fresh per-test directory holding the container asset; configs and
 /// server data live under it too.
@@ -139,7 +130,7 @@ fn metric(addr: std::net::SocketAddr, name: &str) -> u64 {
 
 #[test]
 fn artifact_matches_direct_run_and_duplicates_hit_the_cache() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("bytes");
     let yaml = config(0.16, 7);
     let reference = direct_csv(&dir, &yaml, "direct");
@@ -200,7 +191,7 @@ params:
 
 #[test]
 fn requests_are_validated_and_duplicates_coalesce_until_cancelled() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("coalesce");
     let server = serve(&dir, |o| o.workers = 1);
     let addr = server.addr();
@@ -214,6 +205,27 @@ fn requests_are_validated_and_duplicates_coalesce_until_cancelled() {
     )
     .unwrap();
     assert_eq!(code, 400, "{}", String::from_utf8_lossy(&body));
+    // Deleted knob values (the mixed-precision kernel, the grid strategy)
+    // are config errors naming the accepted values.
+    let removed = [
+        (
+            config(0.16, 1).replace(
+                "params:\n",
+                concat!("params:\n    kernel: simd_", "mixed\n"),
+            ),
+            "'scalar' or 'simd'",
+        ),
+        (
+            format!("{}neighbor:\n    strategy: grid\n", config(0.16, 1)),
+            "'auto', 'verlet' or 'naive'",
+        ),
+    ];
+    for (yaml, accepted) in removed {
+        let (code, body) = client::submit(addr, &yaml).unwrap();
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(code, 400, "{body}");
+        assert!(body.contains(accepted), "{body}");
+    }
     let (code, _) = client::get(addr, "/jobs/zzzz").unwrap();
     assert_eq!(code, 400);
     let (code, _) = client::get(addr, "/jobs/00000000deadbeef").unwrap();
@@ -251,7 +263,7 @@ fn requests_are_validated_and_duplicates_coalesce_until_cancelled() {
 
 #[test]
 fn fair_share_preempts_the_long_job_without_changing_its_bytes() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("preempt");
     let long = config(0.105, 3);
     let short = config(0.18, 5);
@@ -318,7 +330,7 @@ fn fair_share_preempts_the_long_job_without_changing_its_bytes() {
 
 #[test]
 fn killed_worker_resumes_from_newest_valid_checkpoint_with_identical_bytes() {
-    let _g = guard();
+    let fp = FailGuard::unarmed();
     let dir = test_dir("crash");
     let yaml = config(0.12, 11);
     let reference = direct_csv(&dir, &yaml, "solo");
@@ -331,7 +343,7 @@ fn killed_worker_resumes_from_newest_valid_checkpoint_with_identical_bytes() {
     // Crash the worker at the third batch boundary (each earlier boundary
     // wrote a checkpoint): the job stays marked running with its disk
     // rotation intact — exactly a SIGKILL.
-    failpoints::arm(FAILPOINT_WORKER_CRASH, 2, 1);
+    fp.rearm(FAILPOINT_WORKER_CRASH, 2, 1);
     let (hex, outcome) = submit_ok(addr, &yaml);
     assert_eq!(outcome, "scheduled");
     let t0 = Instant::now();
@@ -342,7 +354,7 @@ fn killed_worker_resumes_from_newest_valid_checkpoint_with_identical_bytes() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    failpoints::reset();
+    fp.reset();
     server.shutdown();
 
     // The dead worker left a rotation of checkpoints; corrupt the newest

@@ -23,29 +23,20 @@
 //!   with a fresh budget, and the artifact assembled across however many
 //!   budget windows it takes is byte-identical to an unbudgeted run.
 //!
-//! Servers bind `127.0.0.1:0`. The process-global failpoint registry and
-//! telemetry counters serialize the tests on one mutex.
+//! Servers bind `127.0.0.1:0`. Every test holds a `failpoints::FailGuard`
+//! for its whole body: it guards the process-global failpoint registry and
+//! serializes the tests around the process-global telemetry counters.
 
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use adampack_cli::{run_pack_opts, PackOptions};
 use adampack_geometry::{shapes, Vec3};
 use adampack_io::{checkpoint_candidates, write_stl_ascii, FAILPOINT_WRITE_ENOSPC};
 use adampack_server::{client, ServeOptions, Server, ServerHandle};
-
-static SERVER_LOCK: Mutex<()> = Mutex::new(());
-
-fn guard() -> MutexGuard<'static, ()> {
-    let guard = SERVER_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoints::reset();
-    guard
-}
+use failpoints::FailGuard;
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("adampack_chaos_{tag}"));
@@ -168,7 +159,7 @@ fn wait_for(addr: SocketAddr, hex: &str, what: &str, pred: impl Fn(&str) -> bool
 
 #[test]
 fn overload_sheds_with_429_and_oversize_is_rejected_with_413() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("overload");
 
     // One worker, one shard, queue depth 1: the second queued job
@@ -233,7 +224,7 @@ fn metric_snapshot(name: &str) -> u64 {
 
 #[test]
 fn disk_full_degrades_to_shedding_and_recovers_without_losing_the_result() {
-    let _g = guard();
+    let fp = FailGuard::unarmed();
     let dir = test_dir("enospc");
     let yaml = config(0.16, 41);
     let reference = direct_csv(&dir, &yaml, "direct");
@@ -243,7 +234,7 @@ fn disk_full_degrades_to_shedding_and_recovers_without_losing_the_result() {
     let full_before = metric(addr, "adampack_server_disk_full_total");
 
     // Every artifact write now fails with ENOSPC.
-    failpoints::arm(FAILPOINT_WRITE_ENOSPC, 0, u64::MAX);
+    fp.rearm(FAILPOINT_WRITE_ENOSPC, 0, u64::MAX);
     let (hex, o) = submit_ok(addr, &yaml);
     assert_eq!(o, "scheduled");
 
@@ -270,7 +261,7 @@ fn disk_full_degrades_to_shedding_and_recovers_without_losing_the_result() {
 
     // The disk "recovers": the parked artifact persists on the worker's
     // next retry — no recomputation, identical bytes.
-    failpoints::reset();
+    fp.reset();
     assert_eq!(
         client::wait_terminal(addr, &hex, Duration::from_secs(120)).unwrap(),
         "done"
@@ -293,7 +284,7 @@ fn disk_full_degrades_to_shedding_and_recovers_without_losing_the_result() {
 
 #[test]
 fn artifact_store_stays_under_its_byte_cap() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("cap");
 
     // Size the cap from a real artifact: room for about two, never six.
@@ -338,7 +329,7 @@ fn artifact_store_stays_under_its_byte_cap() {
 
 #[test]
 fn drain_stops_admission_and_a_restart_resumes_with_identical_bytes() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("drain");
     // A multi-second job: the drain provably interrupts it mid-flight.
     let yaml = config(0.05, 61);
@@ -395,7 +386,7 @@ fn drain_stops_admission_and_a_restart_resumes_with_identical_bytes() {
 
 #[test]
 fn cancel_racing_a_preemption_lands_cancelled_with_no_checkpoint_debris() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("cancelrace");
 
     // Tiny slice + two competing jobs on one worker: the long job cycles
@@ -443,7 +434,7 @@ fn cancel_racing_a_preemption_lands_cancelled_with_no_checkpoint_debris() {
 
 #[test]
 fn step_ceiling_expires_jobs_and_resubmission_resumes_to_identical_bytes() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("expire");
     let yaml = config(0.14, 81);
     let reference = direct_csv(&dir, &yaml, "unbudgeted");
@@ -488,7 +479,7 @@ fn step_ceiling_expires_jobs_and_resubmission_resumes_to_identical_bytes() {
 
 #[test]
 fn wall_clock_deadline_expires_a_long_job() {
-    let _g = guard();
+    let _fp = FailGuard::unarmed();
     let dir = test_dir("deadline");
 
     let server = serve(&dir, |o| o.limits.job_deadline_s = 1);
