@@ -168,8 +168,10 @@ pub struct PackOptions {
     pub tiles: Option<usize>,
     /// Checkpoint file (`--checkpoint`); overrides `checkpoint.path`.
     pub checkpoint: Option<PathBuf>,
-    /// Checkpoint cadence in optimizer steps (`--checkpoint-every`);
-    /// overrides `checkpoint.every_steps`.
+    /// Checkpoint cadence (`--checkpoint-every`): save at the first batch
+    /// boundary after this many optimizer steps; overrides
+    /// `checkpoint.every_steps`. A durability setting only — the packing
+    /// is identical at any cadence.
     pub checkpoint_every: Option<usize>,
     /// Checkpoint files retained (`--checkpoint-keep`); overrides
     /// `checkpoint.keep_last`.
@@ -224,8 +226,8 @@ fn resolve_checkpoint(cfg: &PackingConfig, opts: &PackOptions) -> Option<Checkpo
     })
 }
 
-/// Bridges the core packer's checkpoint cadence to the rotating atomic
-/// file writer in `adampack-io`.
+/// Bridges the core packer's batch-boundary checkpoint cadence to the
+/// rotating atomic file writer in `adampack-io`.
 struct FileCheckpointSink {
     writer: adampack_io::RotatingCheckpointWriter,
 }
@@ -237,33 +239,30 @@ impl CheckpointSink for FileCheckpointSink {
     }
 }
 
-/// Loads the newest readable checkpoint from the rotation chain.
+/// Loads the newest usable checkpoint from the rotation chain with
+/// `decode` (single-run or batched format).
 ///
 /// `Ok(None)` means no checkpoint file exists yet (fresh start); an error
-/// means files exist but every candidate was rejected (corrupt state is
-/// never silently discarded).
-fn load_latest_checkpoint(
+/// means files exist but every candidate was rejected — corrupt or retired
+/// state is never silently discarded.
+fn load_latest_checkpoint<T, E: std::fmt::Display>(
     path: &Path,
     keep_last: usize,
-) -> Result<Option<(PathBuf, RunState)>, CliError> {
-    let candidates = adampack_io::checkpoint_candidates(path, keep_last);
-    if candidates.is_empty() {
-        return Ok(None);
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) -> Result<Option<(PathBuf, T)>, CliError> {
+    let (found, rejected) = adampack_io::load_newest_checkpoint(path, keep_last, decode);
+    for why in &rejected {
+        warn!("checkpoint {why}");
     }
-    for cand in &candidates {
-        match std::fs::read(cand) {
-            Err(e) => warn!("checkpoint {} unreadable: {e}", cand.display()),
-            Ok(bytes) => match adampack_core::checkpoint::decode(&bytes) {
-                Ok(state) => return Ok(Some((cand.clone(), state))),
-                Err(e) => warn!("checkpoint {} rejected: {e}", cand.display()),
-            },
-        }
+    match found {
+        None if !rejected.is_empty() => Err(CliError::Checkpoint(format!(
+            "all {} checkpoint file(s) at {} were rejected; newest: {}",
+            rejected.len(),
+            path.display(),
+            rejected[0]
+        ))),
+        found => Ok(found),
     }
-    Err(CliError::Checkpoint(format!(
-        "all {} checkpoint file(s) at {} are corrupt",
-        candidates.len(),
-        path.display()
-    )))
 }
 
 /// Bridges the batched engine's checkpoint cadence to the same rotating
@@ -277,31 +276,6 @@ impl BatchedCheckpointSink for BatchedFileSink {
         let bytes = adampack_core::checkpoint::encode_batched(state);
         self.writer.save(&bytes).map_err(|e| e.to_string())
     }
-}
-
-/// [`load_latest_checkpoint`] for the batched container format.
-fn load_latest_batched_checkpoint(
-    path: &Path,
-    keep_last: usize,
-) -> Result<Option<(PathBuf, BatchedRunState)>, CliError> {
-    let candidates = adampack_io::checkpoint_candidates(path, keep_last);
-    if candidates.is_empty() {
-        return Ok(None);
-    }
-    for cand in &candidates {
-        match std::fs::read(cand) {
-            Err(e) => warn!("checkpoint {} unreadable: {e}", cand.display()),
-            Ok(bytes) => match adampack_core::checkpoint::decode_batched(&bytes) {
-                Ok(state) => return Ok(Some((cand.clone(), state))),
-                Err(e) => warn!("checkpoint {} rejected: {e}", cand.display()),
-            },
-        }
-    }
-    Err(CliError::Checkpoint(format!(
-        "all {} checkpoint file(s) at {} are corrupt",
-        candidates.len(),
-        path.display()
-    )))
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -541,7 +515,11 @@ fn run_pack_configured(
             // to (not truncated) when continuing an interrupted run.
             let resume_state = match (&checkpoint, opts.resume) {
                 (Some(ck), true) => {
-                    let loaded = load_latest_checkpoint(&ck.path, ck.keep_last)?;
+                    let loaded = load_latest_checkpoint(
+                        &ck.path,
+                        ck.keep_last,
+                        adampack_core::checkpoint::decode,
+                    )?;
                     if loaded.is_none() {
                         warn!(
                             "--resume: no checkpoint at {}, starting fresh",
@@ -577,7 +555,8 @@ fn run_pack_configured(
                 };
                 packer.set_checkpoint_sink(Box::new(sink), ck.every_steps);
                 info!(
-                    "checkpointing to {} every {} steps (keeping {})",
+                    "checkpointing to {} at the first batch boundary after every {} steps \
+                     (keeping {})",
                     ck.path.display(),
                     ck.every_steps,
                     ck.keep_last
@@ -792,7 +771,11 @@ fn run_pack_batched(
                     .into(),
             )
         })?;
-        match load_latest_batched_checkpoint(&ck.path, ck.keep_last)? {
+        match load_latest_checkpoint(
+            &ck.path,
+            ck.keep_last,
+            adampack_core::checkpoint::decode_batched,
+        )? {
             None => warn!(
                 "--resume: no checkpoint at {}, starting fresh",
                 ck.path.display()
@@ -1244,7 +1227,21 @@ mod tests {
         let dir = std::env::temp_dir().join("adampack_cli_ckpt");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("run.ckpt");
+        for stale in adampack_io::checkpoint_candidates(&ckpt, 8) {
+            std::fs::remove_file(stale).ok();
+        }
+        let (plain, checkpointed) = (dir.join("plain.csv"), dir.join("checkpointed.csv"));
+        run_pack_opts(
+            &cfg,
+            &PackOptions {
+                out: Some(plain.clone()),
+                log_level: Some(ConsoleLevel::Off),
+                ..PackOptions::default()
+            },
+        )
+        .unwrap();
         let opts = PackOptions {
+            out: Some(checkpointed.clone()),
             checkpoint: Some(ckpt.clone()),
             checkpoint_every: Some(40),
             checkpoint_keep: Some(2),
@@ -1253,10 +1250,14 @@ mod tests {
         };
         let summary = run_pack_opts(&cfg, &opts).unwrap();
         assert!(summary.packed > 10);
+        assert!(
+            std::fs::read(&plain).unwrap() == std::fs::read(&checkpointed).unwrap(),
+            "checkpointing must not change the packed bytes"
+        );
         let bytes = std::fs::read(&ckpt).expect("checkpoint written");
         let state = adampack_core::checkpoint::decode(&bytes).expect("checkpoint decodes");
         assert_eq!(state.seed, 3, "seed from setup_config");
-        assert!(!state.particles.is_empty() || state.batch.is_some());
+        assert!(!state.particles.is_empty());
     }
 
     #[test]
@@ -1300,16 +1301,35 @@ mod tests {
         let dir = std::env::temp_dir().join("adampack_cli_resume_corrupt");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
         let ckpt = dir.join("run.ckpt");
-        std::fs::write(&ckpt, b"definitely not a checkpoint").unwrap();
-        let opts = PackOptions {
-            checkpoint: Some(ckpt),
-            resume: true,
-            log_level: Some(ConsoleLevel::Off),
-            ..PackOptions::default()
-        };
-        let err = run_pack_opts(&cfg, &opts).unwrap_err();
-        assert!(matches!(err, CliError::Checkpoint(_)), "{err:?}");
-        assert_eq!(err.exit_code(), 7);
+        for stale in adampack_io::checkpoint_candidates(&ckpt, 8) {
+            std::fs::remove_file(stale).ok();
+        }
+        // A mid-batch checkpoint from an older build: a valid stream plus
+        // the retired tag-4 `batch` section, framed by hand.
+        let mut mid_batch = adampack_core::checkpoint::encode(&RunState::default());
+        let footer = mid_batch.split_off(mid_batch.len() - 16);
+        let payload = [7u8; 16];
+        mid_batch.extend_from_slice(&4u32.to_le_bytes());
+        mid_batch.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        mid_batch.extend_from_slice(&adampack_core::checkpoint::crc32(&payload).to_le_bytes());
+        mid_batch.extend_from_slice(&payload);
+        mid_batch.extend_from_slice(&footer);
+        for (bytes, names) in [
+            (&b"definitely not a checkpoint"[..], "bad magic"),
+            (&mid_batch[..], "retired section 'batch'"),
+        ] {
+            std::fs::write(&ckpt, bytes).unwrap();
+            let opts = PackOptions {
+                checkpoint: Some(ckpt.clone()),
+                resume: true,
+                log_level: Some(ConsoleLevel::Off),
+                ..PackOptions::default()
+            };
+            let err = run_pack_opts(&cfg, &opts).unwrap_err();
+            assert!(matches!(err, CliError::Checkpoint(_)), "{err:?}");
+            assert_eq!(err.exit_code(), 7);
+            assert!(err.to_string().contains(names), "{err}");
+        }
     }
 
     #[test]

@@ -82,10 +82,12 @@ and a guard makes any sub-horizon query a hard error (exit 8) instead
 of silent drift. Requires neighbor strategy auto or verlet.
 
 --checkpoint writes a crash-resume checkpoint (atomic temp+rename,
-rotated history) every --checkpoint-every optimizer steps (default 500),
-keeping --checkpoint-keep files (default 2); these flags override the
-configuration's `checkpoint:` block. --resume continues from the newest
-readable checkpoint — the resumed run finishes bitwise identical to an
+rotated history) at the first batch boundary after every
+--checkpoint-every optimizer steps (default 500), keeping
+--checkpoint-keep files (default 2); these flags override the
+configuration's `checkpoint:` block. Checkpoints never change the
+packing, at any cadence. --resume continues from the newest readable
+checkpoint — the resumed run finishes bitwise identical to an
 uninterrupted one — falling back to older rotated files when the newest
 is torn or corrupt.
 

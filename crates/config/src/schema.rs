@@ -209,7 +209,8 @@ pub struct CheckpointConfig {
     /// resolved against the config directory: output paths are relative to
     /// the working directory.
     pub path: PathBuf,
-    /// `every_steps:` — optimizer steps between checkpoints, default 500.
+    /// `every_steps:` — save at the first batch boundary after this many
+    /// optimizer steps, default 500.
     pub every_steps: usize,
     /// `keep_last:` — checkpoint files retained (current + rotated
     /// history), default 2.

@@ -668,19 +668,26 @@ mod tests {
     }
 
     fn specs_s3() -> Vec<SystemSpec> {
+        labeled_specs_s3(["a", "b", "c"])
+    }
+
+    /// The three-system sweep under caller-chosen labels: the per-system
+    /// metric registry is process-global, so a test that reads it gives
+    /// its systems labels no concurrently running test writes.
+    fn labeled_specs_s3(labels: [&str; 3]) -> Vec<SystemSpec> {
         vec![
             SystemSpec {
-                label: "a".into(),
+                label: labels[0].into(),
                 params: quick_params(11, 14),
                 psd: Psd::constant(0.15),
             },
             SystemSpec {
-                label: "b".into(),
+                label: labels[1].into(),
                 params: quick_params(22, 9),
                 psd: Psd::uniform(0.11, 0.16),
             },
             SystemSpec {
-                label: "c".into(),
+                label: labels[2].into(),
                 params: quick_params(33, 17),
                 psd: Psd::constant(0.13),
             },
@@ -744,7 +751,8 @@ mod tests {
     fn per_system_metric_labels_never_leak_across_systems() {
         adampack_telemetry::metrics::clear_system_metrics();
         let container = box_container();
-        let mut batched = BatchedPacker::new(&container, specs_s3());
+        let specs = labeled_specs_s3(["leak_a", "leak_b", "leak_c"]);
+        let mut batched = BatchedPacker::new(&container, specs);
         batched.set_diagnostics(DiagMode::Summary);
         let reports = batched.run();
         // Each label's counters are computed from that system's own run
@@ -765,8 +773,8 @@ mod tests {
         }
         // Distinct systems (different seeds, PSDs, targets) must produce
         // distinct series.
-        let a = adampack_telemetry::metrics::system_counters("a").unwrap();
-        let b = adampack_telemetry::metrics::system_counters("b").unwrap();
+        let a = adampack_telemetry::metrics::system_counters("leak_a").unwrap();
+        let b = adampack_telemetry::metrics::system_counters("leak_b").unwrap();
         assert_ne!(a.particles_packed, b.particles_packed);
         // Diagnostics accumulated per system under its own label.
         for (label, records) in batched.take_diagnostics() {

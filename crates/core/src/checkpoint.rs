@@ -2,9 +2,10 @@
 //!
 //! A checkpoint captures everything [`crate::CollectivePacker`] needs to
 //! continue a packing run **bitwise identically** to an uninterrupted one:
-//! the RNG state, every packed particle, per-batch statistics, and — when
-//! taken mid-batch — the in-progress batch's coordinate buffers, optimizer
-//! slots (Adam `m`/`v`/`v̂_max`), scheduler state and trace reference.
+//! the RNG state, every packed particle and the per-batch statistics.
+//! Checkpoints are only ever taken at batch boundaries, where that state is
+//! complete and capturing it is a pure read, so checkpointing never changes
+//! the packing.
 //!
 //! ## Format
 //!
@@ -26,8 +27,6 @@
 
 use std::time::Duration;
 
-use adampack_opt::{OptimizerState, SchedulerState};
-
 use crate::collective::{BatchPhaseBreakdown, BatchStats};
 use crate::particle::Particle;
 use adampack_geometry::Vec3;
@@ -40,11 +39,14 @@ pub const FORMAT_VERSION: u32 = 1;
 const TAG_META: u32 = 1;
 const TAG_PARTICLES: u32 = 2;
 const TAG_BATCHES: u32 = 3;
-const TAG_BATCH: u32 = 4;
-/// End-of-stream footer (empty payload). Because the `batch` section is
-/// optional, a file torn at an exact section boundary would otherwise
-/// decode as a complete checkpoint; the mandatory footer makes every
-/// truncation detectable.
+/// Retired: older builds wrote the optimizer loop of an unfinished batch
+/// here. Such a file cannot resume bitwise (its RNG is already past that
+/// batch's spawn), so [`decode`] refuses it instead of skipping it.
+const TAG_MID_BATCH: u32 = 4;
+/// End-of-stream footer (empty payload). A file torn at an exact section
+/// boundary would otherwise decode as complete with its trailing sections
+/// silently dropped; the mandatory footer makes every truncation
+/// detectable.
 const TAG_END: u32 = 0xFFFF_FFFF;
 /// Batched-run header (sweep fingerprint, thread knob, pass counter,
 /// system count). Present only in multi-system checkpoints, which keeps
@@ -82,6 +84,10 @@ pub enum CheckpointError {
     /// The checkpoint is internally valid but belongs to a different run
     /// (seed or parameter fingerprint mismatch) or an incompatible state.
     StateMismatch(String),
+    /// The checkpoint was taken in the middle of a batch by an older build
+    /// (it carries the retired `batch` section, tag 4). It cannot resume
+    /// bitwise, so it is refused rather than half-restored.
+    MidBatch,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -107,6 +113,12 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::StateMismatch(msg) => {
                 write!(f, "checkpoint does not match this run: {msg}")
             }
+            CheckpointError::MidBatch => write!(
+                f,
+                "mid-batch checkpoint from an older build (retired section 'batch', \
+                 tag {TAG_MID_BATCH}); only batch-boundary checkpoints resume, so \
+                 start the run afresh"
+            ),
         }
     }
 }
@@ -168,40 +180,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // Run state
 // ---------------------------------------------------------------------------
 
-/// The in-progress batch's optimizer-loop state (present when the
-/// checkpoint was taken mid-batch).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchInProgress {
-    /// Batch particle radii (already drawn from the PSD).
-    pub radii: Vec<f64>,
-    /// Current flat coordinate buffer.
-    pub coords: Vec<f64>,
-    /// Best coordinates found so far.
-    pub best: Vec<f64>,
-    /// Best objective value so far.
-    pub best_fitness: f64,
-    /// Patience counter at the checkpoint.
-    pub no_improvement: u64,
-    /// The step index the resumed loop continues from.
-    pub next_step: u64,
-    /// Workspace Verlet-rebuild count captured when the batch started.
-    pub rebuilds_at_start: u64,
-    /// Spawn-phase wall time of this batch, nanoseconds.
-    pub spawn_ns: u64,
-    /// Accumulated gradient-phase wall time, nanoseconds.
-    pub gradient_ns: u64,
-    /// Accumulated optimizer-phase wall time, nanoseconds.
-    pub optimizer_ns: u64,
-    /// Sentinel recoveries consumed by this batch so far.
-    pub batch_recoveries: u64,
-    /// The tracer's previous-step coordinates (max-displacement reference).
-    pub trace_prev: Vec<f64>,
-    /// Full optimizer snapshot (moments, step count, learning rate).
-    pub optimizer: OptimizerState,
-    /// Scheduler snapshot.
-    pub scheduler: SchedulerState,
-}
-
 /// Everything needed to continue a packing run bitwise identically.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunState {
@@ -210,7 +188,8 @@ pub struct RunState {
     /// FNV-1a fingerprint of the hyper-parameters + container (checked on
     /// resume).
     pub params_fingerprint: u64,
-    /// Optimizer steps taken across the whole run (cadence counter).
+    /// Optimizer steps taken across the whole run
+    /// ([`crate::RunProgress::steps_taken`] at capture time).
     pub global_step: u64,
     /// Divergence-sentinel recoveries so far.
     pub recoveries: u64,
@@ -236,8 +215,6 @@ pub struct RunState {
     pub particles: Vec<Particle>,
     /// Per-batch statistics of every attempted batch so far.
     pub batches: Vec<BatchStats>,
-    /// Mid-batch optimizer-loop state, absent at batch boundaries.
-    pub batch: Option<BatchInProgress>,
 }
 
 /// One system's entry inside a batched (multi-system) checkpoint.
@@ -287,12 +264,6 @@ impl Buf {
     fn f64(&mut self, x: f64) {
         self.u64(x.to_bits());
     }
-    fn f64s(&mut self, xs: &[f64]) {
-        self.u64(xs.len() as u64);
-        for &x in xs {
-            self.f64(x);
-        }
-    }
 }
 
 struct Reader<'a> {
@@ -336,23 +307,6 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
-
-    /// Length-prefixed f64 vector; the length is validated against the
-    /// remaining bytes before any allocation.
-    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(8).is_none_or(|b| b > self.remaining()) {
-            return Err(malformed(format!(
-                "f64 vector length {n} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,56 +320,6 @@ fn push_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn encode_optimizer(b: &mut Buf, s: &OptimizerState) {
-    b.u64(s.t);
-    b.f64(s.lr);
-    b.f64s(&s.scalars);
-    b.u64(s.slots.len() as u64);
-    for slot in &s.slots {
-        b.f64s(slot);
-    }
-}
-
-fn decode_optimizer(r: &mut Reader<'_>) -> Result<OptimizerState, CheckpointError> {
-    let t = r.u64()?;
-    let lr = r.f64()?;
-    let scalars = r.f64s()?;
-    let n_slots = r.u64()? as usize;
-    if n_slots > 16 {
-        return Err(malformed(format!("{n_slots} optimizer slots (max 16)")));
-    }
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        slots.push(r.f64s()?);
-    }
-    Ok(OptimizerState {
-        t,
-        lr,
-        scalars,
-        slots,
-    })
-}
-
-fn encode_scheduler(b: &mut Buf, s: &SchedulerState) {
-    for &x in &s.floats {
-        b.f64(x);
-    }
-    for &x in &s.ints {
-        b.u64(x);
-    }
-}
-
-fn decode_scheduler(r: &mut Reader<'_>) -> Result<SchedulerState, CheckpointError> {
-    let mut s = SchedulerState::default();
-    for x in &mut s.floats {
-        *x = r.f64()?;
-    }
-    for x in &mut s.ints {
-        *x = r.u64()?;
-    }
-    Ok(s)
-}
-
 fn encode_duration(b: &mut Buf, d: Duration) {
     b.u64(d.as_nanos().min(u64::MAX as u128) as u64);
 }
@@ -426,14 +330,7 @@ fn decode_duration(r: &mut Reader<'_>) -> Result<Duration, CheckpointError> {
 
 /// Serializes a run state to the versioned checkpoint byte format.
 pub fn encode(state: &RunState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        64 + state.particles.len() * 40
-            + state.batches.len() * 120
-            + state
-                .batch
-                .as_ref()
-                .map_or(0, |b| b.coords.len() * 40 + 256),
-    );
+    let mut out = Vec::with_capacity(64 + state.particles.len() * 48 + state.batches.len() * 120);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
 
@@ -487,24 +384,6 @@ pub fn encode(state: &RunState) -> Vec<u8> {
     }
     push_section(&mut out, TAG_BATCHES, &b.0);
 
-    if let Some(bp) = &state.batch {
-        let mut b = Buf::default();
-        b.f64s(&bp.radii);
-        b.f64s(&bp.coords);
-        b.f64s(&bp.best);
-        b.f64(bp.best_fitness);
-        b.u64(bp.no_improvement);
-        b.u64(bp.next_step);
-        b.u64(bp.rebuilds_at_start);
-        b.u64(bp.spawn_ns);
-        b.u64(bp.gradient_ns);
-        b.u64(bp.optimizer_ns);
-        b.u64(bp.batch_recoveries);
-        b.f64s(&bp.trace_prev);
-        encode_optimizer(&mut b, &bp.optimizer);
-        encode_scheduler(&mut b, &bp.scheduler);
-        push_section(&mut out, TAG_BATCH, &b.0);
-    }
     push_section(&mut out, TAG_END, &[]);
     out
 }
@@ -518,7 +397,7 @@ fn section_name(tag: u32) -> &'static str {
         TAG_META => "meta",
         TAG_PARTICLES => "particles",
         TAG_BATCHES => "batches",
-        TAG_BATCH => "batch",
+        TAG_MID_BATCH => "batch",
         TAG_BATCHED_META => "batched-meta",
         TAG_SYSTEM => "system",
         _ => "unknown",
@@ -527,7 +406,8 @@ fn section_name(tag: u32) -> &'static str {
 
 /// Decodes a checkpoint byte stream, verifying magic, version and every
 /// section CRC. Unknown sections (future extensions) are skipped as long as
-/// their CRC holds.
+/// their CRC holds; the retired mid-batch section is refused with
+/// [`CheckpointError::MidBatch`].
 pub fn decode(bytes: &[u8]) -> Result<RunState, CheckpointError> {
     let mut r = Reader::new(bytes);
     if r.remaining() < MAGIC.len() {
@@ -626,34 +506,7 @@ pub fn decode(bytes: &[u8]) -> Result<RunState, CheckpointError> {
                 }
                 have_batches = true;
             }
-            TAG_BATCH => {
-                let mut bp = BatchInProgress {
-                    radii: s.f64s()?,
-                    coords: s.f64s()?,
-                    best: s.f64s()?,
-                    best_fitness: s.f64()?,
-                    no_improvement: s.u64()?,
-                    next_step: s.u64()?,
-                    rebuilds_at_start: s.u64()?,
-                    spawn_ns: s.u64()?,
-                    gradient_ns: s.u64()?,
-                    optimizer_ns: s.u64()?,
-                    batch_recoveries: s.u64()?,
-                    trace_prev: s.f64s()?,
-                    ..BatchInProgress::default()
-                };
-                bp.optimizer = decode_optimizer(&mut s)?;
-                bp.scheduler = decode_scheduler(&mut s)?;
-                if bp.coords.len() != bp.radii.len() * 3 || bp.best.len() != bp.coords.len() {
-                    return Err(malformed(format!(
-                        "batch buffers inconsistent: {} radii, {} coords, {} best",
-                        bp.radii.len(),
-                        bp.coords.len(),
-                        bp.best.len()
-                    )));
-                }
-                state.batch = Some(bp);
-            }
+            TAG_MID_BATCH => return Err(CheckpointError::MidBatch),
             TAG_END => have_end = true,
             _ => { /* unknown but CRC-valid section: skip (forward compat) */ }
         }
@@ -827,7 +680,7 @@ pub fn decode_batched(bytes: &[u8]) -> Result<BatchedRunState, CheckpointError> 
 mod tests {
     use super::*;
 
-    fn sample_state(with_batch: bool) -> RunState {
+    fn sample_state() -> RunState {
         let particles: Vec<Particle> = (0..17)
             .map(|i| Particle {
                 center: Vec3::new(i as f64 * 0.31, -(i as f64) * 0.07, (i % 5) as f64),
@@ -870,67 +723,63 @@ mod tests {
             rng: [1, 2, 3, u64::MAX],
             particles,
             batches,
-            batch: with_batch.then(|| BatchInProgress {
-                radii: vec![0.1, 0.2, 0.3],
-                coords: (0..9).map(|i| i as f64 * 0.5).collect(),
-                best: (0..9).map(|i| i as f64 * 0.25).collect(),
-                best_fitness: 7.25,
-                no_improvement: 4,
-                next_step: 120,
-                rebuilds_at_start: 50,
-                spawn_ns: 5000,
-                gradient_ns: 9000,
-                optimizer_ns: 3000,
-                batch_recoveries: 1,
-                trace_prev: (0..9).map(|i| i as f64 * 0.5 - 0.1).collect(),
-                optimizer: OptimizerState {
-                    t: 120,
-                    lr: 5e-3,
-                    scalars: vec![0.87],
-                    slots: vec![vec![1.0, -2.0, f64::MIN_POSITIVE], vec![0.5; 3]],
-                },
-                scheduler: SchedulerState {
-                    floats: [5e-3, 7.25, 0.0, 0.0],
-                    ints: [3, 0, 1, 0],
-                },
-            }),
         }
     }
 
     #[test]
     fn round_trip_is_bitwise_exact() {
-        for with_batch in [false, true] {
-            let state = sample_state(with_batch);
-            let bytes = encode(&state);
-            let back = decode(&bytes).unwrap();
-            assert_eq!(back, state);
-            // Float equality above uses PartialEq (NaN-hostile); spot-check
-            // the bit patterns of a few floats explicitly.
-            assert_eq!(
-                back.particles[3].center.x.to_bits(),
-                state.particles[3].center.x.to_bits()
-            );
-        }
+        let state = sample_state();
+        let bytes = encode(&state);
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back, state);
+        // Float equality above uses PartialEq (NaN-hostile); spot-check
+        // the bit patterns of a few floats explicitly.
+        assert_eq!(
+            back.particles[3].center.x.to_bits(),
+            state.particles[3].center.x.to_bits()
+        );
     }
 
     #[test]
     fn nan_fitness_survives_the_round_trip() {
-        let mut state = sample_state(true);
-        state.batch.as_mut().unwrap().best_fitness = f64::NAN;
+        let mut state = sample_state();
+        state.batches[0].best_fitness = f64::NAN;
         let back = decode(&encode(&state)).unwrap();
-        assert!(back.batch.unwrap().best_fitness.is_nan());
+        assert!(back.batches[0].best_fitness.is_nan());
+    }
+
+    #[test]
+    fn retired_mid_batch_section_is_refused_not_skipped() {
+        // Older builds wrote a CRC-valid tag-4 `batch` section before the
+        // footer. Skipping it would resume with the RNG already past that
+        // batch's spawn, so the decoder must refuse it by name.
+        let mut bytes = encode(&sample_state());
+        let footer = bytes.split_off(bytes.len() - 16);
+        let payload = [0x5Au8; 24];
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&footer);
+        let err = decode(&bytes).expect_err("mid-batch checkpoint accepted");
+        assert_eq!(err, CheckpointError::MidBatch);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("mid-batch") && msg.contains("'batch'"),
+            "{msg}"
+        );
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = encode(&sample_state(false));
+        let mut bytes = encode(&sample_state());
         bytes[0] ^= 0xFF;
         assert_eq!(decode(&bytes), Err(CheckpointError::BadMagic));
     }
 
     #[test]
     fn newer_version_rejected() {
-        let mut bytes = encode(&sample_state(false));
+        let mut bytes = encode(&sample_state());
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
             decode(&bytes),
@@ -940,7 +789,7 @@ mod tests {
 
     #[test]
     fn every_truncation_point_is_detected() {
-        let bytes = encode(&sample_state(true));
+        let bytes = encode(&sample_state());
         for cut in 0..bytes.len() {
             let err = decode(&bytes[..cut]).expect_err("truncated checkpoint accepted");
             assert!(
@@ -958,7 +807,7 @@ mod tests {
 
     #[test]
     fn single_bit_flips_fail_the_crc() {
-        let bytes = encode(&sample_state(true));
+        let bytes = encode(&sample_state());
         // Flip one bit in each section's payload region (skip the 12-byte
         // header so the magic/version checks don't mask the CRC).
         for &offset in &[20usize, bytes.len() / 2, bytes.len() - 3] {
@@ -979,7 +828,7 @@ mod tests {
 
     #[test]
     fn unknown_sections_are_skipped() {
-        let state = sample_state(false);
+        let state = sample_state();
         let mut bytes = encode(&state);
         // Append a future-format section with a valid CRC.
         let payload = b"future payload";
@@ -1004,9 +853,9 @@ mod tests {
     }
 
     fn sample_batched() -> BatchedRunState {
-        let mut healthy = sample_state(true);
+        let mut healthy = sample_state();
         healthy.seed = 11;
-        let mut dead = sample_state(false);
+        let mut dead = sample_state();
         dead.seed = 22;
         BatchedRunState {
             sweep_fingerprint: 0xFEED_FACE_0123_4567,
@@ -1040,7 +889,7 @@ mod tests {
 
     #[test]
     fn batched_and_single_decoders_reject_each_other() {
-        let single = encode(&sample_state(true));
+        let single = encode(&sample_state());
         assert!(matches!(
             decode_batched(&single),
             Err(CheckpointError::Malformed(_))

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::par;
 
-use crate::checkpoint::{self, BatchInProgress, CheckpointError, RunState};
+use crate::checkpoint::{self, CheckpointError, RunState};
 use crate::container::Container;
 use crate::diagnostics::{DiagEngine, DiagMode};
 use crate::metrics::{boundary_stats, contact_stats_vs_fixed};
@@ -216,50 +216,59 @@ impl From<CheckpointError> for PackError {
     }
 }
 
-/// Destination for run-state checkpoints taken at the configured step
-/// cadence. Implementations persist the state (atomically — see
-/// `adampack_io`); a returned `Err` is counted and logged but does **not**
-/// abort the run.
+/// Destination for run-state checkpoints. Implementations persist the
+/// state (atomically — see `adampack_io`); a returned `Err` is counted and
+/// logged but does **not** abort the run.
 pub trait CheckpointSink: Send {
     /// Persists one run state.
     fn save(&mut self, state: &RunState) -> Result<(), String>;
 }
 
-/// Checkpoint cadence state: the sink plus the run-global optimizer-step
-/// counter that triggers it.
+/// Checkpoint cadence: the sink, the step interval, and the run's
+/// [`RunProgress::steps_taken`] at the last successful save.
+///
+/// Every checkpoint is a batch-boundary capture
+/// ([`CollectivePacker::capture_state`]), a pure read of a state that
+/// resumes bitwise — so the cadence is a durability setting only and never
+/// changes the packing.
 pub struct CheckpointCadence {
     sink: Box<dyn CheckpointSink>,
     every_steps: usize,
-    global_step: u64,
+    /// `steps_taken` at the last successful save. `None` until the cadence
+    /// first sees a run, which anchors it at that run's count (0 when
+    /// fresh, the restored count when resumed).
+    last_saved: Option<u64>,
 }
 
 impl CheckpointCadence {
-    /// A cadence writing to `sink` every `every_steps` optimizer steps
-    /// (0 disables step-triggered checkpoints).
+    /// A cadence saving to `sink` at the first batch boundary after each
+    /// `every_steps` optimizer steps (0: only explicit
+    /// [`CheckpointCadence::save`] calls write).
     pub fn new(sink: Box<dyn CheckpointSink>, every_steps: usize) -> CheckpointCadence {
         CheckpointCadence {
             sink,
             every_steps,
-            global_step: 0,
+            last_saved: None,
         }
     }
-}
 
-/// Outer-loop context threaded into the inner optimizer loop so a mid-batch
-/// checkpoint can capture the whole run.
-struct CheckpointCtx<'a> {
-    cadence: &'a mut CheckpointCadence,
-    fingerprint: u64,
-    preexisting: usize,
-    target: usize,
-    batch_index: usize,
-    packed: usize,
-    batch_size: usize,
-    elapsed_base: Duration,
-    start: Instant,
-    spawn: Duration,
-    particles: &'a [Particle],
-    batches: &'a [BatchStats],
+    /// Saves `state` now, whatever the cadence. A failure is counted and
+    /// logged, never fatal, and leaves the cadence due so the next
+    /// boundary retries. Returns whether the save succeeded.
+    pub fn save(&mut self, state: &RunState) -> bool {
+        match self.sink.save(state) {
+            Ok(()) => {
+                CHECKPOINT_WRITES_TOTAL.inc();
+                self.last_saved = Some(state.global_step);
+                true
+            }
+            Err(e) => {
+                CHECKPOINT_FAILURES_TOTAL.inc();
+                adampack_telemetry::warn!("checkpoint write failed (run continues): {e}");
+                false
+            }
+        }
+    }
 }
 
 /// The divergence sentinel's last known-good optimizer-loop state. All
@@ -370,10 +379,9 @@ pub struct RunProgress {
     target: usize,
     elapsed_base: Duration,
     start: Instant,
-    resume_batch: Option<BatchInProgress>,
     fingerprint: u64,
-    /// Optimizer steps attempted across this run — drives the batched
-    /// engine's pass-level checkpoint cadence.
+    /// Optimizer steps attempted across this run — the one step counter
+    /// every checkpoint cadence reads.
     steps_taken: u64,
 }
 
@@ -514,15 +522,16 @@ impl CollectivePacker {
         })
     }
 
-    /// Installs a checkpoint sink: every `every_steps` optimizer steps
-    /// (counted across batches) the full run state is captured and handed
-    /// to `sink`. `every_steps = 0` installs the sink without a step
-    /// cadence (no checkpoints are taken).
+    /// Installs a checkpoint sink: at the first batch boundary after each
+    /// `every_steps` optimizer steps (counted across batches) the run state
+    /// is captured and handed to `sink`. `every_steps = 0` installs the
+    /// sink without a cadence (no checkpoints are taken).
     ///
-    /// The neighbor-grid layout is canonicalized at every batch start
-    /// (checkpointing or not), so a run resumed from any checkpoint is
-    /// bitwise identical to the uninterrupted checkpointed run. A failed
-    /// save is counted and logged but never aborts the packing.
+    /// Captures are pure reads at batch boundaries, so the packing is
+    /// bitwise identical with or without a sink, at any cadence, and a run
+    /// resumed from any checkpoint finishes bitwise identical to the
+    /// uninterrupted run. A failed save is counted and logged but never
+    /// aborts the packing; the next boundary retries it.
     pub fn set_checkpoint_sink(&mut self, sink: Box<dyn CheckpointSink>, every_steps: usize) {
         self.checkpoint = Some(CheckpointCadence::new(sink, every_steps));
     }
@@ -675,7 +684,7 @@ impl CollectivePacker {
     }
 
     /// Continues a run from a decoded checkpoint, bitwise identically to
-    /// the uninterrupted (checkpointed) run.
+    /// the uninterrupted run.
     ///
     /// The packer must be constructed with the same container and
     /// parameters as the original run: seed and parameter fingerprint are
@@ -702,7 +711,7 @@ impl CollectivePacker {
     pub fn begin_run(&mut self, existing: Vec<Particle>, checkpointing: bool) -> RunProgress {
         self.recoveries = 0;
         if let Some(c) = self.checkpoint.as_mut() {
-            c.global_step = 0;
+            c.last_saved = None;
         }
         let fingerprint = if checkpointing { self.fingerprint() } else { 0 };
         // The bed is built once and grown incrementally: accepting a batch
@@ -720,7 +729,6 @@ impl CollectivePacker {
             target: self.params.target_count,
             elapsed_base: Duration::ZERO,
             start: Instant::now(),
-            resume_batch: None,
             fingerprint,
             steps_taken: 0,
         }
@@ -756,7 +764,7 @@ impl CollectivePacker {
             .restore_counters(state.evals as usize, state.verlet_rebuilds as usize);
         self.recoveries = state.recoveries;
         if let Some(c) = self.checkpoint.as_mut() {
-            c.global_step = state.global_step;
+            c.last_saved = None;
         }
         let bed = FixedBed::from_particles(self.params.gravity, &state.particles);
         Ok(RunProgress {
@@ -770,15 +778,16 @@ impl CollectivePacker {
             target: self.params.target_count,
             elapsed_base: Duration::from_nanos(state.elapsed_ns),
             start: Instant::now(),
-            resume_batch: state.batch,
             fingerprint: if checkpointing { fp } else { 0 },
             steps_taken: state.global_step,
         })
     }
 
-    /// Snapshot of a stepping run at a batch boundary (no batch in flight).
-    /// The batched engine persists one per system inside its pass-boundary
-    /// checkpoints; [`CollectivePacker::begin_resumed`] accepts it back.
+    /// Snapshot of a stepping run at a batch boundary (no batch in flight)
+    /// — the only state a checkpoint ever holds. A pure read: capturing
+    /// never perturbs the run. Checkpoint cadences, the batched engine and
+    /// the job server all persist it; [`CollectivePacker::begin_resumed`]
+    /// accepts it back.
     pub fn capture_state(&self, prog: &RunProgress) -> RunState {
         RunState {
             seed: self.params.seed,
@@ -798,7 +807,6 @@ impl CollectivePacker {
             rng: self.rng.state(),
             particles: prog.particles.clone(),
             batches: prog.batches.clone(),
-            batch: None,
         }
     }
 
@@ -829,9 +837,13 @@ impl CollectivePacker {
         }
     }
 
-    /// Executes one outer-loop iteration of Algorithm 1: spawn (or restore)
-    /// a batch, optimize it, run the acceptance test and either grow the
-    /// bed or halve the batch size. No-op when the run is already finished.
+    /// Executes one outer-loop iteration of Algorithm 1: spawn a batch,
+    /// optimize it, run the acceptance test and either grow the bed or
+    /// halve the batch size. No-op when the run is already finished.
+    ///
+    /// With a `cadence`, the boundary state is then saved when the run is
+    /// not finished and at least `every_steps` steps have passed since the
+    /// last successful save.
     pub fn advance_batch(
         &mut self,
         psd: &Psd,
@@ -840,6 +852,10 @@ impl CollectivePacker {
     ) -> Result<(), PackError> {
         if prog.finished() {
             return Ok(());
+        }
+        // A cadence counts from the steps the run had when it first saw it.
+        if let Some(c) = cadence.as_mut() {
+            c.last_saved.get_or_insert(prog.steps_taken);
         }
         let _tl_batch = timeline::span("batch");
         // The grid layout must be a pure function of the particle list so
@@ -860,7 +876,6 @@ impl CollectivePacker {
             prog.bed.canonicalize();
         }
         HOT_SET_BYTES.set((prog.bed.resident_bytes() + self.workspace.resident_bytes()) as u64);
-        let resumed = prog.resume_batch.take();
         let t0 = Instant::now();
         if let Some(tr) = self.tracer.as_mut() {
             tr.batch = prog.batch_index as u64;
@@ -869,41 +884,18 @@ impl CollectivePacker {
         if let Some(d) = self.diag.as_mut() {
             d.begin_batch();
         }
-        let (radii, init, spawn) = match &resumed {
-            // Mid-batch resume: radii and positions come from the
-            // checkpoint; the RNG already advanced past this spawn.
-            Some(bp) => (
-                bp.radii.clone(),
-                bp.coords.clone(),
-                Duration::from_nanos(bp.spawn_ns),
-            ),
-            None => {
-                let _tl = timeline::span("spawn");
-                let n = prog.batch_size.min(prog.target - prog.packed);
-                let radii = psd.sample_n(&mut self.rng, n);
-                let init = self.spawn_batch(&radii, &prog.bed);
-                let spawn = t0.elapsed();
-                PHASE_SPAWN.record_ns(spawn.as_nanos() as u64);
-                (radii, init, spawn)
-            }
+        let (radii, init, spawn) = {
+            let _tl = timeline::span("spawn");
+            let n = prog.batch_size.min(prog.target - prog.packed);
+            let radii = psd.sample_n(&mut self.rng, n);
+            let init = self.spawn_batch(&radii, &prog.bed);
+            let spawn = t0.elapsed();
+            PHASE_SPAWN.record_ns(spawn.as_nanos() as u64);
+            (radii, init, spawn)
         };
         let n = radii.len();
         let t_opt = Instant::now();
         let lr = self.params.lr;
-        let ctx = cadence.as_mut().map(|c| CheckpointCtx {
-            cadence: c,
-            fingerprint: prog.fingerprint,
-            preexisting: prog.preexisting,
-            target: prog.target,
-            batch_index: prog.batch_index,
-            packed: prog.packed,
-            batch_size: prog.batch_size,
-            elapsed_base: prog.elapsed_base,
-            start: prog.start,
-            spawn,
-            particles: &prog.particles,
-            batches: &prog.batches,
-        });
         let run = self.optimize_batch_core(
             &radii,
             init,
@@ -912,8 +904,6 @@ impl CollectivePacker {
             self.params.patience,
             &lr,
             None,
-            resumed.as_ref(),
-            ctx,
             prog.batch_index,
         )?;
         let optimize = t_opt.elapsed();
@@ -1035,6 +1025,14 @@ impl CollectivePacker {
                 });
             }
         }
+        // Checkpoint at the boundary: a pure read of a complete state, so
+        // the cadence never changes the packing.
+        if let Some(c) = cadence.as_mut() {
+            let since = prog.steps_taken - c.last_saved.unwrap_or(0);
+            if c.every_steps > 0 && since >= c.every_steps as u64 && !prog.finished() {
+                c.save(&self.capture_state(prog));
+            }
+        }
         Ok(())
     }
 
@@ -1104,16 +1102,11 @@ impl CollectivePacker {
         lr: &LrPolicy,
         trace: Option<&mut Vec<StepTrace>>,
     ) -> BatchOptimization {
-        self.optimize_batch_core(
-            radii, init, fixed, max_steps, patience, lr, trace, None, None, 0,
-        )
-        .unwrap_or_else(|e| panic!("batch optimization failed: {e}"))
+        self.optimize_batch_core(radii, init, fixed, max_steps, patience, lr, trace, 0)
+            .unwrap_or_else(|e| panic!("batch optimization failed: {e}"))
     }
 
-    /// The full inner loop: optimization plus the divergence sentinel and
-    /// the checkpoint cadence. `resume` restores a mid-batch state saved by
-    /// a previous run; `ckpt` carries the outer-loop context a mid-batch
-    /// checkpoint must capture.
+    /// The full inner loop: optimization plus the divergence sentinel.
     #[allow(clippy::too_many_arguments)]
     fn optimize_batch_core(
         &mut self,
@@ -1124,8 +1117,6 @@ impl CollectivePacker {
         patience: usize,
         lr: &LrPolicy,
         mut trace: Option<&mut Vec<StepTrace>>,
-        resume: Option<&BatchInProgress>,
-        mut ckpt: Option<CheckpointCtx<'_>>,
         batch_index: usize,
     ) -> Result<BatchOptimization, PackError> {
         assert_eq!(init.len(), radii.len() * 3, "init buffer size mismatch");
@@ -1159,8 +1150,7 @@ impl CollectivePacker {
         let mut best_fitness = f64::INFINITY;
         let mut no_improvement = 0usize;
         let mut steps = 0usize;
-        let mut start_step = 0usize;
-        let mut rebuilds_before = self.workspace.verlet_rebuilds();
+        let rebuilds_before = self.workspace.verlet_rebuilds();
         // Per-step phase timing only while metrics are on: with telemetry
         // disabled the loop reads no clock beyond what the seed had.
         let metrics_on = adampack_telemetry::is_enabled();
@@ -1169,27 +1159,6 @@ impl CollectivePacker {
         let mut gradient_time = Duration::ZERO;
         let mut optimizer_time = Duration::ZERO;
         let mut batch_recoveries = 0usize;
-
-        if let Some(bp) = resume {
-            // `coords` was initialized from `bp.coords` by the caller.
-            best.copy_from_slice(&bp.best);
-            best_fitness = bp.best_fitness;
-            no_improvement = bp.no_improvement as usize;
-            start_step = bp.next_step as usize;
-            steps = start_step;
-            rebuilds_before = bp.rebuilds_at_start as usize;
-            gradient_time = Duration::from_nanos(bp.gradient_ns);
-            optimizer_time = Duration::from_nanos(bp.optimizer_ns);
-            batch_recoveries = bp.batch_recoveries as usize;
-            optimizer
-                .load_state(&bp.optimizer)
-                .map_err(|e| PackError::Resume(CheckpointError::StateMismatch(e.to_string())))?;
-            scheduler.load_state(bp.scheduler);
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.prev.clear();
-                tr.prev.extend_from_slice(&bp.trace_prev);
-            }
-        }
 
         // Divergence-sentinel setup: the explosion bound and the initial
         // known-good snapshot (the spawn state).
@@ -1202,7 +1171,7 @@ impl CollectivePacker {
             ([c.x, c.y, c.z], sentinel.explosion_factor * diag.max(1e-9))
         };
         let mut snap = GoodSnapshot {
-            step: start_step,
+            step: 0,
             coords: coords.clone(),
             best: best.clone(),
             best_fitness,
@@ -1219,7 +1188,7 @@ impl CollectivePacker {
         optimizer.save_state(&mut snap.opt);
         let mut opt_scratch = OptimizerState::default();
 
-        let mut step = start_step;
+        let mut step = 0;
         while step < max_steps {
             // Periodic known-good snapshot (skipped right after a rollback,
             // when `step == snap.step` and the state is the snapshot).
@@ -1438,90 +1407,6 @@ impl CollectivePacker {
                     snap.sched = scheduler.save_state();
                     step = snap.step;
                     continue;
-                }
-            }
-            // Checkpoint cadence: counted in run-global optimizer steps and
-            // taken after the update, so the resumed loop continues at
-            // `step + 1` with the post-update state.
-            if let Some(ctx) = ckpt.as_mut() {
-                ctx.cadence.global_step += 1;
-                let every = ctx.cadence.every_steps;
-                if every > 0 && ctx.cadence.global_step % every as u64 == 0 {
-                    // Drain the trace ring first so persisted step records
-                    // align with the checkpoint, then reset the Verlet
-                    // reference so straight and resumed runs rebuild their
-                    // candidate lists at the same steps (bitwise equality).
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.ring.drain_into(tr.sink.as_mut());
-                    }
-                    self.workspace.reset_batch();
-                    let mut opt_state = OptimizerState::default();
-                    optimizer.save_state(&mut opt_state);
-                    let state = RunState {
-                        seed: self.params.seed,
-                        params_fingerprint: ctx.fingerprint,
-                        global_step: ctx.cadence.global_step,
-                        recoveries: self.recoveries,
-                        preexisting: ctx.preexisting as u64,
-                        target: ctx.target as u64,
-                        batch_index: ctx.batch_index as u64,
-                        packed: ctx.packed as u64,
-                        batch_size: ctx.batch_size as u64,
-                        elapsed_ns: (ctx.elapsed_base + ctx.start.elapsed())
-                            .as_nanos()
-                            .min(u64::MAX as u128) as u64,
-                        evals: self.workspace.evals() as u64,
-                        verlet_rebuilds: self.workspace.verlet_rebuilds() as u64,
-                        rng: self.rng.state(),
-                        particles: ctx.particles.to_vec(),
-                        batches: ctx.batches.to_vec(),
-                        batch: Some(BatchInProgress {
-                            radii: radii.to_vec(),
-                            coords: coords.clone(),
-                            best: best.clone(),
-                            best_fitness,
-                            no_improvement: no_improvement as u64,
-                            next_step: (step + 1) as u64,
-                            rebuilds_at_start: rebuilds_before as u64,
-                            spawn_ns: ctx.spawn.as_nanos().min(u64::MAX as u128) as u64,
-                            gradient_ns: gradient_time.as_nanos().min(u64::MAX as u128) as u64,
-                            optimizer_ns: optimizer_time.as_nanos().min(u64::MAX as u128) as u64,
-                            batch_recoveries: batch_recoveries as u64,
-                            trace_prev: self
-                                .tracer
-                                .as_ref()
-                                .map(|t| t.prev.clone())
-                                .unwrap_or_default(),
-                            optimizer: opt_state,
-                            scheduler: scheduler.save_state(),
-                        }),
-                    };
-                    match ctx.cadence.sink.save(&state) {
-                        Ok(()) => CHECKPOINT_WRITES_TOTAL.inc(),
-                        Err(e) => {
-                            CHECKPOINT_FAILURES_TOTAL.inc();
-                            adampack_telemetry::warn!(
-                                "checkpoint write failed (run continues): {e}"
-                            );
-                        }
-                    }
-                    // Re-snapshot from the just-persisted state: the ring
-                    // was drained, so a later rollback must not truncate to
-                    // a pre-drain length.
-                    if sentinel_on {
-                        refresh_snapshot(
-                            &mut snap,
-                            &mut opt_scratch,
-                            step + 1,
-                            &coords,
-                            &best,
-                            best_fitness,
-                            no_improvement,
-                            optimizer.as_ref(),
-                            scheduler.as_ref(),
-                            self.tracer.as_ref(),
-                        );
-                    }
                 }
             }
             step += 1;

@@ -95,9 +95,7 @@ pub mod prelude {
         ArenaAggregate, BatchedCheckpointSink, BatchedPacker, PassStats, SystemArena, SystemReport,
         SystemSpec,
     };
-    pub use crate::checkpoint::{
-        BatchInProgress, BatchedRunState, BatchedSystemState, CheckpointError, RunState,
-    };
+    pub use crate::checkpoint::{BatchedRunState, BatchedSystemState, CheckpointError, RunState};
     pub use crate::collective::{
         BatchPhaseBreakdown, BatchStats, CheckpointCadence, CheckpointSink, CollectivePacker,
         PackError, PackResult, RunProgress, StepTrace,

@@ -124,6 +124,32 @@ pub fn checkpoint_candidates(path: impl AsRef<Path>, keep_last: usize) -> Vec<Pa
     out
 }
 
+/// The newest file in `path`'s rotation chain that `decode` accepts,
+/// scanning [`checkpoint_candidates`] newest-first. Returns that file with
+/// its decoded state (`None` when no candidate exists or none decodes)
+/// plus one `"<file>: <reason>"` line per newer file that was unreadable
+/// or rejected. What a miss means is the caller's policy: a CLI resume
+/// refuses to start when files exist but all were rejected, while a server
+/// job starts afresh.
+pub fn load_newest_checkpoint<T, E: std::fmt::Display>(
+    path: impl AsRef<Path>,
+    keep_last: usize,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) -> (Option<(PathBuf, T)>, Vec<String>) {
+    let mut rejected = Vec::new();
+    for cand in checkpoint_candidates(path, keep_last) {
+        let reason = match fs::read(&cand) {
+            Err(e) => format!("unreadable: {e}"),
+            Ok(bytes) => match decode(&bytes) {
+                Ok(state) => return (Some((cand, state)), rejected),
+                Err(e) => format!("rejected: {e}"),
+            },
+        };
+        rejected.push(format!("{}: {reason}", cand.display()));
+    }
+    (None, rejected)
+}
+
 /// Writes checkpoints to a fixed path, keeping the last `keep_last` files
 /// (current + rotated history).
 #[derive(Debug)]
@@ -234,6 +260,37 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"b");
         assert!(!rotated(&path, 1).exists());
         assert_eq!(checkpoint_candidates(&path, 1), vec![path.clone()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn newest_decodable_checkpoint_wins_and_rejections_are_reported() {
+        let _fp = FailGuard::unarmed();
+        let dir = temp_dir("newest");
+        let path = dir.join("run.ckpt");
+        let decode = |b: &[u8]| match b {
+            [b'o', b'k', rest @ ..] => Ok(rest.to_vec()),
+            _ => Err("bad magic"),
+        };
+        assert_eq!(load_newest_checkpoint(&path, 3, decode), (None, Vec::new()));
+
+        let mut w = RotatingCheckpointWriter::new(&path, 3);
+        for gen in [&b"ok0"[..], b"ok1", b"torn"] {
+            w.save(gen).unwrap();
+        }
+        let (found, rejected) = load_newest_checkpoint(&path, 3, decode);
+        assert_eq!(found, Some((rotated(&path, 1), b"1".to_vec())));
+        assert_eq!(rejected.len(), 1, "{rejected:?}");
+        assert!(
+            rejected[0].contains("run.ckpt: rejected: bad magic"),
+            "{rejected:?}"
+        );
+
+        w.save(b"junk").unwrap();
+        w.save(b"junk").unwrap();
+        let (found, rejected) = load_newest_checkpoint(&path, 3, decode);
+        assert_eq!(found, None);
+        assert_eq!(rejected.len(), 3, "every file was rejected: {rejected:?}");
         fs::remove_dir_all(&dir).ok();
     }
 

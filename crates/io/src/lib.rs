@@ -27,7 +27,8 @@ pub mod vtk;
 pub mod xyz;
 
 pub use atomic::{
-    checkpoint_candidates, write_atomic, RotatingCheckpointWriter, FAILPOINT_WRITE_ENOSPC,
+    checkpoint_candidates, load_newest_checkpoint, write_atomic, RotatingCheckpointWriter,
+    FAILPOINT_WRITE_ENOSPC,
 };
 pub use csv::{read_particles_csv, write_particles_csv};
 pub use error::{read_stl_path, Error};

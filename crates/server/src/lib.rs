@@ -20,13 +20,13 @@
 //!   identically (the checkpoint/resume guarantee), so preemption is
 //!   invisible in the artifact.
 //! * **Crash durability.** Running jobs persist exact batch-boundary
-//!   captures to disk (every `checkpoint_every` optimizer steps, quantized
-//!   to the next boundary) through the rotating atomic writer; a restarted
-//!   server resumes a resubmitted job from the newest valid checkpoint.
-//!   Boundary captures are pure reads, so a served artifact is
-//!   byte-identical to a plain `adampack pack` of the same config without
-//!   checkpoint flags (a config's own `checkpoint:` block is ignored here
-//!   and does not enter the content address).
+//!   captures to disk (at the first batch boundary after every
+//!   `checkpoint_every` optimizer steps) through the rotating atomic
+//!   writer; a restarted server resumes a resubmitted job from the newest
+//!   valid checkpoint. Captures are pure reads, so a served artifact is
+//!   byte-identical to `adampack pack` of the same config at any
+//!   checkpoint cadence (a config's own `checkpoint:` block is ignored
+//!   here and does not enter the content address).
 //!
 //! Start a server with [`Server::start`]; the returned [`ServerHandle`]
 //! owns the threads and supports a clean [`ServerHandle::shutdown`] that
@@ -75,8 +75,9 @@ pub struct ServeOptions {
     /// Fair-share slice: a running job becomes preemptible after this
     /// many milliseconds if a poorer job is waiting.
     pub slice_ms: u64,
-    /// Disk-checkpoint cadence in optimizer steps, quantized to batch
-    /// boundaries (0 disables durability checkpoints).
+    /// Disk-checkpoint cadence: save at the first batch boundary after
+    /// this many optimizer steps (0 disables cadence checkpoints; budget
+    /// expiry and drain still persist their boundary state).
     pub checkpoint_every: usize,
     /// Checkpoint generations kept per job.
     pub keep_last: usize,

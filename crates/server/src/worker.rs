@@ -5,16 +5,13 @@
 //! Preemption is cooperative and checkpoint-shaped: a worker only ever
 //! stops at a batch boundary, where [`CollectivePacker::capture_state`]
 //! is exact, so an evicted job restored later continues bitwise
-//! identically to a run that was never preempted (the PR-5/6 resume
-//! guarantee). Durability comes from the same mechanism: every
-//! `checkpoint_every` optimizer steps (quantized to the next batch
-//! boundary) the captured state is written to the rotating disk
-//! checkpoint, which a restarted server resumes from after a crash.
-//! Boundary captures are pure reads — unlike the packer's own mid-batch
-//! step cadence (which resets the Verlet reference and can follow a
-//! different, equally valid trajectory), they leave the run untouched, so
-//! a served artifact is byte-identical to `adampack pack` without any
-//! checkpoint flags.
+//! identically to a run that was never preempted. Durability comes from
+//! the same captures: the job's [`CheckpointCadence`] writes one to the
+//! rotating disk checkpoint at the first batch boundary after every
+//! `checkpoint_every` optimizer steps, and a restarted server resumes from
+//! it after a crash. Captures are pure reads, so a served artifact is
+//! byte-identical to `adampack pack` of the same config at any checkpoint
+//! cadence.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,7 +43,7 @@ enum EpisodeEnd {
     Cancelled,
     Crashed,
     Failed(PackError),
-    Shutdown(Option<RunState>),
+    Shutdown(RunState),
     /// Ran past its wall-clock deadline or step ceiling (per-job budget).
     Expired(RunState),
     /// Post-persist rewrites of `Finished` (the disk work happens before
@@ -79,27 +76,18 @@ pub(crate) fn run(inner: Arc<Inner>) {
     }
 }
 
-/// Loads the newest decodable checkpoint for `addr`, if any.
+/// Loads the newest decodable checkpoint for `addr`, if any; rejected
+/// files are logged and skipped (the job then starts afresh).
 fn load_disk_state(inner: &Inner, addr: u64) -> Option<RunState> {
-    let path = inner.checkpoint_path(addr);
-    for cand in adampack_io::checkpoint_candidates(&path, inner.opts.keep_last) {
-        match std::fs::read(&cand) {
-            Err(e) => warn!(
-                "job {}: checkpoint {} unreadable: {e}",
-                format_address(addr),
-                cand.display()
-            ),
-            Ok(bytes) => match checkpoint::decode(&bytes) {
-                Ok(state) => return Some(state),
-                Err(e) => warn!(
-                    "job {}: checkpoint {} rejected: {e}",
-                    format_address(addr),
-                    cand.display()
-                ),
-            },
-        }
+    let (found, rejected) = adampack_io::load_newest_checkpoint(
+        inner.checkpoint_path(addr),
+        inner.opts.keep_last,
+        checkpoint::decode,
+    );
+    for why in rejected {
+        warn!("job {}: checkpoint {why}", format_address(addr));
     }
-    None
+    found.map(|(_, state)| state)
 }
 
 /// Removes the job's checkpoint rotation (after completion/failure),
@@ -128,49 +116,51 @@ fn record_checkpoints(inner: &Inner, addr: u64) {
     }
 }
 
-/// Saves a durability checkpoint, degrading on a full disk: evict LRU
-/// cache entries and retry once; a persistent failure is logged (the
-/// run continues — checkpoints are an optimization, not correctness).
-fn save_checkpoint(
-    inner: &Inner,
+/// A job's disk checkpoints as a [`CheckpointSink`], used for every save —
+/// boundary cadence and budget/drain epilogues alike. A save degrades on
+/// a full disk: evict LRU cache entries and retry once. A persistent
+/// failure is returned for the cadence to count and log (the run continues
+/// — checkpoints are an optimization, not correctness).
+struct JobCheckpoints {
+    inner: Arc<Inner>,
     addr: u64,
-    writer: &mut RotatingCheckpointWriter,
-    state: &RunState,
-) -> bool {
-    let bytes = checkpoint::encode(state);
-    inner.make_room(bytes.len() as u64);
-    let mut result = writer.save(&bytes);
-    if result.as_ref().is_err_and(|e| e.is_disk_full()) {
-        SERVER_DISK_FULL_TOTAL.inc();
+    writer: RotatingCheckpointWriter,
+}
+
+impl CheckpointSink for JobCheckpoints {
+    fn save(&mut self, state: &RunState) -> Result<(), String> {
+        let (inner, addr) = (&self.inner, self.addr);
+        let bytes = checkpoint::encode(state);
         inner.make_room(bytes.len() as u64);
-        result = writer.save(&bytes);
-    }
-    match result {
-        Ok(()) => {
-            record_checkpoints(inner, addr);
-            inner
-                .disk_full
-                .store(false, std::sync::atomic::Ordering::Relaxed);
-            true
+        let mut result = self.writer.save(&bytes);
+        if result.as_ref().is_err_and(|e| e.is_disk_full()) {
+            SERVER_DISK_FULL_TOTAL.inc();
+            inner.make_room(bytes.len() as u64);
+            result = self.writer.save(&bytes);
         }
-        Err(e) => {
-            if e.is_disk_full() {
-                SERVER_DISK_FULL_TOTAL.inc();
+        match result {
+            Ok(()) => {
+                record_checkpoints(inner, addr);
                 inner
                     .disk_full
-                    .store(true, std::sync::atomic::Ordering::Relaxed);
+                    .store(false, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
             }
-            warn!(
-                "job {}: checkpoint write failed (run continues): {e}",
-                format_address(addr)
-            );
-            false
+            Err(e) => {
+                if e.is_disk_full() {
+                    SERVER_DISK_FULL_TOTAL.inc();
+                    inner
+                        .disk_full
+                        .store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+                Err(format!("job {}: {e}", format_address(addr)))
+            }
         }
     }
 }
 
 /// One scheduling episode: own the job from pick to finish/preempt.
-fn episode(inner: &Inner, addr: u64) {
+fn episode(inner: &Arc<Inner>, addr: u64) {
     // Snapshot the inputs; the registry lock is never held while packing.
     let (container, params, psd, held, admitted_at, steps_base, pending) = {
         let mut jobs = inner.jobs.lock().unwrap();
@@ -242,14 +232,20 @@ fn episode(inner: &Inner, addr: u64) {
         },
     };
 
-    // Durability checkpoints are taken from exact batch-boundary captures,
-    // never from the packer's mid-batch step cadence: boundary captures
-    // are pure reads, so the trajectory (and the final artifact bytes)
-    // matches a plain, cadence-free `adampack pack` of the same config.
-    let mut cadence: Option<CheckpointCadence> = None;
-    let mut writer =
-        RotatingCheckpointWriter::new(inner.checkpoint_path(addr), inner.opts.keep_last);
-    let mut last_saved_steps = prog.steps_taken();
+    // Durability checkpoints are batch-boundary captures, counted from the
+    // steps the run had when this episode picked it up; the budget and
+    // drain epilogues below save through the same sink.
+    let mut cadence = Some(CheckpointCadence::new(
+        Box::new(JobCheckpoints {
+            inner: Arc::clone(inner),
+            addr,
+            writer: RotatingCheckpointWriter::new(
+                inner.checkpoint_path(addr),
+                inner.opts.keep_last,
+            ),
+        }),
+        inner.opts.checkpoint_every,
+    ));
 
     let slice = Duration::from_millis(inner.opts.slice_ms.max(1));
     let start = Instant::now();
@@ -267,14 +263,6 @@ fn episode(inner: &Inner, addr: u64) {
         }
         if let Err(e) = packer.advance_batch(&psd, &mut prog, &mut cadence) {
             break EpisodeEnd::Failed(e);
-        }
-        let every = inner.opts.checkpoint_every as u64;
-        if !prog.finished()
-            && every > 0
-            && prog.steps_taken() - last_saved_steps >= every
-            && save_checkpoint(inner, addr, &mut writer, &packer.capture_state(&prog))
-        {
-            last_saved_steps = prog.steps_taken();
         }
         // Publish progress and poll the cancel flag at the boundary.
         let cancelled = {
@@ -299,7 +287,7 @@ fn episode(inner: &Inner, addr: u64) {
             continue;
         }
         if inner.refusing() {
-            break EpisodeEnd::Shutdown(Some(packer.capture_state(&prog)));
+            break EpisodeEnd::Shutdown(packer.capture_state(&prog));
         }
         // Per-job budgets, enforced at the same exact boundary as
         // preemption so the persisted state resumes bitwise. The step
@@ -321,8 +309,8 @@ fn episode(inner: &Inner, addr: u64) {
 
     let spent = start.elapsed().as_nanos() as u64;
 
-    // Disk-touching epilogues (persist, budget checkpoint) run BEFORE
-    // taking the registry lock: eviction needs the lock to snapshot
+    // Disk-touching epilogues (persist, budget and drain checkpoints) run
+    // BEFORE taking the registry lock: eviction needs the lock to snapshot
     // in-flight jobs, so holding it here would self-deadlock.
     let end = match end {
         EpisodeEnd::Finished(result) => {
@@ -348,14 +336,17 @@ fn episode(inner: &Inner, addr: u64) {
                 },
             }
         }
-        EpisodeEnd::Expired(state) => {
-            // Terminal, but resumable: persist the newest boundary state
-            // so resubmitting the same config picks up from here with a
-            // fresh budget.
-            save_checkpoint(inner, addr, &mut writer, &state);
-            EpisodeEnd::Expired(state)
+        other => {
+            // An expired job (terminal, but resumable with a fresh budget)
+            // and a drain-parked job persist their boundary state, so a
+            // resubmission or a restarted server picks up from here.
+            if let (Some(c), EpisodeEnd::Expired(state) | EpisodeEnd::Shutdown(state)) =
+                (cadence.as_mut(), &other)
+            {
+                c.save(state);
+            }
+            other
         }
-        other => other,
     };
 
     let mut jobs = inner.jobs.lock().unwrap();
@@ -427,17 +418,9 @@ fn episode(inner: &Inner, addr: u64) {
             clear_checkpoints(inner, addr);
         }
         EpisodeEnd::Shutdown(state) => {
-            // Persist the boundary state so a restarted server resumes
-            // bitwise from here, then put the job back in line.
-            if let Some(state) = state {
-                if let Err(e) = writer.save(&checkpoint::encode(&state)) {
-                    warn!(
-                        "job {}: shutdown checkpoint failed: {e}",
-                        format_address(addr)
-                    );
-                }
-                job.held = Some(state);
-            }
+            // The boundary state is on disk (saved above) for a restarted
+            // server; hold it too and put the job back in line.
+            job.held = Some(state);
             job.phase = JobPhase::Queued;
             drop(jobs);
             self_enqueue_no_notify(inner, addr);

@@ -8,7 +8,9 @@
 //! * **Kill + resume** — a run interrupted at an arbitrary checkpoint and
 //!   resumed from the encoded bytes finishes bitwise identical to the
 //!   uninterrupted run, across scalar/SIMD kernels and 1/4-thread pools,
-//!   including the step trace tail.
+//!   including the step trace tail. Checkpoints are batch-boundary
+//!   captures, so the checkpointed run itself equals a run without any
+//!   cadence and the same run at another cadence.
 //! * **Torn / corrupt checkpoints** — truncated and bit-flipped files are
 //!   rejected by the CRC/footer checks, and the rotated `keep_last`
 //!   history still yields the newest *valid* state.
@@ -51,12 +53,14 @@ fn force_parallel_hardware() {
     }
 }
 
+/// Eight batches of ten: checkpoints land only at batch boundaries, so the
+/// scenario needs several of them to kill and resume at.
 fn packer(seed: u64, kernel: Kernel) -> CollectivePacker {
     force_parallel_hardware();
     let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
     let container = Container::from_mesh(&mesh).unwrap();
     let params = PackingParams {
-        batch_size: 40,
+        batch_size: 10,
         target_count: 80,
         max_steps: 500,
         patience: 50,
@@ -188,14 +192,35 @@ fn resume_run(
     (result, trace)
 }
 
-/// The step-trace suffix a resume from `blob` must reproduce bitwise.
+/// Asserts a checkpointed run (`straight`, with its step `trace`) equals the
+/// same scenario with no checkpoint sink and at cadence `other_steps`,
+/// trace included: checkpoint cadence never changes the packing.
+fn assert_cadence_independent(
+    seed: u64,
+    kernel: Kernel,
+    (straight, trace): (&PackResult, &[StepRecord]),
+    other_steps: usize,
+    what: &str,
+) {
+    let plain = packer(seed, kernel)
+        .try_pack(&psd())
+        .expect("plain run packs");
+    assert_same_packing(&plain, straight, &format!("{what}: no cadence vs cadence"));
+    let (other, other_blobs, other_trace) = straight_run(seed, kernel, other_steps);
+    assert!(
+        !other_blobs.is_empty(),
+        "{what}: cadence {other_steps} never saved"
+    );
+    let what = format!("{what}: cadence {other_steps}");
+    assert_same_packing(straight, &other, &what);
+    assert_same_trace(&trace.iter().collect::<Vec<_>>(), &other_trace, &what);
+}
+
+/// The step-trace suffix a resume from `blob` must reproduce bitwise: every
+/// checkpoint is a batch boundary, so the cut is the batch index alone.
 fn trace_tail<'a>(full: &'a [StepRecord], blob: &[u8]) -> Vec<&'a StepRecord> {
-    let state = checkpoint::decode(blob).unwrap();
-    let cut_batch = state.batch_index;
-    let cut_step = state.batch.as_ref().map(|b| b.next_step).unwrap_or(0);
-    full.iter()
-        .filter(|r| r.batch > cut_batch || (r.batch == cut_batch && r.step >= cut_step))
-        .collect()
+    let cut_batch = checkpoint::decode(blob).unwrap().batch_index;
+    full.iter().filter(|r| r.batch >= cut_batch).collect()
 }
 
 fn assert_same_trace(expected: &[&StepRecord], got: &[StepRecord], what: &str) {
@@ -239,6 +264,7 @@ fn kill_and_resume_is_bitwise_identical_across_kernels_and_threads() {
                     "{what}: need several cadence points, got {}",
                     blobs.len()
                 );
+                assert_cadence_independent(9, kernel, (&straight, &trace), 200, &what);
                 let mid = &blobs[blobs.len() / 2];
                 let (resumed, resumed_trace) = resume_run(9, kernel, 30, mid);
                 assert_same_packing(&straight, &resumed, &what);
@@ -316,10 +342,17 @@ fn batched_kill_and_resume_is_bitwise_identical() {
 fn every_sampled_checkpoint_is_a_valid_resume_point() {
     let _fp = FailGuard::unarmed();
     let (straight, blobs, trace) = straight_run(21, Kernel::default(), 45);
-    assert!(blobs.len() >= 2, "need several cadence points");
-    // First, middle and last cadence points (the full set is O(steps/45)
-    // runs; the boundary + interior sample covers batch starts, mid-batch
-    // and the tail without quadratic test time).
+    assert!(blobs.len() >= 3, "need several cadence points");
+    assert_cadence_independent(
+        21,
+        Kernel::default(),
+        (&straight, &trace),
+        1,
+        "every-sampled scenario",
+    );
+    // First, middle and last cadence points (resuming from every one is
+    // quadratic in the run length; the sample covers the first boundary,
+    // the interior and the tail).
     for idx in [0, blobs.len() / 2, blobs.len() - 1] {
         let what = format!("resume from checkpoint {idx}/{}", blobs.len());
         let (resumed, resumed_trace) = resume_run(21, Kernel::default(), 45, &blobs[idx]);

@@ -15,7 +15,7 @@ use adampack_opt::{
 };
 use proptest::prelude::*;
 
-/// A small but fully populated run state (mid-run, no in-progress batch)
+/// A small but fully populated run state (mid-run, at a batch boundary)
 /// used as the mutation target for codec robustness.
 fn sample_state() -> RunState {
     RunState {
@@ -36,7 +36,6 @@ fn sample_state() -> RunState {
             .map(|i| Particle::new(Vec3::new(i as f64 * 0.1, 0.5, 0.25), 0.1))
             .collect(),
         batches: Vec::new(),
-        batch: None,
     }
 }
 

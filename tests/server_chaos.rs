@@ -12,9 +12,10 @@
 //! * **Bounded disk** — the artifact store stays under its configured
 //!   cap, evicting LRU entries as new jobs complete.
 //! * **Graceful drain** — `begin_drain` stops admission (503 with
-//!   `Retry-After`) while reads keep working; a drained-then-restarted
-//!   server resumes the parked job from its shutdown checkpoint and
-//!   produces byte-identical artifacts.
+//!   `Retry-After`) while reads keep working; the shutdown checkpoint is
+//!   written through the same ledgered save path as cadence checkpoints,
+//!   and a drained-then-restarted server resumes the parked job from it
+//!   and produces byte-identical artifacts.
 //! * **Cancel vs preemption** — a cancel that lands while a job sits
 //!   evicted in the queue wins: the job goes terminal `cancelled` (never
 //!   back into the queue) and its checkpoint rotation is swept.
@@ -335,53 +336,67 @@ fn drain_stops_admission_and_a_restart_resumes_with_identical_bytes() {
     let yaml = config(0.05, 61);
     let reference = direct_csv(&dir, &yaml, "solo");
 
-    let server = serve(&dir, |o| o.checkpoint_every = 5);
-    let addr = server.addr();
-    let (hex, o) = submit_ok(addr, &yaml);
-    assert_eq!(o, "scheduled");
-    wait_for(addr, &hex, "job mid-flight", |s| s.contains("\"running\""));
+    // With a cadence the drain's checkpoint joins a rotation of boundary
+    // captures; without one (0) it is the only checkpoint the job has.
+    for every in [5, 0] {
+        let _ = std::fs::remove_dir_all(dir.join("data"));
+        let server = serve(&dir, |o| o.checkpoint_every = every);
+        let addr = server.addr();
+        let (hex, o) = submit_ok(addr, &yaml);
+        assert_eq!(o, "scheduled");
+        wait_for(addr, &hex, "job mid-flight", |s| s.contains("\"running\""));
 
-    // SIGTERM semantics: admission stops immediately, reads keep working
-    // while the worker parks the job at its next batch boundary.
-    server.begin_drain();
-    let (code, head) = raw_request(addr, "POST", "/jobs", config(0.16, 62).as_bytes());
-    assert_eq!(code, 503, "{head}");
-    assert!(head.contains("Retry-After:"));
-    let (code, body) = client::get(addr, "/readyz").unwrap();
-    assert_eq!(code, 503);
-    assert!(String::from_utf8_lossy(&body).contains("draining"));
-    let (code, _) = client::get(addr, "/healthz").unwrap();
-    assert_eq!(code, 200, "never restart a draining server");
-    let (code, _) = client::get(addr, &format!("/jobs/{hex}")).unwrap();
-    assert_eq!(code, 200, "status reads must survive the drain window");
-    server.drain();
+        // SIGTERM semantics: admission stops immediately, reads keep
+        // working while the worker parks the job at its next batch
+        // boundary.
+        server.begin_drain();
+        let (code, head) = raw_request(addr, "POST", "/jobs", config(0.16, 62).as_bytes());
+        assert_eq!(code, 503, "{head}");
+        assert!(head.contains("Retry-After:"));
+        let (code, body) = client::get(addr, "/readyz").unwrap();
+        assert_eq!(code, 503);
+        assert!(String::from_utf8_lossy(&body).contains("draining"));
+        let (code, _) = client::get(addr, "/healthz").unwrap();
+        assert_eq!(code, 200, "never restart a draining server");
+        let (code, _) = client::get(addr, &format!("/jobs/{hex}")).unwrap();
+        assert_eq!(code, 200, "status reads must survive the drain window");
+        server.drain();
 
-    // The drain left a resumable checkpoint behind.
-    let ckpt = dir.join("data").join("jobs").join(format!("{hex}.ckpt"));
-    assert!(
-        !checkpoint_candidates(&ckpt, 3).is_empty(),
-        "drain must persist the parked job's state"
-    );
+        // The drain left a resumable checkpoint behind, written through
+        // the ledgered save path: the disk ledger accounts for every
+        // checkpoint byte on disk.
+        let ckpt = dir.join("data").join("jobs").join(format!("{hex}.ckpt"));
+        let on_disk: u64 = checkpoint_candidates(&ckpt, 3)
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum();
+        assert!(on_disk > 0, "drain must persist the parked job's state");
+        assert_eq!(
+            metric_snapshot("adampack_server_cache_bytes"),
+            on_disk,
+            "cadence {every}: the drain checkpoint is missing from the disk ledger"
+        );
 
-    // A fresh server on the same data dir resumes the resubmitted job
-    // from the shutdown checkpoint and finishes byte-identical.
-    let server = serve(&dir, |o| o.checkpoint_every = 5);
-    let addr = server.addr();
-    let resumed_before = metric(addr, "adampack_server_jobs_resumed_total");
-    let (hex2, o2) = submit_ok(addr, &yaml);
-    assert_eq!(hex2, hex);
-    assert_eq!(o2, "scheduled");
-    assert_eq!(
-        client::wait_terminal(addr, &hex2, Duration::from_secs(300)).unwrap(),
-        "done"
-    );
-    assert!(metric(addr, "adampack_server_jobs_resumed_total") > resumed_before);
-    assert_eq!(
-        client::artifact(addr, &hex2).unwrap(),
-        reference,
-        "drain/restart must be invisible in the artifact bytes"
-    );
-    server.shutdown();
+        // A fresh server on the same data dir resumes the resubmitted job
+        // from the shutdown checkpoint and finishes byte-identical.
+        let server = serve(&dir, |o| o.checkpoint_every = every);
+        let addr = server.addr();
+        let resumed_before = metric(addr, "adampack_server_jobs_resumed_total");
+        let (hex2, o2) = submit_ok(addr, &yaml);
+        assert_eq!(hex2, hex);
+        assert_eq!(o2, "scheduled");
+        assert_eq!(
+            client::wait_terminal(addr, &hex2, Duration::from_secs(300)).unwrap(),
+            "done"
+        );
+        assert!(metric(addr, "adampack_server_jobs_resumed_total") > resumed_before);
+        assert_eq!(
+            client::artifact(addr, &hex2).unwrap(),
+            reference,
+            "cadence {every}: drain/restart must be invisible in the artifact bytes"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
