@@ -8,9 +8,9 @@
 //! with `fixed(1e-2)` stalling early and `fixed(1e-4)` running out of steps.
 
 use adampack_bench::{cli, csv_writer, write_row};
-use adampack_core::collective::StepTrace;
 use adampack_core::prelude::*;
 use adampack_geometry::shapes;
+use adampack_telemetry::VecSink;
 
 fn main() {
     let full = cli::flag("--full");
@@ -69,23 +69,17 @@ fn main() {
         let radii = vec![radius; batch];
         let bed = packer.empty_bed();
         let init = packer.spawn_batch(&radii, &bed);
-        let mut trace: Vec<StepTrace> = Vec::new();
-        let run = packer.optimize_batch_with(
-            &radii,
-            init,
-            bed.grid(),
-            max_steps,
-            50,
-            lr,
-            Some(&mut trace),
-        );
+        let sink = VecSink::default();
+        packer.set_trace_sink(Box::new(sink.clone()));
+        let run = packer.optimize_batch_with(&radii, init, bed.grid(), max_steps, 50, lr);
 
+        let trace = sink.records();
         for t in &trace {
             // Decimate the CSV to every 10th step to keep files small.
-            if t.step % 10 == 0 || t.step + 1 == trace.len() {
+            if t.step % 10 == 0 || t.step + 1 == trace.len() as u64 {
                 write_row(
                     &mut csv,
-                    &[format!("{name},{},{},{}", t.step, t.fitness, t.lr)],
+                    &[format!("{name},{},{},{}", t.step, t.loss, t.lr)],
                 )
                 .unwrap();
             }
@@ -94,7 +88,7 @@ fn main() {
             "{name:>14}: steps = {:>5}, final fitness = {:.4}, start = {:.4}",
             run.steps,
             run.best_fitness,
-            trace.first().map_or(f64::NAN, |t| t.fitness)
+            trace.first().map_or(f64::NAN, |t| t.loss)
         );
         finals.push((name.to_string(), run.best_fitness));
     }

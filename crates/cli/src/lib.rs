@@ -611,7 +611,7 @@ fn run_pack_configured(
             ));
         }
         let zones = cfg.zone_specs(load_zone_hull)?;
-        ZonedPacker::new(container.clone(), params, cfg.psds()).pack(&zones)
+        ZonedPacker::new(container.clone(), params, cfg.psds()).try_pack(&zones)?
     };
 
     if let Some(path) = &metrics_out {

@@ -36,10 +36,8 @@
 //! verifies the sweep fingerprint (per-system parameters, labels, thread
 //! knob, system count) and continues bitwise identically.
 
-use std::time::Instant;
-
 use adampack_telemetry::metrics::{CHECKPOINT_FAILURES_TOTAL, CHECKPOINT_WRITES_TOTAL};
-use adampack_telemetry::{timeline, DiagRecord, SystemCounters};
+use adampack_telemetry::{span, timeline, DiagRecord, Phase, SystemCounters};
 use rayon::{par, ThreadPoolBuilder};
 
 use crate::checkpoint::{self, BatchedRunState, BatchedSystemState, CheckpointError};
@@ -111,7 +109,9 @@ pub trait BatchedCheckpointSink: Send {
 struct BatchedCadence {
     sink: Box<dyn BatchedCheckpointSink>,
     every_steps: usize,
-    /// Optimizer steps accumulated across systems since the last capture.
+    /// Optimizer steps accumulated across systems since the last
+    /// successful save (a failed save leaves the cadence due, so the next
+    /// pass boundary retries).
     acc_steps: u64,
 }
 
@@ -537,8 +537,7 @@ impl BatchedPacker {
             .build()
             .expect("one-thread pool handle");
         loop {
-            let t0 = Instant::now();
-            let _tl_pass = timeline::span("pass");
+            let pass_span = span(Phase::Pass);
             let mut active: Vec<&mut SystemSlot> = self
                 .slots
                 .iter_mut()
@@ -550,7 +549,7 @@ impl BatchedPacker {
             self.pass += 1;
             par::for_each_slot(&mut active, |_, slot| {
                 let _scope = timeline::SystemScope::enter(slot.timeline_id);
-                let _tl = timeline::span("system_pass");
+                let _system_pass = span(Phase::SystemPass);
                 sequential.install(|| {
                     let prog = slot.progress.as_mut().expect("active system has progress");
                     if let Err(e) = slot.packer.advance_batch(&slot.psd, prog, &mut None) {
@@ -588,14 +587,6 @@ impl BatchedPacker {
             self.arena.refresh(&rows);
             drop(rows);
             let agg = self.arena.aggregate();
-            adampack_telemetry::debug!(
-                "pass {}: {} active systems, {} packed, {} steps, {:.2?}",
-                self.pass,
-                still_active,
-                packed,
-                pass_steps,
-                t0.elapsed(),
-            );
             if let Some(cb) = self.pass_callback.as_mut() {
                 cb(&PassStats {
                     pass: self.pass,
@@ -617,9 +608,11 @@ impl BatchedPacker {
             if due {
                 let state = self.capture_state();
                 if let Some(c) = self.checkpoint.as_mut() {
-                    c.acc_steps = 0;
                     match c.sink.save(&state) {
-                        Ok(()) => CHECKPOINT_WRITES_TOTAL.inc(),
+                        Ok(()) => {
+                            CHECKPOINT_WRITES_TOTAL.inc();
+                            c.acc_steps = 0;
+                        }
                         Err(e) => {
                             CHECKPOINT_FAILURES_TOTAL.inc();
                             adampack_telemetry::warn!(
@@ -629,6 +622,14 @@ impl BatchedPacker {
                     }
                 }
             }
+            let took = pass_span.finish();
+            adampack_telemetry::debug!(
+                "pass {}: {} active systems, {} packed, {} steps, {took:.2?}",
+                self.pass,
+                still_active,
+                packed,
+                pass_steps,
+            );
         }
 
         self.slots

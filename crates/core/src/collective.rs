@@ -17,10 +17,9 @@ use adampack_geometry::Vec3;
 use adampack_opt::{LrScheduler, Optimizer, OptimizerState, SchedulerState};
 use adampack_telemetry::metrics::{
     BATCHES_ACCEPTED_TOTAL, BATCHES_TOTAL, CHECKPOINT_FAILURES_TOTAL, CHECKPOINT_WRITES_TOTAL,
-    HOT_SET_BYTES, PARTICLES_PACKED_TOTAL, PHASE_ACCEPTANCE, PHASE_GRADIENT, PHASE_OPTIMIZER,
-    PHASE_SPAWN, SENTINEL_RECOVERIES_TOTAL, STEPS_TOTAL,
+    HOT_SET_BYTES, PARTICLES_PACKED_TOTAL, SENTINEL_RECOVERIES_TOTAL, STEPS_TOTAL,
 };
-use adampack_telemetry::{timeline, DiagRecord, StepRecord, TraceRing, TraceSink};
+use adampack_telemetry::{span, DiagRecord, Phase, StepRecord, TraceRing, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::par;
@@ -40,23 +39,13 @@ use crate::psd::Psd;
 /// reduced values are bitwise identical for any thread count.
 const REDUCE_BLOCK: usize = 1024;
 
-/// One optimizer step of a batch, for Fig. 3-style fitness traces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepTrace {
-    /// Step index within the batch.
-    pub step: usize,
-    /// Objective value `Z(C)` at this step (before the parameter update).
-    pub fitness: f64,
-    /// Learning rate used for the update.
-    pub lr: f64,
-}
-
-/// Wall-clock time spent in each phase of one attempted batch.
+/// Wall-clock time spent in each phase of one attempted batch, read from
+/// the phases' span guards ([`adampack_telemetry::span`]): the same clock
+/// readings the `PHASE_*` histograms and the timeline receive, taken
+/// whether or not metrics are enabled.
 ///
 /// `spawn`, `optimize` and `acceptance` partition the batch duration;
-/// `gradient` and `optimizer` further break `optimize` down and are only
-/// accumulated while telemetry metrics are enabled (they stay zero under
-/// `adampack_telemetry::set_enabled(false)`).
+/// `gradient` and `optimizer` further break `optimize` down.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchPhaseBreakdown {
     /// Initial-position generation.
@@ -88,7 +77,8 @@ pub struct BatchStats {
     pub mean_overlap_ratio: f64,
     /// Mean positive boundary excess relative to radius.
     pub mean_boundary_ratio: f64,
-    /// Wall-clock time spent on this batch.
+    /// Wall-clock time spent on this batch: the sum of its spawn, optimize
+    /// and acceptance spans.
     pub duration: Duration,
     /// Verlet candidate-list rebuilds served to this batch.
     pub verlet_rebuilds: usize,
@@ -107,10 +97,6 @@ pub struct BatchOptimization {
     pub steps: usize,
     /// Verlet candidate-list rebuilds during this optimization.
     pub verlet_rebuilds: usize,
-    /// Time in fused value+gradient evaluations (zero with metrics off).
-    pub gradient_time: Duration,
-    /// Time in scheduler + optimizer updates (zero with metrics off).
-    pub optimizer_time: Duration,
 }
 
 /// The outcome of a full packing run.
@@ -427,16 +413,28 @@ impl RunProgress {
     }
 }
 
-/// Per-step convergence tracing state: records are pushed into the
-/// preallocated ring inside the optimizer loop (allocation-free) and
-/// drained to the sink between batches.
+/// The per-step record stream, present while any consumer is installed (a
+/// trace sink, diagnostics, or both): one [`StepRecord`] per step is pushed
+/// into the preallocated ring inside the optimizer loop (allocation-free)
+/// and drained to every consumer at the batch boundary.
 struct Tracer {
     ring: TraceRing,
-    sink: Box<dyn TraceSink>,
+    sink: Option<Box<dyn TraceSink>>,
     /// Previous step's coordinates, for the max-displacement diagnostic.
     prev: Vec<f64>,
     /// Batch index stamped into records.
     batch: u64,
+}
+
+impl Tracer {
+    /// Delivers the buffered records to the trace sink, then to `diag`.
+    fn drain(&mut self, diag: Option<&mut DiagEngine>) {
+        // The casts give both consumers the same (borrowed) trait-object
+        // lifetime; the boxed sink's own is `'static`.
+        let sink = self.sink.as_deref_mut().map(|s| s as &mut dyn TraceSink);
+        let diag = diag.map(|d| d as &mut dyn TraceSink);
+        self.ring.drain_into(&mut [sink, diag]);
+    }
 }
 
 /// The Algorithm 1 driver.
@@ -500,26 +498,42 @@ impl CollectivePacker {
     /// preallocated ring sized to `params.max_steps` and drained to the
     /// sink between batches, so the step loop itself never does I/O.
     ///
-    /// Tracing evaluates the objective breakdown once per step on top of
-    /// the fused value+gradient pass — expect a measurable slowdown; leave
-    /// it off for production runs.
+    /// A recorded step evaluates through the fused value+gradient+breakdown
+    /// traversal (its loss is bitwise the plain one's) and adds a
+    /// gradient-norm and a displacement reduction: a small per-step cost
+    /// (EXPERIMENTS.md), paid once however many consumers — this sink,
+    /// diagnostics — read the records. The packing is bitwise unchanged.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        let capacity = self.params.max_steps.clamp(1, 65_536);
-        self.tracer = Some(Tracer {
-            ring: TraceRing::with_capacity(capacity),
-            sink,
-            prev: Vec::new(),
-            batch: 0,
-        });
+        self.record_stream().sink = Some(sink);
     }
 
     /// Uninstalls the trace sink, draining any buffered records into it
     /// first, and returns it (e.g. to recover and flush a file writer).
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.tracer.take().map(|mut t| {
-            t.ring.drain_into(t.sink.as_mut());
-            t.sink
+        let tr = self.tracer.as_mut().filter(|t| t.sink.is_some())?;
+        tr.drain(None);
+        let sink = tr.sink.take();
+        self.release_record_stream();
+        sink
+    }
+
+    /// The record stream, allocated on first use.
+    fn record_stream(&mut self) -> &mut Tracer {
+        let capacity = self.params.max_steps.clamp(1, 65_536);
+        self.tracer.get_or_insert_with(|| Tracer {
+            ring: TraceRing::with_capacity(capacity),
+            sink: None,
+            prev: Vec::new(),
+            batch: 0,
         })
+    }
+
+    /// Frees the record stream once no consumer is left, so an unobserved
+    /// run pays nothing for it.
+    fn release_record_stream(&mut self) {
+        if self.diag.is_none() && self.tracer.as_ref().is_some_and(|t| t.sink.is_none()) {
+            self.tracer = None;
+        }
     }
 
     /// Installs a checkpoint sink: at the first batch boundary after each
@@ -549,15 +563,18 @@ impl CollectivePacker {
     /// Enables convergence diagnostics ([`DiagMode::Off`] disables them):
     /// each batch is distilled into a [`adampack_telemetry::DiagRecord`]
     /// (loss slope, gradient trend, acceptance rate, oscillation rate,
-    /// classification). The engine is preallocated here and allocation-free
-    /// per step, but `Summary`/`Events` add a gradient-norm reduction to
-    /// every untraced step — leave `Off` for production runs.
+    /// classification). Diagnostics consume the step records a trace sink
+    /// would receive, so they pay the same per-step recording cost (see
+    /// [`CollectivePacker::set_trace_sink`]) and, like the trace, never see
+    /// steps a sentinel rollback reverted.
     pub fn set_diagnostics(&mut self, mode: DiagMode) {
-        self.diag = if mode.enabled() {
-            Some(DiagEngine::new(mode, 64))
+        if mode.enabled() {
+            self.diag = Some(DiagEngine::new(mode, DiagEngine::WINDOW));
+            self.record_stream();
         } else {
-            None
-        };
+            self.diag = None;
+            self.release_record_stream();
+        }
     }
 
     /// Labels subsequent diagnostics records (batched sweeps stamp each
@@ -645,14 +662,7 @@ impl CollectivePacker {
     /// Panics if the divergence sentinel gives up (see
     /// [`CollectivePacker::try_pack`] for the fallible variant).
     pub fn pack(&mut self, psd: &Psd) -> PackResult {
-        self.pack_onto(psd, Vec::new())
-    }
-
-    /// Packs on top of an existing bed (used by zoned packings): `existing`
-    /// particles are fixed and included in the result. Panics on
-    /// [`PackError`]; see [`CollectivePacker::try_pack_onto`].
-    pub fn pack_onto(&mut self, psd: &Psd, existing: Vec<Particle>) -> PackResult {
-        self.try_pack_onto(psd, existing)
+        self.try_pack(psd)
             .unwrap_or_else(|e| panic!("packing failed: {e}"))
     }
 
@@ -661,7 +671,8 @@ impl CollectivePacker {
         self.try_pack_onto(psd, Vec::new())
     }
 
-    /// Fallible [`CollectivePacker::pack_onto`]: returns
+    /// Packs on top of an existing bed (used by zoned packings): `existing`
+    /// particles are fixed and included in the result. Returns
     /// [`PackError::Diverged`] when non-finite losses/gradients persist
     /// through the sentinel's recovery budget instead of packing garbage.
     /// (Finite-but-exploding batches are abandoned to batch acceptance —
@@ -857,7 +868,7 @@ impl CollectivePacker {
         if let Some(c) = cadence.as_mut() {
             c.last_saved.get_or_insert(prog.steps_taken);
         }
-        let _tl_batch = timeline::span("batch");
+        let _batch = span(Phase::Batch);
         // The grid layout must be a pure function of the particle list so
         // a resumed run's rebuilt bed matches the straight run's
         // incrementally grown one bit for bit — and so a tiled run's hot
@@ -876,25 +887,19 @@ impl CollectivePacker {
             prog.bed.canonicalize();
         }
         HOT_SET_BYTES.set((prog.bed.resident_bytes() + self.workspace.resident_bytes()) as u64);
-        let t0 = Instant::now();
+        let spawn = span(Phase::Spawn);
         if let Some(tr) = self.tracer.as_mut() {
             tr.batch = prog.batch_index as u64;
             tr.prev.clear();
         }
-        if let Some(d) = self.diag.as_mut() {
-            d.begin_batch();
-        }
-        let (radii, init, spawn) = {
-            let _tl = timeline::span("spawn");
-            let n = prog.batch_size.min(prog.target - prog.packed);
-            let radii = psd.sample_n(&mut self.rng, n);
-            let init = self.spawn_batch(&radii, &prog.bed);
-            let spawn = t0.elapsed();
-            PHASE_SPAWN.record_ns(spawn.as_nanos() as u64);
-            (radii, init, spawn)
+        let n = prog.batch_size.min(prog.target - prog.packed);
+        let radii = psd.sample_n(&mut self.rng, n);
+        let init = self.spawn_batch(&radii, &prog.bed);
+        let mut phase = BatchPhaseBreakdown {
+            spawn: spawn.finish(),
+            ..BatchPhaseBreakdown::default()
         };
-        let n = radii.len();
-        let t_opt = Instant::now();
+        let optimize = span(Phase::Optimize);
         let lr = self.params.lr;
         let run = self.optimize_batch_core(
             &radii,
@@ -903,16 +908,15 @@ impl CollectivePacker {
             self.params.max_steps,
             self.params.patience,
             &lr,
-            None,
             prog.batch_index,
+            &mut phase,
         )?;
-        let optimize = t_opt.elapsed();
+        phase.optimize = optimize.finish();
 
         // Acceptance: mean contact overlap and boundary excess relative
         // to radius must stay below the configured threshold
         // (Algorithm 1 line 19).
-        let tl_acc = timeline::span("acceptance");
-        let t_acc = Instant::now();
+        let acceptance = span(Phase::Acceptance);
         // Read the final coordinates through the workspace's SoA
         // snapshot instead of an interleaved-gather allocation.
         let centers = self.workspace.positions_from(&run.coords, &radii);
@@ -922,9 +926,8 @@ impl CollectivePacker {
             && boundary.0 <= self.params.accept_mean_overlap
             && contact.max_overlap_ratio <= self.params.accept_max_overlap
             && boundary.1 <= self.params.accept_max_overlap;
-        let acceptance = t_acc.elapsed();
-        PHASE_ACCEPTANCE.record_ns(acceptance.as_nanos() as u64);
-        drop(tl_acc);
+        phase.acceptance = acceptance.finish();
+        let duration = phase.spawn + phase.optimize + phase.acceptance;
 
         BATCHES_TOTAL.inc();
         if accepted {
@@ -940,7 +943,7 @@ impl CollectivePacker {
             run.best_fitness,
             contact.mean_overlap_ratio * 100.0,
             run.verlet_rebuilds,
-            t0.elapsed(),
+            duration,
         );
 
         let stats = BatchStats {
@@ -951,18 +954,18 @@ impl CollectivePacker {
             best_fitness: run.best_fitness,
             mean_overlap_ratio: contact.mean_overlap_ratio,
             mean_boundary_ratio: boundary.0,
-            duration: t0.elapsed(),
+            duration,
             verlet_rebuilds: run.verlet_rebuilds,
-            phase: BatchPhaseBreakdown {
-                spawn,
-                optimize,
-                gradient: run.gradient_time,
-                optimizer: run.optimizer_time,
-                acceptance,
-            },
+            phase,
         };
         if let Some(cb) = self.batch_callback.as_mut() {
             cb(&stats);
+        }
+        // Drain the record ring at the batch boundary: the sink (file I/O)
+        // never runs inside the optimizer loop, and diagnostics distill the
+        // batch from the same records the trace persists.
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.drain(self.diag.as_mut());
         }
         if let Some(d) = self.diag.as_mut() {
             let rec = d.finish_batch(prog.batch_index as u64, accepted);
@@ -992,11 +995,6 @@ impl CollectivePacker {
         prog.batches.push(stats);
         prog.batch_index += 1;
         prog.steps_taken += run.steps as u64;
-        // Drain the trace ring between batches: the sink (file I/O)
-        // never runs inside the optimizer loop.
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.ring.drain_into(tr.sink.as_mut());
-        }
 
         if accepted {
             for (i, &c) in centers.iter().enumerate() {
@@ -1086,12 +1084,14 @@ impl CollectivePacker {
         out
     }
 
-    /// Runs the inner optimization loop on one batch.
+    /// Runs the inner optimization loop on one batch, as one `optimize`
+    /// span, and drains its step records to the installed consumers.
     ///
     /// Public so experiments (e.g. the Fig. 3 learning-rate study) can drive
-    /// a single batch with custom step budgets and record [`StepTrace`]s.
-    /// Panics if the divergence sentinel exhausts its recovery budget.
-    #[allow(clippy::too_many_arguments)]
+    /// a single batch with custom step budgets; a sink installed with
+    /// [`CollectivePacker::set_trace_sink`] receives every step's
+    /// [`StepRecord`]. Panics if the divergence sentinel exhausts its
+    /// recovery budget.
     pub fn optimize_batch_with(
         &mut self,
         radii: &[f64],
@@ -1100,13 +1100,21 @@ impl CollectivePacker {
         max_steps: usize,
         patience: usize,
         lr: &LrPolicy,
-        trace: Option<&mut Vec<StepTrace>>,
     ) -> BatchOptimization {
-        self.optimize_batch_core(radii, init, fixed, max_steps, patience, lr, trace, 0)
-            .unwrap_or_else(|e| panic!("batch optimization failed: {e}"))
+        let optimize = span(Phase::Optimize);
+        let mut phase = BatchPhaseBreakdown::default();
+        let run = self
+            .optimize_batch_core(radii, init, fixed, max_steps, patience, lr, 0, &mut phase)
+            .unwrap_or_else(|e| panic!("batch optimization failed: {e}"));
+        drop(optimize);
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.drain(self.diag.as_mut());
+        }
+        run
     }
 
     /// The full inner loop: optimization plus the divergence sentinel.
+    /// Gradient and optimizer span durations accumulate into `phase`.
     #[allow(clippy::too_many_arguments)]
     fn optimize_batch_core(
         &mut self,
@@ -1116,8 +1124,8 @@ impl CollectivePacker {
         max_steps: usize,
         patience: usize,
         lr: &LrPolicy,
-        mut trace: Option<&mut Vec<StepTrace>>,
         batch_index: usize,
+        phase: &mut BatchPhaseBreakdown,
     ) -> Result<BatchOptimization, PackError> {
         assert_eq!(init.len(), radii.len() * 3, "init buffer size mismatch");
         let objective = Objective::new(
@@ -1151,13 +1159,6 @@ impl CollectivePacker {
         let mut no_improvement = 0usize;
         let mut steps = 0usize;
         let rebuilds_before = self.workspace.verlet_rebuilds();
-        // Per-step phase timing only while metrics are on: with telemetry
-        // disabled the loop reads no clock beyond what the seed had.
-        let metrics_on = adampack_telemetry::is_enabled();
-        let diag_on = self.diag.is_some();
-        let _tl_opt = timeline::span("optimize");
-        let mut gradient_time = Duration::ZERO;
-        let mut optimizer_time = Duration::ZERO;
         let mut batch_recoveries = 0usize;
 
         // Divergence-sentinel setup: the explosion bound and the initial
@@ -1206,27 +1207,17 @@ impl CollectivePacker {
                     self.tracer.as_ref(),
                 );
             }
-            timeline::begin("gradient");
-            let t_grad = if metrics_on {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            // Traced steps use the fused kernel: value, gradient and term
+            let gradient = span(Phase::Gradient);
+            // Recorded steps use the fused kernel: value, gradient and term
             // breakdown from one neighbor traversal, with a loss bitwise
-            // equal to the untraced call's.
+            // equal to the unrecorded call's.
             let (z, breakdown) = if self.tracer.is_some() {
                 objective.value_grad_breakdown_ws(&coords, &mut grad, &mut self.workspace)
             } else {
                 let z = objective.value_and_grad_ws(&coords, &mut grad, &mut self.workspace);
                 (z, Default::default())
             };
-            if let Some(t) = t_grad {
-                let d = t.elapsed();
-                PHASE_GRADIENT.record_ns(d.as_nanos() as u64);
-                gradient_time += d;
-            }
-            timeline::end("gradient");
+            phase.gradient += gradient.finish();
             // Divergence sentinel, stage 1: a non-finite loss or gradient
             // poisons everything downstream — roll back before it spreads.
             if sentinel_on && (!z.is_finite() || grad.iter().any(|g| !g.is_finite())) {
@@ -1264,18 +1255,11 @@ impl CollectivePacker {
                 continue;
             }
             STEPS_TOTAL.inc();
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StepTrace {
-                    step,
-                    fitness: z,
-                    lr: scheduler.current_lr(),
-                });
-            }
-            if self.tracer.is_some() || diag_on {
+            if let Some(tr) = self.tracer.as_mut() {
                 let b = breakdown;
-                // Fixed-shape parallel reduction: the partial layout
-                // depends only on the length, so the norm is bitwise
-                // thread-independent.
+                // Fixed-shape parallel reductions: the partial layout
+                // depends only on the length, so norm and displacement are
+                // bitwise thread-independent.
                 let grad_norm = par::map_reduce(
                     grad.len(),
                     REDUCE_BLOCK,
@@ -1284,47 +1268,39 @@ impl CollectivePacker {
                     |a, b| a + b,
                 )
                 .sqrt();
-                // Diagnostics read, never steer: the engine sees the same
-                // loss and norm the trace would record.
-                if let Some(d) = self.diag.as_mut() {
-                    d.push_step(z, grad_norm);
-                }
-                let rebuilds = self.workspace.verlet_rebuilds() as u64;
-                if let Some(tr) = self.tracer.as_mut() {
-                    let max_disp = if tr.prev.len() == coords.len() {
-                        let (coords, prev) = (&coords, &tr.prev);
-                        par::map_reduce(
-                            coords.len(),
-                            REDUCE_BLOCK,
-                            0.0,
-                            |s, e| {
-                                coords[s..e]
-                                    .iter()
-                                    .zip(&prev[s..e])
-                                    .map(|(a, p)| (a - p).abs())
-                                    .fold(0.0, f64::max)
-                            },
-                            f64::max,
-                        )
-                    } else {
-                        0.0
-                    };
-                    tr.prev.clear();
-                    tr.prev.extend_from_slice(&coords);
-                    tr.ring.push(StepRecord {
-                        batch: tr.batch,
-                        step: step as u64,
-                        loss: z,
-                        penetration_intra: b.penetration_intra,
-                        penetration_cross: b.penetration_cross,
-                        altitude: b.altitude,
-                        exterior: b.exterior,
-                        grad_norm,
-                        lr: scheduler.current_lr(),
-                        max_disp,
-                        verlet_rebuilds: rebuilds,
-                    });
-                }
+                let max_disp = if tr.prev.len() == coords.len() {
+                    let (coords, prev) = (&coords, &tr.prev);
+                    par::map_reduce(
+                        coords.len(),
+                        REDUCE_BLOCK,
+                        0.0,
+                        |s, e| {
+                            coords[s..e]
+                                .iter()
+                                .zip(&prev[s..e])
+                                .map(|(a, p)| (a - p).abs())
+                                .fold(0.0, f64::max)
+                        },
+                        f64::max,
+                    )
+                } else {
+                    0.0
+                };
+                tr.prev.clear();
+                tr.prev.extend_from_slice(&coords);
+                tr.ring.push(StepRecord {
+                    batch: tr.batch,
+                    step: step as u64,
+                    loss: z,
+                    penetration_intra: b.penetration_intra,
+                    penetration_cross: b.penetration_cross,
+                    altitude: b.altitude,
+                    exterior: b.exterior,
+                    grad_norm,
+                    lr: scheduler.current_lr(),
+                    max_disp,
+                    verlet_rebuilds: self.workspace.verlet_rebuilds() as u64,
+                });
             }
             // Improvement bookkeeping (Algorithm 1 lines 11–16; the paper's
             // comparison direction is clearly meant to test improvement).
@@ -1345,21 +1321,11 @@ impl CollectivePacker {
             if no_improvement >= patience {
                 break;
             }
-            timeline::begin("optimizer");
-            let t_opt = if metrics_on {
-                Some(Instant::now())
-            } else {
-                None
-            };
+            let update = span(Phase::OptimizerStep);
             let new_lr = scheduler.step(z);
             optimizer.set_lr(new_lr);
             optimizer.step(&mut coords, &grad);
-            if let Some(t) = t_opt {
-                let d = t.elapsed();
-                PHASE_OPTIMIZER.record_ns(d.as_nanos() as u64);
-                optimizer_time += d;
-            }
-            timeline::end("optimizer");
+            phase.optimizer += update.finish();
             // Divergence sentinel, stage 2: the update itself may blow up
             // (non-finite or exploding coordinates) even from a finite
             // gradient when the learning rate is far too hot.
@@ -1417,8 +1383,6 @@ impl CollectivePacker {
             best_fitness,
             steps,
             verlet_rebuilds: self.workspace.verlet_rebuilds() - rebuilds_before,
-            gradient_time,
-            optimizer_time,
         })
     }
 }
@@ -1653,7 +1617,8 @@ mod tests {
         let radii = vec![0.12; 40];
         let bed = packer.empty_bed();
         let init = packer.spawn_batch(&radii, &bed);
-        let mut trace = Vec::new();
+        let sink = adampack_telemetry::VecSink::default();
+        packer.set_trace_sink(Box::new(sink.clone()));
         let run = packer.optimize_batch_with(
             &radii,
             init,
@@ -1661,20 +1626,18 @@ mod tests {
             400,
             50,
             &LrPolicy::paper_default(),
-            Some(&mut trace),
         );
+        // The batch's records are drained when the call returns.
+        let trace = sink.records();
         assert_eq!(run.steps, trace.len());
         assert!(trace.len() > 10);
-        let first = trace.first().unwrap().fitness;
+        let first = trace.first().unwrap().loss;
         assert!(
             run.best_fitness < first,
             "optimization must improve the fitness"
         );
         // The recorded minimum matches the reported best.
-        let min = trace
-            .iter()
-            .map(|t| t.fitness)
-            .fold(f64::INFINITY, f64::min);
+        let min = trace.iter().map(|t| t.loss).fold(f64::INFINITY, f64::min);
         assert!((min - run.best_fitness).abs() < 1e-9);
     }
 
@@ -1708,7 +1671,9 @@ mod tests {
             })
             .collect();
         let n_existing = existing.len();
-        let result = packer.pack_onto(&Psd::constant(0.15), existing);
+        let result = packer
+            .try_pack_onto(&Psd::constant(0.15), existing)
+            .unwrap();
         assert!(result.particles.len() > n_existing);
         // New particles must not deeply overlap the old bed.
         for p in result.particles.iter().skip(n_existing) {

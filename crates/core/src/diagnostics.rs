@@ -2,9 +2,12 @@
 //!
 //! A [`DiagEngine`] rides along inside [`crate::collective::CollectivePacker`]
 //! when diagnostics are enabled (`DiagMode::Summary` or `::Events`; the
-//! default `Off` costs nothing). Each optimizer step feeds it `(loss,
-//! gradient norm)`; each batch it distills the trailing window into one
-//! [`DiagRecord`]:
+//! default `Off` costs nothing). It is a [`TraceSink`]: it consumes the
+//! packer's one per-step record stream, the same [`StepRecord`]s a trace
+//! file receives, drained at each batch boundary — so it reads each step's
+//! loss and gradient norm exactly as the trace persists them, and never
+//! sees a step a sentinel rollback reverted. After each drain it distills
+//! the batch's trailing window into one [`DiagRecord`]:
 //!
 //! * **loss slope** — per-step slope of the least-squares line through the
 //!   window's losses (negative = improving),
@@ -22,12 +25,12 @@
 //! instead of them.
 //!
 //! The engine is preallocated (`window` slots) and allocation-free per
-//! step, so enabling diagnostics keeps the steady-state loop heap-quiet;
-//! it is still off by default because it adds a gradient-norm reduction to
-//! every step when the convergence trace is not already paying for one.
+//! record; it is off by default because the record stream it reads costs
+//! every step a fused breakdown evaluation and two reductions when no
+//! trace sink is already paying for them.
 
 use adampack_telemetry::diag::DiagRecord;
-use adampack_telemetry::timeline;
+use adampack_telemetry::{timeline, StepRecord, TraceSink};
 
 pub use adampack_telemetry::diag::{Convergence, DiagMode};
 
@@ -67,6 +70,9 @@ pub struct DiagEngine {
 }
 
 impl DiagEngine {
+    /// The sliding window, in steps, the packer runs diagnostics with.
+    pub const WINDOW: usize = 64;
+
     /// Creates an engine with a `window`-step sliding window (clamped to
     /// at least 4 steps).
     pub fn new(mode: DiagMode, window: usize) -> DiagEngine {
@@ -101,56 +107,15 @@ impl DiagEngine {
         self.label.push_str(label);
     }
 
-    /// Clears the per-batch window (call at each batch start).
-    pub fn begin_batch(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        self.batch_steps = 0;
-        self.flips = 0;
-        self.prev_loss = f64::NAN;
-        self.prev_delta_sign = 0;
-    }
-
-    /// Feeds one optimizer step. Allocation-free.
-    #[inline]
-    pub fn push_step(&mut self, loss: f64, grad_norm: f64) {
-        let cap = self.losses.len();
-        let idx = (self.head + self.len) % cap;
-        self.losses[idx] = loss;
-        self.grads[idx] = grad_norm;
-        if self.len == cap {
-            self.head = (self.head + 1) % cap;
-        } else {
-            self.len += 1;
-        }
-        if self.prev_loss.is_finite() && loss.is_finite() {
-            let delta = loss - self.prev_loss;
-            let sign = if delta > 0.0 {
-                1
-            } else if delta < 0.0 {
-                -1
-            } else {
-                0
-            };
-            if sign != 0 && self.prev_delta_sign != 0 && sign != self.prev_delta_sign {
-                self.flips += 1;
-            }
-            if sign != 0 {
-                self.prev_delta_sign = sign;
-            }
-        }
-        self.prev_loss = loss;
-        self.batch_steps += 1;
-    }
-
     /// Window value at logical position `i` (0 = oldest).
     fn at(&self, buf: &[f64], i: usize) -> f64 {
         buf[(self.head + i) % buf.len()]
     }
 
-    /// Distills the batch into a [`DiagRecord`], appends it to the run's
-    /// record list, updates the stall streak and (in `Events` mode) emits
-    /// timeline instants. Returns a copy of the record.
+    /// Distills the steps recorded since the previous call into a
+    /// [`DiagRecord`], appends it to the run's record list, updates the
+    /// stall streak and (in `Events` mode) emits timeline instants, then
+    /// clears the per-batch window. Returns a copy of the record.
     pub fn finish_batch(&mut self, batch: u64, accepted: bool) -> DiagRecord {
         // Acceptance trajectory over recent batches.
         let cap = self.accepts.len();
@@ -251,6 +216,13 @@ impl DiagEngine {
                 timeline::instant("diag.stalled", self.stall_streak as f64);
             }
         }
+        // Fresh window for the next batch's records.
+        self.head = 0;
+        self.len = 0;
+        self.batch_steps = 0;
+        self.flips = 0;
+        self.prev_loss = f64::NAN;
+        self.prev_delta_sign = 0;
         self.records.push(record.clone());
         record
     }
@@ -268,6 +240,40 @@ impl DiagEngine {
     /// Takes the accumulated records, leaving the engine reusable.
     pub fn take_records(&mut self) -> Vec<DiagRecord> {
         std::mem::take(&mut self.records)
+    }
+}
+
+/// Feeds one step record into the batch window. Allocation-free.
+impl TraceSink for DiagEngine {
+    fn record(&mut self, record: &StepRecord) {
+        let (loss, grad_norm) = (record.loss, record.grad_norm);
+        let cap = self.losses.len();
+        let idx = (self.head + self.len) % cap;
+        self.losses[idx] = loss;
+        self.grads[idx] = grad_norm;
+        if self.len == cap {
+            self.head = (self.head + 1) % cap;
+        } else {
+            self.len += 1;
+        }
+        if self.prev_loss.is_finite() && loss.is_finite() {
+            let delta = loss - self.prev_loss;
+            let sign = if delta > 0.0 {
+                1
+            } else if delta < 0.0 {
+                -1
+            } else {
+                0
+            };
+            if sign != 0 && self.prev_delta_sign != 0 && sign != self.prev_delta_sign {
+                self.flips += 1;
+            }
+            if sign != 0 {
+                self.prev_delta_sign = sign;
+            }
+        }
+        self.prev_loss = loss;
+        self.batch_steps += 1;
     }
 }
 
@@ -330,9 +336,12 @@ mod tests {
     use super::*;
 
     fn drive(engine: &mut DiagEngine, losses: &[f64], grads: &[f64]) {
-        engine.begin_batch();
-        for (&l, &g) in losses.iter().zip(grads) {
-            engine.push_step(l, g);
+        for (&loss, &grad_norm) in losses.iter().zip(grads) {
+            engine.record(&StepRecord {
+                loss,
+                grad_norm,
+                ..StepRecord::default()
+            });
         }
     }
 

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::checkpoint::{BatchedRunState, BatchedSystemState, CheckpointError, RunState};
     pub use crate::collective::{
         BatchPhaseBreakdown, BatchStats, CheckpointCadence, CheckpointSink, CollectivePacker,
-        PackError, PackResult, RunProgress, StepTrace,
+        PackError, PackResult, RunProgress,
     };
     pub use crate::container::Container;
     pub use crate::diagnostics::{DiagEngine, DiagMode, DiagSummary};

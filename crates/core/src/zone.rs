@@ -8,7 +8,7 @@
 
 use adampack_geometry::{Aabb, Axis, ConvexHull, Plane};
 
-use crate::collective::{CollectivePacker, PackResult};
+use crate::collective::{CollectivePacker, PackError, PackResult};
 use crate::container::Container;
 use crate::params::PackingParams;
 use crate::psd::Psd;
@@ -119,8 +119,17 @@ impl ZonedPacker {
 
     /// Packs all zones bottom-up along the gravity axis; returns the merged
     /// result (particles keep their zone-local batch indices, with `set`
-    /// left 0 — radii already encode the mix).
+    /// left 0 — radii already encode the mix). Panics on [`PackError`]; see
+    /// [`ZonedPacker::try_pack`].
     pub fn pack(&self, zones: &[ZoneSpec]) -> PackResult {
+        self.try_pack(zones)
+            .unwrap_or_else(|e| panic!("zoned packing failed: {e}"))
+    }
+
+    /// Fallible [`ZonedPacker::pack`]: a zone whose divergence sentinel
+    /// gives up ends the packing with its [`PackError`]. The result's
+    /// `recoveries` sums every zone's sentinel rollbacks.
+    pub fn try_pack(&self, zones: &[ZoneSpec]) -> Result<PackResult, PackError> {
         assert!(!zones.is_empty(), "no zones given");
         for (zi, z) in zones.iter().enumerate() {
             assert_eq!(
@@ -146,6 +155,7 @@ impl ZonedPacker {
 
         let mut particles = Vec::new();
         let mut batches = Vec::new();
+        let mut recoveries = 0;
         let start = std::time::Instant::now();
         let mut total_target = 0;
         for (step, &zi) in order.iter().enumerate() {
@@ -164,19 +174,20 @@ impl ZonedPacker {
                 .seed
                 .wrapping_add(0x9E37_79B9 * (step as u64 + 1));
             let mut packer = CollectivePacker::new(restricted, params);
-            let result = packer.pack_onto(&psd, std::mem::take(&mut particles));
+            let result = packer.try_pack_onto(&psd, std::mem::take(&mut particles))?;
             particles = result.particles;
             batches.extend(result.batches);
+            recoveries += result.recoveries;
         }
 
-        PackResult {
+        Ok(PackResult {
             particles,
             batches,
             container: self.container.clone(),
             duration: start.elapsed(),
             target: total_target,
-            recoveries: 0,
-        }
+            recoveries,
+        })
     }
 
     /// The effective PSD of a zone: the proportion-weighted mixture of the

@@ -13,19 +13,26 @@
 //!   behind one atomic level check; disabled levels cost a single relaxed
 //!   load and never format.
 //! * [`metrics`] — a fixed, statically-registered set of monotonic
-//!   [`metrics::Counter`]s and fixed-bucket [`metrics::Histogram`]s plus
-//!   [`metrics::span`] phase timers. Recording is a handful of atomic
-//!   adds — no locks, no allocation — and the whole registry renders as a
-//!   Prometheus text-format snapshot.
-//! * [`trace`] — the convergence-trace pipeline: plain-`Copy`
+//!   [`metrics::Counter`]s and fixed-bucket [`metrics::Histogram`]s, and
+//!   the one timing primitive: [`span`]`(`[`Phase`]`)` opens a
+//!   [`SpanGuard`] that reads the clock at open and at close, always, and
+//!   hands the duration back from [`SpanGuard::finish`]. The same two
+//!   readings feed the phase's histogram (when metrics are on) and the
+//!   timeline (when it records), so a batch's phase breakdown, the
+//!   histograms and the timeline never disagree. Recording is a handful
+//!   of atomic adds — no locks, no allocation — and the whole registry
+//!   renders as a Prometheus text-format snapshot.
+//! * [`trace`] — the one per-step record: plain-`Copy`
 //!   [`trace::StepRecord`]s pushed into a preallocated [`trace::TraceRing`]
 //!   inside the optimizer loop (allocation-free, overwrite-oldest) and
-//!   drained between batches into a [`trace::TraceSink`] such as the
-//!   [`trace::JsonlWriter`].
-//! * [`timeline`] — the hierarchical span timeline: begin/end/instant
-//!   events in preallocated per-thread rings (off by default, one relaxed
-//!   load when disabled) with thread + system attribution, exported as
-//!   Chrome Trace Format JSON with per-phase self-time.
+//!   drained between batches into every installed [`trace::TraceSink`]:
+//!   the [`trace::JsonlWriter`], an in-memory [`trace::VecSink`], or the
+//!   packer's convergence diagnostics.
+//! * [`timeline`] — the hierarchical span timeline: the [`span`] guards'
+//!   begin/end events and point markers in preallocated per-thread rings
+//!   (off by default, one relaxed load when disabled) with thread + system
+//!   attribution, exported as Chrome Trace Format JSON with per-phase
+//!   self-time.
 //! * [`diag`] — per-batch convergence-diagnostics records
 //!   ([`diag::DiagRecord`]): loss slope, gradient trend, acceptance rate,
 //!   oscillation score and a stall/oscillation classification, with a
@@ -52,5 +59,5 @@ pub use crate::metrics::{
     is_enabled, prometheus_snapshot, reset_all, set_enabled, span, Counter, Histogram, Phase,
     SpanGuard, SystemCounters,
 };
-pub use crate::timeline::{SystemScope, TimelineSpan};
-pub use crate::trace::{JsonlWriter, StepRecord, TraceParseError, TraceRing, TraceSink};
+pub use crate::timeline::SystemScope;
+pub use crate::trace::{JsonlWriter, StepRecord, TraceParseError, TraceRing, TraceSink, VecSink};

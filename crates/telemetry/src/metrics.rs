@@ -4,14 +4,15 @@
 //! workspace records is declared here, so registration needs no locks or
 //! allocation and the full registry can be rendered as a Prometheus
 //! text-format snapshot at any time. Recording is a relaxed atomic add;
-//! with telemetry disabled ([`set_enabled`]`(false)`) a span costs one
-//! atomic load and skips the clock entirely.
+//! with telemetry disabled ([`set_enabled`]`(false)`) nothing is recorded,
+//! but a [`span`] still reads the clock, because its caller uses the
+//! duration it returns.
 //!
 //! All durations are recorded in nanoseconds (`Instant`-based, monotonic).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Master switch for metric recording (spans, counters, histograms).
 /// Defaults to **on** — the recording path is the one the < 2 % overhead
@@ -479,11 +480,19 @@ static HISTOGRAMS: [&Histogram; 9] = [
     &PHASE_KERNEL_SIMD,
 ];
 
-/// A packing-loop phase with a dedicated duration histogram.
+/// A timed packing phase: the name of every span the packer opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// One batched-engine pass over every unfinished system.
+    Pass,
+    /// One system's share of a batched-engine pass.
+    SystemPass,
+    /// One attempted batch (Algorithm 1's outer loop body).
+    Batch,
     /// Initial-position generation for a batch.
     Spawn,
+    /// A batch's whole inner optimization loop, setup included.
+    Optimize,
     /// Fused objective value+gradient evaluation.
     Gradient,
     /// Scheduler + optimizer parameter update.
@@ -503,25 +512,32 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The histogram backing this phase.
-    pub fn histogram(self) -> &'static Histogram {
+    /// The histogram backing this phase; `None` for the structural spans
+    /// (pass, system pass, batch, optimize), which exist on the timeline
+    /// and in `BatchStats` only.
+    pub fn histogram(self) -> Option<&'static Histogram> {
         match self {
-            Phase::Spawn => &PHASE_SPAWN,
-            Phase::Gradient => &PHASE_GRADIENT,
-            Phase::OptimizerStep => &PHASE_OPTIMIZER,
-            Phase::VerletRebuild => &PHASE_VERLET_REBUILD,
-            Phase::Acceptance => &PHASE_ACCEPTANCE,
-            Phase::DemStep => &PHASE_DEM_STEP,
-            Phase::GridBuild => &PHASE_GRID_BUILD,
-            Phase::KernelScalar => &PHASE_KERNEL_SCALAR,
-            Phase::KernelSimd => &PHASE_KERNEL_SIMD,
+            Phase::Pass | Phase::SystemPass | Phase::Batch | Phase::Optimize => None,
+            Phase::Spawn => Some(&PHASE_SPAWN),
+            Phase::Gradient => Some(&PHASE_GRADIENT),
+            Phase::OptimizerStep => Some(&PHASE_OPTIMIZER),
+            Phase::VerletRebuild => Some(&PHASE_VERLET_REBUILD),
+            Phase::Acceptance => Some(&PHASE_ACCEPTANCE),
+            Phase::DemStep => Some(&PHASE_DEM_STEP),
+            Phase::GridBuild => Some(&PHASE_GRID_BUILD),
+            Phase::KernelScalar => Some(&PHASE_KERNEL_SCALAR),
+            Phase::KernelSimd => Some(&PHASE_KERNEL_SIMD),
         }
     }
 
     /// Short name, used as the timeline span label.
     pub fn name(self) -> &'static str {
         match self {
+            Phase::Pass => "pass",
+            Phase::SystemPass => "system_pass",
+            Phase::Batch => "batch",
             Phase::Spawn => "spawn",
+            Phase::Optimize => "optimize",
             Phase::Gradient => "gradient",
             Phase::OptimizerStep => "optimizer",
             Phase::VerletRebuild => "verlet_rebuild",
@@ -534,54 +550,61 @@ impl Phase {
     }
 }
 
-/// Times a phase from creation to drop, recording into its histogram.
-/// With telemetry disabled the guard is inert (no clock read). When the
-/// timeline ([`crate::timeline`]) is recording, the guard also emits a
-/// begin/end event pair, so every instrumented phase shows up in the
-/// Chrome-trace export for free; with the timeline off that hook costs one
-/// relaxed atomic load.
-#[must_use = "the span measures until the guard is dropped"]
+/// Times a phase from [`span`] to [`SpanGuard::finish`] or drop — the one
+/// timing primitive of the packing loop.
+///
+/// The guard reads the clock at open and at close whatever the switches
+/// say, so the duration `finish` returns is always real. The switches gate
+/// only where the reading goes: the metrics switch ([`set_enabled`]) gates
+/// the write into the phase's histogram, the timeline switch
+/// ([`crate::timeline::set_timeline_enabled`]) gates the begin/end events,
+/// which carry the guard's own clock readings.
+#[must_use = "the span measures until the guard is finished or dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
     phase: Phase,
-    start: Option<Instant>,
+    start: Instant,
+    /// Whether the begin event reached the timeline; the end follows it
+    /// even if the switch flips mid-span, keeping the stream balanced.
     timeline: bool,
 }
 
 impl SpanGuard {
-    /// Elapsed time so far, nanoseconds (0 when disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.map_or(0, |s| s.elapsed().as_nanos() as u64)
+    /// Closes the span now and returns its duration.
+    pub fn finish(self) -> Duration {
+        std::mem::ManuallyDrop::new(self).close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let end = Instant::now();
+        let took = end.saturating_duration_since(self.start);
+        if self.timeline {
+            crate::timeline::end(self.phase.name(), end);
+        }
+        if let Some(h) = self.phase.histogram() {
+            h.record_ns(took.as_nanos().min(u64::MAX as u128) as u64);
+        }
+        took
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.timeline {
-            crate::timeline::end(self.phase.name());
-        }
-        if let Some(start) = self.start {
-            self.phase
-                .histogram()
-                .record_ns(start.elapsed().as_nanos() as u64);
-        }
+        self.close();
     }
 }
 
-/// Opens a phase span; record by dropping the guard.
+/// Opens a phase span; it closes on [`SpanGuard::finish`] or drop.
 #[inline]
 pub fn span(phase: Phase) -> SpanGuard {
+    let start = Instant::now();
     let timeline = crate::timeline::timeline_enabled();
     if timeline {
-        crate::timeline::begin(phase.name());
+        crate::timeline::begin(phase.name(), start);
     }
     SpanGuard {
         phase,
-        start: if is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        },
+        start,
         timeline,
     }
 }
@@ -839,19 +862,30 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset_all();
         set_enabled(true);
-        {
-            let guard = span(Phase::Spawn);
-            std::hint::black_box(());
-            assert!(guard.elapsed_ns() < 1_000_000_000);
-        }
+        let took = span(Phase::Spawn).finish();
         assert_eq!(PHASE_SPAWN.count(), 1);
-
-        set_enabled(false);
+        assert_eq!(PHASE_SPAWN.sum_ns(), took.as_nanos() as u64, "one reading");
         {
             let _guard = span(Phase::Spawn);
         }
-        assert_eq!(PHASE_SPAWN.count(), 1, "disabled span must not record");
+        assert_eq!(PHASE_SPAWN.count(), 2, "dropping records too");
+
+        let nap = Duration::from_micros(200);
+        let timed = |phase| {
+            let guard = span(phase);
+            std::thread::sleep(nap);
+            guard.finish()
+        };
+        set_enabled(false);
+        assert!(
+            timed(Phase::Spawn) >= nap,
+            "disabled span still reads the clock"
+        );
+        assert_eq!(PHASE_SPAWN.count(), 2, "disabled span must not record");
+        // Structural phases time without a histogram behind them.
         set_enabled(true);
+        assert!(timed(Phase::Pass) >= nap);
+        assert!(Phase::Pass.histogram().is_none());
         reset_all();
     }
 

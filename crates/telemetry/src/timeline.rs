@@ -21,6 +21,13 @@
 //!    and the exporter repairs the resulting orphan begin/end pairs so the
 //!    emitted JSON always has balanced `B`/`E` events.
 //!
+//! Spans are opened only by [`crate::metrics::span`], so span names are
+//! [`crate::metrics::Phase`] names, and each begin/end event carries the
+//! span guard's own clock reading: a span on the timeline and the duration
+//! its guard returned are the same two reads. Point markers ([`instant`])
+//! — learning-rate cuts, diagnostics — are the only events recorded
+//! directly.
+//!
 //! System labels (one per packed system in a batched sweep) are interned to
 //! `u32` ids once at setup; the hot path carries only the id, and the
 //! batched engine scopes a thread-local current-system id around each
@@ -41,8 +48,12 @@ static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 /// Default per-thread event-ring capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
-/// Enables or disables timeline recording.
+/// Enables or disables timeline recording. Enabling pins the epoch, so
+/// every span opened afterwards starts after it.
 pub fn set_timeline_enabled(on: bool) {
+    if on {
+        epoch();
+    }
     TIMELINE_ENABLED.store(on, Ordering::Relaxed);
 }
 
@@ -182,57 +193,43 @@ fn with_local_ring(f: impl FnOnce(&mut ThreadRing)) {
     });
 }
 
+/// Pushes one event; callers check [`timeline_enabled`] first.
 #[inline]
-fn record(kind: EventKind, name: &'static str, value: f64) {
-    if !timeline_enabled() {
-        return;
-    }
+fn record(kind: EventKind, name: &'static str, ts_ns: u64, value: f64) {
     let ev = TimelineEvent {
         kind,
         name,
-        ts_ns: now_ns(),
+        ts_ns,
         system: CURRENT_SYSTEM.with(std::cell::Cell::get),
         value,
     };
     with_local_ring(|r| r.push(ev));
 }
 
-/// Records a span-begin event (pair with [`end`]).
-#[inline]
-pub fn begin(name: &'static str) {
-    record(EventKind::Begin, name, 0.0);
+/// Nanoseconds from the timeline epoch to `at`.
+fn since_epoch(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch()).as_nanos() as u64
 }
 
-/// Records a span-end event.
+/// Records a span-begin event at a clock reading the caller already took.
+/// Spans reach the timeline only through [`crate::metrics::span`], which
+/// checks the switch once at open and then records both ends.
 #[inline]
-pub fn end(name: &'static str) {
-    record(EventKind::End, name, 0.0);
+pub(crate) fn begin(name: &'static str, at: Instant) {
+    record(EventKind::Begin, name, since_epoch(at), 0.0);
+}
+
+/// Records a span-end event (see [`begin`]).
+#[inline]
+pub(crate) fn end(name: &'static str, at: Instant) {
+    record(EventKind::End, name, since_epoch(at), 0.0);
 }
 
 /// Records a point-in-time marker with a numeric payload.
 #[inline]
 pub fn instant(name: &'static str, value: f64) {
-    record(EventKind::Instant, name, value);
-}
-
-/// An RAII timeline span: begin on creation, end on drop. Inert (one
-/// relaxed load) when the timeline is off.
-#[must_use = "the timeline span closes when the guard is dropped"]
-#[derive(Debug)]
-pub struct TimelineSpan {
-    name: &'static str,
-}
-
-/// Opens a named timeline span.
-#[inline]
-pub fn span(name: &'static str) -> TimelineSpan {
-    begin(name);
-    TimelineSpan { name }
-}
-
-impl Drop for TimelineSpan {
-    fn drop(&mut self) {
-        end(self.name);
+    if timeline_enabled() {
+        record(EventKind::Instant, name, now_ns(), value);
     }
 }
 
@@ -566,30 +563,36 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset_timeline();
         set_timeline_enabled(false);
-        begin("phantom");
-        end("phantom");
+        crate::metrics::span(crate::metrics::Phase::SystemPass).finish();
         instant("phantom", 1.0);
         let json = export_chrome_trace();
+        assert!(!json.contains("system_pass"));
         assert!(!json.contains("phantom"));
     }
 
     #[test]
     fn span_guard_pairs_begin_end() {
+        use crate::metrics::{span, Phase};
         let _g = LOCK.lock().unwrap();
         reset_timeline();
         set_timeline_enabled(true);
-        {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
+        // Structural phases: no histogram, so the metric tests' global
+        // registry is left alone.
+        let outer = span(Phase::Batch);
+        let inner = span(Phase::Optimize);
+        let inner_ns = inner.finish().as_nanos() as u64;
+        let outer_ns = outer.finish().as_nanos() as u64;
         set_timeline_enabled(false);
         let json = export_chrome_trace();
         assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"name\":\"outer\""));
-        assert!(json.contains("\"name\":\"inner\""));
+        assert!(json.contains("\"name\":\"batch\""));
+        assert!(json.contains("\"name\":\"optimize\""));
+        // The events carry the guard's own clock readings.
         let selves = self_times();
-        assert!(selves.iter().any(|s| s.name == "outer" && s.count == 1));
-        assert!(selves.iter().any(|s| s.name == "inner" && s.count == 1));
+        let get = |name| selves.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(get("optimize").count, 1);
+        assert_eq!(get("optimize").self_ns, inner_ns);
+        assert_eq!(get("batch").self_ns, outer_ns - inner_ns);
         reset_timeline();
     }
 

@@ -6,10 +6,13 @@
 //! diagnostics (max displacement, Verlet rebuilds). Records are plain
 //! `Copy` structs pushed into a preallocated overwrite-oldest
 //! [`TraceRing`] inside the hot loop (zero allocation) and drained between
-//! batches into a [`TraceSink`] — typically the [`JsonlWriter`], whose
-//! line format is parsed back by [`StepRecord::parse`] for schema tests.
+//! batches into every installed [`TraceSink`] — the [`JsonlWriter`], whose
+//! line format is parsed back by [`StepRecord::parse`] for schema tests,
+//! the packer's convergence diagnostics, or both. The record is the one
+//! per-step record of the workspace: every consumer reads the same stream.
 
 use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::{TRACE_RECORDS_DROPPED_TOTAL, TRACE_RECORDS_TOTAL};
 
@@ -275,17 +278,24 @@ impl TraceRing {
         }
     }
 
-    /// Delivers all live records to `sink` oldest-first, then clears the
-    /// ring (capacity retained) and flushes the sink.
-    pub fn drain_into(&mut self, sink: &mut dyn TraceSink) {
+    /// Delivers all live records oldest-first to every present sink, in
+    /// slice order, then clears the ring (capacity retained) and flushes
+    /// the sinks. Each record counts once in
+    /// `adampack_trace_records_total`, however many sinks receive it.
+    pub fn drain_into(&mut self, sinks: &mut [Option<&mut dyn TraceSink>]) {
         let cap = self.buf.len();
         for i in 0..self.len {
-            sink.record(&self.buf[(self.head + i) % cap]);
+            let record = &self.buf[(self.head + i) % cap];
+            for sink in sinks.iter_mut().flatten() {
+                sink.record(record);
+            }
         }
         TRACE_RECORDS_TOTAL.add(self.len as u64);
         self.head = 0;
         self.len = 0;
-        sink.flush();
+        for sink in sinks.iter_mut().flatten() {
+            sink.flush();
+        }
     }
 }
 
@@ -385,16 +395,22 @@ impl<W: Write + Send> TraceSink for JsonlWriter<W> {
     }
 }
 
-/// A sink that collects records in memory (tests, analysis scripts).
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The collected records, oldest first.
-    pub records: Vec<StepRecord>,
+/// A sink that collects records in memory (tests, experiments). Clones
+/// share one buffer, so a clone kept by the caller reads what the clone
+/// installed in a packer collected.
+#[derive(Debug, Clone, Default)]
+pub struct VecSink(Arc<Mutex<Vec<StepRecord>>>);
+
+impl VecSink {
+    /// The records collected so far, oldest first.
+    pub fn records(&self) -> Vec<StepRecord> {
+        self.0.lock().unwrap().clone()
+    }
 }
 
 impl TraceSink for VecSink {
     fn record(&mut self, record: &StepRecord) {
-        self.records.push(*record);
+        self.0.lock().unwrap().push(*record);
     }
 }
 
@@ -475,14 +491,14 @@ mod tests {
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 2);
         let mut sink = VecSink::default();
-        ring.drain_into(&mut sink);
-        let steps: Vec<u64> = sink.records.iter().map(|r| r.step).collect();
+        ring.drain_into(&mut [Some(&mut sink)]);
+        let steps: Vec<u64> = sink.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![2, 3, 4, 5], "oldest two overwritten");
         assert!(ring.is_empty());
         // Ring is reusable after a drain.
         ring.push(sample(9));
-        ring.drain_into(&mut sink);
-        assert_eq!(sink.records.last().unwrap().step, 9);
+        ring.drain_into(&mut [Some(&mut sink)]);
+        assert_eq!(sink.records().last().unwrap().step, 9);
     }
 
     #[test]
@@ -493,8 +509,8 @@ mod tests {
         }
         ring.truncate(4); // sentinel rollback to the snapshot at step 4
         let mut sink = VecSink::default();
-        ring.drain_into(&mut sink);
-        let steps: Vec<u64> = sink.records.iter().map(|r| r.step).collect();
+        ring.drain_into(&mut [Some(&mut sink)]);
+        let steps: Vec<u64> = sink.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![0, 1, 2, 3], "newest records discarded");
         // Oversized keep is a no-op; truncate works across a wrap, too.
         let mut ring = TraceRing::with_capacity(4);
@@ -505,9 +521,22 @@ mod tests {
         assert_eq!(ring.len(), 4);
         ring.truncate(2);
         let mut sink = VecSink::default();
-        ring.drain_into(&mut sink);
-        let steps: Vec<u64> = sink.records.iter().map(|r| r.step).collect();
+        ring.drain_into(&mut [Some(&mut sink)]);
+        let steps: Vec<u64> = sink.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![3, 4], "keeps the oldest live records");
+    }
+
+    #[test]
+    fn drain_delivers_every_record_to_every_sink() {
+        let mut ring = TraceRing::with_capacity(8);
+        for step in 0..3 {
+            ring.push(sample(step));
+        }
+        let (mut a, mut b) = (VecSink::default(), VecSink::default());
+        ring.drain_into(&mut [Some(&mut a), None, Some(&mut b)]);
+        assert_eq!(a.records().len(), 3);
+        assert_eq!(a.records(), b.records(), "both sinks see one stream");
+        assert!(ring.is_empty());
     }
 
     /// A `Write` impl that appends into shared storage, so the buffer's
@@ -557,7 +586,7 @@ mod tests {
             ring.push(sample(step));
         }
         let mut sink = JsonlWriter::new(Vec::new());
-        ring.drain_into(&mut sink);
+        ring.drain_into(&mut [Some(&mut sink)]);
         assert_eq!(sink.written(), 5);
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();

@@ -22,11 +22,9 @@
 //! changes which *zero-penetration* pairs are counted, never the value of a
 //! real overlap.
 
-use std::sync::{Arc, Mutex};
-
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Vec3};
-use adampack_telemetry::{StepRecord, TraceSink};
+use adampack_telemetry::{StepRecord, VecSink};
 
 /// The shim caps a pool's effective width at the hardware thread count
 /// (oversubscription buys nothing in production). This suite exists to prove
@@ -63,33 +61,34 @@ fn pack(seed: u64) -> PackResult {
     packer(seed).pack(&Psd::uniform(0.09, 0.13))
 }
 
-/// A trace sink sharing its record buffer, so the trace survives
-/// [`CollectivePacker::take_trace_sink`] returning an opaque box.
-struct SharedSink(Arc<Mutex<Vec<StepRecord>>>);
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, record: &StepRecord) {
-        self.0.lock().unwrap().push(*record);
-    }
+/// Which consumers of the per-step record stream a run installs.
+#[derive(Clone, Copy)]
+enum Observed {
+    Not,
+    Traced,
+    Diagnosed,
 }
 
-/// Runs the reference packing under an `n`-thread pool, optionally with a
-/// step tracer attached, returning the result and the collected trace.
-fn pack_with_threads(threads: usize, traced: bool) -> (PackResult, Vec<StepRecord>) {
+/// Runs the reference packing under an `n`-thread pool with the given
+/// record consumers, returning the result and the collected trace.
+fn pack_with_threads(threads: usize, observed: Observed) -> (PackResult, Vec<StepRecord>) {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
     pool.install(|| {
         let mut p = packer(77);
-        let records = Arc::new(Mutex::new(Vec::new()));
-        if traced {
-            p.set_trace_sink(Box::new(SharedSink(Arc::clone(&records))));
+        let trace = VecSink::default();
+        match observed {
+            Observed::Not => {}
+            Observed::Traced => p.set_trace_sink(Box::new(trace.clone())),
+            Observed::Diagnosed => p.set_diagnostics(DiagMode::Summary),
         }
         let result = p.pack(&Psd::uniform(0.09, 0.13));
-        drop(p.take_trace_sink());
-        let records = Arc::try_unwrap(records).ok().unwrap().into_inner().unwrap();
-        (result, records)
+        if let Observed::Diagnosed = observed {
+            assert_eq!(p.diagnostics().len(), result.batches.len());
+        }
+        (result, trace.records())
     })
 }
 
@@ -159,9 +158,9 @@ fn determinism_is_thread_count_independent() {
     // per-batch step counts, fitnesses and acceptance decisions must all be
     // bitwise identical (static contiguous chunking + fixed-shape sequential
     // reductions make the arithmetic independent of the pool width).
-    let (reference, _) = pack_with_threads(1, false);
+    let (reference, _) = pack_with_threads(1, Observed::Not);
     for threads in [2, 4, 8] {
-        let (run, _) = pack_with_threads(threads, false);
+        let (run, _) = pack_with_threads(threads, Observed::Not);
         assert_same_packing(&reference, &run, &format!("{threads} threads"));
     }
 }
@@ -171,13 +170,16 @@ fn tracing_is_thread_count_independent_and_free_of_side_effects() {
     // The traced path goes through the fused value+gradient traversal, the
     // untraced path through the plain one; both must produce the identical
     // packing, and the trace itself (loss, gradient norm, displacement)
-    // must be bitwise identical for any thread count.
-    let (untraced, _) = pack_with_threads(1, false);
-    let (reference, ref_trace) = pack_with_threads(1, true);
+    // must be bitwise identical for any thread count. Diagnostics consume
+    // the same record stream without a sink, and must not perturb either.
+    let (untraced, _) = pack_with_threads(1, Observed::Not);
+    let (reference, ref_trace) = pack_with_threads(1, Observed::Traced);
     assert_same_packing(&untraced, &reference, "traced vs untraced");
+    let (diagnosed, _) = pack_with_threads(1, Observed::Diagnosed);
+    assert_same_packing(&untraced, &diagnosed, "diagnosed vs untraced");
     assert!(!ref_trace.is_empty(), "tracer must record steps");
     for threads in [2, 4, 8] {
-        let (run, trace) = pack_with_threads(threads, true);
+        let (run, trace) = pack_with_threads(threads, Observed::Traced);
         assert_same_packing(&reference, &run, &format!("traced, {threads} threads"));
         assert_eq!(
             trace.len(),

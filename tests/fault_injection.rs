@@ -17,9 +17,12 @@
 //! * **Objective NaN** — the divergence sentinel rolls back, cuts the
 //!   learning rate, and the run completes with finite fitness; an
 //!   unrecoverable stream of NaNs exhausts the budget into a typed
-//!   [`PackError::Diverged`].
+//!   [`PackError::Diverged`], for single and zoned packings alike. The
+//!   steps a rollback reverts reach neither the trace nor the diagnostics,
+//!   which consume the same record stream.
 //! * **Checkpoint write failure** — a failing sink is counted and skipped,
-//!   never aborts the run, and later cadence points still persist.
+//!   never aborts the run, and the next boundary retries the save (single
+//!   runs and batched sweeps alike).
 //! * **Output write failures** — STL/CSV/VTK writers surface the injected
 //!   error instead of a partial file.
 //! * **Grid rebuild panic** — the JSONL trace file stays parseable
@@ -42,7 +45,8 @@ use adampack_io::{
     checkpoint_candidates, write_particles_csv, write_particles_vtk, write_stl_ascii,
     RotatingCheckpointWriter,
 };
-use adampack_telemetry::{JsonlWriter, StepRecord, TraceSink};
+use adampack_telemetry::metrics::{STEPS_TOTAL, TRACE_RECORDS_TOTAL};
+use adampack_telemetry::{DiagRecord, JsonlWriter, StepRecord, TraceSink, VecSink};
 use failpoints::FailGuard;
 
 /// See tests/determinism.rs: raise the pool-width cap before the first
@@ -120,15 +124,6 @@ impl BatchedCheckpointSink for BatchedMemorySink {
     }
 }
 
-/// Trace sink sharing its buffer, surviving `take_trace_sink`.
-struct SharedTrace(Arc<Mutex<Vec<StepRecord>>>);
-
-impl TraceSink for SharedTrace {
-    fn record(&mut self, record: &StepRecord) {
-        self.0.lock().unwrap().push(*record);
-    }
-}
-
 fn assert_same_packing(a: &PackResult, b: &PackResult, what: &str) {
     assert_eq!(a.particles.len(), b.particles.len(), "{what}: count");
     for (pa, pb) in a.particles.iter().zip(&b.particles) {
@@ -157,16 +152,15 @@ fn straight_run(
     every_steps: usize,
 ) -> (PackResult, Vec<Vec<u8>>, Vec<StepRecord>) {
     let blobs = Arc::new(Mutex::new(Vec::new()));
-    let trace = Arc::new(Mutex::new(Vec::new()));
+    let trace = VecSink::default();
     let mut p = packer(seed, kernel);
     p.set_checkpoint_sink(Box::new(MemorySink(Arc::clone(&blobs))), every_steps);
-    p.set_trace_sink(Box::new(SharedTrace(Arc::clone(&trace))));
+    p.set_trace_sink(Box::new(trace.clone()));
     let result = p.try_pack(&psd()).expect("straight run packs");
     drop(p.take_trace_sink());
     drop(p);
     let blobs = Arc::try_unwrap(blobs).ok().unwrap().into_inner().unwrap();
-    let trace = Arc::try_unwrap(trace).ok().unwrap().into_inner().unwrap();
-    (result, blobs, trace)
+    (result, blobs, trace.records())
 }
 
 /// Decodes one captured checkpoint and finishes the run from it, as if the
@@ -178,18 +172,16 @@ fn resume_run(
     blob: &[u8],
 ) -> (PackResult, Vec<StepRecord>) {
     let state = checkpoint::decode(blob).expect("captured checkpoint decodes");
-    let trace = Arc::new(Mutex::new(Vec::new()));
+    let trace = VecSink::default();
     let mut p = packer(seed, kernel);
     p.set_checkpoint_sink(
         Box::new(MemorySink(Arc::new(Mutex::new(Vec::new())))),
         every_steps,
     );
-    p.set_trace_sink(Box::new(SharedTrace(Arc::clone(&trace))));
+    p.set_trace_sink(Box::new(trace.clone()));
     let result = p.resume(&psd(), state).expect("resume packs");
     drop(p.take_trace_sink());
-    drop(p);
-    let trace = Arc::try_unwrap(trace).ok().unwrap().into_inner().unwrap();
-    (result, trace)
+    (result, trace.records())
 }
 
 /// Asserts a checkpointed run (`straight`, with its step `trace`) equals the
@@ -338,6 +330,60 @@ fn batched_kill_and_resume_is_bitwise_identical() {
     assert!(checkpoint::decode_batched(&mid[..mid.len() - 5]).is_err());
 }
 
+/// Batched sink failing its first save; records the pass of every attempt.
+#[derive(Clone, Default)]
+struct FlakyBatchedSink(Arc<Mutex<Vec<u64>>>);
+
+impl BatchedCheckpointSink for FlakyBatchedSink {
+    fn save(&mut self, state: &BatchedRunState) -> Result<(), String> {
+        let mut attempts = self.0.lock().unwrap();
+        attempts.push(state.pass);
+        if attempts.len() == 1 {
+            Err("injected write failure".into())
+        } else {
+            Ok(())
+        }
+    }
+}
+
+#[test]
+fn failed_batched_checkpoint_is_retried_at_the_next_pass() {
+    let _fp = FailGuard::unarmed();
+    // One system, so a pass is one batch of at most `max_steps` = 200
+    // steps: a 250-step cadence needs two passes to come due.
+    let spec = SystemSpec {
+        label: "retry".into(),
+        params: PackingParams {
+            batch_size: 3,
+            target_count: 18,
+            max_steps: 200,
+            patience: 40,
+            seed: 44,
+            ..PackingParams::default()
+        },
+        psd: Psd::constant(0.13),
+    };
+    let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
+    let container = Container::from_mesh(&mesh).unwrap();
+    let sink = FlakyBatchedSink::default();
+    let mut batched = BatchedPacker::new(&container, vec![spec]);
+    batched.set_checkpoint_sink(Box::new(sink.clone()), 250);
+    batched.run();
+    let attempts = sink.0.lock().unwrap().clone();
+    assert!(
+        attempts.len() >= 2,
+        "no retry after the failure: {attempts:?}"
+    );
+    assert_eq!(
+        attempts[1],
+        attempts[0] + 1,
+        "the failed save is retried at the very next pass: {attempts:?}"
+    );
+    if let Some(&third) = attempts.get(2) {
+        assert!(third >= attempts[1] + 2, "a success restarts the cadence");
+    }
+}
+
 #[test]
 fn every_sampled_checkpoint_is_a_valid_resume_point() {
     let _fp = FailGuard::unarmed();
@@ -453,6 +499,95 @@ fn unrecoverable_nan_stream_exhausts_the_budget_into_a_typed_error() {
         }
         other => panic!("expected Diverged, got {other:?}"),
     }
+}
+
+/// Two stacked slab zones of the reference scenario's box.
+fn zoned_packer() -> (ZonedPacker, Vec<ZoneSpec>) {
+    let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
+    let container = Container::from_mesh(&mesh).unwrap();
+    let params = PackingParams {
+        batch_size: 10,
+        max_steps: 500,
+        patience: 50,
+        seed: 5,
+        ..PackingParams::default()
+    };
+    let slab = |min, max| ZoneSpec {
+        region: ZoneRegion::Slice {
+            axis: adampack_geometry::Axis::Z,
+            min,
+            max,
+        },
+        n_particles: 20,
+        set_proportions: vec![1.0],
+    };
+    let zones = vec![slab(-1.0, 0.0), slab(0.0, 1.0)];
+    (ZonedPacker::new(container, params, vec![psd()]), zones)
+}
+
+#[test]
+fn zoned_nan_stream_is_a_typed_error_not_a_panic() {
+    let _fp = FailGuard::arm("core.objective.eval", 10, u64::MAX);
+    let (packer, zones) = zoned_packer();
+    let err = catch_unwind(AssertUnwindSafe(|| packer.try_pack(&zones)))
+        .expect("a diverged zone must not panic")
+        .expect_err("divergence budget must trip");
+    assert!(
+        matches!(err, PackError::Diverged { batch: 0, .. }),
+        "expected Diverged in the first batch, got {err:?}"
+    );
+}
+
+#[test]
+fn zoned_pack_reports_the_zones_recoveries() {
+    let _fp = FailGuard::arm("core.objective.eval", 40, 1);
+    let (packer, zones) = zoned_packer();
+    let result = packer
+        .try_pack(&zones)
+        .expect("one NaN must not kill the run");
+    assert_eq!(failpoints::hits("core.objective.eval"), 1, "site fired");
+    assert_eq!(result.recoveries, 1, "the zone's rollback is reported");
+}
+
+#[test]
+fn diagnostics_read_the_trace_records_without_reverted_steps() {
+    // One NaN at batch 0's step 40: the sentinel rolls back to its step-25
+    // snapshot, reverting 15 executed steps.
+    let _fp = FailGuard::arm("core.objective.eval", 40, 1);
+    let mut p = packer(5, Kernel::default());
+    let trace = VecSink::default();
+    p.set_trace_sink(Box::new(trace.clone()));
+    p.set_diagnostics(DiagMode::Summary);
+    let (steps_before, records_before) = (STEPS_TOTAL.get(), TRACE_RECORDS_TOTAL.get());
+    let result = p.try_pack(&psd()).expect("one NaN must not kill the run");
+    let records = trace.records();
+    assert_eq!(p.recoveries(), 1);
+    assert!(
+        STEPS_TOTAL.get() - steps_before > records.len() as u64,
+        "the rollback must revert executed steps"
+    );
+    assert_eq!(
+        TRACE_RECORDS_TOTAL.get() - records_before,
+        records.len() as u64,
+        "each record counts once, though two consumers read it"
+    );
+
+    // The packer's diagnostics are exactly the trace replayed batch by
+    // batch into a fresh engine (the JSON form prints every float in its
+    // round-trip representation, so equal lines mean equal bits).
+    let mut fresh = DiagEngine::new(DiagMode::Summary, DiagEngine::WINDOW);
+    let want: Vec<DiagRecord> = result
+        .batches
+        .iter()
+        .map(|b| {
+            for r in records.iter().filter(|r| r.batch == b.index as u64) {
+                fresh.record(r);
+            }
+            fresh.finish_batch(b.index as u64, b.accepted)
+        })
+        .collect();
+    let json = |records: &[DiagRecord]| records.iter().map(DiagRecord::to_json).collect::<Vec<_>>();
+    assert_eq!(json(&want), json(p.diagnostics()));
 }
 
 #[test]

@@ -265,9 +265,26 @@ fn requests_are_validated_and_duplicates_coalesce_until_cancelled() {
 fn fair_share_preempts_the_long_job_without_changing_its_bytes() {
     let _fp = FailGuard::unarmed();
     let dir = test_dir("preempt");
-    let long = config(0.105, 3);
+    // Size the long job from measured solo durations. Under fair share the
+    // two jobs progress at about the same rate, so the short one finishes
+    // first by a clear margin only if the long one carries several times
+    // its work; release builds run a fixed-size pair too fast for that.
+    // A smaller radius means more particles and a longer run.
+    let timed = |yaml: &str, tag: &str| {
+        let t = Instant::now();
+        let bytes = direct_csv(&dir, yaml, tag);
+        (bytes, t.elapsed())
+    };
     let short = config(0.18, 5);
-    let reference = direct_csv(&dir, &long, "long_solo");
+    let (_, short_solo) = timed(&short, "short_solo");
+    let (long, reference) = [0.105, 0.09, 0.08, 0.07, 0.06, 0.05]
+        .into_iter()
+        .map(|radius| config(radius, 3))
+        .find_map(|yaml| {
+            let (bytes, solo) = timed(&yaml, "long_solo");
+            (solo >= 3 * short_solo).then_some((yaml, bytes))
+        })
+        .expect("no long job reached three times the short job's solo duration");
 
     // One worker, tiny slice: the long job must yield at a batch
     // boundary once the short job is waiting behind it.
@@ -293,18 +310,42 @@ fn fair_share_preempts_the_long_job_without_changing_its_bytes() {
     }
 
     let (short_hex, _) = submit_ok(addr, &short);
-    assert_eq!(
-        client::wait_terminal(addr, &short_hex, Duration::from_secs(120)).unwrap(),
-        "done"
-    );
 
-    // The moment the short job finished, the long one must still be in
-    // flight — it was preempted, not waited out.
-    let (_, body) = client::get(addr, &format!("/jobs/{long_hex}")).unwrap();
-    let long_status = client::json_str_field(&body, "status").unwrap();
+    // The two jobs' status history, sampled every millisecond: each sample
+    // reads the short job, then the long one, and the history keeps every
+    // change. The sample that first sees the short job done must then see
+    // the long one still in flight — it was preempted, not waited out. A
+    // fine sampling period matters: in release builds the long job's
+    // remainder after the short one finishes is a few tens of
+    // milliseconds, inside a coarser poll's blind spot.
+    let status = |hex: &str| {
+        let (_, body) = client::get(addr, &format!("/jobs/{hex}")).unwrap();
+        client::json_str_field(&body, "status").unwrap()
+    };
+    let mut history: Vec<(String, String)> = Vec::new();
+    let t0 = Instant::now();
+    loop {
+        let sample = (status(&short_hex), status(&long_hex));
+        if history.last() != Some(&sample) {
+            history.push(sample.clone());
+        }
+        if sample.0 == "done" {
+            break;
+        }
+        assert!(
+            matches!(sample.0.as_str(), "queued" | "running"),
+            "short job ended badly: {history:?}"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(120),
+            "short job never finished: {history:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let long_status = &history.last().unwrap().1;
     assert!(
         long_status == "running" || long_status == "queued",
-        "short job should finish while the long one is still {long_status}"
+        "short job should finish while the long one is in flight: {history:?}"
     );
 
     assert_eq!(
