@@ -1,6 +1,6 @@
 //! A tiny blocking HTTP client for the job API — just enough for the
-//! test suite, the CI smoke job and `bench_server` to talk to a running
-//! server without external dependencies.
+//! test suite and the end-to-end benchmark's `serve_mixed` traffic
+//! generator to talk to a running server without external dependencies.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -283,29 +283,22 @@ pub(crate) fn handle(inner: &Arc<Inner>, mut stream: TcpStream) {
     }
 }
 
-/// The accept loop run by each HTTP thread. The listener is nonblocking;
-/// the loop polls the shutdown flag between accepts so a drain (SIGTERM)
-/// stops it without any wakeup connection.
+/// The accept loop run by each HTTP thread: it blocks in `accept(2)`, so
+/// a queued connection is served at once. It exits on the first `accept`
+/// that returns after `shutdown` is set (`ServerHandle::stop` sets it and
+/// then wakes every thread with a loopback connection).
 pub(crate) fn accept_loop(inner: Arc<Inner>, listener: std::net::TcpListener) {
     loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        // SeqCst pairs with the SeqCst store that precedes the wake
+        // connects: a thread woken by one of them cannot read a stale
+        // `false`, serve the empty connection and park again for good.
+        if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Handlers see a blocking socket with timeouts.
-                let _ = stream.set_nonblocking(false);
-                handle(&inner, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => {
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                warn!("accept failed: {e}");
-            }
+        match accepted {
+            Ok((stream, _)) => handle(&inner, stream),
+            Err(e) => warn!("accept failed: {e}"),
         }
     }
 }

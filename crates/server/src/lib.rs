@@ -33,11 +33,12 @@
 //! parks in-flight work back onto the queue (checkpointed to disk).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use adampack_telemetry::info;
 
@@ -132,10 +133,6 @@ impl Server {
 
         let listener = TcpListener::bind(&inner.opts.addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept with a short poll keeps drain/shutdown
-        // signal-tolerant: no self-connect is needed to unwedge a thread
-        // parked in accept(2).
-        listener.set_nonblocking(true)?;
         let mut threads = Vec::new();
         for i in 0..inner.opts.http_threads.max(1) {
             let l = listener.try_clone()?;
@@ -180,14 +177,7 @@ impl ServerHandle {
     /// to disk, so a future server resumes them when resubmitted).
     pub fn shutdown(self) {
         self.inner.draining.store(true, Ordering::Relaxed);
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.inner.notify();
-        // Nudge any thread mid-accept (harmless with the nonblocking
-        // loop, but keeps shutdown prompt under load).
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.stop();
     }
 
     /// Graceful drain (the SIGTERM path): stop admitting — POST /jobs
@@ -208,21 +198,36 @@ impl ServerHandle {
             if !running {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
         }
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-        self.inner.notify();
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.stop();
         info!("drain: complete");
     }
 
-    /// Blocks until the server is stopped externally, then runs the same
-    /// drain epilogue (used by the CLI: the foreground `serve` command
-    /// has no other work to do). Returns when a signal or another thread
-    /// set the shutdown flag and all threads exited.
-    pub fn join(self) {
+    /// Sets `shutdown`, wakes every thread and joins them all.
+    ///
+    /// Each HTTP thread blocks in `accept(2)`, so it is woken by one
+    /// loopback connection per HTTP thread. The wake cannot wedge:
+    /// * a thread is parked in `accept` only while the backlog is empty,
+    ///   so the kernel completes a loopback connect at once;
+    /// * a thread busy in `handle` (a stalled peer holds it for up to
+    ///   `read_timeout_ms`) finds its queued wake connection on its next
+    ///   `accept`;
+    /// * the SeqCst store here precedes the connects, and pairs with the
+    ///   SeqCst load after `accept` returns in `http::accept_loop`, so a
+    ///   woken thread always sees `true` and exits.
+    fn stop(self) {
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.notify();
+        let ip = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let wake = SocketAddr::new(ip, self.addr.port());
+        for _ in 0..self.inner.opts.http_threads.max(1) {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
         for t in self.threads {
             let _ = t.join();
         }

@@ -16,6 +16,9 @@
 //!   written through the same ledgered save path as cadence checkpoints,
 //!   and a drained-then-restarted server resumes the parked job from it
 //!   and produces byte-identical artifacts.
+//! * **Stop wakes every HTTP thread** — `shutdown` and `drain` return
+//!   with one or three HTTP threads, on a loopback or unspecified bind,
+//!   and with one thread held by a silent peer.
 //! * **Cancel vs preemption** — a cancel that lands while a job sits
 //!   evicted in the queue wins: the job goes terminal `cancelled` (never
 //!   back into the queue) and its checkpoint rotation is swept.
@@ -24,9 +27,10 @@
 //!   with a fresh budget, and the artifact assembled across however many
 //!   budget windows it takes is byte-identical to an unbudgeted run.
 //!
-//! Servers bind `127.0.0.1:0`. Every test holds a `failpoints::FailGuard`
-//! for its whole body: it guards the process-global failpoint registry and
-//! serializes the tests around the process-global telemetry counters.
+//! Servers bind `127.0.0.1:0` (one wake case binds `0.0.0.0:0`). Every
+//! test holds a `failpoints::FailGuard` for its whole body: it guards the
+//! process-global failpoint registry and serializes the tests around the
+//! process-global telemetry counters.
 
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -400,6 +404,54 @@ fn drain_stops_admission_and_a_restart_resumes_with_identical_bytes() {
 }
 
 #[test]
+fn stopping_wakes_every_http_thread() {
+    let _fp = FailGuard::unarmed();
+    let dir = test_dir("wake");
+    for drain in [false, true] {
+        for (threads, bind) in [(1, "127.0.0.1:0"), (3, "0.0.0.0:0")] {
+            for stalled_peer in [false, true] {
+                let case = format!(
+                    "drain={drain} threads={threads} bind={bind} stalled_peer={stalled_peer}"
+                );
+                let _ = std::fs::remove_dir_all(dir.join("data"));
+                let server = serve(&dir, |o| {
+                    o.addr = bind.into();
+                    o.http_threads = threads;
+                    o.limits.read_timeout_ms = 500;
+                });
+                // An unspecified bind is reached through loopback.
+                let addr = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+                let (code, _) = client::get(addr, "/healthz").unwrap();
+                assert_eq!(code, 200, "{case}");
+                // A peer that never sends a byte holds one thread in its
+                // handler until the read timeout. The pause lets the
+                // thread accept it first; the stop must return in either
+                // order.
+                let _silent = stalled_peer.then(|| {
+                    let s = TcpStream::connect(addr).unwrap();
+                    std::thread::sleep(Duration::from_millis(50));
+                    s
+                });
+                let (tx, rx) = std::sync::mpsc::channel();
+                let stopper = std::thread::spawn(move || {
+                    if drain {
+                        server.drain();
+                    } else {
+                        server.shutdown();
+                    }
+                    let _ = tx.send(());
+                });
+                // A thread left parked in accept would hang the stop for
+                // good; fail instead.
+                rx.recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("{case}: stop never returned"));
+                stopper.join().unwrap();
+            }
+        }
+    }
+}
+
+#[test]
 fn cancel_racing_a_preemption_lands_cancelled_with_no_checkpoint_debris() {
     let _fp = FailGuard::unarmed();
     let dir = test_dir("cancelrace");
@@ -499,10 +551,12 @@ fn wall_clock_deadline_expires_a_long_job() {
 
     let server = serve(&dir, |o| o.limits.job_deadline_s = 1);
     let addr = server.addr();
-    // ~4000 particles: many seconds of work, far past the deadline. (The
-    // test still runs in ~1s — expiry stops the job at the first batch
-    // boundary past the deadline, not at completion.)
-    let (hex, _) = submit_ok(addr, &config(0.035, 91));
+    // ~15000 particles (the smaller radius needs the smaller step to keep
+    // packing): several seconds of work even in a release build, far past
+    // the deadline. (The test still runs in ~1s — expiry stops the job at
+    // the first batch boundary past the deadline, not at completion.)
+    let yaml = config(0.02, 91).replace("lr: 0.01", "lr: 0.005");
+    let (hex, _) = submit_ok(addr, &yaml);
     assert_eq!(
         client::wait_terminal(addr, &hex, Duration::from_secs(120)).unwrap(),
         "expired",
