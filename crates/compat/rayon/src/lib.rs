@@ -798,55 +798,6 @@ pub mod par {
             });
         });
     }
-
-    /// Calls `f(i, a_row, b_row)` for every CSR row `i`, in parallel, where
-    /// `a_row = &mut a[a_starts[i]..a_starts[i+1]]` and likewise for `b`.
-    /// The parallel-fill shape of a two-list candidate rebuild: offsets are
-    /// computed first (counts + prefix sum), then every row window is
-    /// disjoint and can be filled concurrently.
-    ///
-    /// `a_starts` and `b_starts` must be monotone with
-    /// `a_starts[0] == 0 == b_starts[0]`, one more entry than there are
-    /// rows, and final entries equal to the respective slice lengths.
-    pub fn for_each_csr_row_zip<A, B, F>(
-        a_starts: &[u32],
-        a: &mut [A],
-        b_starts: &[u32],
-        b: &mut [B],
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut [A], &mut [B]) + Sync,
-    {
-        assert!(!a_starts.is_empty(), "starts need a leading 0 entry");
-        let n = a_starts.len() - 1;
-        assert_eq!(b_starts.len(), n + 1, "starts length mismatch");
-        assert_eq!(a.len(), a_starts[n] as usize, "entry slice length mismatch");
-        assert_eq!(b.len(), b_starts[n] as usize, "entry slice length mismatch");
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            let (a_lo, a_hi) = (a_starts[start] as usize, a_starts[start + len] as usize);
-            let (b_lo, b_hi) = (b_starts[start] as usize, b_starts[start + len] as usize);
-            // SAFETY: row ranges of disjoint chunks are disjoint (starts
-            // are monotone).
-            let wa = unsafe { raw_a.window(a_lo, a_hi - a_lo) };
-            let wb = unsafe { raw_b.window(b_lo, b_hi - b_lo) };
-            annotate_chunk(start, start + len, || {
-                let (mut a_off, mut b_off) = (0usize, 0usize);
-                for i in start..start + len {
-                    let la = (a_starts[i + 1] - a_starts[i]) as usize;
-                    let lb = (b_starts[i + 1] - b_starts[i]) as usize;
-                    f(i, &mut wa[a_off..a_off + la], &mut wb[b_off..b_off + lb]);
-                    a_off += la;
-                    b_off += lb;
-                }
-            });
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -919,9 +870,9 @@ impl ThreadPool {
 /// Glob-import surface; re-exports the flat primitives.
 pub mod prelude {
     pub use crate::par::{
-        counting_sort_by_key, fill_with, for_each_chunk_zip, for_each_csr_row_zip, for_each_slot,
-        for_each_slot_zip2, for_each_slot_zip3, for_each_slot_zip4, for_each_window_zip3,
-        for_each_window_zip4, map_reduce,
+        counting_sort_by_key, fill_with, for_each_chunk_zip, for_each_slot, for_each_slot_zip2,
+        for_each_slot_zip3, for_each_slot_zip4, for_each_window_zip3, for_each_window_zip4,
+        map_reduce,
     };
 }
 
@@ -1192,40 +1143,6 @@ mod tests {
         assert_eq!(starts, ref_starts);
         assert_eq!(out, ref_out);
         assert!(scratch.is_empty(), "serial path needs no scratch");
-    }
-
-    #[test]
-    fn csr_row_zip_fills_disjoint_rows() {
-        let n = 513;
-        // Row i has i % 4 entries in `a` and (i + 1) % 3 in `b`.
-        let mut a_starts = vec![0u32];
-        let mut b_starts = vec![0u32];
-        for i in 0..n {
-            a_starts.push(a_starts[i] + (i % 4) as u32);
-            b_starts.push(b_starts[i] + ((i + 1) % 3) as u32);
-        }
-        with_threads(4, || {
-            let mut a = vec![0u32; a_starts[n] as usize];
-            let mut b = vec![0u32; b_starts[n] as usize];
-            par::for_each_csr_row_zip(&a_starts, &mut a, &b_starts, &mut b, |i, ra, rb| {
-                assert_eq!(ra.len(), i % 4);
-                assert_eq!(rb.len(), (i + 1) % 3);
-                for (off, slot) in ra.iter_mut().enumerate() {
-                    *slot = (i * 10 + off) as u32;
-                }
-                for (off, slot) in rb.iter_mut().enumerate() {
-                    *slot = (i * 100 + off) as u32;
-                }
-            });
-            for i in 0..n {
-                for off in 0..(i % 4) {
-                    assert_eq!(a[a_starts[i] as usize + off], (i * 10 + off) as u32);
-                }
-                for off in 0..((i + 1) % 3) {
-                    assert_eq!(b[b_starts[i] as usize + off], (i * 100 + off) as u32);
-                }
-            }
-        });
     }
 
     #[test]

@@ -27,10 +27,12 @@
 //! structure-of-arrays snapshot (`x[] y[] z[] r[]`, padded to the lane
 //! width) maintained in the [`crate::neighbor::Workspace`] — instead of
 //! doing strided gathers from the interleaved `[x0 y0 z0 x1 …]` parameter
-//! buffer. Padding lanes hold `+∞` positions (their d² is `+∞`, failing
-//! every `lt` mask) and zero radii; plane padding holds zero normals with
-//! `d = −∞` (excess `−∞`, failing the `gt` mask), so no `NaN` can arise
-//! and padded lanes never contribute.
+//! buffer, and planes from [`PlaneSoa`], built once per objective.
+//! Padding lanes hold `+∞` positions (their d² is `+∞`, failing every `lt`
+//! mask) and zero radii; plane padding holds zero normals with `d = −∞`
+//! (excess `−∞`, failing the `gt` mask), so no `NaN` can arise and padded
+//! lanes never contribute. The Verlet plan walks only each sphere's listed
+//! planes, with the scalar [`planes_scalar`] loop.
 
 // The kernels are free functions threading their accumulators (value,
 // gradient, record) and pair source through every call explicitly rather
@@ -39,7 +41,7 @@
 // only obscure the indexing.
 #![allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 
-use adampack_geometry::{HalfSpaceSet, Vec3};
+use adampack_geometry::{HalfSpaceSet, Plane, Vec3};
 use wide::f64x4;
 
 use crate::objective::pair_direction;
@@ -113,8 +115,9 @@ impl SoaCoords {
 
 /// Structure-of-arrays snapshot of the container's half-space planes,
 /// padded to the lane width with zero normals and `d = −∞` so padded
-/// lanes have excess `−∞` and never pass the `> 0` mask.
-#[derive(Debug, Clone, Default)]
+/// lanes have excess `−∞` and never pass the `> 0` mask. Built once per
+/// objective: the container's planes never change within a run.
+#[derive(Debug, Clone)]
 pub(crate) struct PlaneSoa {
     pub nx: Vec<f64>,
     pub ny: Vec<f64>,
@@ -123,28 +126,23 @@ pub(crate) struct PlaneSoa {
 }
 
 impl PlaneSoa {
-    /// Rebuilds the snapshot from the half-space set (buffer-reusing).
-    pub fn refresh(&mut self, hs: &HalfSpaceSet) {
+    /// The snapshot of a half-space set.
+    pub fn new(hs: &HalfSpaceSet) -> PlaneSoa {
         let planes = hs.planes();
         let padded = padded_len(planes.len());
-        for col in [&mut self.nx, &mut self.ny, &mut self.nz] {
-            col.clear();
-            col.resize(padded, 0.0);
-        }
-        self.d.clear();
-        self.d.resize(padded, f64::NEG_INFINITY);
+        let mut soa = PlaneSoa {
+            nx: vec![0.0; padded],
+            ny: vec![0.0; padded],
+            nz: vec![0.0; padded],
+            d: vec![f64::NEG_INFINITY; padded],
+        };
         for (i, p) in planes.iter().enumerate() {
-            self.nx[i] = p.normal.x;
-            self.ny[i] = p.normal.y;
-            self.nz[i] = p.normal.z;
-            self.d[i] = p.d;
+            soa.nx[i] = p.normal.x;
+            soa.ny[i] = p.normal.y;
+            soa.nz[i] = p.normal.z;
+            soa.d[i] = p.d;
         }
-    }
-
-    /// Heap bytes resident in the snapshot's columns (capacities).
-    pub fn resident_bytes(&self) -> usize {
-        (self.nx.capacity() + self.ny.capacity() + self.nz.capacity() + self.d.capacity())
-            * std::mem::size_of::<f64>()
+        soa
     }
 }
 
@@ -457,10 +455,38 @@ pub(crate) fn planes_term<const RECORD: bool>(
     }
 }
 
+/// Scalar half-space loop over `planes`, in the order given: the scalar
+/// oracle walks every plane, the SIMD kernel's Verlet plan only the
+/// sphere's listed ones. Each excess is [`Plane::sphere_excess`], the
+/// same `(((nx·cx + ny·cy) + nz·cz) + d) + r` chain as one lane of
+/// [`planes_term`], and hits accumulate in plane order, so skipping planes
+/// that cannot reach a positive excess leaves every bit of the result as
+/// the all-planes loop gives it.
+#[inline]
+pub(crate) fn planes_scalar<'p, const RECORD: bool>(
+    ci: Vec3,
+    ri: f64,
+    gamma: f64,
+    planes: impl IntoIterator<Item = &'p Plane>,
+    v: &mut f64,
+    g: &mut Vec3,
+    rec: &mut f64,
+) {
+    for plane in planes {
+        let excess = plane.sphere_excess(ci, ri);
+        if excess > 0.0 {
+            *v += gamma * excess;
+            if RECORD {
+                *rec += excess;
+            }
+            *g += plane.normal * gamma;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adampack_geometry::Plane;
 
     fn test_soa(n: usize) -> SoaCoords {
         // Deterministic pseudo-random cloud with plenty of near-contacts.
@@ -583,8 +609,7 @@ mod tests {
             },
         ];
         let hs = HalfSpaceSet::new(planes.clone());
-        let mut psoa = PlaneSoa::default();
-        psoa.refresh(&hs);
+        let psoa = PlaneSoa::new(&hs);
         for (ci, ri) in [
             (Vec3::new(0.9, 0.0, 0.0), 0.5),
             (Vec3::new(0.8, 0.9, 0.95), 0.5),
@@ -593,14 +618,7 @@ mod tests {
             let (mut v, mut g, mut rec) = (0.0, Vec3::ZERO, 0.0);
             planes_term::<true>(ci, ri, 100.0, &psoa, &mut v, &mut g, &mut rec);
             let (mut rv, mut rg, mut rrec) = (0.0, Vec3::ZERO, 0.0);
-            for p in &planes {
-                let excess = p.sphere_excess(ci, ri);
-                if excess > 0.0 {
-                    rv += 100.0 * excess;
-                    rrec += excess;
-                    rg += p.normal * 100.0;
-                }
-            }
+            planes_scalar::<true>(ci, ri, 100.0, &planes, &mut rv, &mut rg, &mut rrec);
             assert_eq!(v.to_bits(), rv.to_bits());
             assert_eq!(g.x.to_bits(), rg.x.to_bits());
             assert_eq!(g.y.to_bits(), rg.y.to_bits());

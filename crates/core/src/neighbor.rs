@@ -10,12 +10,14 @@
 //!    and allocation-free. [`CsrGrid::push`] supports incremental growth
 //!    (the fixed bed gains one batch at a time) through a pending overflow
 //!    list with amortized geometric rebinning.
-//! 2. [`VerletLists`] — per-particle candidate lists built once with a
-//!    `skin` of slack and reused across optimizer steps. Per-step work
-//!    drops to "walk my list"; the lists stay valid until some particle
-//!    has moved more than `skin / 2` since the last build (the classic
-//!    Verlet-list invariant: two particles approach at most `2 · skin/2`,
-//!    so no pair can come into contact without having been a candidate).
+//! 2. [`VerletLists`] — per-particle candidate lists (batch pairs, bed
+//!    pairs and container walls) built once with a `skin` of slack in one
+//!    parallel pass and reused across optimizer steps. Per-step work drops
+//!    to "walk my list"; the lists stay valid until some particle has moved
+//!    more than `skin / 2` since the last build (the classic Verlet-list
+//!    invariant: two particles approach at most `2 · skin/2`, so no pair
+//!    can come into contact without having been a candidate, and a sphere
+//!    gains at most `skin/2` of excess on any unit-normal plane).
 //! 3. [`Workspace`] — owns every buffer the fused objective kernel and the
 //!    list builders need. All of them are grown geometrically and reused,
 //!    so steady-state optimizer steps perform **zero heap allocation**
@@ -32,10 +34,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use adampack_geometry::{Aabb, Axis, Vec3};
+use adampack_geometry::{Aabb, Axis, Plane, Vec3};
 use rayon::par;
 
-use crate::kernels::{PlaneSoa, SoaCoords};
+use crate::kernels::SoaCoords;
 use crate::objective::ObjectiveBreakdown;
 use crate::particle::{coords, Particle};
 
@@ -862,22 +864,130 @@ pub fn tile_horizon(tiles: usize, bottom: f64, top: f64, bed_top: f64) -> f64 {
 // VerletLists
 // ---------------------------------------------------------------------------
 
-/// Skin-padded candidate pair lists for one batch (CSR layout).
+/// Skin-padded candidate lists for one batch.
 ///
-/// `intra_entries[intra_start[i]..intra_start[i + 1]]` are the batch
-/// particles `j ≠ i` with `‖cᵢ−cⱼ‖ < rᵢ + rⱼ + skin` at build time, and
-/// `cross_*` likewise indexes the fixed bed. Reference coordinates are
-/// kept so [`VerletLists::needs_rebuild`] can apply the half-skin
-/// displacement criterion.
+/// For every batch sphere `i`, [`VerletLists::row`] holds three lists
+/// taken at its build-time centre `cᵢ`:
+///
+/// * `intra` — batch spheres `j ≠ i` with `‖cᵢ−cⱼ‖ < rᵢ + rⱼ + skin`,
+/// * `cross` — fixed-bed spheres passing the same test,
+/// * `walls` — container planes with `sphere_excess(cᵢ, rᵢ) > −skin`, in
+///   ascending plane index.
+///
+/// Reference coordinates are kept so [`VerletLists::needs_rebuild`] can
+/// apply the half-skin displacement criterion. Until it fires no sphere has
+/// moved more than `skin / 2`, and since every hull normal is a unit vector
+/// no unlisted plane can reach a positive excess (its excess was at most
+/// `−skin` and grew by at most `skin / 2`).
+///
+/// The rows live in static chunks of `chunk_rows` consecutive spheres, one
+/// CSR buffer set per chunk; a chunk's rows are its spheres' rows in sphere
+/// order, so the lists are identical for any chunk count.
 #[derive(Debug, Clone, Default)]
 pub struct VerletLists {
     skin: f64,
     ref_coords: Vec<f64>,
-    intra_start: Vec<u32>,
-    intra_entries: Vec<u32>,
-    cross_start: Vec<u32>,
-    cross_entries: Vec<u32>,
+    /// Row buffers of spheres `k·chunk_rows ..` for chunk `k`; entries past
+    /// the chunks the last build used are kept for their capacity.
+    chunks: Vec<ListChunk>,
+    chunk_rows: usize,
     rebuilds: usize,
+}
+
+/// One chunk's rows of the Verlet lists in CSR form, offsets local to the
+/// chunk. Aligned to its own pair of cache lines: concurrent chunk fills
+/// push into their vectors, and neighbouring chunks' length fields must
+/// not share a line.
+#[derive(Debug, Clone, Default)]
+#[repr(align(128))]
+struct ListChunk {
+    /// `[intra, cross, walls]` row end offsets after a leading `[0; 3]`.
+    ends: Vec<[u32; 3]>,
+    intra: Vec<u32>,
+    cross: Vec<u32>,
+    walls: Vec<u32>,
+}
+
+/// What one list build reads: the batch at its build-time positions and
+/// everything a batch sphere can touch.
+struct ListInputs<'a> {
+    positions: &'a [Vec3],
+    radii: &'a [f64],
+    /// The batch's own cell grid over `positions`.
+    batch: &'a CsrGrid,
+    fixed: &'a CsrGrid,
+    planes: &'a [Plane],
+    skin: f64,
+}
+
+/// Sphere `i`'s candidate lists (see [`VerletLists`]).
+#[derive(Debug, Clone, Copy)]
+pub struct VerletRow<'a> {
+    /// Batch-sphere candidates, in grid query order.
+    pub intra: &'a [u32],
+    /// Fixed-bed candidates, in grid query order.
+    pub cross: &'a [u32],
+    /// Container planes in reach, ascending.
+    pub walls: &'a [u32],
+}
+
+impl ListChunk {
+    /// Refills this chunk with the rows of spheres `rows`, visiting
+    /// candidates in query order and planes in index order, after
+    /// reserving `reserve` `[intra, cross, walls]` entries.
+    fn fill(&mut self, rows: std::ops::Range<usize>, reserve: [usize; 3], inputs: &ListInputs) {
+        let ListInputs {
+            positions,
+            radii,
+            batch,
+            fixed,
+            planes,
+            skin,
+        } = *inputs;
+        self.ends.clear();
+        self.intra.clear();
+        self.cross.clear();
+        self.walls.clear();
+        self.intra.reserve(reserve[0]);
+        self.cross.reserve(reserve[1]);
+        self.walls.reserve(reserve[2]);
+        self.ends.push([0; 3]);
+        for i in rows {
+            let ci = positions[i];
+            let ri = radii[i];
+            // Pair cutoff rᵢ + rⱼ + skin: the grid query's reach of
+            // rᵢ + skin plus its internal r_max margin covers it.
+            batch.for_neighbors(ci, ri + skin, |j, cj, rj| {
+                if j != i && ci.distance_sq(cj) < (ri + rj + skin) * (ri + rj + skin) {
+                    self.intra.push(j as u32);
+                }
+            });
+            fixed.for_neighbors(ci, ri + skin, |k, cf, rf| {
+                if ci.distance_sq(cf) < (ri + rf + skin) * (ri + rf + skin) {
+                    self.cross.push(k as u32);
+                }
+            });
+            // A full skin of margin, twice what the half-skin rule needs,
+            // so rounding in the excess can never drop a reachable plane.
+            for (k, plane) in planes.iter().enumerate() {
+                if plane.sphere_excess(ci, ri) > -skin {
+                    self.walls.push(k as u32);
+                }
+            }
+            self.ends.push([
+                self.intra.len() as u32,
+                self.cross.len() as u32,
+                self.walls.len() as u32,
+            ]);
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ends.capacity() * size_of::<[u32; 3]>()
+            + (self.intra.capacity() + self.cross.capacity() + self.walls.capacity())
+                * size_of::<u32>()
+    }
 }
 
 impl VerletLists {
@@ -908,13 +1018,16 @@ impl VerletLists {
         false
     }
 
-    /// Rebuilds both lists from the current coordinates, reusing buffer
+    /// Rebuilds all three lists from the current coordinates in one
+    /// parallel pass (one static chunk of spheres per job), reusing buffer
     /// capacity. `scratch` is the caller's batch-grid workspace.
+    #[allow(clippy::too_many_arguments)]
     pub fn rebuild(
         &mut self,
         c: &[f64],
         radii: &[f64],
         fixed: &CsrGrid,
+        planes: &[Plane],
         skin: f64,
         scratch: &mut CsrGrid,
         positions: &mut Vec<Vec3>,
@@ -933,148 +1046,66 @@ impl VerletLists {
         positions.resize(n, Vec3::ZERO);
         par::fill_with(positions, |i| coords::get(c, i));
         scratch.rebuild(positions, radii);
-
-        // Without real concurrency keep the single-pass builder: the
-        // parallel two-pass variant below re-runs every grid query once
-        // for the counts, which only pays for itself when the fill is
-        // shared across workers. Both paths emit identical lists (same
-        // per-row candidate order), so branching on achievable
-        // parallelism stays bitwise thread-independent.
-        if rayon::effective_parallelism() == 1 {
-            self.rebuild_rows_serial(radii, fixed, skin, scratch, positions);
-            return;
-        }
-        let positions: &[Vec3] = positions;
-        let scratch: &CsrGrid = scratch;
-
-        // Pass 1: per-particle candidate counts, written into the slot
-        // `start[i + 1]` so the prefix sum can run in place.
-        self.intra_start.clear();
-        self.intra_start.resize(n + 1, 0);
-        self.cross_start.clear();
-        self.cross_start.resize(n + 1, 0);
-        par::for_each_slot_zip2(
-            &mut self.intra_start[1..],
-            &mut self.cross_start[1..],
-            |i, intra_count, cross_count| {
-                let ci = positions[i];
-                let ri = radii[i];
-                // Intra candidates: cutoff rᵢ + rⱼ + skin. The grid
-                // query's reach of rᵢ + skin plus its internal r_max
-                // margin covers it.
-                let mut n_intra = 0u32;
-                scratch.for_neighbors(ci, ri + skin, |j, cj, rj| {
-                    if j != i && ci.distance_sq(cj) < (ri + rj + skin) * (ri + rj + skin) {
-                        n_intra += 1;
-                    }
-                });
-                *intra_count = n_intra;
-                let mut n_cross = 0u32;
-                fixed.for_neighbors(ci, ri + skin, |_, cf, rf| {
-                    if ci.distance_sq(cf) < (ri + rf + skin) * (ri + rf + skin) {
-                        n_cross += 1;
-                    }
-                });
-                *cross_count = n_cross;
-            },
-        );
-        for i in 0..n {
-            self.intra_start[i + 1] += self.intra_start[i];
-            self.cross_start[i + 1] += self.cross_start[i];
-        }
-
-        // Pass 2: each CSR row is filled by exactly one job, visiting
-        // candidates in the same deterministic query order as pass 1.
-        self.intra_entries.clear();
-        self.intra_entries.resize(self.intra_start[n] as usize, 0);
-        self.cross_entries.clear();
-        self.cross_entries.resize(self.cross_start[n] as usize, 0);
-        par::for_each_csr_row_zip(
-            &self.intra_start,
-            &mut self.intra_entries,
-            &self.cross_start,
-            &mut self.cross_entries,
-            |i, intra_row, cross_row| {
-                let ci = positions[i];
-                let ri = radii[i];
-                let mut w = 0;
-                scratch.for_neighbors(ci, ri + skin, |j, cj, rj| {
-                    if j != i && ci.distance_sq(cj) < (ri + rj + skin) * (ri + rj + skin) {
-                        intra_row[w] = j as u32;
-                        w += 1;
-                    }
-                });
-                debug_assert_eq!(w, intra_row.len(), "intra count/fill mismatch");
-                let mut w = 0;
-                fixed.for_neighbors(ci, ri + skin, |k, cf, rf| {
-                    if ci.distance_sq(cf) < (ri + rf + skin) * (ri + rf + skin) {
-                        cross_row[w] = k as u32;
-                        w += 1;
-                    }
-                });
-                debug_assert_eq!(w, cross_row.len(), "cross count/fill mismatch");
-            },
-        );
+        let inputs = ListInputs {
+            positions,
+            radii,
+            batch: scratch,
+            fixed,
+            planes,
+            skin,
+        };
+        self.fill_rows(rayon::effective_parallelism(), &inputs);
     }
 
-    /// Single-pass list builder used on one-thread pools (no count pass;
-    /// entries are pushed as the grid queries visit them).
-    fn rebuild_rows_serial(
-        &mut self,
-        radii: &[f64],
-        fixed: &CsrGrid,
-        skin: f64,
-        scratch: &CsrGrid,
-        positions: &[Vec3],
-    ) {
-        let n = radii.len();
-        self.intra_start.clear();
-        self.intra_entries.clear();
-        self.cross_start.clear();
-        self.cross_entries.clear();
-        self.intra_start.push(0);
-        self.cross_start.push(0);
-        for i in 0..n {
-            let ci = positions[i];
-            let ri = radii[i];
-            // Intra candidates: cutoff rᵢ + rⱼ + skin. The grid query's
-            // reach of rᵢ + skin plus its internal r_max margin covers it.
-            scratch.for_neighbors(ci, ri + skin, |j, cj, rj| {
-                if j != i && ci.distance_sq(cj) < (ri + rj + skin) * (ri + rj + skin) {
-                    self.intra_entries.push(j as u32);
-                }
-            });
-            self.intra_start.push(self.intra_entries.len() as u32);
-            fixed.for_neighbors(ci, ri + skin, |k, cf, rf| {
-                if ci.distance_sq(cf) < (ri + rf + skin) * (ri + rf + skin) {
-                    self.cross_entries.push(k as u32);
-                }
-            });
-            self.cross_start.push(self.cross_entries.len() as u32);
+    /// Fills every sphere's rows in one parallel pass over at most
+    /// `jobs` static chunks of consecutive spheres.
+    fn fill_rows(&mut self, jobs: usize, inputs: &ListInputs) {
+        let n = inputs.radii.len();
+        let rows = n.div_ceil(jobs.max(1)).max(1);
+        let n_chunks = n.div_ceil(rows);
+        if self.chunks.len() < n_chunks {
+            self.chunks.resize_with(n_chunks, ListChunk::default);
         }
+        self.chunk_rows = rows;
+        // Chunks are interchangeable, so each reserves what the fullest one
+        // ever held: a shift of density between chunks allocates nothing,
+        // only outgrowing every earlier chunk does.
+        let reserve = self.chunks.iter().fold([0; 3], |m, c| {
+            [
+                m[0].max(c.intra.capacity()),
+                m[1].max(c.cross.capacity()),
+                m[2].max(c.walls.capacity()),
+            ]
+        });
+        par::for_each_slot(&mut self.chunks[..n_chunks], |k, chunk| {
+            let first = k * rows;
+            chunk.fill(first..n.min(first + rows), reserve, inputs);
+        });
     }
 
-    /// Batch-particle candidates of particle `i` (build-time order).
+    /// Sphere `i`'s candidate lists.
     #[inline]
-    pub fn intra(&self, i: usize) -> &[u32] {
-        &self.intra_entries[self.intra_start[i] as usize..self.intra_start[i + 1] as usize]
-    }
-
-    /// Fixed-bed candidates of particle `i` (build-time order).
-    #[inline]
-    pub fn cross(&self, i: usize) -> &[u32] {
-        &self.cross_entries[self.cross_start[i] as usize..self.cross_start[i + 1] as usize]
+    pub fn row(&self, i: usize) -> VerletRow<'_> {
+        let chunk = &self.chunks[i / self.chunk_rows];
+        let l = i % self.chunk_rows;
+        let (lo, hi) = (chunk.ends[l], chunk.ends[l + 1]);
+        VerletRow {
+            intra: &chunk.intra[lo[0] as usize..hi[0] as usize],
+            cross: &chunk.cross[lo[1] as usize..hi[1] as usize],
+            walls: &chunk.walls[lo[2] as usize..hi[2] as usize],
+        }
     }
 
     /// Heap bytes resident in the lists' buffers (capacities).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ref_coords.capacity() * size_of::<f64>()
-            + (self.intra_start.capacity()
-                + self.intra_entries.capacity()
-                + self.cross_start.capacity()
-                + self.cross_entries.capacity())
-                * size_of::<u32>()
+            + self.chunks.capacity() * size_of::<ListChunk>()
+            + self
+                .chunks
+                .iter()
+                .map(ListChunk::resident_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -1128,9 +1159,6 @@ pub struct Workspace {
     /// SoA coordinate snapshot for the vectorized kernels, refreshed once
     /// per evaluation (padded to the SIMD lane width).
     pub(crate) soa: SoaCoords,
-    /// SoA snapshot of the container planes for the vectorized half-space
-    /// loop.
-    pub(crate) plane_soa: PlaneSoa,
     /// Morton sort scratch: `(key << 32) | index` per particle.
     sweep_keys: Vec<u64>,
     /// The Morton visit permutation (sweep position → particle index).
@@ -1267,7 +1295,6 @@ impl Workspace {
             + self.positions.capacity() * size_of::<Vec3>()
             + self.verlet.resident_bytes()
             + self.soa.resident_bytes()
-            + self.plane_soa.resident_bytes()
             + self.sweep_keys.capacity() * size_of::<u64>()
             + self.sweep_order.capacity() * size_of::<u32>()
     }
@@ -1473,7 +1500,7 @@ mod tests {
         let mut scratch = CsrGrid::empty();
         let mut positions = Vec::new();
         assert!(lists.needs_rebuild(&c));
-        lists.rebuild(&c, &radii, &fixed, skin, &mut scratch, &mut positions);
+        lists.rebuild(&c, &radii, &fixed, &[], skin, &mut scratch, &mut positions);
         assert!(!lists.needs_rebuild(&c));
 
         // Move every particle by just under skin/2 in a random direction:
@@ -1494,7 +1521,7 @@ mod tests {
                 let cj = coords::get(&moved, j);
                 if ci.distance(cj) < radii[i] + radii[j] {
                     assert!(
-                        lists.intra(i).contains(&(j as u32)),
+                        lists.row(i).intra.contains(&(j as u32)),
                         "contact pair ({i},{j}) missing from the Verlet list"
                     );
                 }
@@ -1503,7 +1530,7 @@ mod tests {
                 let (cf, rf) = fixed.sphere(k);
                 if ci.distance(cf) < radii[i] + rf {
                     assert!(
-                        lists.cross(i).contains(&(k as u32)),
+                        lists.row(i).cross.contains(&(k as u32)),
                         "cross pair ({i},{k}) missing from the Verlet list"
                     );
                 }
@@ -1514,6 +1541,118 @@ mod tests {
         let mut far = moved.clone();
         far[0] += skin;
         assert!(lists.needs_rebuild(&far));
+    }
+
+    /// A batch spread over a 122-plane furnace hull, some spheres poking
+    /// through its walls, over a small bed: `(centers, radii, bed, planes)`.
+    fn furnace_batch(seed: u64, n: usize) -> (Vec<Vec3>, Vec<f64>, CsrGrid, Vec<Plane>) {
+        let hull = adampack_geometry::ConvexHull::from_mesh(
+            &adampack_geometry::shapes::blast_furnace(0.05, 24),
+        )
+        .unwrap();
+        let planes = hull.halfspaces().planes().to_vec();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut centers = Vec::with_capacity(n);
+        let mut radii = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (a, rho) = (
+                rng.gen_range(0.0..std::f64::consts::TAU),
+                rng.gen_range(0.0..0.18),
+            );
+            centers.push(Vec3::new(
+                rho * a.cos(),
+                rho * a.sin(),
+                rng.gen_range(-0.02..1.62),
+            ));
+            radii.push(rng.gen_range(0.01..0.016));
+        }
+        let bed = random_cloud(seed + 1, 60, 0.15);
+        (centers, radii, CsrGrid::build(&bed.0, &bed.1), planes)
+    }
+
+    #[test]
+    fn wall_lists_cover_every_reachable_plane_in_order_for_any_chunk_count() {
+        let (centers, radii, fixed, planes) = furnace_batch(83, 300);
+        let c = coords::from_positions(&centers);
+        let skin = 0.012;
+        let build = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut lists = VerletLists::default();
+            let (mut scratch, mut positions) = (CsrGrid::empty(), Vec::new());
+            pool.install(|| {
+                lists.rebuild(
+                    &c,
+                    &radii,
+                    &fixed,
+                    &planes,
+                    skin,
+                    &mut scratch,
+                    &mut positions,
+                )
+            });
+            lists
+        };
+        let lists = build(1);
+        let same_rows = |other: &VerletLists, what: &str| {
+            for i in 0..radii.len() {
+                let (a, b) = (lists.row(i), other.row(i));
+                assert_eq!(a.intra, b.intra, "{what}: intra row {i}");
+                assert_eq!(a.cross, b.cross, "{what}: cross row {i}");
+                assert_eq!(a.walls, b.walls, "{what}: wall row {i}");
+            }
+        };
+        same_rows(&build(4), "4-thread pool");
+        // Every chunk count, whatever the machine's width.
+        let inputs = ListInputs {
+            positions: &centers,
+            radii: &radii,
+            batch: &CsrGrid::build(&centers, &radii),
+            fixed: &fixed,
+            planes: &planes,
+            skin,
+        };
+        for jobs in [2, 3, 4, 7, 300, 1000] {
+            let mut chunked = VerletLists::default();
+            chunked.fill_rows(jobs, &inputs);
+            same_rows(&chunked, &format!("{jobs} chunks"));
+        }
+
+        // Walls ascend, and every plane a sphere can poke through after
+        // any move of at most skin/2 is listed: probe random directions
+        // and the worst case, straight along each plane's normal.
+        let mut rng = StdRng::seed_from_u64(84);
+        let mut straddling = 0;
+        for (i, (&ci, &ri)) in centers.iter().zip(&radii).enumerate() {
+            let walls = lists.row(i).walls;
+            assert!(
+                walls.windows(2).all(|w| w[0] < w[1]),
+                "row {i} not ascending"
+            );
+            straddling += usize::from(planes.iter().any(|p| p.sphere_excess(ci, ri) > 0.0));
+            let mut moves: Vec<Vec3> = planes.iter().map(|p| p.normal * (skin / 2.0)).collect();
+            for _ in 0..64 {
+                let d = Vec3::new(
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                );
+                moves.push(d.normalized().unwrap_or(Vec3::Z) * (skin / 2.0));
+            }
+            for d in moves {
+                for (k, p) in planes.iter().enumerate() {
+                    if p.sphere_excess(ci + d, ri) > 0.0 {
+                        assert!(
+                            walls.contains(&(k as u32)),
+                            "plane {k} missing from row {i}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(straddling > 20, "only {straddling} spheres straddle a wall");
     }
 
     #[test]

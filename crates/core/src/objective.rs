@@ -26,7 +26,10 @@
 //! candidate lists from [`crate::neighbor`] that amortize the search over
 //! many optimizer steps (with a naive-intra / [`CsrGrid`]-cross plan for
 //! batches too small to amortize list upkeep), or exhaustive scans (the
-//! oracle). The hot entry points [`Objective::value_and_grad_ws`] and
+//! oracle). The same lists carry each sphere's reachable container walls,
+//! so under the SIMD kernel's Verlet plan `E_H` costs a couple of planes
+//! per sphere instead of the whole hull. The hot entry points
+//! [`Objective::value_and_grad_ws`] and
 //! [`Objective::value_grad_breakdown_ws`] share one evaluation body and
 //! thread a [`Workspace`] through so steady-state evaluations are
 //! allocation-free.
@@ -112,7 +115,8 @@ enum PairPlan<'w> {
     /// [`NeighborStrategy::Auto`] below [`VERLET_THRESHOLD`]: exhaustive
     /// intra scan, fixed-bed candidates from its [`CsrGrid`].
     SmallBatch,
-    /// Both terms walk the workspace's Verlet lists.
+    /// Both pair terms walk the workspace's Verlet lists; the SIMD
+    /// kernel's exterior term walks their wall lists too.
     Verlet(&'w VerletLists),
 }
 
@@ -122,6 +126,8 @@ pub struct Objective<'a> {
     weights: ObjectiveWeights,
     axis: Axis,
     halfspaces: &'a HalfSpaceSet,
+    /// Lane-padded plane columns for the SIMD all-planes loop.
+    plane_soa: PlaneSoa,
     radii: &'a [f64],
     fixed: &'a CsrGrid,
     strategy: NeighborStrategy,
@@ -148,6 +154,7 @@ impl<'a> Objective<'a> {
             weights,
             axis,
             halfspaces,
+            plane_soa: PlaneSoa::new(halfspaces),
             radii,
             fixed,
             strategy: NeighborStrategy::Auto,
@@ -290,7 +297,6 @@ impl<'a> Objective<'a> {
             verlet,
             evals,
             soa,
-            plane_soa,
             sweep_order,
             ..
         } = ws;
@@ -302,16 +308,15 @@ impl<'a> Objective<'a> {
         if self.kernel == Kernel::Simd {
             // The scalar oracle reads the interleaved buffer directly.
             soa.refresh(c, self.radii);
-            plane_soa.refresh(self.halfspaces);
         }
         let plan = self.plan(c, batch_grid, positions, verlet);
-        let (soa, plane_soa) = (&*soa, &*plane_soa);
+        let soa = &*soa;
         let _span = adampack_telemetry::span(match self.kernel {
             Kernel::Simd => Phase::KernelSimd,
             Kernel::Scalar => Phase::KernelScalar,
         });
         let body = |i: usize, gslot: &mut [f64], slot: &mut P| {
-            let (g, partial) = P::term(self, i, c, &plan, soa, plane_soa);
+            let (g, partial) = P::term(self, i, c, &plan, soa);
             gslot[0] = g.x;
             gslot[1] = g.y;
             gslot[2] = g.z;
@@ -341,7 +346,15 @@ impl<'a> Objective<'a> {
     ) -> PairPlan<'w> {
         if self.uses_verlet() {
             if verlet.skin() != self.skin || verlet.needs_rebuild(c) {
-                verlet.rebuild(c, self.radii, self.fixed, self.skin, batch_grid, positions);
+                verlet.rebuild(
+                    c,
+                    self.radii,
+                    self.fixed,
+                    self.halfspaces.planes(),
+                    self.skin,
+                    batch_grid,
+                    positions,
+                );
             }
             PairPlan::Verlet(verlet)
         } else if self.strategy == NeighborStrategy::Naive {
@@ -363,10 +376,9 @@ impl<'a> Objective<'a> {
         c: &[f64],
         plan: &PairPlan,
         soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
     ) -> (f64, Vec3, ObjectiveBreakdown) {
         match self.kernel {
-            Kernel::Simd => self.particle_term_simd::<RECORD>(i, plan, soa, plane_soa),
+            Kernel::Simd => self.particle_term_simd::<RECORD>(i, plan, soa),
             Kernel::Scalar => self.particle_term_scalar::<RECORD>(i, c, plan),
         }
     }
@@ -408,7 +420,11 @@ impl<'a> Objective<'a> {
             }
         };
         match plan {
-            PairPlan::Verlet(lists) => lists.intra(i).iter().for_each(|&j| intra_term(j as usize)),
+            PairPlan::Verlet(lists) => lists
+                .row(i)
+                .intra
+                .iter()
+                .for_each(|&j| intra_term(j as usize)),
             PairPlan::Naive | PairPlan::SmallBatch => (0..self.radii.len()).for_each(intra_term),
         }
 
@@ -428,22 +444,25 @@ impl<'a> Objective<'a> {
             }
         };
         match plan {
-            PairPlan::Verlet(lists) => lists.cross(i).iter().for_each(|&k| cross_term(k as usize)),
+            PairPlan::Verlet(lists) => lists
+                .row(i)
+                .cross
+                .iter()
+                .for_each(|&k| cross_term(k as usize)),
             PairPlan::SmallBatch => self.fixed.for_neighbors(ci, ri, |k, _, _| cross_term(k)),
             PairPlan::Naive => (0..self.fixed.len()).for_each(cross_term),
         }
 
-        // Exterior distance over the container planes.
-        for plane in self.halfspaces.planes() {
-            let excess = plane.sphere_excess(ci, ri);
-            if excess > 0.0 {
-                v += gamma * excess;
-                if RECORD {
-                    b.exterior += excess;
-                }
-                g += plane.normal * gamma;
-            }
-        }
+        // Exterior distance over every container plane.
+        kernels::planes_scalar::<RECORD>(
+            ci,
+            ri,
+            gamma,
+            self.halfspaces.planes(),
+            &mut v,
+            &mut g,
+            &mut b.exterior,
+        );
 
         // Altitude.
         let altitude = self.axis.altitude(ci);
@@ -459,15 +478,16 @@ impl<'a> Objective<'a> {
     /// SIMD per-particle kernel: walks the same candidate rows in the same
     /// order as the scalar oracle but tests four candidates at a time with
     /// a branchless `d² < (rᵢ+rⱼ)²` rejection; hit lanes fall through to
-    /// the exact scalar hot-pair body in lane order, so the output is
-    /// bitwise identical to [`Self::particle_term_scalar`].
+    /// the exact scalar hot-pair body in lane order. Under the Verlet plan
+    /// the exterior term visits only the sphere's listed planes (every
+    /// unlisted plane has a negative excess until the next rebuild). The
+    /// output is bitwise identical to [`Self::particle_term_scalar`].
     #[inline]
     fn particle_term_simd<const RECORD: bool>(
         &self,
         i: usize,
         plan: &PairPlan,
         soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
     ) -> (f64, Vec3, ObjectiveBreakdown) {
         let ObjectiveWeights { alpha, beta, gamma } = self.weights;
         let ci = soa.point(i);
@@ -475,74 +495,93 @@ impl<'a> Objective<'a> {
         let mut v = 0.0;
         let mut g = Vec3::ZERO;
         let mut b = ObjectiveBreakdown::default();
-
-        match plan {
-            PairPlan::Verlet(lists) => kernels::pairs_sparse::<SoaCoords, RECORD, true>(
-                ci,
-                ri,
-                i,
-                alpha,
-                lists.intra(i),
-                soa,
-                &mut v,
-                &mut g,
-                &mut b.penetration_intra,
-            ),
-            PairPlan::Naive | PairPlan::SmallBatch => kernels::pairs_dense::<RECORD>(
-                ci,
-                ri,
-                i,
-                alpha,
-                soa,
-                &mut v,
-                &mut g,
-                &mut b.penetration_intra,
-            ),
-        }
-
         let bed = FixedView {
             centers: self.fixed.centers(),
             radii: self.fixed.radii(),
         };
-        match plan {
-            PairPlan::Verlet(lists) => kernels::pairs_sparse::<FixedView, RECORD, false>(
+
+        if let PairPlan::Verlet(lists) = plan {
+            let row = lists.row(i);
+            kernels::pairs_sparse::<SoaCoords, RECORD, true>(
                 ci,
                 ri,
                 i,
                 alpha,
-                lists.cross(i),
+                row.intra,
+                soa,
+                &mut v,
+                &mut g,
+                &mut b.penetration_intra,
+            );
+            kernels::pairs_sparse::<FixedView, RECORD, false>(
+                ci,
+                ri,
+                i,
+                alpha,
+                row.cross,
                 &bed,
                 &mut v,
                 &mut g,
                 &mut b.penetration_cross,
-            ),
-            PairPlan::SmallBatch => self.fixed.for_neighbor_rows(ci, ri, |row| {
-                kernels::pairs_sparse::<FixedView, RECORD, false>(
+            );
+            let planes = self.halfspaces.planes();
+            kernels::planes_scalar::<RECORD>(
+                ci,
+                ri,
+                gamma,
+                row.walls.iter().map(|&k| &planes[k as usize]),
+                &mut v,
+                &mut g,
+                &mut b.exterior,
+            );
+        } else {
+            kernels::pairs_dense::<RECORD>(
+                ci,
+                ri,
+                i,
+                alpha,
+                soa,
+                &mut v,
+                &mut g,
+                &mut b.penetration_intra,
+            );
+            if let PairPlan::SmallBatch = plan {
+                self.fixed.for_neighbor_rows(ci, ri, |row| {
+                    kernels::pairs_sparse::<FixedView, RECORD, false>(
+                        ci,
+                        ri,
+                        i,
+                        alpha,
+                        row,
+                        &bed,
+                        &mut v,
+                        &mut g,
+                        &mut b.penetration_cross,
+                    )
+                });
+            } else {
+                kernels::pairs_range::<FixedView, RECORD, false>(
                     ci,
                     ri,
                     i,
                     alpha,
-                    row,
+                    self.fixed.len(),
                     &bed,
                     &mut v,
                     &mut g,
                     &mut b.penetration_cross,
-                )
-            }),
-            PairPlan::Naive => kernels::pairs_range::<FixedView, RECORD, false>(
+                );
+            }
+            kernels::planes_term::<RECORD>(
                 ci,
                 ri,
-                i,
-                alpha,
-                self.fixed.len(),
-                &bed,
+                gamma,
+                &self.plane_soa,
                 &mut v,
                 &mut g,
-                &mut b.penetration_cross,
-            ),
+                &mut b.exterior,
+            );
         }
-
-        kernels::planes_term::<RECORD>(ci, ri, gamma, plane_soa, &mut v, &mut g, &mut b.exterior);
 
         let altitude = self.axis.altitude(ci);
         v += beta * altitude;
@@ -567,14 +606,8 @@ trait Partial: Copy + Default + Send {
     ) -> &'w mut Vec<Self>;
 
     /// Particle `i`'s gradient and slot value.
-    fn term(
-        obj: &Objective,
-        i: usize,
-        c: &[f64],
-        plan: &PairPlan,
-        soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
-    ) -> (Vec3, Self);
+    fn term(obj: &Objective, i: usize, c: &[f64], plan: &PairPlan, soa: &SoaCoords)
+        -> (Vec3, Self);
 
     /// Sequential reduction over slot index: `(Z, summed breakdown)`.
     fn reduce(slots: &[Self]) -> (f64, ObjectiveBreakdown);
@@ -586,15 +619,8 @@ impl Partial for f64 {
     }
 
     #[inline]
-    fn term(
-        obj: &Objective,
-        i: usize,
-        c: &[f64],
-        plan: &PairPlan,
-        soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
-    ) -> (Vec3, f64) {
-        let (v, g, _) = obj.particle_term::<false>(i, c, plan, soa, plane_soa);
+    fn term(obj: &Objective, i: usize, c: &[f64], plan: &PairPlan, soa: &SoaCoords) -> (Vec3, f64) {
+        let (v, g, _) = obj.particle_term::<false>(i, c, plan, soa);
         (g, v)
     }
 
@@ -618,9 +644,8 @@ impl Partial for ObjectiveBreakdown {
         c: &[f64],
         plan: &PairPlan,
         soa: &SoaCoords,
-        plane_soa: &PlaneSoa,
     ) -> (Vec3, ObjectiveBreakdown) {
-        let (v, g, mut b) = obj.particle_term::<true>(i, c, plan, soa, plane_soa);
+        let (v, g, mut b) = obj.particle_term::<true>(i, c, plan, soa);
         b.total = v;
         (g, b)
     }

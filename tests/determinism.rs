@@ -23,7 +23,7 @@
 //! real overlap.
 
 use adampack_core::prelude::*;
-use adampack_geometry::{shapes, Vec3};
+use adampack_geometry::{shapes, TriMesh, Vec3};
 use adampack_telemetry::{StepRecord, VecSink};
 
 /// The shim caps a pool's effective width at the hardware thread count
@@ -38,9 +38,16 @@ fn force_parallel_hardware() {
 }
 
 fn packer_with_kernel(seed: u64, kernel: Kernel) -> CollectivePacker {
+    packer_in(
+        &shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0)),
+        seed,
+        kernel,
+    )
+}
+
+fn packer_in(mesh: &TriMesh, seed: u64, kernel: Kernel) -> CollectivePacker {
     force_parallel_hardware();
-    let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
-    let container = Container::from_mesh(&mesh).unwrap();
+    let container = Container::from_mesh(mesh).unwrap();
     let params = PackingParams {
         batch_size: 40,
         target_count: 80,
@@ -223,9 +230,26 @@ fn kernel_choice_does_not_change_the_packing() {
     // objective's pair/plane arithmetic and the Adam update are vectorized
     // lane ≡ scalar tail, so the whole trajectory coincides at 0 ULP.
     assert_eq!(Kernel::default(), Kernel::Simd);
-    let simd = pack(123);
-    let scalar = packer_with_kernel(123, Kernel::Scalar).pack(&Psd::uniform(0.09, 0.13));
-    assert_same_packing(&simd, &scalar, "simd vs scalar kernel");
+    let cases = [
+        (
+            "box",
+            shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0)),
+            Psd::uniform(0.09, 0.13),
+        ),
+        // 122 planes: under the Verlet plan the SIMD kernel tests only each
+        // sphere's listed walls, the scalar oracle every plane.
+        (
+            "furnace hull",
+            shapes::blast_furnace(0.05, 24),
+            Psd::uniform(0.012, 0.018),
+        ),
+    ];
+    for (what, mesh, psd) in cases {
+        let simd = packer_in(&mesh, 123, Kernel::Simd).pack(&psd);
+        let scalar = packer_in(&mesh, 123, Kernel::Scalar).pack(&psd);
+        assert!(!simd.particles.is_empty(), "{what}: nothing packed");
+        assert_same_packing(&simd, &scalar, &format!("{what}: simd vs scalar kernel"));
+    }
 }
 
 #[test]

@@ -5,6 +5,10 @@
 //! element-wise correctly-rounded ops and hit lanes run the exact scalar
 //! arithmetic in candidate order), and the lane-fused Adam/AMSGrad update
 //! must walk the identical trajectory.
+//!
+//! Every objective case runs in the 6-plane box and in a 122-plane furnace
+//! hull. On the hull the SIMD kernel's Verlet plan tests only each
+//! sphere's listed planes while the scalar oracle tests all of them.
 
 use adampack_core::neighbor::{CsrGrid, NeighborStrategy, Workspace};
 use adampack_core::objective::{Objective, ObjectiveWeights};
@@ -17,19 +21,56 @@ fn box_container() -> Container {
     Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap()
 }
 
+/// The container of case `shape`: the 2×2×2 box, or the 1:20 furnace
+/// replica's 122-plane hull (24 segments).
+fn container(shape: usize) -> Container {
+    match shape {
+        0 => box_container(),
+        _ => Container::from_mesh(&shapes::blast_furnace(0.05, 24)).unwrap(),
+    }
+}
+
+/// Maps the box case's coordinates into `container`: `[-1, 1]³` onto its
+/// AABB, lengths scaled by its smallest half-extent. The box maps to itself.
+struct Frame {
+    center: Vec3,
+    half: Vec3,
+    scale: f64,
+}
+
+impl Frame {
+    fn of(container: &Container) -> Frame {
+        let bb = container.aabb();
+        let half = (bb.max - bb.min) * 0.5;
+        Frame {
+            center: bb.center(),
+            half,
+            scale: half.x.min(half.y).min(half.z),
+        }
+    }
+
+    fn point(&self, u: Vec3) -> Vec3 {
+        Vec3::new(
+            self.center.x + self.half.x * u.x,
+            self.center.y + self.half.y * u.y,
+            self.center.z + self.half.z * u.z,
+        )
+    }
+}
+
 /// A deterministic fixed bed whose size is drawn by the property test, so
 /// the cross-kernel's remainder lanes (bed size mod 4) vary across cases.
-fn bed(n_fixed: usize) -> CsrGrid {
+fn bed(n_fixed: usize, frame: &Frame) -> CsrGrid {
     let mut centers = Vec::with_capacity(n_fixed);
     let mut radii = Vec::with_capacity(n_fixed);
     for i in 0..n_fixed {
         let t = i as f64 * 0.754877666;
-        centers.push(Vec3::new(
+        centers.push(frame.point(Vec3::new(
             (t % 1.6) - 0.8,
             ((t * 1.9) % 1.6) - 0.8,
             -0.85 + 0.1 * ((t * 3.7) % 1.0),
-        ));
-        radii.push(0.1 + 0.02 * ((i % 4) as f64));
+        )));
+        radii.push(frame.scale * (0.1 + 0.02 * ((i % 4) as f64)));
     }
     CsrGrid::build(&centers, &radii)
 }
@@ -39,56 +80,70 @@ proptest! {
 
     /// Value + gradient + breakdown agree bitwise for every neighbor
     /// pipeline, on batches whose size sweeps the 4-lane remainder cases
-    /// (and, under `Auto`, both sides of the Verlet threshold).
+    /// (and, under `Auto`, both sides of the Verlet threshold), in both
+    /// containers. Each case is evaluated twice on one workspace: as drawn,
+    /// which builds the lists, then with every sphere moved outward by just
+    /// under skin/2, which reuses them — the most a listed-plane walk can
+    /// be asked to cover.
     #[test]
     fn scalar_and_simd_objectives_agree_bitwise(
         seed_offsets in prop::collection::vec(-0.9f64..0.9, 3),
         n in 1usize..40,
         n_fixed in 0usize..30,
         scale in 0.4f64..1.0,
+        shape in 0usize..2,
     ) {
-        let container = box_container();
-        let fixed = bed(n_fixed);
-        let radii: Vec<f64> = (0..n).map(|i| 0.07 + 0.015 * ((i % 5) as f64)).collect();
+        let container = container(shape);
+        let frame = Frame::of(&container);
+        let fixed = bed(n_fixed, &frame);
+        let radii: Vec<f64> =
+            (0..n).map(|i| frame.scale * (0.07 + 0.015 * ((i % 5) as f64))).collect();
+        let skin = frame.scale * 0.04;
         let mut c = Vec::with_capacity(3 * n);
         for i in 0..n {
             let t = i as f64 * 0.61803398875;
-            c.extend_from_slice(&[
+            let p = frame.point(Vec3::new(
                 scale * ((t % 1.8) - 0.9) + 0.05 * seed_offsets[0],
                 scale * (((t * 1.7) % 1.8) - 0.9) + 0.05 * seed_offsets[1],
                 scale * (((t * 2.3) % 1.6) - 0.9) + 0.05 * seed_offsets[2],
-            ]);
+            ));
+            c.extend_from_slice(&[p.x, p.y, p.z]);
         }
+        let moved = move_outward(&c, frame.center, 0.999 * skin / 2.0);
         let w = ObjectiveWeights::default();
         for strategy in NeighborStrategy::ALL {
             let mut out = Vec::new();
             for kernel in Kernel::ALL {
                 let obj = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
-                    .with_neighbor(strategy, 0.04)
+                    .with_neighbor(strategy, skin)
                     .with_kernel(kernel);
                 let mut ws = Workspace::new();
-                let mut grad = vec![0.0; 3 * n];
-                let (v, b) = obj.value_grad_breakdown_ws(&c, &mut grad, &mut ws);
-                out.push((v, grad, b));
+                for coords in [&c, &moved] {
+                    let mut grad = vec![0.0; 3 * n];
+                    let (v, b) = obj.value_grad_breakdown_ws(coords, &mut grad, &mut ws);
+                    out.push((v, grad, b));
+                }
+                prop_assert!(ws.verlet_rebuilds() <= 1, "{:?}: the move rebuilt the lists", strategy);
             }
-            let (vs, gs, bs) = &out[0];
-            let (vv, gv, bv) = &out[1];
-            prop_assert_eq!(vs.to_bits(), vv.to_bits(), "{:?}: value", strategy);
-            for (k, (a, b)) in gs.iter().zip(gv).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: grad[{}]", strategy, k);
+            for (step, ((vs, gs, bs), (vv, gv, bv))) in out[..2].iter().zip(&out[2..]).enumerate() {
+                let what = format!("shape {shape}, {strategy:?}, evaluation {step}");
+                prop_assert_eq!(vs.to_bits(), vv.to_bits(), "{}: value", what);
+                for (k, (a, b)) in gs.iter().zip(gv).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: grad[{}]", what, k);
+                }
+                prop_assert_eq!(
+                    bs.penetration_intra.to_bits(),
+                    bv.penetration_intra.to_bits(),
+                    "{}: intra", what
+                );
+                prop_assert_eq!(
+                    bs.penetration_cross.to_bits(),
+                    bv.penetration_cross.to_bits(),
+                    "{}: cross", what
+                );
+                prop_assert_eq!(bs.exterior.to_bits(), bv.exterior.to_bits(), "{}: exterior", what);
+                prop_assert_eq!(bs.altitude.to_bits(), bv.altitude.to_bits(), "{}: altitude", what);
             }
-            prop_assert_eq!(
-                bs.penetration_intra.to_bits(),
-                bv.penetration_intra.to_bits(),
-                "{:?}: intra", strategy
-            );
-            prop_assert_eq!(
-                bs.penetration_cross.to_bits(),
-                bv.penetration_cross.to_bits(),
-                "{:?}: cross", strategy
-            );
-            prop_assert_eq!(bs.exterior.to_bits(), bv.exterior.to_bits(), "{:?}: exterior", strategy);
-            prop_assert_eq!(bs.altitude.to_bits(), bv.altitude.to_bits(), "{:?}: altitude", strategy);
         }
     }
 
@@ -129,12 +184,26 @@ proptest! {
     }
 }
 
+/// `c` with every sphere moved `dist` straight away from `from`.
+fn move_outward(c: &[f64], from: Vec3, dist: f64) -> Vec<f64> {
+    let mut moved = c.to_vec();
+    for p in moved.chunks_exact_mut(3) {
+        let out = (Vec3::new(p[0], p[1], p[2]) - from)
+            .normalized()
+            .unwrap_or(Vec3::Z);
+        p[0] += out.x * dist;
+        p[1] += out.y * dist;
+        p[2] += out.z * dist;
+    }
+    moved
+}
+
 /// Padding lanes (batch size not a multiple of 4) must contribute nothing:
 /// append a particle, compare against the value with it removed.
 #[test]
 fn padding_never_leaks_into_results() {
     let container = box_container();
-    let fixed = bed(17);
+    let fixed = bed(17, &Frame::of(&container));
     let w = ObjectiveWeights::default();
     for n in 1..=9usize {
         let radii: Vec<f64> = (0..n).map(|i| 0.1 + 0.01 * (i as f64)).collect();
