@@ -14,7 +14,6 @@
 //! stdout and `target/experiments/BENCH_checkpoint.json`.
 
 use adampack_bench::{cli, experiments_dir, json_str, secs, timed, JsonReport};
-use adampack_core::checkpoint::{self, RunState};
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Vec3};
 use adampack_io::RotatingCheckpointWriter;
@@ -39,8 +38,7 @@ fn packer(target: usize, batch: usize) -> CollectivePacker {
 struct CountingSink(Arc<AtomicU64>, Arc<AtomicU64>);
 
 impl CheckpointSink for CountingSink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        let bytes = checkpoint::encode(state);
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.0.fetch_add(1, Ordering::Relaxed);
         self.1.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(())
@@ -50,11 +48,10 @@ impl CheckpointSink for CountingSink {
 struct FileSink(RotatingCheckpointWriter, Arc<AtomicU64>, Arc<AtomicU64>);
 
 impl CheckpointSink for FileSink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        let bytes = checkpoint::encode(state);
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.1.fetch_add(1, Ordering::Relaxed);
         self.2.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.0.save(&bytes).map_err(|e| e.to_string())
+        self.0.save(bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -68,7 +65,8 @@ struct Sample {
 fn run(mode: &str, target: usize, batch: usize, every: usize, dir: &std::path::Path) -> Sample {
     let writes = Arc::new(AtomicU64::new(0));
     let bytes = Arc::new(AtomicU64::new(0));
-    let mut p = packer(target, batch);
+    let psd = Psd::uniform(0.09, 0.13);
+    let mut p = BatchedPacker::plain(packer(target, batch), psd);
     match mode {
         "off" => {}
         "encode" => p.set_checkpoint_sink(
@@ -85,8 +83,7 @@ fn run(mode: &str, target: usize, batch: usize, every: usize, dir: &std::path::P
         ),
         other => panic!("unknown mode {other}"),
     }
-    let psd = Psd::uniform(0.09, 0.13);
-    let (result, t) = timed(|| p.try_pack(&psd).expect("bench packing"));
+    let (result, t) = timed(|| p.run().remove(0).result.expect("bench packing"));
     Sample {
         seconds: secs(t),
         writes: writes.load(Ordering::Relaxed),

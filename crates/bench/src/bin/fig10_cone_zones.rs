@@ -89,8 +89,9 @@ fn main() {
         zones.len()
     );
 
-    let packer = ZonedPacker::new(container, params, psds);
-    let result = packer.pack(&zones);
+    let mut packer = BatchedPacker::zoned(&container, params, &psds, &zones)
+        .expect("every zone intersects the cone");
+    let result = packer.run().remove(0).result.expect("zoned packing");
     println!(
         "packed {} particles in {:.2} s ({} batches)",
         result.particles.len(),

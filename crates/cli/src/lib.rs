@@ -226,21 +226,18 @@ fn resolve_checkpoint(cfg: &PackingConfig, opts: &PackOptions) -> Option<Checkpo
     })
 }
 
-/// Bridges the core packer's batch-boundary checkpoint cadence to the
-/// rotating atomic file writer in `adampack-io`.
-struct FileCheckpointSink {
-    writer: adampack_io::RotatingCheckpointWriter,
-}
+/// Persists the run driver's encoded checkpoints (either format) through
+/// the rotating atomic file writer in `adampack-io`.
+struct FileSink(adampack_io::RotatingCheckpointWriter);
 
-impl CheckpointSink for FileCheckpointSink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        let bytes = adampack_core::checkpoint::encode(state);
-        self.writer.save(&bytes).map_err(|e| e.to_string())
+impl CheckpointSink for FileSink {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.0.save(bytes).map_err(|e| e.to_string())
     }
 }
 
 /// Loads the newest usable checkpoint from the rotation chain with
-/// `decode` (single-run or batched format).
+/// `decode`.
 ///
 /// `Ok(None)` means no checkpoint file exists yet (fresh start); an error
 /// means files exist but every candidate was rejected — corrupt or retired
@@ -262,19 +259,6 @@ fn load_latest_checkpoint<T, E: std::fmt::Display>(
             rejected[0]
         ))),
         found => Ok(found),
-    }
-}
-
-/// Bridges the batched engine's checkpoint cadence to the same rotating
-/// atomic file writer, with the batched container format.
-struct BatchedFileSink {
-    writer: adampack_io::RotatingCheckpointWriter,
-}
-
-impl BatchedCheckpointSink for BatchedFileSink {
-    fn save(&mut self, state: &BatchedRunState) -> Result<(), String> {
-        let bytes = adampack_core::checkpoint::encode_batched(state);
-        self.writer.save(&bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -343,7 +327,19 @@ pub fn run_pack(config_path: &Path, out: Option<&Path>) -> Result<RunSummary, Cl
 
 /// [`run_pack`] with explicit telemetry overrides.
 pub fn run_pack_opts(config_path: &Path, opts: &PackOptions) -> Result<RunSummary, CliError> {
-    let cfg = PackingConfig::from_file(config_path)?;
+    let mut cfg = PackingConfig::from_file(config_path)?;
+    // The thread, kernel and tiling flags win over the YAML `params:`
+    // block; every system, the checkpoint salt and the manifests read the
+    // resolved values from there.
+    if opts.threads > 0 {
+        cfg.params.threads = opts.threads;
+    }
+    if let Some(kernel) = opts.kernel {
+        cfg.params.kernel = kernel;
+    }
+    if let Some(tiles) = opts.tiles {
+        cfg.params.tiles = tiles;
+    }
 
     // Observability wiring: flags override YAML, YAML overrides the
     // verbosity-derived default.
@@ -375,18 +371,12 @@ pub fn run_pack_opts(config_path: &Path, opts: &PackOptions) -> Result<RunSummar
         timeline::reset_timeline();
     }
 
-    // Thread-pool wiring, installed once for the whole run: the CLI flag
-    // wins over the YAML `params.threads`, and 0 means one worker per
-    // hardware thread. Purely a performance knob — results are bitwise
-    // identical for any count.
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        cfg.params.threads
-    };
+    // Thread-pool wiring, installed once for the whole run: 0 means one
+    // worker per hardware thread. Purely a performance knob — results are
+    // bitwise identical for any count.
     let mut builder = rayon::ThreadPoolBuilder::new();
-    if threads > 0 {
-        builder = builder.num_threads(threads);
+    if cfg.params.threads > 0 {
+        builder = builder.num_threads(cfg.params.threads);
     }
     let pool = builder
         .build()
@@ -419,7 +409,11 @@ fn write_manifest(output: &Path, manifest: &RunManifest) -> Result<(), CliError>
     Ok(())
 }
 
-/// The packing driver proper, run inside the installed thread pool.
+/// The packing proper, run inside the installed thread pool: a
+/// `COLLECTIVE_ARRANGEMENT` config runs the one run driver — a plain run,
+/// a sweep (`out.<label>.csv` per system) or a zoned run — and any other
+/// algorithm its registry packer; both share the reports, outputs and
+/// manifests.
 fn run_pack_configured(
     cfg: &PackingConfig,
     opts: &PackOptions,
@@ -430,14 +424,7 @@ fn run_pack_configured(
 ) -> Result<RunSummary, CliError> {
     let mesh = load_container_mesh(&cfg.container_path)?;
     let container = Container::from_mesh(&mesh).map_err(|e| CliError::Geometry(e.to_string()))?;
-    let mut params = cfg.to_packing_params();
-    if let Some(kernel) = opts.kernel {
-        params.kernel = kernel;
-    }
-    if let Some(tiles) = opts.tiles {
-        params.tiles = tiles;
-    }
-    if params.tiles > 1 && params.neighbor.strategy == NeighborStrategy::Naive {
+    if cfg.params.tiles > 1 && cfg.neighbor.strategy == NeighborStrategy::Naive {
         return Err(CliError::Usage(
             "tiles > 1 requires neighbor strategy 'auto' or 'verlet': the \
              naive cross scan reads every bed sphere and defeats slab retirement"
@@ -446,97 +433,109 @@ fn run_pack_configured(
     }
 
     let collective = cfg.algorithm.eq_ignore_ascii_case("COLLECTIVE_ARRANGEMENT");
-
-    if let Some(batch) = effective_batch(cfg, opts) {
+    let zoned = !cfg.zones.is_empty();
+    let batch = effective_batch(cfg, opts);
+    if let Some(batch) = &batch {
         // YAML axes were validated at parse time; CLI-supplied axes (and
         // their combination with the YAML block) are checked here.
         batch
             .validate()
             .map_err(|e| CliError::Usage(format!("{e} (from --batch-* flags)")))?;
-        if !(collective && cfg.zones.is_empty()) {
+        if !collective || zoned {
             return Err(CliError::Usage(
                 "batched sweeps (batch: / --batch-*) require single-zone \
                  COLLECTIVE_ARRANGEMENT"
                     .into(),
             ));
         }
-        if trace_out.is_some() {
-            warn!("step tracing is not available for batched sweeps; no trace will be written");
-        }
-        return run_pack_batched(
-            cfg,
-            opts,
-            &batch,
-            &container,
-            params,
-            metrics_out,
-            timeline_out,
-            diag_mode,
-        );
+        // Per-system labeled series from any previous in-process run would
+        // otherwise survive in the registry and leak into this run's
+        // snapshot.
+        adampack_telemetry::metrics::clear_system_metrics();
+    }
+    if zoned && !collective {
+        return Err(CliError::Usage(
+            "zoned packings require algorithm COLLECTIVE_ARRANGEMENT".into(),
+        ));
     }
 
-    if trace_out.is_some() && !(collective && cfg.zones.is_empty()) {
+    // A plain run has a step trace; a plain run or a sweep checkpoints.
+    let checkpointable = collective && !zoned;
+    let plain = checkpointable && batch.is_none();
+    if trace_out.is_some() && batch.is_some() {
+        warn!("step tracing is not available for batched sweeps; no trace will be written");
+    } else if trace_out.is_some() && !plain {
         warn!("step tracing is only available for single-zone COLLECTIVE_ARRANGEMENT runs; no trace will be written");
     }
+    let trace_out = trace_out.filter(|_| plain);
     let checkpoint = resolve_checkpoint(cfg, opts);
-    if (checkpoint.is_some() || opts.resume) && !(collective && cfg.zones.is_empty()) {
+    if (checkpoint.is_some() || opts.resume) && !checkpointable {
         warn!("checkpoint/resume is only available for single-zone COLLECTIVE_ARRANGEMENT runs; no checkpoints will be written");
     }
+    let checkpoint = checkpoint.filter(|_| checkpointable);
 
-    // Filled in by the collective branch; the manifest falls back to 0 /
-    // empty for registry algorithms (they have no checkpoint fingerprint).
-    let mut run_fingerprint = 0u64;
-    let mut diag_records: Vec<adampack_telemetry::DiagRecord> = Vec::new();
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        cfg.params.threads
-    };
-    let salt = context_salt(threads, params.kernel, None);
-    let (run_seed, run_kernel, run_tiles) = (params.seed, params.kernel, params.tiles);
+    let mut specs = cfg.systems(&container, batch.as_ref());
+    let salt = context_salt(cfg.params.threads, cfg.params.kernel, batch.as_ref());
+    // Each system's seed and PSD, for its report and manifest: the driver
+    // consumes the specs.
+    let meta: Vec<(u64, Psd)> = specs
+        .iter()
+        .map(|s| (s.params.seed, s.psd.clone()))
+        .collect();
 
-    let result = if cfg.zones.is_empty() {
-        // Single implicit everywhere-zone. The collective path honours the
-        // YAML `verbosity` knob with per-batch progress lines; other
-        // algorithms run through the registry.
-        let psd = cfg
-            .psds()
-            .into_iter()
-            .next()
-            .ok_or_else(|| CliError::Usage("configuration has no particle sets".into()))?;
-        let n = container.capacity_estimate(psd.mean(), 0.6);
-        if collective {
-            let mut p = params.clone();
-            p.target_count = n;
-            let mut packer = CollectivePacker::new(container.clone(), p);
-            packer.set_fingerprint_context(salt);
-            packer.set_diagnostics(diag_mode);
-            // Locate resume state first: the trace file must be appended
-            // to (not truncated) when continuing an interrupted run.
-            let resume_state = match (&checkpoint, opts.resume) {
-                (Some(ck), true) => {
-                    let loaded = load_latest_checkpoint(
-                        &ck.path,
-                        ck.keep_last,
-                        adampack_core::checkpoint::decode,
-                    )?;
-                    if loaded.is_none() {
-                        warn!(
-                            "--resume: no checkpoint at {}, starting fresh",
-                            ck.path.display()
+    let (reports, fingerprints, diags) = if collective {
+        let sweep = batch.is_some();
+        // Locate resume state first: a plain run's trace file must be
+        // appended to (not truncated) when continuing an interrupted run.
+        let resume_state = match (&checkpoint, opts.resume && checkpointable) {
+            (Some(ck), true) => {
+                let loaded = load_latest_checkpoint(&ck.path, ck.keep_last, |b| {
+                    DriverState::decode(b, sweep)
+                })?;
+                if loaded.is_none() {
+                    warn!(
+                        "--resume: no checkpoint at {}, starting fresh",
+                        ck.path.display()
+                    );
+                }
+                loaded
+            }
+            (None, true) => {
+                return Err(CliError::Usage(
+                    "--resume requires a checkpoint path (--checkpoint or the \
+                     configuration's checkpoint: block)"
+                        .into(),
+                ));
+            }
+            _ => None,
+        };
+        let every = cfg.params.verbosity;
+        let mut driver = if let Some(batch) = &batch {
+            info!(
+                "batched sweep: {} systems ({})",
+                specs.len(),
+                batch.descriptor()
+            );
+            let mut driver = BatchedPacker::new(&container, specs);
+            if every > 0 {
+                driver.set_pass_callback(move |p| {
+                    if p.pass % every as u64 == 0 {
+                        info!(
+                            "pass {:>4}: {} systems active, {} particles, {} steps this pass",
+                            p.pass, p.active, p.packed, p.steps
                         );
                     }
-                    loaded
-                }
-                (None, true) => {
-                    return Err(CliError::Usage(
-                        "--resume requires a checkpoint path (--checkpoint or the \
-                         configuration's checkpoint: block)"
-                            .into(),
-                    ));
-                }
-                _ => None,
-            };
+                });
+            }
+            driver
+        } else if zoned {
+            let zones = cfg.zone_specs(load_zone_hull)?;
+            let params = specs.swap_remove(0).params;
+            BatchedPacker::zoned(&container, params, &cfg.psds(), &zones)
+                .map_err(|e| CliError::Config(ConfigError::Field(e.to_string())))?
+        } else {
+            let spec = specs.swap_remove(0);
+            let mut packer = CollectivePacker::new(container.clone(), spec.params);
             if let Some(path) = &trace_out {
                 let file = if resume_state.is_some() {
                     std::fs::OpenOptions::new()
@@ -549,21 +548,7 @@ fn run_pack_configured(
                 packer.set_trace_sink(Box::new(JsonlWriter::new(std::io::BufWriter::new(file))));
                 info!("streaming step trace to {}", path.display());
             }
-            if let Some(ck) = &checkpoint {
-                let sink = FileCheckpointSink {
-                    writer: adampack_io::RotatingCheckpointWriter::new(&ck.path, ck.keep_last),
-                };
-                packer.set_checkpoint_sink(Box::new(sink), ck.every_steps);
-                info!(
-                    "checkpointing to {} at the first batch boundary after every {} steps \
-                     (keeping {})",
-                    ck.path.display(),
-                    ck.every_steps,
-                    ck.keep_last
-                );
-            }
-            if cfg.params.verbosity > 0 {
-                let every = cfg.params.verbosity;
+            if every > 0 {
                 packer.set_batch_callback(move |b| {
                     if b.index % every == 0 {
                         info!(
@@ -577,333 +562,155 @@ fn run_pack_configured(
                     }
                 });
             }
-            let result = match resume_state {
-                Some((from, state)) => {
-                    info!(
-                        "resuming from {} ({} particles packed, batch {})",
-                        from.display(),
-                        state.packed,
-                        state.batch_index
-                    );
-                    packer.resume(&psd, state)?
-                }
-                None => packer.try_pack(&psd)?,
-            };
-            // Drop the sink so buffered trace lines hit the file.
-            drop(packer.take_trace_sink());
-            run_fingerprint = packer.fingerprint();
-            diag_records = packer.take_diagnostics();
-            result
-        } else {
-            let algo = registry(&cfg.algorithm).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown algorithm '{}'; known: {:?}",
-                    cfg.algorithm,
-                    adampack_core::runner::algorithm_names()
-                ))
-            })?;
-            algo.pack(&container, &psd, n, &params)
-        }
-    } else {
-        if !collective {
-            return Err(CliError::Usage(
-                "zoned packings require algorithm COLLECTIVE_ARRANGEMENT".into(),
-            ));
-        }
-        let zones = cfg.zone_specs(load_zone_hull)?;
-        ZonedPacker::new(container.clone(), params, cfg.psds()).try_pack(&zones)?
-    };
-
-    if let Some(path) = &metrics_out {
-        std::fs::write(path, adampack_telemetry::prometheus_snapshot())?;
-        info!("metrics snapshot written to {}", path.display());
-    }
-
-    // Full quality report against the first particle set's PSD (zone mixes
-    // are checked per zone by their own tests; the report's PSD row is only
-    // meaningful for single-set configurations).
-    let psd_for_report = if cfg.particle_sets.len() == 1 {
-        cfg.psds().into_iter().next()
-    } else {
-        None
-    };
-    let report = QualityReport::from_result(&result, &container, psd_for_report.as_ref())
-        .with_diagnostics(DiagSummary::from_records(&diag_records));
-    info!("{report}");
-    let density = metrics::core_density(&result.particles, &container.aabb(), 1.0 / 3.0);
-    let contact = metrics::contact_stats(&result.particles);
-
-    let output = match &opts.out {
-        None => None,
-        Some(path) => {
-            write_particles(path, &result)?;
-            Some(path.clone())
-        }
-    };
-
-    // Export the timeline before the manifest so the manifest records the
-    // trace file's real size.
-    if let Some(path) = &timeline_out {
-        write_timeline(path)?;
-    }
-    if let Some(out) = &output {
-        let mut manifest = RunManifest {
-            label: String::new(),
-            fingerprint: run_fingerprint,
-            context_salt: salt,
-            seed: run_seed,
-            threads: rayon::current_num_threads(),
-            kernel: run_kernel.name().to_string(),
-            backend: wide::backend_name().to_string(),
-            isa: wide::detected_isa().to_string(),
-            batch_grid: String::new(),
-            tiles: run_tiles as u64,
-            hot_set_peak_bytes: report.hot_set_peak_bytes,
-            packed: result.particles.len() as u64,
-            target: result.target as u64,
-            wall_seconds: result.duration.as_secs_f64(),
-            phase: report.phase,
-            artifacts: Vec::new(),
+            BatchedPacker::plain(packer, spec.psd)
         };
-        manifest.add_artifact(out);
-        for extra in [&trace_out, &metrics_out, &timeline_out]
-            .into_iter()
-            .flatten()
-        {
-            manifest.add_artifact(extra);
+        driver.set_threads(cfg.params.threads);
+        driver.set_fingerprint_context(salt);
+        driver.set_diagnostics(diag_mode);
+        if let Some(ck) = &checkpoint {
+            let writer = adampack_io::RotatingCheckpointWriter::new(&ck.path, ck.keep_last);
+            driver.set_checkpoint_sink(Box::new(FileSink(writer)), ck.every_steps);
+            info!(
+                "checkpointing to {} at the first boundary after every {} steps (keeping {})",
+                ck.path.display(),
+                ck.every_steps,
+                ck.keep_last
+            );
         }
-        write_manifest(out, &manifest)?;
-    }
-
-    Ok(RunSummary {
-        packed: result.particles.len(),
-        core_density: density,
-        mean_overlap_ratio: contact.mean_overlap_ratio,
-        seconds: result.duration.as_secs_f64(),
-        output,
-    })
-}
-
-/// The batched multi-system driver: expands the sweep grid into labeled
-/// systems, packs them all in one process with the batched engine, writes
-/// per-system outputs (`out.<label>.vtk`), and aggregates the summary.
-#[allow(clippy::too_many_arguments)]
-fn run_pack_batched(
-    cfg: &PackingConfig,
-    opts: &PackOptions,
-    batch: &BatchConfig,
-    container: &Container,
-    params: PackingParams,
-    metrics_out: Option<PathBuf>,
-    timeline_out: Option<PathBuf>,
-    diag_mode: DiagMode,
-) -> Result<RunSummary, CliError> {
-    // Per-system labeled series from any previous in-process run would
-    // otherwise survive in the registry and leak into this run's snapshot.
-    adampack_telemetry::metrics::clear_system_metrics();
-    let systems = batch.expand(&cfg.params);
-    if systems.len() > BatchConfig::MAX_SYSTEMS {
-        return Err(CliError::Usage(format!(
-            "batch sweep expands to {} systems (max {})",
-            systems.len(),
-            BatchConfig::MAX_SYSTEMS
-        )));
-    }
-    let threads = if opts.threads > 0 {
-        opts.threads
+        if let Some((from, state)) = resume_state {
+            info!("resuming from {}", from.display());
+            driver.resume(state)?;
+        }
+        // The driver drops at the end of this block, flushing a plain
+        // run's trace file before its manifest records the file's size.
+        let reports = driver.run();
+        (reports, driver.fingerprints(), driver.take_diagnostics())
     } else {
-        cfg.params.threads
-    };
-    let salt = context_salt(threads, params.kernel, Some(batch));
-
-    let mut specs = Vec::with_capacity(systems.len());
-    for sys in &systems {
-        let psd = cfg
-            .psds_scaled(sys.radius_scale)
-            .into_iter()
-            .next()
-            .ok_or_else(|| CliError::Usage("configuration has no particle sets".into()))?;
-        let mut p = cfg.to_packing_params_for(sys);
-        p.kernel = params.kernel;
-        p.tiles = params.tiles;
-        p.target_count = container.capacity_estimate(psd.mean(), 0.6);
-        specs.push(SystemSpec {
-            label: sys.label.clone(),
-            params: p,
-            psd,
-        });
-    }
-    info!(
-        "batched sweep: {} systems ({})",
-        specs.len(),
-        batch.descriptor()
-    );
-    // (label, seed, target) per system, for the per-system manifests — the
-    // specs themselves are consumed by the engine.
-    let system_meta: Vec<(String, u64, usize)> = specs
-        .iter()
-        .map(|s| (s.label.clone(), s.params.seed, s.params.target_count))
-        .collect();
-
-    let mut packer = BatchedPacker::new(container, specs);
-    packer.set_threads(threads);
-    packer.set_fingerprint_context(salt);
-    packer.set_diagnostics(diag_mode);
-
-    let checkpoint = resolve_checkpoint(cfg, opts);
-    if let Some(ck) = &checkpoint {
-        let sink = BatchedFileSink {
-            writer: adampack_io::RotatingCheckpointWriter::new(&ck.path, ck.keep_last),
-        };
-        packer.set_checkpoint_sink(Box::new(sink), ck.every_steps);
-        info!(
-            "checkpointing batched state to {} every {} steps (keeping {})",
-            ck.path.display(),
-            ck.every_steps,
-            ck.keep_last
-        );
-    }
-    if opts.resume {
-        let ck = checkpoint.as_ref().ok_or_else(|| {
-            CliError::Usage(
-                "--resume requires a checkpoint path (--checkpoint or the configuration's \
-                 checkpoint: block)"
-                    .into(),
-            )
+        let algo = registry(&cfg.algorithm).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown algorithm '{}'; known: {:?}",
+                cfg.algorithm,
+                adampack_core::runner::algorithm_names()
+            ))
         })?;
-        match load_latest_checkpoint(
-            &ck.path,
-            ck.keep_last,
-            adampack_core::checkpoint::decode_batched,
-        )? {
-            None => warn!(
-                "--resume: no checkpoint at {}, starting fresh",
-                ck.path.display()
-            ),
-            Some((from, state)) => {
-                info!(
-                    "resuming batched sweep from {} (pass {}, {} systems)",
-                    from.display(),
-                    state.pass,
-                    state.systems.len()
-                );
-                packer.resume(state)?;
-            }
-        }
-    }
-    if cfg.params.verbosity > 0 {
-        let every = cfg.params.verbosity as u64;
-        packer.set_pass_callback(move |p| {
-            if p.pass % every == 0 {
-                info!(
-                    "pass {:>4}: {} systems active, {} particles, {} steps this pass",
-                    p.pass, p.active, p.packed, p.steps
-                );
-            }
-        });
-    }
-
-    let reports = packer.run();
-    let diags = packer.take_diagnostics();
-    let fingerprints = packer.fingerprints();
+        let spec = &specs[0];
+        let result = algo.pack(
+            &container,
+            &spec.psd,
+            spec.params.target_count,
+            &spec.params,
+        );
+        let report = SystemReport {
+            label: String::new(),
+            result: Ok(result),
+        };
+        (
+            vec![report],
+            vec![(String::new(), 0)],
+            vec![(String::new(), Vec::new())],
+        )
+    };
 
     if let Some(path) = &metrics_out {
         std::fs::write(path, adampack_telemetry::prometheus_snapshot())?;
         info!("metrics snapshot written to {}", path.display());
     }
+    // Export the timeline before the manifests so they record the trace
+    // file's real size.
     if let Some(path) = &timeline_out {
         write_timeline(path)?;
     }
 
-    let mut packed = 0usize;
-    let mut density_sum = 0.0;
-    let mut overlap_sum = 0.0;
-    let mut seconds: f64 = 0.0;
+    let mut summary = RunSummary {
+        packed: 0,
+        core_density: 0.0,
+        mean_overlap_ratio: 0.0,
+        seconds: 0.0,
+        output: opts.out.clone(),
+    };
     let mut ok_count = 0usize;
     let mut first_err: Option<PackError> = None;
-    for rep in reports {
-        match rep.result {
-            Ok(result) => {
-                let density =
-                    metrics::core_density(&result.particles, &container.aabb(), 1.0 / 3.0);
-                let contact = metrics::contact_stats(&result.particles);
-                info!(
-                    "system {}: {} particles, core density {:.4}, mean overlap {:.3}%, {:.2} s",
-                    rep.label,
-                    result.particles.len(),
-                    density,
-                    contact.mean_overlap_ratio * 100.0,
-                    result.duration.as_secs_f64()
-                );
-                let diag_summary = diags
-                    .iter()
-                    .find(|(l, _)| *l == rep.label)
-                    .and_then(|(_, recs)| DiagSummary::from_records(recs));
-                let sys_report = QualityReport::from_result(&result, container, None)
-                    .with_diagnostics(diag_summary);
-                adampack_telemetry::debug!("system {} report:\n{sys_report}", rep.label);
-                packed += result.particles.len();
-                density_sum += density;
-                overlap_sum += contact.mean_overlap_ratio;
-                seconds = seconds.max(result.duration.as_secs_f64());
-                ok_count += 1;
-                if let Some(out) = &opts.out {
-                    let path = labeled_output_path(out, &rep.label);
-                    write_particles(&path, &result)?;
-                    info!("system {}: wrote {}", rep.label, path.display());
-                    let (seed, target) = system_meta
-                        .iter()
-                        .find(|(l, _, _)| *l == rep.label)
-                        .map(|&(_, s, t)| (s, t))
-                        .unwrap_or((0, 0));
-                    let fingerprint = fingerprints
-                        .iter()
-                        .find(|(l, _)| *l == rep.label)
-                        .map(|&(_, f)| f)
-                        .unwrap_or(0);
-                    let mut manifest = RunManifest {
-                        label: rep.label.clone(),
-                        fingerprint,
-                        context_salt: salt,
-                        seed,
-                        threads: rayon::current_num_threads(),
-                        kernel: params.kernel.name().to_string(),
-                        backend: wide::backend_name().to_string(),
-                        isa: wide::detected_isa().to_string(),
-                        batch_grid: batch.descriptor(),
-                        tiles: params.tiles as u64,
-                        hot_set_peak_bytes: sys_report.hot_set_peak_bytes,
-                        packed: result.particles.len() as u64,
-                        target: target as u64,
-                        wall_seconds: result.duration.as_secs_f64(),
-                        phase: sys_report.phase,
-                        artifacts: Vec::new(),
-                    };
-                    manifest.add_artifact(&path);
-                    for extra in [&metrics_out, &timeline_out].into_iter().flatten() {
-                        manifest.add_artifact(extra);
-                    }
-                    write_manifest(&path, &manifest)?;
-                }
-            }
+    for (i, rep) in reports.into_iter().enumerate() {
+        let result = match rep.result {
+            Ok(result) => result,
             Err(e) => {
-                warn!("system {} failed: {e}", rep.label);
-                if first_err.is_none() {
-                    first_err = Some(e);
+                if batch.is_some() {
+                    warn!("system {} failed: {e}", rep.label);
                 }
+                first_err.get_or_insert(e);
+                continue;
             }
+        };
+        let (seed, psd) = &meta[i];
+        let density = metrics::core_density(&result.particles, &container.aabb(), 1.0 / 3.0);
+        let contact = metrics::contact_stats(&result.particles);
+        // The report's PSD row is only meaningful for single-set
+        // configurations (zone mixes are checked per zone by their tests).
+        let report = QualityReport::from_result(
+            &result,
+            &container,
+            (cfg.particle_sets.len() == 1).then_some(psd),
+        )
+        .with_diagnostics(DiagSummary::from_records(&diags[i].1));
+        if batch.is_some() {
+            info!(
+                "system {}: {} particles, core density {density:.4}, mean overlap {:.3}%, {:.2} s",
+                rep.label,
+                result.particles.len(),
+                contact.mean_overlap_ratio * 100.0,
+                result.duration.as_secs_f64()
+            );
+            adampack_telemetry::debug!("system {} report:\n{report}", rep.label);
+        } else {
+            info!("{report}");
         }
+        if let Some(out) = &opts.out {
+            let path = match batch {
+                Some(_) => labeled_output_path(out, &rep.label),
+                None => out.clone(),
+            };
+            write_particles(&path, &result)?;
+            let mut manifest = RunManifest {
+                label: rep.label,
+                fingerprint: fingerprints[i].1,
+                context_salt: salt,
+                seed: *seed,
+                threads: rayon::current_num_threads(),
+                kernel: cfg.params.kernel.name().to_string(),
+                backend: wide::backend_name().to_string(),
+                isa: wide::detected_isa().to_string(),
+                batch_grid: batch
+                    .as_ref()
+                    .map_or_else(String::new, BatchConfig::descriptor),
+                tiles: cfg.params.tiles as u64,
+                hot_set_peak_bytes: report.hot_set_peak_bytes,
+                packed: result.particles.len() as u64,
+                target: result.target as u64,
+                wall_seconds: result.duration.as_secs_f64(),
+                phase: report.phase,
+                artifacts: Vec::new(),
+            };
+            manifest.add_artifact(&path);
+            for extra in [&trace_out, &metrics_out, &timeline_out]
+                .into_iter()
+                .flatten()
+            {
+                manifest.add_artifact(extra);
+            }
+            write_manifest(&path, &manifest)?;
+        }
+        summary.packed += result.particles.len();
+        summary.core_density += density;
+        summary.mean_overlap_ratio += contact.mean_overlap_ratio;
+        summary.seconds = summary.seconds.max(result.duration.as_secs_f64());
+        ok_count += 1;
     }
     if let Some(e) = first_err {
         return Err(e.into());
     }
-    Ok(RunSummary {
-        packed,
-        core_density: density_sum / ok_count.max(1) as f64,
-        mean_overlap_ratio: overlap_sum / ok_count.max(1) as f64,
-        seconds,
-        output: opts.out.clone(),
-    })
+    summary.core_density /= ok_count as f64;
+    summary.mean_overlap_ratio /= ok_count as f64;
+    Ok(summary)
 }
 
 /// Writes particles in the format selected by the output extension.
@@ -1054,6 +861,12 @@ mod tests {
         assert!(summary.packed > 10, "packed {}", summary.packed);
         let text = std::fs::read_to_string(&out).unwrap();
         assert!(text.starts_with("# vtk DataFile"));
+        // Zoned runs take no checkpoints, so they have no fingerprint.
+        let manifest = std::fs::read_to_string(RunManifest::path_for(&out)).unwrap();
+        assert!(
+            manifest.contains("\"fingerprint\": \"0000000000000000\""),
+            "{manifest}"
+        );
     }
 
     #[test]
@@ -1134,6 +947,23 @@ mod tests {
         let dir = std::env::temp_dir().join("adampack_cli_zoned_rsa");
         let cfg = setup_config(&dir, "RSA", true);
         assert!(matches!(run_pack(&cfg, None), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn zone_outside_the_container_is_a_config_error() {
+        let _serial = serial();
+        let dir = std::env::temp_dir().join("adampack_cli_zone_outside");
+        let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", true);
+        // The box spans z ∈ [-1, 1]; this slab lies above it.
+        let yaml = std::fs::read_to_string(&cfg).unwrap().replace(
+            "min_bound: -1.0\n              max_bound: 0.0",
+            "min_bound: 5.0\n              max_bound: 6.0",
+        );
+        assert!(yaml.contains("min_bound: 5.0"));
+        std::fs::write(&cfg, yaml).unwrap();
+        let err = run_pack(&cfg, None).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert!(err.to_string().contains("zones[0]"), "{err}");
     }
 
     #[test]
@@ -1377,33 +1207,26 @@ mod tests {
         let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_batched_parity");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
-        let single = run_pack_opts(
-            &cfg,
-            &PackOptions {
+        let plain = dir.join("plain.csv");
+        let one_system = dir.join("sweep.s3_lr0.01.csv");
+        std::fs::remove_file(&one_system).ok();
+        for (out, batch_seeds) in [
+            (plain.clone(), None),
+            (dir.join("sweep.csv"), Some(vec![3])),
+        ] {
+            let opts = PackOptions {
+                out: Some(out),
+                batch_seeds,
                 log_level: Some(ConsoleLevel::Off),
                 ..PackOptions::default()
-            },
-        )
-        .unwrap();
-        // A one-system sweep over the same seed must reproduce the single
-        // run bitwise (batching is a throughput knob, not a semantic one).
-        let batched = run_pack_opts(
-            &cfg,
-            &PackOptions {
-                batch_seeds: Some(vec![3]),
-                log_level: Some(ConsoleLevel::Off),
-                ..PackOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(single.packed, batched.packed);
-        assert_eq!(
-            single.core_density.to_bits(),
-            batched.core_density.to_bits()
-        );
-        assert_eq!(
-            single.mean_overlap_ratio.to_bits(),
-            batched.mean_overlap_ratio.to_bits()
+            };
+            run_pack_opts(&cfg, &opts).unwrap();
+        }
+        // A one-system sweep over the same seed must write the plain run's
+        // bytes (batching is a throughput knob, not a semantic one).
+        assert!(
+            std::fs::read(&plain).unwrap() == std::fs::read(&one_system).unwrap(),
+            "the one-system sweep's CSV differs from the plain run's"
         );
     }
 

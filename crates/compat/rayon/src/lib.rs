@@ -190,7 +190,8 @@ fn ensure_workers(target: usize) {
 
 /// Runs `job(0..n_jobs)` across the pool, blocking until every job
 /// completed. Falls back to a sequential loop for trivial sizes, for a
-/// one-thread configuration, and for nested calls from inside a worker.
+/// one-thread configuration, and for nested calls from inside a region's
+/// job (on a worker or on the posting thread).
 /// Performs no heap allocation on the steady-state path. A panic in any
 /// job is captured and re-thrown on the posting thread once the region
 /// has quiesced.
@@ -218,7 +219,10 @@ fn run_region(n_jobs: usize, job: &(dyn Fn(usize) + Sync)) {
         st.panic = None;
     }
     p.board.work.notify_one();
-    // The posting thread participates too.
+    // The posting thread participates too, marked as a worker while it runs
+    // jobs: a region started inside one then runs sequentially instead of
+    // waiting on the `region` lock this region holds.
+    let was_worker = IN_WORKER.with(|w| w.replace(true));
     loop {
         let k = {
             let mut st = p.board.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -239,6 +243,7 @@ fn run_region(n_jobs: usize, job: &(dyn Fn(usize) + Sync)) {
             p.board.finished.notify_all();
         }
     }
+    IN_WORKER.with(|w| w.set(was_worker));
     let panic = {
         let mut st = p.board.state.lock().unwrap_or_else(|e| e.into_inner());
         while st.done < st.n_jobs {

@@ -3,8 +3,8 @@
 use std::path::{Path, PathBuf};
 
 use adampack_core::{
-    Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SweepOrder, ZoneRegion,
-    ZoneSpec,
+    Container, Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SweepOrder,
+    SystemSpec, ZoneRegion, ZoneSpec,
 };
 use adampack_geometry::{Axis, ConvexHull};
 use adampack_telemetry::{DiagMode, Level};
@@ -895,6 +895,40 @@ impl PackingConfig {
         self.particle_sets
             .iter()
             .map(|s| s.to_psd_scaled(scale))
+            .collect()
+    }
+
+    /// The systems a `COLLECTIVE_ARRANGEMENT` run packs into `container`:
+    /// one per point of the `batch` sweep grid, or the one plain system
+    /// (labelled `""`) without a grid. Each packs its first particle set
+    /// (radii scaled by its grid point) up to the container's capacity
+    /// estimate at that PSD's mean radius.
+    pub fn systems(&self, container: &Container, batch: Option<&BatchConfig>) -> Vec<SystemSpec> {
+        let points = match batch {
+            Some(batch) => batch.expand(&self.params),
+            None => vec![BatchSystem {
+                label: String::new(),
+                seed: self.params.seed,
+                lr: self.params.lr,
+                radius_scale: 1.0,
+            }],
+        };
+        points
+            .into_iter()
+            .map(|sys| {
+                let psd = self
+                    .particle_sets
+                    .first()
+                    .expect("the parser requires a particle set")
+                    .to_psd_scaled(sys.radius_scale);
+                let mut params = self.to_packing_params_for(&sys);
+                params.target_count = container.capacity_estimate(psd.mean(), 0.6);
+                SystemSpec {
+                    label: sys.label,
+                    params,
+                    psd,
+                }
+            })
             .collect()
     }
 

@@ -1,62 +1,63 @@
-//! Batched multi-system engine: pack S independent systems in one pass.
+//! The run driver: every packing steps through [`BatchedPacker`].
 //!
-//! Parameter sweeps (seeds × PSDs × learning rates) run S systems whose
-//! per-step work is identical in shape. This engine packs all of them in a
-//! single process: every *pass* advances each unfinished system by one
-//! batch attempt, with the systems spread across the thread pool and each
-//! system's own kernels pinned to one thread. Acceptance is per system — a
-//! slow system (more rejected batches, longer optimizations) never stalls
-//! the others, it just keeps receiving passes after its neighbors finish.
+//! Algorithm 1 is one loop — spawn a batch above the bed, optimize it,
+//! accept it or halve the batch — and the driver runs it for S ≥ 1
+//! systems one *pass* at a time: every pass advances each unfinished
+//! system by one batch attempt. It has three shapes:
+//!
+//! * **plain** ([`BatchedPacker::plain`]): S = 1, one unlabeled run;
+//! * **sweep** ([`BatchedPacker::new`]): the S labeled systems of a
+//!   parameter grid (seeds × PSDs × learning rates). With S > 1 the
+//!   systems are spread across the thread pool, each system's own kernels
+//!   pinned to one thread. Acceptance is per system — a slow system never
+//!   stalls the others, it just keeps receiving passes after its
+//!   neighbors finish;
+//! * **zoned** ([`BatchedPacker::zoned`]): S = 1, whose run walks the
+//!   zones bottom-up as stages, each packing on top of the ones below.
 //!
 //! ## Bitwise equality
 //!
 //! Each system owns a full [`CollectivePacker`] — its RNG, optimizer,
 //! scheduler, sentinel and workspace — and is advanced through exactly the
-//! same [`CollectivePacker::advance_batch`] sequence a single run would
-//! execute. Combined with the workspace determinism contract (every hot
-//! kernel is bitwise identical for any thread count), a system inside a
-//! batched run produces the same centers, fitness trace and acceptance
-//! decisions as its own `S = 1` run, bit for bit.
-//!
-//! ## The system axis
-//!
-//! Engine-level state lives in a [`SystemArena`]: one `(S, stride)` SoA
-//! block per coordinate component with the leading axis over systems.
-//! Ragged per-system N is handled by the same inf-padding dead-lane trick
-//! the SIMD kernels use — lanes past a system's particle count hold
-//! `f64::INFINITY` so fused aggregate sweeps run branch-free over the whole
-//! block and padding contributes nothing.
+//! same [`CollectivePacker::advance_batch`] sequence whatever the shape.
+//! Combined with the workspace determinism contract (every hot kernel is
+//! bitwise identical for any thread count), a system inside a sweep
+//! produces the same centers, fitness trace and acceptance decisions as
+//! its own plain run, bit for bit.
 //!
 //! ## Checkpointing
 //!
-//! With a [`BatchedCheckpointSink`] installed, the engine captures a
-//! [`BatchedRunState`] — one nested per-system
-//! [`RunState`](crate::checkpoint::RunState) at a batch boundary — every
-//! `every_steps` accumulated optimizer steps, at pass boundaries. A resume
-//! verifies the sweep fingerprint (per-system parameters, labels, thread
-//! knob, system count) and continues bitwise identically.
+//! One [`CheckpointCadence`] decides for every shape, and one
+//! [`CheckpointSink`] persists the encoded bytes. A plain run writes the
+//! single-run stream ([`RunState`]): its cadence is handed to
+//! [`CollectivePacker::advance_batch`], the single-run save site. A sweep
+//! writes the batched stream ([`BatchedRunState`]) at the end of a pass;
+//! its resume verifies the sweep fingerprint (per-system parameters,
+//! labels, thread knob, system count). Either resumes bitwise identically.
+//! Zoned runs take no checkpoints.
 
-use adampack_telemetry::metrics::{CHECKPOINT_FAILURES_TOTAL, CHECKPOINT_WRITES_TOTAL};
+use std::time::Instant;
+
 use adampack_telemetry::{span, timeline, DiagRecord, Phase, SystemCounters};
 use rayon::{par, ThreadPoolBuilder};
 
-use crate::checkpoint::{self, BatchedRunState, BatchedSystemState, CheckpointError};
-use crate::collective::{CollectivePacker, PackError, PackResult, RunProgress};
+use crate::checkpoint::{self, BatchedRunState, BatchedSystemState, CheckpointError, RunState};
+use crate::collective::{
+    BatchStats, CheckpointCadence, CheckpointSink, CollectivePacker, PackError, PackResult,
+    RunProgress,
+};
 use crate::container::Container;
 use crate::diagnostics::DiagMode;
 use crate::params::PackingParams;
-use crate::particle::Particle;
 use crate::psd::Psd;
+use crate::zone::{self, EmptyZone, ZoneSpec, ZoneStage};
 
-/// Fixed block size for the arena's fused aggregate reduction — the partial
-/// layout depends only on the block count, never the pool width.
-const ARENA_REDUCE_BLOCK: usize = 1024;
-
-/// One system of a batched run: a sweep label plus the hyper-parameters and
+/// One system of a sweep: a label plus the hyper-parameters and
 /// particle-size distribution it packs with.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
-    /// Sweep label, unique within the batch (e.g. `s7_lr0.01`).
+    /// Sweep label, unique within the sweep (e.g. `s7_lr0.01`); empty for
+    /// a plain run.
     pub label: String,
     /// Full hyper-parameter set (seed, learning rate, kernel, …).
     pub params: PackingParams,
@@ -64,21 +65,20 @@ pub struct SystemSpec {
     pub psd: Psd,
 }
 
-/// Outcome of one system of a batched run.
+/// Outcome of one system of a run.
 #[derive(Debug)]
 pub struct SystemReport {
-    /// The system's sweep label.
+    /// The system's sweep label (empty for plain and zoned runs).
     pub label: String,
     /// The packing result, or the per-system error (a diverged system does
     /// not abort its siblings).
     pub result: Result<PackResult, PackError>,
 }
 
-/// Aggregate statistics over one engine pass, derived from the
-/// [`SystemArena`]'s fused sweep.
+/// Statistics over one driver pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassStats {
-    /// Engine pass index (1-based; counts resumed passes too).
+    /// Pass index (1-based; counts a sweep's resumed passes too).
     pub pass: u64,
     /// Systems still running after this pass.
     pub active: usize,
@@ -86,49 +86,144 @@ pub struct PassStats {
     pub packed: usize,
     /// Optimizer steps consumed by this pass, summed over all systems.
     pub steps: u64,
-    /// Live (finite) arena lanes — equals `packed` and cross-checks the
-    /// padding invariant.
-    pub live_lanes: usize,
-    /// Total packed sphere volume across the whole block.
-    pub volume: f64,
-    /// Largest packed radius across the whole block.
-    pub max_radius: f64,
 }
 
-/// Observer invoked after every engine pass.
+/// Observer invoked after every pass.
 type PassCallback = Box<dyn FnMut(&PassStats) + Send>;
 
-/// Destination for batched run-state checkpoints, the multi-system
-/// counterpart of [`crate::collective::CheckpointSink`]. A returned `Err`
-/// is counted and logged but does not abort the run.
-pub trait BatchedCheckpointSink: Send {
-    /// Persists one batched run state.
-    fn save(&mut self, state: &BatchedRunState) -> Result<(), String>;
+/// A driver's boundary capture, in its run's checkpoint format.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DriverState {
+    /// A plain run's state: the single-run stream.
+    Plain(RunState),
+    /// A sweep's state: the batched stream.
+    Sweep(BatchedRunState),
 }
 
-struct BatchedCadence {
-    sink: Box<dyn BatchedCheckpointSink>,
-    every_steps: usize,
-    /// Optimizer steps accumulated across systems since the last
-    /// successful save (a failed save leaves the cadence due, so the next
-    /// pass boundary retries).
-    acc_steps: u64,
+impl DriverState {
+    /// Encodes the state in its format's byte stream.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            DriverState::Plain(state) => checkpoint::encode(state),
+            DriverState::Sweep(state) => checkpoint::encode_batched(state),
+        }
+    }
+
+    /// Decodes the stream a sweep (`sweep`) or a plain run writes.
+    pub fn decode(bytes: &[u8], sweep: bool) -> Result<DriverState, CheckpointError> {
+        if sweep {
+            checkpoint::decode_batched(bytes).map(DriverState::Sweep)
+        } else {
+            checkpoint::decode(bytes).map(DriverState::Plain)
+        }
+    }
 }
 
-/// One system's state machine inside the engine.
+/// A zoned run's stages still to pack, and what its finished stages
+/// contribute to the merged result.
+struct ZoneRun {
+    /// Stages still to pack, the next one last.
+    rest: Vec<ZoneStage>,
+    /// Batches of the finished stages, with zone-local indices.
+    batches: Vec<BatchStats>,
+    /// Sentinel recoveries of the finished stages.
+    recoveries: u64,
+    /// When the zones' stages began to be built: the run's wall time
+    /// includes carving the zone regions out of the container.
+    start: Instant,
+    /// Σ n over all zones.
+    target: usize,
+    /// The whole container, which the merged result reports.
+    container: Container,
+}
+
+impl ZoneRun {
+    /// The zoned run's result: `last`, the final stage's result (whose
+    /// particles already include every lower zone's), merged with the
+    /// finished stages'.
+    fn merge(&mut self, last: PackResult) -> PackResult {
+        let mut batches = std::mem::take(&mut self.batches);
+        batches.extend(last.batches);
+        PackResult {
+            particles: last.particles,
+            batches,
+            container: self.container.clone(),
+            duration: self.start.elapsed(),
+            target: self.target,
+            recoveries: self.recoveries + last.recoveries,
+        }
+    }
+}
+
+/// One system's state machine inside the driver.
 struct SystemSlot {
     label: String,
     psd: Psd,
     packer: CollectivePacker,
+    /// `None` until the run starts or resumes.
     progress: Option<RunProgress>,
     /// Terminal per-system error; the slot stops receiving passes but its
     /// siblings continue.
     error: Option<PackError>,
     /// Steps counter at the previous pass boundary (for per-pass deltas).
     steps_before: u64,
-    /// Interned timeline system-label id (events recorded while this slot
-    /// is being advanced carry it).
+    /// Interned timeline system-label id (0, no label, outside sweeps):
+    /// events recorded while this slot is being advanced carry it.
     timeline_id: u32,
+    /// The remaining zone stages of a zoned run.
+    zones: Option<ZoneRun>,
+}
+
+impl SystemSlot {
+    fn new(label: String, packer: CollectivePacker, psd: Psd, timeline_id: u32) -> SystemSlot {
+        SystemSlot {
+            label,
+            psd,
+            packer,
+            progress: None,
+            error: None,
+            steps_before: 0,
+            timeline_id,
+            zones: None,
+        }
+    }
+
+    /// Finished (every zone stage packed) or failed.
+    fn done(&self) -> bool {
+        self.error.is_some()
+            || self.progress.as_ref().is_some_and(|p| {
+                p.finished() && self.zones.as_ref().is_none_or(|z| z.rest.is_empty())
+            })
+    }
+
+    /// One batch attempt, after moving a zoned run on to its next zone
+    /// once the current one is packed: the finished stage's batches and
+    /// recoveries join the merged result and its particles become the next
+    /// stage's fixed bed.
+    fn advance(&mut self, cadence: &mut Option<CheckpointCadence>) {
+        let _scope = timeline::SystemScope::enter(self.timeline_id);
+        let _system_pass = span(Phase::SystemPass);
+        if let Some(zones) = self.zones.as_mut() {
+            while self.progress.as_ref().is_some_and(RunProgress::finished) {
+                let Some(stage) = zones.rest.pop() else { break };
+                let prog = self.progress.take().expect("checked above");
+                let done = self.packer.finish_run(prog);
+                zones.batches.extend(done.batches);
+                zones.recoveries += done.recoveries;
+                self.packer = CollectivePacker::new(stage.container, stage.params);
+                self.psd = stage.psd;
+                self.progress = Some(self.packer.begin_run(done.particles, false));
+                self.steps_before = 0;
+            }
+        }
+        let prog = self
+            .progress
+            .as_mut()
+            .expect("an active system has progress");
+        if let Err(e) = self.packer.advance_batch(&self.psd, prog, cadence) {
+            self.error = Some(e);
+        }
+    }
 }
 
 /// This system's counters, computed from its own run progress — never by
@@ -155,153 +250,23 @@ fn slot_counters(prog: &RunProgress, recoveries: u64) -> SystemCounters {
     c
 }
 
-// ---------------------------------------------------------------------------
-// SystemArena
-// ---------------------------------------------------------------------------
-
-/// Leading-system-axis SoA block: lane `s * stride + i` holds system `s`'s
-/// particle `i`; dead lanes (ragged padding) hold `f64::INFINITY`.
-pub struct SystemArena {
-    stride: usize,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    zs: Vec<f64>,
-    rs: Vec<f64>,
-    counts: Vec<usize>,
-}
-
-/// Result of the arena's fused `(S, N)` aggregate sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ArenaAggregate {
-    /// Live (finite-radius) lanes.
-    pub particles: usize,
-    /// Total sphere volume over live lanes.
-    pub volume: f64,
-    /// Largest radius over live lanes.
-    pub max_radius: f64,
-}
-
-impl SystemArena {
-    fn new(systems: usize, stride: usize) -> SystemArena {
-        let n = systems * stride;
-        SystemArena {
-            stride,
-            xs: vec![f64::INFINITY; n],
-            ys: vec![f64::INFINITY; n],
-            zs: vec![f64::INFINITY; n],
-            rs: vec![f64::INFINITY; n],
-            counts: vec![0; systems],
-        }
-    }
-
-    /// Number of systems (the leading axis).
-    pub fn systems(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Lanes per system.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// One system's SoA row: `(xs, ys, zs, rs, live_count)`. Lanes at and
-    /// past `live_count` are inf-padded.
-    pub fn system(&self, s: usize) -> (&[f64], &[f64], &[f64], &[f64], usize) {
-        let (lo, hi) = (s * self.stride, (s + 1) * self.stride);
-        (
-            &self.xs[lo..hi],
-            &self.ys[lo..hi],
-            &self.zs[lo..hi],
-            &self.rs[lo..hi],
-            self.counts[s],
-        )
-    }
-
-    /// Rewrites every system row from its particle list — one deterministic
-    /// chunked pass per component, one writer per lane.
-    fn refresh(&mut self, rows: &[&[Particle]]) {
-        assert_eq!(rows.len(), self.counts.len(), "arena system count mismatch");
-        for (s, row) in rows.iter().enumerate() {
-            self.counts[s] = row.len().min(self.stride);
-        }
-        let stride = self.stride;
-        let fill = |lane: &mut [f64], row: &[Particle], get: &dyn Fn(&Particle) -> f64| {
-            let m = row.len().min(lane.len());
-            for (j, slot) in lane.iter_mut().enumerate() {
-                *slot = if j < m { get(&row[j]) } else { f64::INFINITY };
-            }
-        };
-        let mut rows_x: Vec<&[Particle]> = rows.to_vec();
-        par::for_each_chunk_zip(&mut self.xs, stride, &mut rows_x, |_, lane, row| {
-            fill(lane, row, &|p| p.center.x)
-        });
-        let mut rows_y: Vec<&[Particle]> = rows.to_vec();
-        par::for_each_chunk_zip(&mut self.ys, stride, &mut rows_y, |_, lane, row| {
-            fill(lane, row, &|p| p.center.y)
-        });
-        let mut rows_z: Vec<&[Particle]> = rows.to_vec();
-        par::for_each_chunk_zip(&mut self.zs, stride, &mut rows_z, |_, lane, row| {
-            fill(lane, row, &|p| p.center.z)
-        });
-        let mut rows_r: Vec<&[Particle]> = rows.to_vec();
-        par::for_each_chunk_zip(&mut self.rs, stride, &mut rows_r, |_, lane, row| {
-            fill(lane, row, &|p| p.radius)
-        });
-    }
-
-    /// Fused aggregate sweep over the whole `(S, N)` block: dead lanes are
-    /// skipped by their infinite radius, so the loop needs no per-system
-    /// bounds. Fixed-shape reduction — bitwise identical for any thread
-    /// count.
-    pub fn aggregate(&self) -> ArenaAggregate {
-        let rs = &self.rs;
-        let (particles, volume, max_radius) = par::map_reduce(
-            rs.len(),
-            ARENA_REDUCE_BLOCK,
-            (0usize, 0.0f64, 0.0f64),
-            |s, e| {
-                let mut c = 0usize;
-                let mut v = 0.0f64;
-                let mut m = 0.0f64;
-                for &r in &rs[s..e] {
-                    if r.is_finite() {
-                        c += 1;
-                        v += 4.0 / 3.0 * std::f64::consts::PI * r * r * r;
-                        m = m.max(r);
-                    }
-                }
-                (c, v, m)
-            },
-            |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)),
-        );
-        ArenaAggregate {
-            particles,
-            volume,
-            max_radius,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BatchedPacker
-// ---------------------------------------------------------------------------
-
-/// The multi-system driver: S per-system [`CollectivePacker`] state
-/// machines advanced in lockstep passes over the thread pool, sharing one
-/// [`SystemArena`].
+/// The run driver: S per-system [`CollectivePacker`] state machines
+/// advanced in lockstep passes — a plain run, a sweep or a zoned run.
 pub struct BatchedPacker {
     slots: Vec<SystemSlot>,
-    arena: SystemArena,
+    /// A sweep: labeled systems, the batched checkpoint stream, per-system
+    /// metrics and timeline labels.
+    sweep: bool,
     /// Resolved thread-count knob, folded into the sweep fingerprint.
     threads: usize,
     pass: u64,
-    checkpoint: Option<BatchedCadence>,
+    checkpoint: Option<CheckpointCadence>,
     pass_callback: Option<PassCallback>,
 }
 
 impl BatchedPacker {
-    /// Creates a batched packer over `specs`, all packing into clones of
-    /// `container`. Labels must be unique; `specs` must be non-empty.
+    /// A sweep over `specs`, all packing into clones of `container`.
+    /// Labels must be unique; `specs` must be non-empty.
     pub fn new(container: &Container, specs: Vec<SystemSpec>) -> BatchedPacker {
         assert!(!specs.is_empty(), "batched run needs at least one system");
         for (i, a) in specs.iter().enumerate() {
@@ -309,28 +274,60 @@ impl BatchedPacker {
                 assert_ne!(a.label, b.label, "duplicate system label {:?}", a.label);
             }
         }
-        let stride = specs
-            .iter()
-            .map(|s| s.params.target_count)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let arena = SystemArena::new(specs.len(), stride);
         let slots = specs
             .into_iter()
-            .map(|spec| SystemSlot {
-                packer: CollectivePacker::new(container.clone(), spec.params),
-                timeline_id: timeline::intern_system(&spec.label),
-                label: spec.label,
-                psd: spec.psd,
-                progress: None,
-                error: None,
-                steps_before: 0,
+            .map(|spec| {
+                let id = timeline::intern_system(&spec.label);
+                let packer = CollectivePacker::new(container.clone(), spec.params);
+                SystemSlot::new(spec.label, packer, spec.psd, id)
             })
             .collect();
+        BatchedPacker::with_slots(slots, true)
+    }
+
+    /// A plain run: `packer` (with whatever trace sink, batch callback or
+    /// diagnostics its caller installed) packing `psd`.
+    pub fn plain(packer: CollectivePacker, psd: Psd) -> BatchedPacker {
+        BatchedPacker::with_slots(vec![SystemSlot::new(String::new(), packer, psd, 0)], false)
+    }
+
+    /// A zoned run: the `zones` of `container` packed bottom-up as stages
+    /// of one run, with `params` as every stage's base parameters and
+    /// `sets` the particle sets the zones' proportions weight (see the
+    /// [`zone`](crate::zone) module). A zone whose region misses the
+    /// container is an error, before any packing starts. Zoned runs have no
+    /// checkpoints, step trace or diagnostics.
+    pub fn zoned(
+        container: &Container,
+        params: PackingParams,
+        sets: &[Psd],
+        zones: &[ZoneSpec],
+    ) -> Result<BatchedPacker, EmptyZone> {
+        let start = Instant::now();
+        let mut rest = zone::stages(container, &params, sets, zones)?;
+        rest.reverse();
+        let first = rest.pop().expect("stages has one stage per zone");
+        let mut slot = SystemSlot::new(
+            String::new(),
+            CollectivePacker::new(first.container, first.params),
+            first.psd,
+            0,
+        );
+        slot.zones = Some(ZoneRun {
+            rest,
+            batches: Vec::new(),
+            recoveries: 0,
+            start,
+            target: zones.iter().map(|z| z.n_particles).sum(),
+            container: container.clone(),
+        });
+        Ok(BatchedPacker::with_slots(vec![slot], false))
+    }
+
+    fn with_slots(slots: Vec<SystemSlot>, sweep: bool) -> BatchedPacker {
         BatchedPacker {
             slots,
-            arena,
+            sweep,
             threads: 0,
             pass: 0,
             checkpoint: None,
@@ -348,14 +345,33 @@ impl BatchedPacker {
         self.slots.is_empty()
     }
 
-    /// Engine passes completed so far.
+    /// Passes completed so far.
     pub fn pass(&self) -> u64 {
         self.pass
     }
 
-    /// The shared system arena (refreshed after every pass).
-    pub fn arena(&self) -> &SystemArena {
-        &self.arena
+    /// Particles packed so far, summed over all systems.
+    pub fn packed(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|s| s.progress.as_ref())
+            .map(RunProgress::packed)
+            .sum()
+    }
+
+    /// Optimizer steps taken so far, summed over all systems (a zoned run
+    /// counts its current zone's).
+    pub fn steps_taken(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter_map(|s| s.progress.as_ref())
+            .map(RunProgress::steps_taken)
+            .sum()
+    }
+
+    /// True once every system has finished or failed.
+    pub fn finished(&self) -> bool {
+        self.slots.iter().all(SystemSlot::done)
     }
 
     /// Records the resolved thread-count knob. Folded into the sweep
@@ -379,20 +395,29 @@ impl BatchedPacker {
     }
 
     /// Enables convergence diagnostics on every system, labeled with that
-    /// system's sweep label.
+    /// system's sweep label. Zoned runs keep none: their stage packers are
+    /// built as each zone starts.
     pub fn set_diagnostics(&mut self, mode: DiagMode) {
-        for slot in &mut self.slots {
+        for slot in self.slots.iter_mut().filter(|s| s.zones.is_none()) {
             slot.packer.set_diagnostics(mode);
             slot.packer.set_diagnostics_label(&slot.label);
         }
     }
 
     /// Per-system checkpoint fingerprints, label-paired — what a provenance
-    /// manifest records so it can be matched against this run's checkpoints.
+    /// manifest records so it can be matched against this run's
+    /// checkpoints. Zoned runs, which take none, report 0.
     pub fn fingerprints(&self) -> Vec<(String, u64)> {
         self.slots
             .iter()
-            .map(|slot| (slot.label.clone(), slot.packer.fingerprint()))
+            .map(|slot| {
+                let fp = if slot.zones.is_some() {
+                    0
+                } else {
+                    slot.packer.fingerprint()
+                };
+                (slot.label.clone(), fp)
+            })
             .collect()
     }
 
@@ -405,26 +430,18 @@ impl BatchedPacker {
             .collect()
     }
 
-    /// Installs a batched checkpoint sink: a [`BatchedRunState`] is captured
-    /// at the first pass boundary where at least `every_steps` optimizer
-    /// steps (summed over systems) have accumulated since the last capture.
-    /// Install before [`BatchedPacker::run`] — checkpointing opts every
-    /// system into the grid-canonicalization contract from its first batch.
-    pub fn set_checkpoint_sink(
-        &mut self,
-        sink: Box<dyn BatchedCheckpointSink>,
-        every_steps: usize,
-    ) {
-        self.checkpoint = Some(BatchedCadence {
-            sink,
-            every_steps,
-            acc_steps: 0,
-        });
-    }
-
-    /// Uninstalls the batched checkpoint sink and returns it.
-    pub fn take_checkpoint_sink(&mut self) -> Option<Box<dyn BatchedCheckpointSink>> {
-        self.checkpoint.take().map(|c| c.sink)
+    /// Installs the checkpoint sink and its cadence: a capture is saved at
+    /// the first boundary after every `every_steps` optimizer steps (summed
+    /// over systems) since the last successful save, never after the final
+    /// boundary. Install before the run starts — checkpointing opts every
+    /// system into the fingerprinted checkpoint contract from its first
+    /// batch. Panics on a zoned run.
+    pub fn set_checkpoint_sink(&mut self, sink: Box<dyn CheckpointSink>, every_steps: usize) {
+        assert!(
+            self.slots.iter().all(|s| s.zones.is_none()),
+            "zoned runs take no checkpoints"
+        );
+        self.checkpoint = Some(CheckpointCadence::new(sink, every_steps));
     }
 
     /// FNV-1a fingerprint of the whole sweep: every system's parameter
@@ -439,44 +456,72 @@ impl BatchedPacker {
         checkpoint::fnv1a(s.as_bytes())
     }
 
-    /// Captures the whole batched run at the current pass boundary.
-    /// Meaningful once the run has started (every system has progress) and
-    /// a checkpoint sink opted the systems into canonical grids.
-    pub fn capture_state(&self) -> BatchedRunState {
-        BatchedRunState {
+    /// Captures the run at the current pass boundary, in its checkpoint
+    /// format. Meaningful once the run has started.
+    pub fn capture_state(&self) -> DriverState {
+        let capture = |slot: &SystemSlot| {
+            let prog = slot.progress.as_ref();
+            slot.packer
+                .capture_state(prog.expect("capture_state before the run started"))
+        };
+        if !self.sweep {
+            return DriverState::Plain(capture(&self.slots[0]));
+        }
+        DriverState::Sweep(BatchedRunState {
             sweep_fingerprint: self.sweep_fingerprint(),
             threads: self.threads as u64,
             pass: self.pass,
             systems: self
                 .slots
                 .iter()
-                .map(|slot| {
-                    let prog = slot
-                        .progress
-                        .as_ref()
-                        .expect("capture_state before the batched run started");
-                    BatchedSystemState {
-                        label: slot.label.clone(),
-                        diverged: slot.error.as_ref().map(|e| match e {
-                            PackError::Diverged {
-                                batch,
-                                step,
-                                recoveries,
-                            } => [*batch as u64, *step as u64, *recoveries as u64],
-                            PackError::Resume(_) | PackError::HorizonBreach { .. } => [u64::MAX; 3],
-                        }),
-                        state: slot.packer.capture_state(prog),
-                    }
+                .map(|slot| BatchedSystemState {
+                    label: slot.label.clone(),
+                    diverged: slot.error.as_ref().map(|e| match e {
+                        PackError::Diverged {
+                            batch,
+                            step,
+                            recoveries,
+                        } => [*batch as u64, *step as u64, *recoveries as u64],
+                        PackError::Resume(_) | PackError::HorizonBreach { .. } => [u64::MAX; 3],
+                    }),
+                    state: capture(slot),
                 })
                 .collect(),
-        }
+        })
     }
 
-    /// Restores a batched run from a decoded checkpoint. The sweep
-    /// fingerprint (parameters, labels, thread knob, system count) must
-    /// match this packer's configuration; call [`BatchedPacker::run`]
-    /// afterwards to continue bitwise identically.
-    pub fn resume(&mut self, state: BatchedRunState) -> Result<(), PackError> {
+    /// Saves `state` through the checkpoint sink now, whatever the cadence.
+    /// A failure is counted and logged, never fatal. Returns whether the
+    /// save succeeded (false without a sink).
+    pub fn save_checkpoint(&mut self, state: &DriverState) -> bool {
+        let steps = self.steps_taken();
+        self.checkpoint
+            .as_mut()
+            .is_some_and(|c| c.save(&state.encode(), steps))
+    }
+
+    /// Restores the run from a decoded checkpoint of its own format. The
+    /// fingerprints (a plain run's parameters; a sweep's parameters,
+    /// labels, thread knob and system count) must match this driver's
+    /// configuration; stepping afterwards continues bitwise identically.
+    pub fn resume(&mut self, state: DriverState) -> Result<(), PackError> {
+        let state = match (state, self.sweep) {
+            (DriverState::Plain(state), false) => {
+                let slot = &mut self.slots[0];
+                let prog = slot.packer.begin_resumed(state, true)?;
+                slot.steps_before = prog.steps_taken();
+                slot.progress = Some(prog);
+                return Ok(());
+            }
+            (DriverState::Sweep(state), true) => state,
+            _ => {
+                return Err(CheckpointError::StateMismatch(
+                    "a plain run's checkpoint cannot resume a sweep, nor a sweep's a plain run"
+                        .to_string(),
+                )
+                .into())
+            }
+        };
         let fp = self.sweep_fingerprint();
         if state.sweep_fingerprint != fp {
             return Err(CheckpointError::StateMismatch(format!(
@@ -502,7 +547,7 @@ impl BatchedPacker {
                 ))
                 .into());
             }
-            // Checkpoints are only written under the canonical-grid
+            // Checkpoints are only written under the fingerprinted
             // contract, so resumed systems re-enter it unconditionally.
             let prog = slot.packer.begin_resumed(sys.state, true)?;
             slot.steps_before = prog.steps_taken();
@@ -517,134 +562,132 @@ impl BatchedPacker {
         Ok(())
     }
 
-    /// Runs every system to completion and returns one report per system,
-    /// in spec order. Fresh systems are started, resumed systems continue;
-    /// a diverged system is reported as `Err` without stalling the rest.
-    pub fn run(&mut self) -> Vec<SystemReport> {
+    /// Advances every unfinished system by one batch attempt: one pass.
+    /// Systems not yet started or resumed start fresh. Returns false, with
+    /// no pass, once every system has finished or failed; a failed system
+    /// is reported by [`BatchedPacker::finish`] without stalling the rest.
+    pub fn step(&mut self) -> bool {
         let checkpointing = self.checkpoint.is_some();
         for slot in &mut self.slots {
             if slot.progress.is_none() && slot.error.is_none() {
                 slot.progress = Some(slot.packer.begin_run(Vec::new(), checkpointing));
             }
         }
-        // Cross-system parallelism only: the per-system work below runs
-        // under a one-thread install, so each system's own kernels take the
-        // sequential path. That sidesteps re-entering the pool's single job
-        // board from the posting thread, and changes nothing numerically —
-        // every kernel is bitwise identical for any thread count.
-        let sequential = ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("one-thread pool handle");
-        loop {
-            let pass_span = span(Phase::Pass);
-            let mut active: Vec<&mut SystemSlot> = self
-                .slots
-                .iter_mut()
-                .filter(|s| s.error.is_none() && s.progress.as_ref().is_some_and(|p| !p.finished()))
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            self.pass += 1;
-            par::for_each_slot(&mut active, |_, slot| {
-                let _scope = timeline::SystemScope::enter(slot.timeline_id);
-                let _system_pass = span(Phase::SystemPass);
-                sequential.install(|| {
-                    let prog = slot.progress.as_mut().expect("active system has progress");
-                    if let Err(e) = slot.packer.advance_batch(&slot.psd, prog, &mut None) {
-                        slot.error = Some(e);
-                    }
-                });
+        if self.finished() {
+            return false;
+        }
+        let pass_span = span(Phase::Pass);
+        self.pass += 1;
+        let steps = self.steps_taken();
+        if let Some(c) = self.checkpoint.as_mut() {
+            c.anchor(steps);
+        }
+        if let [slot] = self.slots.as_mut_slice() {
+            // One system keeps the caller's pool for its own kernels; a
+            // plain run hands its cadence to `advance_batch`, the
+            // single-run save site.
+            let mut none = None;
+            slot.advance(if self.sweep {
+                &mut none
+            } else {
+                &mut self.checkpoint
             });
-            drop(active);
-
-            // Sequential engine section: per-pass accounting, arena refresh,
-            // fused aggregate, cadence.
-            let mut pass_steps = 0u64;
-            let mut packed = 0usize;
-            let mut still_active = 0usize;
-            for slot in &mut self.slots {
-                if let Some(p) = slot.progress.as_ref() {
-                    let now = p.steps_taken();
-                    pass_steps += now - slot.steps_before;
-                    slot.steps_before = now;
-                    packed += p.packed();
-                    if slot.error.is_none() && !p.finished() {
-                        still_active += 1;
-                    }
-                    adampack_telemetry::metrics::record_system(
-                        &slot.label,
-                        slot_counters(p, slot.packer.recoveries()),
-                    );
-                }
-            }
-            let rows: Vec<&[Particle]> = self
-                .slots
-                .iter()
-                .map(|s| s.progress.as_ref().map_or(&[][..], |p| p.particles()))
-                .collect();
-            self.arena.refresh(&rows);
-            drop(rows);
-            let agg = self.arena.aggregate();
-            if let Some(cb) = self.pass_callback.as_mut() {
-                cb(&PassStats {
-                    pass: self.pass,
-                    active: still_active,
-                    packed,
-                    steps: pass_steps,
-                    live_lanes: agg.particles,
-                    volume: agg.volume,
-                    max_radius: agg.max_radius,
-                });
-            }
-            let due = match self.checkpoint.as_mut() {
-                Some(c) => {
-                    c.acc_steps += pass_steps;
-                    c.every_steps > 0 && c.acc_steps >= c.every_steps as u64
-                }
-                None => false,
-            };
-            if due {
-                let state = self.capture_state();
-                if let Some(c) = self.checkpoint.as_mut() {
-                    match c.sink.save(&state) {
-                        Ok(()) => {
-                            CHECKPOINT_WRITES_TOTAL.inc();
-                            c.acc_steps = 0;
-                        }
-                        Err(e) => {
-                            CHECKPOINT_FAILURES_TOTAL.inc();
-                            adampack_telemetry::warn!(
-                                "batched checkpoint write failed (run continues): {e}"
-                            );
-                        }
-                    }
-                }
-            }
-            let took = pass_span.finish();
-            adampack_telemetry::debug!(
-                "pass {}: {} active systems, {} packed, {} steps, {took:.2?}",
-                self.pass,
-                still_active,
-                packed,
-                pass_steps,
-            );
+        } else {
+            // Cross-system parallelism only: each system's work runs under
+            // a one-thread install, so its own kernels take the sequential
+            // path. That sidesteps re-entering the pool's single job board
+            // from the posting thread, and changes nothing numerically —
+            // every kernel is bitwise identical for any thread count.
+            let sequential = ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("one-thread pool handle");
+            let mut active: Vec<&mut SystemSlot> =
+                self.slots.iter_mut().filter(|s| !s.done()).collect();
+            par::for_each_slot(&mut active, |_, slot| {
+                sequential.install(|| slot.advance(&mut None))
+            });
         }
 
+        // Sequential section: per-pass accounting, progress hook, and a
+        // sweep's cadence.
+        let mut stats = PassStats {
+            pass: self.pass,
+            active: 0,
+            packed: 0,
+            steps: 0,
+        };
+        for slot in &mut self.slots {
+            let Some(p) = slot.progress.as_ref() else {
+                continue;
+            };
+            let now = p.steps_taken();
+            stats.steps += now - slot.steps_before;
+            stats.packed += p.packed();
+            if self.sweep {
+                adampack_telemetry::metrics::record_system(
+                    &slot.label,
+                    slot_counters(p, slot.packer.recoveries()),
+                );
+            }
+            slot.steps_before = now;
+            if !slot.done() {
+                stats.active += 1;
+            }
+        }
+        if let Some(cb) = self.pass_callback.as_mut() {
+            cb(&stats);
+        }
+        let (steps, finished) = (self.steps_taken(), self.finished());
+        if self.sweep
+            && self
+                .checkpoint
+                .as_ref()
+                .is_some_and(|c| c.due(steps, finished))
+        {
+            let state = self.capture_state();
+            self.save_checkpoint(&state);
+        }
+        let took = pass_span.finish();
+        adampack_telemetry::debug!(
+            "pass {}: {} active systems, {} packed, {} steps, {took:.2?}",
+            self.pass,
+            stats.active,
+            stats.packed,
+            stats.steps,
+        );
+        true
+    }
+
+    /// Consumes every system's run into its report, in spec order.
+    pub fn finish(&mut self) -> Vec<SystemReport> {
         self.slots
             .iter_mut()
             .map(|slot| SystemReport {
                 label: slot.label.clone(),
                 result: match (slot.error.take(), slot.progress.take()) {
                     (Some(e), _) => Err(e),
-                    (None, Some(prog)) => Ok(slot.packer.finish_run(prog)),
+                    (None, Some(prog)) => {
+                        let result = slot.packer.finish_run(prog);
+                        Ok(match slot.zones.as_mut() {
+                            Some(zones) => zones.merge(result),
+                            None => result,
+                        })
+                    }
                     (None, None) => Err(PackError::Resume(CheckpointError::StateMismatch(
-                        "system was never started (run() called twice?)".to_string(),
+                        "system was never started (finish() called twice?)".to_string(),
                     ))),
                 },
             })
             .collect()
+    }
+
+    /// Runs every system to completion and returns one report per system,
+    /// in spec order. Fresh systems are started, resumed systems continue;
+    /// a diverged system is reported as `Err` without stalling the rest.
+    pub fn run(&mut self) -> Vec<SystemReport> {
+        while self.step() {}
+        self.finish()
     }
 }
 
@@ -720,35 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_rows_are_inf_padded_and_aggregate_skips_padding() {
-        let container = box_container();
-        let mut batched = BatchedPacker::new(&container, specs_s3());
-        let reports = batched.run();
-        let arena = batched.arena();
-        assert_eq!(arena.systems(), 3);
-        assert_eq!(arena.stride(), 17);
-        let mut total = 0usize;
-        for (s, report) in reports.iter().enumerate() {
-            let packed = report.result.as_ref().unwrap().particles.len();
-            let (xs, _, _, rs, live) = arena.system(s);
-            assert_eq!(live, packed);
-            total += live;
-            for i in 0..live {
-                assert!(xs[i].is_finite() && rs[i].is_finite());
-            }
-            for i in live..arena.stride() {
-                assert!(
-                    xs[i].is_infinite() && rs[i].is_infinite(),
-                    "lane {i} not dead"
-                );
-            }
-        }
-        let agg = arena.aggregate();
-        assert_eq!(agg.particles, total);
-        assert!(agg.volume > 0.0 && agg.max_radius > 0.0);
-    }
-
-    #[test]
     fn per_system_metric_labels_never_leak_across_systems() {
         adampack_telemetry::metrics::clear_system_metrics();
         let container = box_container();
@@ -799,29 +813,43 @@ mod tests {
 
     #[derive(Clone, Default)]
     struct MemSink(std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>);
-    impl BatchedCheckpointSink for MemSink {
-        fn save(&mut self, state: &BatchedRunState) -> Result<(), String> {
-            self.0
-                .lock()
-                .unwrap()
-                .push(checkpoint::encode_batched(state));
+    impl CheckpointSink for MemSink {
+        fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+            self.0.lock().unwrap().push(bytes.to_vec());
             Ok(())
         }
+    }
+
+    /// The three-system sweep in batches of five, so every system takes
+    /// several passes and a cadence comes due before the last one.
+    fn multi_pass_specs() -> Vec<SystemSpec> {
+        let mut specs = specs_s3();
+        for spec in &mut specs {
+            spec.params.batch_size = 5;
+        }
+        specs
     }
 
     #[test]
     fn checkpointed_batched_run_resumes_bitwise() {
         let container = box_container();
         let sink = MemSink::default();
-        let mut straight = BatchedPacker::new(&container, specs_s3());
+        let mut straight = BatchedPacker::new(&container, multi_pass_specs());
         straight.set_checkpoint_sink(Box::new(sink.clone()), 100);
         let want = straight.run();
         let blobs = sink.0.lock().unwrap().clone();
         assert!(!blobs.is_empty(), "cadence never fired");
+        // The cadence never saves after the final pass.
+        for blob in &blobs {
+            let DriverState::Sweep(state) = DriverState::decode(blob, true).unwrap() else {
+                unreachable!("decoded as a sweep");
+            };
+            assert!(state.pass < straight.pass(), "saved after the final pass");
+        }
 
         // Resume from the first checkpoint and compare the final packings.
-        let state = checkpoint::decode_batched(&blobs[0]).unwrap();
-        let mut resumed = BatchedPacker::new(&container, specs_s3());
+        let state = DriverState::decode(&blobs[0], true).unwrap();
+        let mut resumed = BatchedPacker::new(&container, multi_pass_specs());
         resumed.set_checkpoint_sink(Box::new(MemSink::default()), 100);
         resumed.resume(state).unwrap();
         let got = resumed.run();
@@ -839,13 +867,13 @@ mod tests {
     fn resume_under_different_sweep_is_rejected() {
         let container = box_container();
         let sink = MemSink::default();
-        let mut a = BatchedPacker::new(&container, specs_s3());
+        let mut a = BatchedPacker::new(&container, multi_pass_specs());
         a.set_checkpoint_sink(Box::new(sink.clone()), 50);
         let _ = a.run();
         let blobs = sink.0.lock().unwrap().clone();
-        let state = checkpoint::decode_batched(&blobs[0]).unwrap();
+        let state = DriverState::decode(&blobs[0], true).unwrap();
 
-        let mut other = BatchedPacker::new(&container, specs_s3());
+        let mut other = BatchedPacker::new(&container, multi_pass_specs());
         other.set_threads(8);
         let err = other.resume(state).unwrap_err();
         assert!(matches!(

@@ -193,7 +193,8 @@ pub struct RunState {
     pub global_step: u64,
     /// Divergence-sentinel recoveries so far.
     pub recoveries: u64,
-    /// Particles that existed before the run (`try_pack_onto` bed).
+    /// Particles that existed before the run (the fixed bed passed to
+    /// `begin_run`).
     pub preexisting: u64,
     /// Requested particle count.
     pub target: u64,

@@ -202,35 +202,37 @@ impl From<CheckpointError> for PackError {
     }
 }
 
-/// Destination for run-state checkpoints. Implementations persist the
-/// state (atomically — see `adampack_io`); a returned `Err` is counted and
-/// logged but does **not** abort the run.
+/// Destination for encoded checkpoints: a plain run's single-run stream or
+/// a sweep's batched stream. Implementations persist the bytes
+/// (atomically — see `adampack_io`); a returned `Err` is counted and logged
+/// but does **not** abort the run.
 pub trait CheckpointSink: Send {
-    /// Persists one run state.
-    fn save(&mut self, state: &RunState) -> Result<(), String>;
+    /// Persists one encoded checkpoint.
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String>;
 }
 
-/// Checkpoint cadence: the sink, the step interval, and the run's
-/// [`RunProgress::steps_taken`] at the last successful save.
+/// The one checkpoint due rule, shared by plain runs and sweeps: save at
+/// the first boundary after `every_steps` optimizer steps (summed over a
+/// sweep's systems) since the last successful save, never after the run's
+/// final boundary, and retry a failed save at the next boundary.
 ///
-/// Every checkpoint is a batch-boundary capture
+/// Every checkpoint is a boundary capture
 /// ([`CollectivePacker::capture_state`]), a pure read of a state that
 /// resumes bitwise — so the cadence is a durability setting only and never
 /// changes the packing.
 pub struct CheckpointCadence {
     sink: Box<dyn CheckpointSink>,
     every_steps: usize,
-    /// `steps_taken` at the last successful save. `None` until the cadence
-    /// first sees a run, which anchors it at that run's count (0 when
-    /// fresh, the restored count when resumed).
+    /// The run's step count at the last successful save. `None` until the
+    /// cadence first sees a run, which anchors it at that run's count (0
+    /// when fresh, the restored count when resumed).
     last_saved: Option<u64>,
 }
 
 impl CheckpointCadence {
-    /// A cadence saving to `sink` at the first batch boundary after each
-    /// `every_steps` optimizer steps (0: only explicit
-    /// [`CheckpointCadence::save`] calls write).
-    pub fn new(sink: Box<dyn CheckpointSink>, every_steps: usize) -> CheckpointCadence {
+    /// A cadence saving to `sink` every `every_steps` optimizer steps (0:
+    /// only explicit [`CheckpointCadence::save`] calls write).
+    pub(crate) fn new(sink: Box<dyn CheckpointSink>, every_steps: usize) -> CheckpointCadence {
         CheckpointCadence {
             sink,
             every_steps,
@@ -238,14 +240,26 @@ impl CheckpointCadence {
         }
     }
 
-    /// Saves `state` now, whatever the cadence. A failure is counted and
-    /// logged, never fatal, and leaves the cadence due so the next
-    /// boundary retries. Returns whether the save succeeded.
-    pub fn save(&mut self, state: &RunState) -> bool {
-        match self.sink.save(state) {
+    /// Counts from `steps` unless the cadence already saw this run.
+    pub(crate) fn anchor(&mut self, steps: u64) {
+        self.last_saved.get_or_insert(steps);
+    }
+
+    /// Whether a boundary at which the run has taken `steps` steps saves.
+    pub(crate) fn due(&self, steps: u64, finished: bool) -> bool {
+        !finished
+            && self.every_steps > 0
+            && steps - self.last_saved.unwrap_or(0) >= self.every_steps as u64
+    }
+
+    /// Saves `bytes`, captured after `steps` steps, whatever the cadence. A
+    /// failure is counted and logged, never fatal, and leaves the cadence
+    /// due so the next boundary retries. Returns whether the save succeeded.
+    pub(crate) fn save(&mut self, bytes: &[u8], steps: u64) -> bool {
+        match self.sink.save(bytes) {
             Ok(()) => {
                 CHECKPOINT_WRITES_TOTAL.inc();
-                self.last_saved = Some(state.global_step);
+                self.last_saved = Some(steps);
                 true
             }
             Err(e) => {
@@ -351,9 +365,10 @@ type BatchCallback = Box<dyn FnMut(&BatchStats) + Send>;
 /// Produced by [`CollectivePacker::begin_run`] /
 /// [`CollectivePacker::begin_resumed`], driven by
 /// [`CollectivePacker::advance_batch`] until [`RunProgress::finished`], and
-/// consumed by [`CollectivePacker::finish_run`]. Fresh, resumed and batched
-/// multi-system runs all step through this exact sequence — which is what
-/// makes a system inside a batched run bitwise equal to its own single run.
+/// consumed by [`CollectivePacker::finish_run`]. Every run — plain, swept
+/// or zoned, fresh or resumed — steps through this exact sequence under
+/// [`crate::BatchedPacker`], which is what makes a system inside a sweep
+/// bitwise equal to its own plain run.
 pub struct RunProgress {
     particles: Vec<Particle>,
     batches: Vec<BatchStats>,
@@ -447,8 +462,6 @@ pub struct CollectivePacker {
     /// optimizer steps allocate nothing.
     workspace: Workspace,
     tracer: Option<Tracer>,
-    /// Run-state checkpointing, off by default (zero steady-state cost).
-    checkpoint: Option<CheckpointCadence>,
     /// Divergence-sentinel rollbacks across the current run.
     recoveries: u64,
     /// Extra context folded into the checkpoint fingerprint (thread count,
@@ -466,7 +479,7 @@ impl CollectivePacker {
     pub fn new(container: Container, params: PackingParams) -> CollectivePacker {
         params.validate();
         assert!(
-            !container.aabb().is_empty() && container.volume() > 0.0,
+            !container.is_empty(),
             "container region is empty (volume {}); check zone bounds against the container",
             container.volume()
         );
@@ -478,7 +491,6 @@ impl CollectivePacker {
             batch_callback: None,
             workspace: Workspace::new(),
             tracer: None,
-            checkpoint: None,
             recoveries: 0,
             fingerprint_salt: 0,
             diag: None,
@@ -536,25 +548,6 @@ impl CollectivePacker {
         }
     }
 
-    /// Installs a checkpoint sink: at the first batch boundary after each
-    /// `every_steps` optimizer steps (counted across batches) the run state
-    /// is captured and handed to `sink`. `every_steps = 0` installs the
-    /// sink without a cadence (no checkpoints are taken).
-    ///
-    /// Captures are pure reads at batch boundaries, so the packing is
-    /// bitwise identical with or without a sink, at any cadence, and a run
-    /// resumed from any checkpoint finishes bitwise identical to the
-    /// uninterrupted run. A failed save is counted and logged but never
-    /// aborts the packing; the next boundary retries it.
-    pub fn set_checkpoint_sink(&mut self, sink: Box<dyn CheckpointSink>, every_steps: usize) {
-        self.checkpoint = Some(CheckpointCadence::new(sink, every_steps));
-    }
-
-    /// Uninstalls the checkpoint sink and returns it.
-    pub fn take_checkpoint_sink(&mut self) -> Option<Box<dyn CheckpointSink>> {
-        self.checkpoint.take().map(|c| c.sink)
-    }
-
     /// Divergence-sentinel rollbacks performed in the current/last run.
     pub fn recoveries(&self) -> u64 {
         self.recoveries
@@ -606,7 +599,7 @@ impl CollectivePacker {
 
     /// FNV-1a fingerprint over the hyper-parameters, container geometry and
     /// the [`CollectivePacker::set_fingerprint_context`] salt, stored in
-    /// checkpoints and verified on [`CollectivePacker::resume`].
+    /// checkpoints and verified on [`CollectivePacker::begin_resumed`].
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut s = format!("{:?}", self.params);
@@ -666,64 +659,32 @@ impl CollectivePacker {
             .unwrap_or_else(|e| panic!("packing failed: {e}"))
     }
 
-    /// Fallible [`CollectivePacker::pack`].
+    /// Fallible [`CollectivePacker::pack`]: the stepping API run to
+    /// completion. Returns [`PackError::Diverged`] when non-finite
+    /// losses/gradients persist through the sentinel's recovery budget
+    /// instead of packing garbage. (Finite-but-exploding batches are
+    /// abandoned to batch acceptance — which rejects them and halves —
+    /// rather than erroring, so infeasible inputs still terminate with a
+    /// partial result.)
     pub fn try_pack(&mut self, psd: &Psd) -> Result<PackResult, PackError> {
-        self.try_pack_onto(psd, Vec::new())
-    }
-
-    /// Packs on top of an existing bed (used by zoned packings): `existing`
-    /// particles are fixed and included in the result. Returns
-    /// [`PackError::Diverged`] when non-finite losses/gradients persist
-    /// through the sentinel's recovery budget instead of packing garbage.
-    /// (Finite-but-exploding batches are abandoned to batch acceptance —
-    /// which rejects them and halves — rather than erroring, so infeasible
-    /// inputs still terminate with a partial result.)
-    pub fn try_pack_onto(
-        &mut self,
-        psd: &Psd,
-        existing: Vec<Particle>,
-    ) -> Result<PackResult, PackError> {
-        let checkpointing = self.checkpoint.is_some();
-        let mut prog = self.begin_run(existing, checkpointing);
-        // The cadence is detached from `self` for the duration of the run so
-        // the inner loop can borrow both it and the packer; reattached even
-        // on error.
-        let mut cadence = self.checkpoint.take();
-        let result = self.drive_to_end(psd, &mut prog, &mut cadence);
-        self.checkpoint = cadence;
-        result.map(|()| self.finish_run(prog))
-    }
-
-    /// Continues a run from a decoded checkpoint, bitwise identically to
-    /// the uninterrupted run.
-    ///
-    /// The packer must be constructed with the same container and
-    /// parameters as the original run: seed and parameter fingerprint are
-    /// verified and a mismatch returns [`PackError::Resume`] rather than
-    /// silently producing a non-reproducible hybrid.
-    pub fn resume(&mut self, psd: &Psd, state: RunState) -> Result<PackResult, PackError> {
-        let checkpointing = self.checkpoint.is_some();
-        let mut prog = self.begin_resumed(state, checkpointing)?;
-        let mut cadence = self.checkpoint.take();
-        let result = self.drive_to_end(psd, &mut prog, &mut cadence);
-        self.checkpoint = cadence;
-        result.map(|()| self.finish_run(prog))
+        let mut prog = self.begin_run(Vec::new(), false);
+        while !prog.finished() {
+            self.advance_batch(psd, &mut prog, &mut None)?;
+        }
+        Ok(self.finish_run(prog))
     }
 
     /// Starts a stepping run: resets per-run counters and returns the
     /// [`RunProgress`] that [`CollectivePacker::advance_batch`] drives.
     ///
-    /// `checkpointing` opts into the checkpointing contract (parameter
-    /// fingerprint computed so resumes can verify it) — pass true whenever
-    /// the run's state may be captured, including by the batched engine's
-    /// pass-boundary checkpoints. The bed grid is canonicalized at every
-    /// batch start regardless, so its layout is a pure function of the
-    /// particle list for any run.
+    /// `existing` particles form a fixed bed the run packs on top of (a
+    /// zoned run's lower zones). `checkpointing` opts into the checkpointing
+    /// contract (parameter fingerprint computed so resumes can verify it) —
+    /// pass true whenever the run's state may be captured. The bed grid is
+    /// canonicalized at every batch start regardless, so its layout is a
+    /// pure function of the particle list for any run.
     pub fn begin_run(&mut self, existing: Vec<Particle>, checkpointing: bool) -> RunProgress {
         self.recoveries = 0;
-        if let Some(c) = self.checkpoint.as_mut() {
-            c.last_saved = None;
-        }
         let fingerprint = if checkpointing { self.fingerprint() } else { 0 };
         // The bed is built once and grown incrementally: accepting a batch
         // pushes its spheres (amortized O(1) each) instead of rebuilding the
@@ -774,9 +735,6 @@ impl CollectivePacker {
         self.workspace
             .restore_counters(state.evals as usize, state.verlet_rebuilds as usize);
         self.recoveries = state.recoveries;
-        if let Some(c) = self.checkpoint.as_mut() {
-            c.last_saved = None;
-        }
         let bed = FixedBed::from_particles(self.params.gravity, &state.particles);
         Ok(RunProgress {
             preexisting: state.preexisting as usize,
@@ -796,8 +754,8 @@ impl CollectivePacker {
 
     /// Snapshot of a stepping run at a batch boundary (no batch in flight)
     /// — the only state a checkpoint ever holds. A pure read: capturing
-    /// never perturbs the run. Checkpoint cadences, the batched engine and
-    /// the job server all persist it; [`CollectivePacker::begin_resumed`]
+    /// never perturbs the run. The run driver's checkpoints and the job
+    /// server's preemptions persist it; [`CollectivePacker::begin_resumed`]
     /// accepts it back.
     pub fn capture_state(&self, prog: &RunProgress) -> RunState {
         RunState {
@@ -821,19 +779,6 @@ impl CollectivePacker {
         }
     }
 
-    /// Runs [`CollectivePacker::advance_batch`] until the run finishes.
-    fn drive_to_end(
-        &mut self,
-        psd: &Psd,
-        prog: &mut RunProgress,
-        cadence: &mut Option<CheckpointCadence>,
-    ) -> Result<(), PackError> {
-        while !prog.finished() {
-            self.advance_batch(psd, prog, cadence)?;
-        }
-        Ok(())
-    }
-
     /// Consumes a finished (or abandoned) stepping run into a
     /// [`PackResult`].
     pub fn finish_run(&mut self, prog: RunProgress) -> PackResult {
@@ -852,9 +797,8 @@ impl CollectivePacker {
     /// optimize it, run the acceptance test and either grow the bed or
     /// halve the batch size. No-op when the run is already finished.
     ///
-    /// With a `cadence`, the boundary state is then saved when the run is
-    /// not finished and at least `every_steps` steps have passed since the
-    /// last successful save.
+    /// With a `cadence` (a plain run's, passed by the run driver), the
+    /// boundary state is then saved when the cadence is due.
     pub fn advance_batch(
         &mut self,
         psd: &Psd,
@@ -864,9 +808,8 @@ impl CollectivePacker {
         if prog.finished() {
             return Ok(());
         }
-        // A cadence counts from the steps the run had when it first saw it.
         if let Some(c) = cadence.as_mut() {
-            c.last_saved.get_or_insert(prog.steps_taken);
+            c.anchor(prog.steps_taken);
         }
         let _batch = span(Phase::Batch);
         // The grid layout must be a pure function of the particle list so
@@ -1026,9 +969,11 @@ impl CollectivePacker {
         // Checkpoint at the boundary: a pure read of a complete state, so
         // the cadence never changes the packing.
         if let Some(c) = cadence.as_mut() {
-            let since = prog.steps_taken - c.last_saved.unwrap_or(0);
-            if c.every_steps > 0 && since >= c.every_steps as u64 && !prog.finished() {
-                c.save(&self.capture_state(prog));
+            if c.due(prog.steps_taken, prog.finished()) {
+                c.save(
+                    &checkpoint::encode(&self.capture_state(prog)),
+                    prog.steps_taken,
+                );
             }
         }
         Ok(())
@@ -1671,9 +1616,13 @@ mod tests {
             })
             .collect();
         let n_existing = existing.len();
-        let result = packer
-            .try_pack_onto(&Psd::constant(0.15), existing)
-            .unwrap();
+        let mut prog = packer.begin_run(existing, false);
+        while !prog.finished() {
+            packer
+                .advance_batch(&Psd::constant(0.15), &mut prog, &mut None)
+                .unwrap();
+        }
+        let result = packer.finish_run(prog);
         assert!(result.particles.len() > n_existing);
         // New particles must not deeply overlap the old bed.
         for p in result.particles.iter().skip(n_existing) {

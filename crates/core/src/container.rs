@@ -128,6 +128,12 @@ impl Container {
         self.volume
     }
 
+    /// True when the region holds no volume (e.g. a zone restricted to a
+    /// slab outside its container).
+    pub fn is_empty(&self) -> bool {
+        self.aabb.is_empty() || self.volume.is_nan() || self.volume <= 0.0
+    }
+
     /// True when `p` lies inside within `tol`.
     pub fn contains(&self, p: Vec3, tol: f64) -> bool {
         self.halfspaces.contains(p, tol)

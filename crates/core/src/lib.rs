@@ -28,7 +28,9 @@
 //!   penetration terms O(n·k) with amortized pair search,
 //! * [`psd`] — particle-size distributions (Constant / Uniform / Normal /
 //!   LogNormal and mixtures),
-//! * [`collective`] — the Algorithm 1 driver ([`CollectivePacker`]),
+//! * [`collective`] — Algorithm 1's stepping API ([`CollectivePacker`]),
+//! * [`batch`] — the run driver ([`BatchedPacker`]): plain runs, parameter
+//!   sweeps and zoned runs, with checkpoints and resume,
 //! * [`zone`] — zoned packings (slice or mesh sub-regions with particle-set
 //!   mixes, §VI-A),
 //! * [`baseline`] — RSA and drop-and-roll baseline packers for the Table I
@@ -91,10 +93,7 @@ pub mod zone;
 pub mod prelude {
     pub use crate::admission::{estimate_cost, CostEstimate};
     pub use crate::baseline::{DropAndRollPacker, RsaPacker};
-    pub use crate::batch::{
-        ArenaAggregate, BatchedCheckpointSink, BatchedPacker, PassStats, SystemArena, SystemReport,
-        SystemSpec,
-    };
+    pub use crate::batch::{BatchedPacker, DriverState, PassStats, SystemReport, SystemSpec};
     pub use crate::checkpoint::{BatchedRunState, BatchedSystemState, CheckpointError, RunState};
     pub use crate::collective::{
         BatchPhaseBreakdown, BatchStats, CheckpointCadence, CheckpointSink, CollectivePacker,
@@ -114,7 +113,7 @@ pub mod prelude {
     pub use crate::particle::Particle;
     pub use crate::psd::Psd;
     pub use crate::runner::{registry, PackingAlgorithm};
-    pub use crate::zone::{ZoneRegion, ZoneSpec, ZonedPacker};
+    pub use crate::zone::{EmptyZone, ZoneRegion, ZoneSpec};
     pub use adampack_opt::Kernel;
 }
 

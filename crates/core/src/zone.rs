@@ -4,11 +4,11 @@
 //! slice or by an STL shape — with a mix of particle sets ("e.g., small
 //! particles at the bottom, and large particles at the top", with
 //! proportions like `[0.7, 0.3]`). Zones are packed bottom-up along the
-//! gravity axis; the particles of earlier zones stay fixed.
+//! gravity axis; the particles of earlier zones stay fixed. The run driver
+//! ([`crate::BatchedPacker::zoned`]) walks the zones as stages of one run.
 
 use adampack_geometry::{Aabb, Axis, ConvexHull, Plane};
 
-use crate::collective::{CollectivePacker, PackError, PackResult};
 use crate::container::Container;
 use crate::params::PackingParams;
 use crate::psd::Psd;
@@ -90,128 +90,127 @@ pub struct ZoneSpec {
     pub set_proportions: Vec<f64>,
 }
 
-/// Packs a sequence of zones with shared particle sets.
-pub struct ZonedPacker {
-    container: Container,
-    params: PackingParams,
-    particle_sets: Vec<Psd>,
+/// A zone whose region lies outside its container: a configuration error,
+/// reported before any packing starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmptyZone {
+    /// The zone's index in the list as given.
+    pub index: usize,
 }
 
-impl ZonedPacker {
-    /// Creates a zoned packer over `particle_sets` (indexed by the zones'
-    /// proportion vectors).
-    pub fn new(
-        container: Container,
-        params: PackingParams,
-        particle_sets: Vec<Psd>,
-    ) -> ZonedPacker {
-        assert!(
-            !particle_sets.is_empty(),
-            "at least one particle set is required"
+impl std::fmt::Display for EmptyZone {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "zones[{}]: the region does not intersect the container",
+            self.index
+        )
+    }
+}
+
+impl std::error::Error for EmptyZone {}
+
+/// One zone's stage of a zoned run.
+pub(crate) struct ZoneStage {
+    /// The container restricted to the zone's region.
+    pub container: Container,
+    /// The base parameters with the zone's budget, batch size and seed.
+    pub params: PackingParams,
+    /// The zone's mixture of the particle sets.
+    pub psd: Psd,
+}
+
+/// The stages of a zoned packing, bottom-up along the gravity axis (by
+/// region bottom). Stage `k` packs the container restricted to its zone's
+/// region with the zone's own particle budget, the batch size clamped to
+/// that budget, the seed `seed + 0x9E37_79B9·(k+1)` (decorrelated zone RNG
+/// streams) and the proportion-weighted mixture of `sets`.
+///
+/// Panics on library misuse the configuration parser already rejects: no
+/// sets or zones, or a proportion vector that does not match `sets`.
+pub(crate) fn stages(
+    container: &Container,
+    params: &PackingParams,
+    sets: &[Psd],
+    zones: &[ZoneSpec],
+) -> Result<Vec<ZoneStage>, EmptyZone> {
+    assert!(!sets.is_empty(), "at least one particle set is required");
+    assert!(!zones.is_empty(), "no zones given");
+    params.validate();
+    for (zi, z) in zones.iter().enumerate() {
+        assert_eq!(
+            z.set_proportions.len(),
+            sets.len(),
+            "zone {zi}: set_proportions length must match the number of particle sets"
         );
-        params.validate();
-        ZonedPacker {
-            container,
-            params,
-            particle_sets,
-        }
+        assert!(
+            z.set_proportions.iter().any(|&w| w > 0.0),
+            "zone {zi}: at least one proportion must be positive"
+        );
     }
-
-    /// Packs all zones bottom-up along the gravity axis; returns the merged
-    /// result (particles keep their zone-local batch indices, with `set`
-    /// left 0 — radii already encode the mix). Panics on [`PackError`]; see
-    /// [`ZonedPacker::try_pack`].
-    pub fn pack(&self, zones: &[ZoneSpec]) -> PackResult {
-        self.try_pack(zones)
-            .unwrap_or_else(|e| panic!("zoned packing failed: {e}"))
-    }
-
-    /// Fallible [`ZonedPacker::pack`]: a zone whose divergence sentinel
-    /// gives up ends the packing with its [`PackError`]. The result's
-    /// `recoveries` sums every zone's sentinel rollbacks.
-    pub fn try_pack(&self, zones: &[ZoneSpec]) -> Result<PackResult, PackError> {
-        assert!(!zones.is_empty(), "no zones given");
-        for (zi, z) in zones.iter().enumerate() {
-            assert_eq!(
-                z.set_proportions.len(),
-                self.particle_sets.len(),
-                "zone {zi}: set_proportions length must match the number of particle sets"
-            );
-            assert!(
-                z.set_proportions.iter().any(|&w| w > 0.0),
-                "zone {zi}: at least one proportion must be positive"
-            );
-        }
-
-        // Bottom-up zone order.
-        let outer = self.container.aabb();
-        let mut order: Vec<usize> = (0..zones.len()).collect();
-        order.sort_by(|&a, &b| {
-            zones[a]
-                .region
-                .bottom(self.params.gravity, &outer)
-                .total_cmp(&zones[b].region.bottom(self.params.gravity, &outer))
-        });
-
-        let mut particles = Vec::new();
-        let mut batches = Vec::new();
-        let mut recoveries = 0;
-        let start = std::time::Instant::now();
-        let mut total_target = 0;
-        for (step, &zi) in order.iter().enumerate() {
+    let outer = container.aabb();
+    let mut order: Vec<usize> = (0..zones.len()).collect();
+    order.sort_by(|&a, &b| {
+        zones[a]
+            .region
+            .bottom(params.gravity, &outer)
+            .total_cmp(&zones[b].region.bottom(params.gravity, &outer))
+    });
+    order
+        .into_iter()
+        .enumerate()
+        .map(|(k, zi)| {
             let zone = &zones[zi];
-            total_target += zone.n_particles;
-            let restricted = self
-                .container
-                .restricted(&zone.region.planes(), zone.region.bounds(&outer));
-            let psd = self.zone_psd(zone);
-            let mut params = self.params.clone();
-            params.target_count = zone.n_particles;
-            params.batch_size = self.params.batch_size.min(zone.n_particles.max(1));
-            // Decorrelate zone RNG streams deterministically.
-            params.seed = self
-                .params
-                .seed
-                .wrapping_add(0x9E37_79B9 * (step as u64 + 1));
-            let mut packer = CollectivePacker::new(restricted, params);
-            let result = packer.try_pack_onto(&psd, std::mem::take(&mut particles))?;
-            particles = result.particles;
-            batches.extend(result.batches);
-            recoveries += result.recoveries;
-        }
-
-        Ok(PackResult {
-            particles,
-            batches,
-            container: self.container.clone(),
-            duration: start.elapsed(),
-            target: total_target,
-            recoveries,
+            let restricted =
+                container.restricted(&zone.region.planes(), zone.region.bounds(&outer));
+            if restricted.is_empty() {
+                return Err(EmptyZone { index: zi });
+            }
+            let mut p = params.clone();
+            p.target_count = zone.n_particles;
+            p.batch_size = params.batch_size.min(zone.n_particles.max(1));
+            p.seed = params.seed.wrapping_add(0x9E37_79B9 * (k as u64 + 1));
+            Ok(ZoneStage {
+                container: restricted,
+                params: p,
+                psd: zone_psd(zone, sets),
+            })
         })
-    }
+        .collect()
+}
 
-    /// The effective PSD of a zone: the proportion-weighted mixture of the
-    /// shared particle sets.
-    fn zone_psd(&self, zone: &ZoneSpec) -> Psd {
-        let components: Vec<(f64, Psd)> = zone
-            .set_proportions
-            .iter()
-            .zip(&self.particle_sets)
-            .filter(|(&w, _)| w > 0.0)
-            .map(|(&w, psd)| (w, psd.clone()))
-            .collect();
-        if components.len() == 1 {
-            components.into_iter().next().expect("len checked").1
-        } else {
-            Psd::mixture(components)
-        }
+/// The effective PSD of a zone: the proportion-weighted mixture of the
+/// shared particle sets.
+fn zone_psd(zone: &ZoneSpec, sets: &[Psd]) -> Psd {
+    let components: Vec<(f64, Psd)> = zone
+        .set_proportions
+        .iter()
+        .zip(sets)
+        .filter(|(&w, _)| w > 0.0)
+        .map(|(&w, psd)| (w, psd.clone()))
+        .collect();
+    if components.len() == 1 {
+        components.into_iter().next().expect("len checked").1
+    } else {
+        Psd::mixture(components)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::PackResult;
+    use crate::BatchedPacker;
     use adampack_geometry::{shapes, Vec3};
+
+    fn pack_zones(params: PackingParams, sets: &[Psd], zones: &[ZoneSpec]) -> PackResult {
+        BatchedPacker::zoned(&box_container(), params, sets, zones)
+            .expect("every zone intersects the box")
+            .run()
+            .remove(0)
+            .result
+            .expect("zoned run packs")
+    }
 
     fn box_container() -> Container {
         Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap()
@@ -272,7 +271,6 @@ mod tests {
 
     #[test]
     fn two_slice_zones_pack_bottom_up_with_their_psds() {
-        let container = box_container();
         // Bottom zone: small particles; top zone: large particles.
         let sets = vec![Psd::constant(0.11), Psd::constant(0.16)];
         let zones = vec![
@@ -295,8 +293,7 @@ mod tests {
                 set_proportions: vec![1.0, 0.0],
             },
         ];
-        let packer = ZonedPacker::new(container, quick_params(), sets);
-        let result = packer.pack(&zones);
+        let result = pack_zones(quick_params(), &sets, &zones);
         assert!(
             result.particles.len() >= 20,
             "packed {}",
@@ -326,7 +323,6 @@ mod tests {
 
     #[test]
     fn mixture_zone_draws_from_both_sets() {
-        let container = box_container();
         let sets = vec![Psd::constant(0.10), Psd::constant(0.15)];
         let zones = vec![ZoneSpec {
             region: ZoneRegion::Slice {
@@ -337,8 +333,7 @@ mod tests {
             n_particles: 40,
             set_proportions: vec![0.7, 0.3],
         }];
-        let packer = ZonedPacker::new(container, quick_params(), sets);
-        let result = packer.pack(&zones);
+        let result = pack_zones(quick_params(), &sets, &zones);
         let small = result.particles.iter().filter(|p| p.radius < 0.12).count();
         let large = result.particles.len() - small;
         assert!(
@@ -350,7 +345,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "set_proportions length")]
     fn mismatched_proportions_rejected() {
-        let packer = ZonedPacker::new(box_container(), quick_params(), vec![Psd::constant(0.1)]);
         let zones = vec![ZoneSpec {
             region: ZoneRegion::Slice {
                 axis: Axis::Z,
@@ -360,13 +354,12 @@ mod tests {
             n_particles: 5,
             set_proportions: vec![0.5, 0.5],
         }];
-        let _ = packer.pack(&zones);
+        let _ = pack_zones(quick_params(), &[Psd::constant(0.1)], &zones);
     }
 
     #[test]
     #[should_panic(expected = "no zones")]
     fn empty_zones_rejected() {
-        let packer = ZonedPacker::new(box_container(), quick_params(), vec![Psd::constant(0.1)]);
-        let _ = packer.pack(&[]);
+        let _ = pack_zones(quick_params(), &[Psd::constant(0.1)], &[]);
     }
 }

@@ -1,10 +1,10 @@
-//! Packing-as-a-service: an async job server over the stepping API.
+//! Packing-as-a-service: an async job server over the run driver.
 //!
 //! The server exposes a small std-only HTTP/JSON API — submit a YAML
 //! packing config, poll status, fetch the artifact, cancel — backed by a
-//! sharded work queue and a pool of in-process packer workers driven
-//! through [`CollectivePacker::begin_run`] / `advance_batch` / `capture` /
-//! `restore`:
+//! sharded work queue and a pool of in-process packer workers, each
+//! advancing a job's run driver ([`adampack_core::BatchedPacker`]) pass by
+//! pass and capturing or resuming it at batch boundaries:
 //!
 //! * **Content-addressed caching.** Every job is keyed by the canonical
 //!   content address of its resolved parameters (see [`address`]), so

@@ -8,7 +8,6 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use adampack_config::PackingConfig;
-use adampack_core::checkpoint::RunState;
 use adampack_core::prelude::*;
 use adampack_telemetry::metrics::{
     SERVER_CACHE_HITS_TOTAL, SERVER_CACHE_MISSES_TOTAL, SERVER_JOBS_CANCELLED_TOTAL,
@@ -70,7 +69,7 @@ pub(crate) struct Job {
     pub steps: u64,
     /// Run state captured at the last preemption (resumed in memory
     /// without a disk round-trip).
-    pub held: Option<RunState>,
+    pub held: Option<DriverState>,
     /// True when this job's artifact was produced before this server
     /// process (served from the on-disk cache).
     pub from_cache: bool,
@@ -341,14 +340,8 @@ impl Inner {
         }
         let container =
             Container::from_mesh(&mesh).map_err(|e| SubmitError::bad(format!("container: {e}")))?;
-        let psd = cfg
-            .psds()
-            .into_iter()
-            .next()
-            .ok_or_else(|| SubmitError::bad("configuration has no particle sets"))?;
-        let mut params = cfg.to_packing_params();
-        params.target_count = container.capacity_estimate(psd.mean(), 0.6);
-        Ok((container, params, psd))
+        let spec = cfg.systems(&container, None).remove(0);
+        Ok((container, spec.params, spec.psd))
     }
 
     /// Admission gate for a resolved job that is about to be scheduled.

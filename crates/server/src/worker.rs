@@ -1,22 +1,21 @@
 //! The packer worker pool: each worker repeatedly takes the fair-share
-//! pick from the queue and advances it through the stepping API until the
-//! job finishes, is cancelled, or yields its slot to a poorer job.
+//! pick from the queue and advances its run driver ([`BatchedPacker`], a
+//! plain run) pass by pass until the job finishes, is cancelled, or yields
+//! its slot to a poorer job.
 //!
 //! Preemption is cooperative and checkpoint-shaped: a worker only ever
-//! stops at a batch boundary, where [`CollectivePacker::capture_state`]
-//! is exact, so an evicted job restored later continues bitwise
-//! identically to a run that was never preempted. Durability comes from
-//! the same captures: the job's [`CheckpointCadence`] writes one to the
-//! rotating disk checkpoint at the first batch boundary after every
-//! `checkpoint_every` optimizer steps, and a restarted server resumes from
-//! it after a crash. Captures are pure reads, so a served artifact is
-//! byte-identical to `adampack pack` of the same config at any checkpoint
-//! cadence.
+//! stops at a batch boundary, where [`BatchedPacker::capture_state`] is
+//! exact, so an evicted job restored later continues bitwise identically
+//! to a run that was never preempted. Durability comes from the same
+//! captures: the driver's cadence writes one to the rotating disk
+//! checkpoint at the first batch boundary after every `checkpoint_every`
+//! optimizer steps, and a restarted server resumes from it after a crash.
+//! Captures are pure reads, so a served artifact is byte-identical to
+//! `adampack pack` of the same config at any checkpoint cadence.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adampack_core::checkpoint::{self, RunState};
 use adampack_core::prelude::*;
 use adampack_io::RotatingCheckpointWriter;
 use adampack_telemetry::metrics::{
@@ -39,13 +38,13 @@ pub const FAILPOINT_WORKER_CRASH: &str = "server.worker.crash";
 /// How a worker episode ended (worker-internal).
 enum EpisodeEnd {
     Finished(PackResult),
-    Preempted(RunState),
+    Preempted(DriverState),
     Cancelled,
     Crashed,
     Failed(PackError),
-    Shutdown(RunState),
+    Shutdown(DriverState),
     /// Ran past its wall-clock deadline or step ceiling (per-job budget).
-    Expired(RunState),
+    Expired(DriverState),
     /// Post-persist rewrites of `Finished` (the disk work happens before
     /// the registry lock is taken; these carry its outcome inside).
     Persisted {
@@ -78,11 +77,11 @@ pub(crate) fn run(inner: Arc<Inner>) {
 
 /// Loads the newest decodable checkpoint for `addr`, if any; rejected
 /// files are logged and skipped (the job then starts afresh).
-fn load_disk_state(inner: &Inner, addr: u64) -> Option<RunState> {
+fn load_disk_state(inner: &Inner, addr: u64) -> Option<DriverState> {
     let (found, rejected) = adampack_io::load_newest_checkpoint(
         inner.checkpoint_path(addr),
         inner.opts.keep_last,
-        checkpoint::decode,
+        |bytes| DriverState::decode(bytes, false),
     );
     for why in rejected {
         warn!("job {}: checkpoint {why}", format_address(addr));
@@ -116,11 +115,11 @@ fn record_checkpoints(inner: &Inner, addr: u64) {
     }
 }
 
-/// A job's disk checkpoints as a [`CheckpointSink`], used for every save —
-/// boundary cadence and budget/drain epilogues alike. A save degrades on
-/// a full disk: evict LRU cache entries and retry once. A persistent
-/// failure is returned for the cadence to count and log (the run continues
-/// — checkpoints are an optimization, not correctness).
+/// A job's disk checkpoints as the driver's [`CheckpointSink`], used for
+/// every save — boundary cadence and budget/drain epilogues alike. A save
+/// degrades on a full disk: evict LRU cache entries and retry once. A
+/// persistent failure is returned for the cadence to count and log (the
+/// run continues — checkpoints are an optimization, not correctness).
 struct JobCheckpoints {
     inner: Arc<Inner>,
     addr: u64,
@@ -128,15 +127,14 @@ struct JobCheckpoints {
 }
 
 impl CheckpointSink for JobCheckpoints {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
         let (inner, addr) = (&self.inner, self.addr);
-        let bytes = checkpoint::encode(state);
         inner.make_room(bytes.len() as u64);
-        let mut result = self.writer.save(&bytes);
+        let mut result = self.writer.save(bytes);
         if result.as_ref().is_err_and(|e| e.is_disk_full()) {
             SERVER_DISK_FULL_TOTAL.inc();
             inner.make_room(bytes.len() as u64);
-            result = self.writer.save(&bytes);
+            result = self.writer.save(bytes);
         }
         match result {
             Ok(()) => {
@@ -196,46 +194,12 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
         return;
     }
 
-    let mut packer = CollectivePacker::new(container, params);
-    packer.set_fingerprint_context(run_salt());
-
-    // Restore order: in-memory preemption state, then disk checkpoints
-    // (crash recovery), then a fresh run. A stale or mismatched disk
-    // checkpoint degrades to a fresh start instead of wedging the job.
-    let mut prog = match held {
-        Some(state) => match packer.begin_resumed(state, true) {
-            Ok(p) => p,
-            Err(e) => {
-                warn!(
-                    "job {}: held state rejected ({e}); restarting",
-                    format_address(addr)
-                );
-                packer.begin_run(Vec::new(), true)
-            }
-        },
-        None => match load_disk_state(inner, addr) {
-            Some(state) => match packer.begin_resumed(state, true) {
-                Ok(p) => {
-                    SERVER_JOBS_RESUMED_TOTAL.inc();
-                    info!("job {}: resumed from disk checkpoint", format_address(addr));
-                    p
-                }
-                Err(e) => {
-                    warn!(
-                        "job {}: disk checkpoint rejected ({e}); restarting",
-                        format_address(addr)
-                    );
-                    packer.begin_run(Vec::new(), true)
-                }
-            },
-            None => packer.begin_run(Vec::new(), true),
-        },
-    };
-
     // Durability checkpoints are batch-boundary captures, counted from the
     // steps the run had when this episode picked it up; the budget and
     // drain epilogues below save through the same sink.
-    let mut cadence = Some(CheckpointCadence::new(
+    let mut driver = BatchedPacker::plain(CollectivePacker::new(container, params), psd);
+    driver.set_fingerprint_context(run_salt());
+    driver.set_checkpoint_sink(
         Box::new(JobCheckpoints {
             inner: Arc::clone(inner),
             addr,
@@ -245,7 +209,32 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
             ),
         }),
         inner.opts.checkpoint_every,
-    ));
+    );
+
+    // Restore order: in-memory preemption state, then disk checkpoints
+    // (crash recovery), then a fresh run. A stale or mismatched disk
+    // checkpoint degrades to a fresh start instead of wedging the job.
+    match held {
+        Some(state) => {
+            if let Err(e) = driver.resume(state) {
+                warn!(
+                    "job {}: held state rejected ({e}); restarting",
+                    format_address(addr)
+                );
+            }
+        }
+        None => match load_disk_state(inner, addr).map(|state| driver.resume(state)) {
+            Some(Ok(())) => {
+                SERVER_JOBS_RESUMED_TOTAL.inc();
+                info!("job {}: resumed from disk checkpoint", format_address(addr));
+            }
+            Some(Err(e)) => warn!(
+                "job {}: disk checkpoint rejected ({e}); restarting",
+                format_address(addr)
+            ),
+            None => {}
+        },
+    }
 
     let slice = Duration::from_millis(inner.opts.slice_ms.max(1));
     let start = Instant::now();
@@ -258,19 +247,20 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
     }
 
     let end = loop {
-        if prog.finished() {
-            break EpisodeEnd::Finished(packer.finish_run(prog));
+        if driver.finished() {
+            break match driver.finish().remove(0).result {
+                Ok(result) => EpisodeEnd::Finished(result),
+                Err(e) => EpisodeEnd::Failed(e),
+            };
         }
-        if let Err(e) = packer.advance_batch(&psd, &mut prog, &mut cadence) {
-            break EpisodeEnd::Failed(e);
-        }
+        driver.step();
         // Publish progress and poll the cancel flag at the boundary.
         let cancelled = {
             let mut jobs = inner.jobs.lock().unwrap();
             match jobs.get_mut(&addr) {
                 Some(job) => {
-                    job.packed = prog.packed();
-                    job.steps = prog.steps_taken();
+                    job.packed = driver.packed();
+                    job.steps = driver.steps_taken();
                     job.consumed_ns = consumed_base + start.elapsed().as_nanos() as u64;
                     job.cancel
                 }
@@ -283,11 +273,11 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
         if failpoints::should_fail(FAILPOINT_WORKER_CRASH) {
             break EpisodeEnd::Crashed;
         }
-        if prog.finished() {
+        if driver.finished() {
             continue;
         }
         if inner.refusing() {
-            break EpisodeEnd::Shutdown(packer.capture_state(&prog));
+            break EpisodeEnd::Shutdown(driver.capture_state());
         }
         // Per-job budgets, enforced at the same exact boundary as
         // preemption so the persisted state resumes bitwise. The step
@@ -297,13 +287,13 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
         let deadline = inner.opts.limits.job_deadline_s;
         let ceiling = inner.opts.limits.job_step_ceiling;
         if (deadline > 0 && admitted_at.elapsed() >= Duration::from_secs(deadline))
-            || (ceiling > 0 && prog.steps_taken().saturating_sub(steps_base) >= ceiling)
+            || (ceiling > 0 && driver.steps_taken().saturating_sub(steps_base) >= ceiling)
         {
-            break EpisodeEnd::Expired(packer.capture_state(&prog));
+            break EpisodeEnd::Expired(driver.capture_state());
         }
         let my_consumed = consumed_base + start.elapsed().as_nanos() as u64;
         if start.elapsed() >= slice && inner.poorer_waiting(my_consumed) {
-            break EpisodeEnd::Preempted(packer.capture_state(&prog));
+            break EpisodeEnd::Preempted(driver.capture_state());
         }
     };
 
@@ -340,10 +330,8 @@ fn episode(inner: &Arc<Inner>, addr: u64) {
             // An expired job (terminal, but resumable with a fresh budget)
             // and a drain-parked job persist their boundary state, so a
             // resubmission or a restarted server picks up from here.
-            if let (Some(c), EpisodeEnd::Expired(state) | EpisodeEnd::Shutdown(state)) =
-                (cadence.as_mut(), &other)
-            {
-                c.save(state);
+            if let EpisodeEnd::Expired(state) | EpisodeEnd::Shutdown(state) = &other {
+                driver.save_checkpoint(state);
             }
             other
         }

@@ -78,8 +78,9 @@ fn main() {
         zones.len()
     );
 
-    let packer = ZonedPacker::new(container, cfg.to_packing_params(), cfg.psds());
-    let result = packer.pack(&zones);
+    let mut packer = BatchedPacker::zoned(&container, cfg.to_packing_params(), &cfg.psds(), &zones)
+        .expect("every zone intersects the cone");
+    let result = packer.run().remove(0).result.expect("zoned packing");
     println!(
         "packed {} particles in {:.2?} ({} batches)",
         result.particles.len(),

@@ -68,8 +68,9 @@ fn yaml_to_zoned_packing_end_to_end() {
     let zones = cfg.zone_specs(load_zone_hull).unwrap();
     assert_eq!(zones.len(), 2);
 
-    let packer = ZonedPacker::new(container.clone(), cfg.to_packing_params(), cfg.psds());
-    let result = packer.pack(&zones);
+    let mut packer = BatchedPacker::zoned(&container, cfg.to_packing_params(), &cfg.psds(), &zones)
+        .expect("both zones intersect the cone");
+    let result = packer.run().remove(0).result.expect("zoned packing");
     assert!(
         result.particles.len() >= 50,
         "packed only {}",

@@ -38,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use adampack_core::checkpoint::{self, BatchedRunState, RunState};
+use adampack_core::checkpoint;
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Vec3};
 use adampack_io::{
@@ -88,11 +88,12 @@ fn temp_path(name: &str) -> PathBuf {
 /// Checkpoint sink capturing every encoded state in memory — the
 /// "filesystem" of the kill-and-resume tests, with the encode/decode codec
 /// on the path so resume exercises the real wire format.
+#[derive(Clone, Default)]
 struct MemorySink(Arc<Mutex<Vec<Vec<u8>>>>);
 
 impl CheckpointSink for MemorySink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        self.0.lock().unwrap().push(checkpoint::encode(state));
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.0.lock().unwrap().push(bytes.to_vec());
         Ok(())
     }
 }
@@ -102,25 +103,8 @@ impl CheckpointSink for MemorySink {
 struct FileSink(RotatingCheckpointWriter);
 
 impl CheckpointSink for FileSink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        self.0
-            .save(&checkpoint::encode(state))
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// Multi-system counterpart of [`MemorySink`]: captures every encoded
-/// batched state so the kill-and-resume test replays the real wire format.
-#[derive(Clone, Default)]
-struct BatchedMemorySink(Arc<Mutex<Vec<Vec<u8>>>>);
-
-impl BatchedCheckpointSink for BatchedMemorySink {
-    fn save(&mut self, state: &BatchedRunState) -> Result<(), String> {
-        self.0
-            .lock()
-            .unwrap()
-            .push(checkpoint::encode_batched(state));
-        Ok(())
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.0.save(bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -144,44 +128,29 @@ fn assert_same_packing(a: &PackResult, b: &PackResult, what: &str) {
     }
 }
 
-/// Runs the reference scenario with a checkpoint cadence and a tracer,
-/// returning the result, the encoded checkpoints, and the step trace.
-fn straight_run(
+/// Runs the reference scenario through the run driver with a checkpoint
+/// cadence and a tracer — resumed from the checkpoint `from` when given, as
+/// if the process had been killed right after that write — returning the
+/// result, the encoded checkpoints, and the step trace.
+fn checkpointed_run(
     seed: u64,
     kernel: Kernel,
     every_steps: usize,
+    from: Option<&[u8]>,
 ) -> (PackResult, Vec<Vec<u8>>, Vec<StepRecord>) {
-    let blobs = Arc::new(Mutex::new(Vec::new()));
+    let sink = MemorySink::default();
     let trace = VecSink::default();
     let mut p = packer(seed, kernel);
-    p.set_checkpoint_sink(Box::new(MemorySink(Arc::clone(&blobs))), every_steps);
     p.set_trace_sink(Box::new(trace.clone()));
-    let result = p.try_pack(&psd()).expect("straight run packs");
-    drop(p.take_trace_sink());
-    drop(p);
-    let blobs = Arc::try_unwrap(blobs).ok().unwrap().into_inner().unwrap();
+    let mut driver = BatchedPacker::plain(p, psd());
+    driver.set_checkpoint_sink(Box::new(sink.clone()), every_steps);
+    if let Some(blob) = from {
+        let state = DriverState::decode(blob, false).expect("captured checkpoint decodes");
+        driver.resume(state).expect("captured checkpoint resumes");
+    }
+    let result = driver.run().remove(0).result.expect("run packs");
+    let blobs = sink.0.lock().unwrap().clone();
     (result, blobs, trace.records())
-}
-
-/// Decodes one captured checkpoint and finishes the run from it, as if the
-/// process had been killed right after that write.
-fn resume_run(
-    seed: u64,
-    kernel: Kernel,
-    every_steps: usize,
-    blob: &[u8],
-) -> (PackResult, Vec<StepRecord>) {
-    let state = checkpoint::decode(blob).expect("captured checkpoint decodes");
-    let trace = VecSink::default();
-    let mut p = packer(seed, kernel);
-    p.set_checkpoint_sink(
-        Box::new(MemorySink(Arc::new(Mutex::new(Vec::new())))),
-        every_steps,
-    );
-    p.set_trace_sink(Box::new(trace.clone()));
-    let result = p.resume(&psd(), state).expect("resume packs");
-    drop(p.take_trace_sink());
-    (result, trace.records())
 }
 
 /// Asserts a checkpointed run (`straight`, with its step `trace`) equals the
@@ -198,7 +167,7 @@ fn assert_cadence_independent(
         .try_pack(&psd())
         .expect("plain run packs");
     assert_same_packing(&plain, straight, &format!("{what}: no cadence vs cadence"));
-    let (other, other_blobs, other_trace) = straight_run(seed, kernel, other_steps);
+    let (other, other_blobs, other_trace) = checkpointed_run(seed, kernel, other_steps, None);
     assert!(
         !other_blobs.is_empty(),
         "{what}: cadence {other_steps} never saved"
@@ -250,7 +219,7 @@ fn kill_and_resume_is_bitwise_identical_across_kernels_and_threads() {
                 .unwrap();
             pool.install(|| {
                 let what = format!("{kernel} kernel, {threads} threads");
-                let (straight, blobs, trace) = straight_run(9, kernel, 30);
+                let (straight, blobs, trace) = checkpointed_run(9, kernel, 30, None);
                 assert!(
                     blobs.len() >= 2,
                     "{what}: need several cadence points, got {}",
@@ -258,7 +227,7 @@ fn kill_and_resume_is_bitwise_identical_across_kernels_and_threads() {
                 );
                 assert_cadence_independent(9, kernel, (&straight, &trace), 200, &what);
                 let mid = &blobs[blobs.len() / 2];
-                let (resumed, resumed_trace) = resume_run(9, kernel, 30, mid);
+                let (resumed, _, resumed_trace) = checkpointed_run(9, kernel, 30, Some(mid));
                 assert_same_packing(&straight, &resumed, &what);
                 assert_same_trace(&trace_tail(&trace, mid), &resumed_trace, &what);
             });
@@ -295,7 +264,7 @@ fn batched_kill_and_resume_is_bitwise_identical() {
     let container = Container::from_mesh(&mesh).unwrap();
 
     // Uninterrupted batched run with a checkpoint cadence.
-    let sink = BatchedMemorySink::default();
+    let sink = MemorySink::default();
     let mut straight = BatchedPacker::new(&container, batched_specs());
     straight.set_checkpoint_sink(Box::new(sink.clone()), 20);
     let want = straight.run();
@@ -309,9 +278,9 @@ fn batched_kill_and_resume_is_bitwise_identical() {
     // Kill at the middle checkpoint: decode the bytes and finish the sweep
     // from them, as if the process died right after that write.
     let mid = &blobs[blobs.len() / 2];
-    let state = checkpoint::decode_batched(mid).expect("captured batched checkpoint decodes");
+    let state = DriverState::decode(mid, true).expect("captured batched checkpoint decodes");
     let mut resumed = BatchedPacker::new(&container, batched_specs());
-    resumed.set_checkpoint_sink(Box::new(BatchedMemorySink::default()), 20);
+    resumed.set_checkpoint_sink(Box::new(MemorySink::default()), 20);
     resumed.resume(state).expect("mid-run state resumes");
     let got = resumed.run();
 
@@ -334,8 +303,9 @@ fn batched_kill_and_resume_is_bitwise_identical() {
 #[derive(Clone, Default)]
 struct FlakyBatchedSink(Arc<Mutex<Vec<u64>>>);
 
-impl BatchedCheckpointSink for FlakyBatchedSink {
-    fn save(&mut self, state: &BatchedRunState) -> Result<(), String> {
+impl CheckpointSink for FlakyBatchedSink {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let state = checkpoint::decode_batched(bytes).expect("a sweep writes the batched stream");
         let mut attempts = self.0.lock().unwrap();
         attempts.push(state.pass);
         if attempts.len() == 1 {
@@ -387,7 +357,7 @@ fn failed_batched_checkpoint_is_retried_at_the_next_pass() {
 #[test]
 fn every_sampled_checkpoint_is_a_valid_resume_point() {
     let _fp = FailGuard::unarmed();
-    let (straight, blobs, trace) = straight_run(21, Kernel::default(), 45);
+    let (straight, blobs, trace) = checkpointed_run(21, Kernel::default(), 45, None);
     assert!(blobs.len() >= 3, "need several cadence points");
     assert_cadence_independent(
         21,
@@ -401,7 +371,8 @@ fn every_sampled_checkpoint_is_a_valid_resume_point() {
     // the interior and the tail).
     for idx in [0, blobs.len() / 2, blobs.len() - 1] {
         let what = format!("resume from checkpoint {idx}/{}", blobs.len());
-        let (resumed, resumed_trace) = resume_run(21, Kernel::default(), 45, &blobs[idx]);
+        let (resumed, _, resumed_trace) =
+            checkpointed_run(21, Kernel::default(), 45, Some(&blobs[idx]));
         assert_same_packing(&straight, &resumed, &what);
         assert_same_trace(&trace_tail(&trace, &blobs[idx]), &resumed_trace, &what);
     }
@@ -410,7 +381,7 @@ fn every_sampled_checkpoint_is_a_valid_resume_point() {
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_rotated_history() {
     let _fp = FailGuard::unarmed();
-    let (_, blobs, _) = straight_run(33, Kernel::default(), 30);
+    let (_, blobs, _) = checkpointed_run(33, Kernel::default(), 30, None);
     assert!(blobs.len() >= 2);
     let older = &blobs[blobs.len() - 2];
     let newest = &blobs[blobs.len() - 1];
@@ -443,7 +414,7 @@ fn corrupt_newest_checkpoint_falls_back_to_rotated_history() {
 #[test]
 fn bit_flipped_checkpoint_is_rejected_not_resumed() {
     let _fp = FailGuard::unarmed();
-    let (_, blobs, _) = straight_run(4, Kernel::default(), 60);
+    let (_, blobs, _) = checkpointed_run(4, Kernel::default(), 60, None);
     let good = &blobs[0];
     // Flip one payload bit well inside the particle section: the section
     // CRC must catch it (resuming from silently corrupt coordinates would
@@ -502,7 +473,7 @@ fn unrecoverable_nan_stream_exhausts_the_budget_into_a_typed_error() {
 }
 
 /// Two stacked slab zones of the reference scenario's box.
-fn zoned_packer() -> (ZonedPacker, Vec<ZoneSpec>) {
+fn zoned_packer() -> BatchedPacker {
     let mesh = shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0));
     let container = Container::from_mesh(&mesh).unwrap();
     let params = PackingParams {
@@ -522,14 +493,14 @@ fn zoned_packer() -> (ZonedPacker, Vec<ZoneSpec>) {
         set_proportions: vec![1.0],
     };
     let zones = vec![slab(-1.0, 0.0), slab(0.0, 1.0)];
-    (ZonedPacker::new(container, params, vec![psd()]), zones)
+    BatchedPacker::zoned(&container, params, &[psd()], &zones).expect("both slabs lie in the box")
 }
 
 #[test]
 fn zoned_nan_stream_is_a_typed_error_not_a_panic() {
     let _fp = FailGuard::arm("core.objective.eval", 10, u64::MAX);
-    let (packer, zones) = zoned_packer();
-    let err = catch_unwind(AssertUnwindSafe(|| packer.try_pack(&zones)))
+    let mut packer = zoned_packer();
+    let err = catch_unwind(AssertUnwindSafe(|| packer.run().remove(0).result))
         .expect("a diverged zone must not panic")
         .expect_err("divergence budget must trip");
     assert!(
@@ -541,9 +512,10 @@ fn zoned_nan_stream_is_a_typed_error_not_a_panic() {
 #[test]
 fn zoned_pack_reports_the_zones_recoveries() {
     let _fp = FailGuard::arm("core.objective.eval", 40, 1);
-    let (packer, zones) = zoned_packer();
-    let result = packer
-        .try_pack(&zones)
+    let result = zoned_packer()
+        .run()
+        .remove(0)
+        .result
         .expect("one NaN must not kill the run");
     assert_eq!(failpoints::hits("core.objective.eval"), 1, "site fired");
     assert_eq!(result.recoveries, 1, "the zone's rollback is reported");
@@ -597,12 +569,16 @@ fn checkpoint_write_failure_is_counted_and_does_not_abort_the_run() {
     // First cadence write fails (injected before the atomic rename, so no
     // file appears); the run continues and later cadence points persist.
     let fp = FailGuard::arm("io.checkpoint.write", 0, 1);
-    let mut p = packer(11, Kernel::default());
+    let mut p = BatchedPacker::plain(packer(11, Kernel::default()), psd());
     p.set_checkpoint_sink(
         Box::new(FileSink(RotatingCheckpointWriter::new(&path, 2))),
         25,
     );
-    let result = p.try_pack(&psd()).expect("failing sink must not abort");
+    let result = p
+        .run()
+        .remove(0)
+        .result
+        .expect("failing sink must not abort");
     assert_eq!(failpoints::hits("io.checkpoint.write"), 1);
     fp.reset();
     assert!(result.reached_target(), "run completes normally");
@@ -681,7 +657,6 @@ fn grid_rebuild_panic_leaves_a_parseable_jsonl_trace() {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let file = fs::File::create(&trace_path).unwrap();
         let mut p = packer(7, Kernel::default());
-        p.set_checkpoint_sink(Box::new(MemorySink(Arc::new(Mutex::new(Vec::new())))), 30);
         p.set_trace_sink(Box::new(JsonlWriter::new(BufWriter::new(file))));
         // Arm once batch 0 has finished (its trace drains to the file at
         // the batch boundary): the next grid rebin — batch 1's neighbor
@@ -695,7 +670,9 @@ fn grid_rebuild_panic_leaves_a_parseable_jsonl_trace() {
         });
         // Unwinds through the optimizer loop; dropping the packer drops the
         // JsonlWriter, whose Drop flushes every complete line.
-        p.try_pack(&psd())
+        let mut driver = BatchedPacker::plain(p, psd());
+        driver.set_checkpoint_sink(Box::new(MemorySink::default()), 30);
+        driver.run()
     }));
     assert!(outcome.is_err(), "armed rebuild must panic");
     fp.reset();

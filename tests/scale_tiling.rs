@@ -15,7 +15,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use adampack_core::checkpoint;
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Vec3};
 
@@ -118,10 +117,31 @@ fn morton_and_strided_orders_produce_identical_packings() {
 struct MemorySink(Arc<Mutex<Vec<Vec<u8>>>>);
 
 impl CheckpointSink for MemorySink {
-    fn save(&mut self, state: &RunState) -> Result<(), String> {
-        self.0.lock().unwrap().push(checkpoint::encode(state));
+    fn save(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.0.lock().unwrap().push(bytes.to_vec());
         Ok(())
     }
+}
+
+/// A plain run of the tall box under `tiles` with a 150-step checkpoint
+/// cadence into `blobs`, resumed from the checkpoint `from` when given.
+fn checkpointed_run(
+    tiles: usize,
+    blobs: &Arc<Mutex<Vec<Vec<u8>>>>,
+    from: Option<&[u8]>,
+) -> PackResult {
+    let packer = CollectivePacker::new(tall_box(), params(tiles, Kernel::Simd, SweepOrder::Morton));
+    let mut driver = BatchedPacker::plain(packer, psd());
+    driver.set_checkpoint_sink(Box::new(MemorySink(Arc::clone(blobs))), 150);
+    if let Some(bytes) = from {
+        let state = DriverState::decode(bytes, false).expect("checkpoint decodes");
+        driver.resume(state).expect("checkpoint resumes");
+    }
+    driver
+        .run()
+        .remove(0)
+        .result
+        .expect("checkpointed run packs")
 }
 
 #[test]
@@ -129,11 +149,8 @@ fn checkpoint_resume_mid_tiled_run_is_bitwise_identical() {
     force_parallel_hardware();
     // Straight tiled run with a mid-run checkpoint cadence.
     let blobs = Arc::new(Mutex::new(Vec::new()));
-    let mut p = CollectivePacker::new(tall_box(), params(4, Kernel::Simd, SweepOrder::Morton));
-    p.set_checkpoint_sink(Box::new(MemorySink(Arc::clone(&blobs))), 150);
-    let straight = p.try_pack(&psd()).expect("straight tiled run packs");
-    drop(p);
-    let blobs = Arc::try_unwrap(blobs).ok().unwrap().into_inner().unwrap();
+    let straight = checkpointed_run(4, &blobs, None);
+    let blobs = blobs.lock().unwrap().clone();
     assert!(
         blobs.len() >= 3,
         "cadence captured only {} checkpoints",
@@ -143,18 +160,14 @@ fn checkpoint_resume_mid_tiled_run_is_bitwise_identical() {
     // Kill-and-resume from an early, a middle and the last capture: the
     // resumed run must rebuild the hot window from the particle list and
     // finish bitwise identical to the uninterrupted run.
+    let scratch = Arc::new(Mutex::new(Vec::new()));
     for idx in [0, blobs.len() / 2, blobs.len() - 1] {
-        let state = checkpoint::decode(&blobs[idx]).expect("checkpoint decodes");
-        let mut p = CollectivePacker::new(tall_box(), params(4, Kernel::Simd, SweepOrder::Morton));
-        p.set_checkpoint_sink(Box::new(MemorySink(Arc::new(Mutex::new(Vec::new())))), 150);
-        let resumed = p.resume(&psd(), state).expect("resume packs");
+        let resumed = checkpointed_run(4, &scratch, Some(&blobs[idx]));
         assert_same_packing(&straight, &resumed, &format!("resume from capture {idx}"));
     }
 
     // And the tiled checkpointed run equals the untiled checkpointed run:
     // checkpoints do not perturb the tiling parity contract.
-    let mut p = CollectivePacker::new(tall_box(), params(1, Kernel::Simd, SweepOrder::Morton));
-    p.set_checkpoint_sink(Box::new(MemorySink(Arc::new(Mutex::new(Vec::new())))), 150);
-    let untiled = p.try_pack(&psd()).expect("untiled checkpointed run packs");
+    let untiled = checkpointed_run(1, &scratch, None);
     assert_same_packing(&straight, &untiled, "tiled vs untiled, checkpointing on");
 }

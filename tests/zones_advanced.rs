@@ -5,6 +5,21 @@
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Axis, ConvexHull, Vec3};
 
+/// Packs `zones` of `container` through the run driver's zoned shape.
+fn pack_zones(
+    container: &Container,
+    params: PackingParams,
+    sets: &[Psd],
+    zones: &[ZoneSpec],
+) -> PackResult {
+    BatchedPacker::zoned(container, params, sets, zones)
+        .expect("every zone intersects the container")
+        .run()
+        .remove(0)
+        .result
+        .expect("zoned packing")
+}
+
 fn quick_params(seed: u64) -> PackingParams {
     PackingParams {
         batch_size: 25,
@@ -25,8 +40,7 @@ fn icosphere_zone_confines_particles() {
         n_particles: 30,
         set_proportions: vec![1.0],
     }];
-    let packer = ZonedPacker::new(container, quick_params(1), vec![Psd::constant(0.09)]);
-    let result = packer.pack(&zones);
+    let result = pack_zones(&container, quick_params(1), &[Psd::constant(0.09)], &zones);
     assert!(
         result.particles.len() >= 15,
         "packed {}",
@@ -71,8 +85,7 @@ fn three_stacked_slices_fill_bottom_up() {
         slice(-1.0, -0.4, 0),
         slice(-0.4, 0.2, 1),
     ];
-    let packer = ZonedPacker::new(container, quick_params(2), sets);
-    let result = packer.pack(&zones);
+    let result = pack_zones(&container, quick_params(2), &sets, &zones);
     assert!(
         result.particles.len() >= 24,
         "packed {}",
@@ -111,8 +124,7 @@ fn zone_respects_custom_gravity() {
         n_particles: 25,
         set_proportions: vec![1.0],
     }];
-    let packer = ZonedPacker::new(container, params, vec![Psd::constant(0.12)]);
-    let result = packer.pack(&zones);
+    let result = pack_zones(&container, params, &[Psd::constant(0.12)], &zones);
     assert!(result.particles.len() >= 15);
     let mean_x: f64 =
         result.particles.iter().map(|p| p.center.x).sum::<f64>() / result.particles.len() as f64;
