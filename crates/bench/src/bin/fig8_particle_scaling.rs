@@ -14,24 +14,21 @@
 //! * a bitwise tiled-vs-untiled parity check (tiling is a pure memory
 //!   optimization; any divergence is a bug, so the bench hard-asserts it);
 //!
-//! plus two one-shot sections at the largest N:
-//!
-//! * Morton-vs-strided sweep-order throughput (the z-order query
-//!   permutation is the default; strided survives as the oracle);
-//! * an Amdahl thread sweep (1/2/4/8): serial fraction
-//!   `s = (p/S − 1)/(p − 1)` from the measured speedup `S` at `p` threads.
+//! plus a one-shot Amdahl thread sweep (1/2/4/8) at the largest N: serial
+//! fraction `s = (p/S − 1)/(p − 1)` from the measured speedup `S` at `p`
+//! threads.
 //!
 //! Everything lands in `target/experiments/BENCH_scale.json` (and a CSV of
 //! the N sweep), with the usual `--full` paper-scale switch. For
 //! million-particle demonstrations use the tuning knobs, e.g.
-//! `--full --only 1000000 --batch 4000 --repeats 1 --skip-amdahl
-//! --skip-order` (keep `--max-steps` at its default: patience ends
-//! converged batches early, while a starved step budget fails acceptance
-//! and collapses the batch-halving ladder).
+//! `--full --only 1000000 --batch 4000 --repeats 1 --skip-amdahl` (keep
+//! `--max-steps` at its default: patience ends converged batches early,
+//! while a starved step budget fails acceptance and collapses the
+//! batch-halving ladder).
 
 use adampack_bench::{aggregate, cli, csv_writer, json_str, secs, timed, write_row, JsonReport};
 use adampack_core::prelude::*;
-use adampack_geometry::{shapes, Axis};
+use adampack_geometry::shapes;
 use adampack_telemetry::metrics;
 
 struct Knobs {
@@ -212,165 +209,6 @@ fn main() {
     }
 
     let n_big = *counts.last().unwrap();
-    if !cli::flag("--skip-order") {
-        // Morton (default) vs strided (oracle) sweep order, measured three
-        // ways on the pair-sweep kernel plus once end-to-end.
-        //
-        // Kernel: take a real packed bed of n_big spheres, hold out every
-        // 8th sphere as the query batch, bin the rest as the fixed bed and
-        // time warm `value_and_grad_ws` calls through the production Verlet
-        // pipeline (the lists are built once, outside the timed window). The
-        // sweep order only permutes which query runs next, so the orders
-        // are asserted bitwise identical; the timing delta is pure
-        // locality. Two batch layouts bound the effect from both sides:
-        //
-        // * `packed` — hold-outs kept in packing order, which the packer
-        //   already emits z-sorted layer by layer; strided is cache-warm
-        //   here, so this is Morton's *worst* case (expected ~1.0x).
-        // * `shuffled` — the same spheres in a seeded random order, the
-        //   case cache blocking exists for: strided now walks the bed grid
-        //   incoherently while Morton re-sorts the sweep, so this bounds
-        //   the gain from above.
-        //
-        // End-to-end packs under each order are reported honestly: the
-        // production Verlet pipeline amortizes pair search across steps, so
-        // the whole-run delta is expected to be ~1.0x — the kernel
-        // robustness is the reason Morton is a safe default, not a packing
-        // speedup claim.
-        let mut params = PackingParams {
-            batch_size: knobs.batch,
-            target_count: n_big,
-            max_steps: knobs.max_steps,
-            seed: 0,
-            ..PackingParams::default()
-        };
-        params.neighbor.order = SweepOrder::Morton;
-        let (bed, _) =
-            timed(|| CollectivePacker::new(container.clone(), params.clone()).pack(&psd));
-
-        let mut q_coords = Vec::new();
-        let mut q_radii = Vec::new();
-        let mut bed_centers = Vec::new();
-        let mut bed_radii = Vec::new();
-        for (i, p) in bed.particles.iter().enumerate() {
-            if i % 8 == 0 {
-                q_coords.extend_from_slice(&[p.center.x, p.center.y, p.center.z]);
-                q_radii.push(p.radius);
-            } else {
-                bed_centers.push(p.center);
-                bed_radii.push(p.radius);
-            }
-        }
-        let batch_n = q_radii.len();
-        let fixed = CsrGrid::build(&bed_centers, &bed_radii);
-        let hs = container.halfspaces();
-        let evals = 10usize;
-
-        // Seeded Fisher–Yates over the hold-outs for the shuffled layout.
-        let mut perm: Vec<usize> = (0..batch_n).collect();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in (1..batch_n).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            perm.swap(i, (state % (i as u64 + 1)) as usize);
-        }
-        let mut s_coords = Vec::with_capacity(q_coords.len());
-        let mut s_radii = Vec::with_capacity(batch_n);
-        for &i in &perm {
-            s_coords.extend_from_slice(&q_coords[3 * i..3 * i + 3]);
-            s_radii.push(q_radii[i]);
-        }
-
-        let measure = |coords: &[f64], radii: &[f64]| {
-            let mut per_order = Vec::new();
-            for order in [SweepOrder::Morton, SweepOrder::Strided] {
-                let obj = Objective::new(ObjectiveWeights::default(), Axis::Z, hs, radii, &fixed)
-                    .with_neighbor(NeighborStrategy::Verlet, 0.04)
-                    .with_order(order);
-                let mut grad = vec![0.0; coords.len()];
-                let mut ws = Workspace::new();
-                let warm = obj.value_and_grad_ws(coords, &mut grad, &mut ws);
-                let (v, t) = timed(|| {
-                    let mut v = 0.0;
-                    for _ in 0..evals {
-                        v = obj.value_and_grad_ws(coords, &mut grad, &mut ws);
-                    }
-                    v
-                });
-                assert_eq!(warm.to_bits(), v.to_bits(), "{order}: eval not replayable");
-                per_order.push((v, grad, secs(t) * 1e3 / evals as f64));
-            }
-            assert_eq!(
-                per_order[0].0.to_bits(),
-                per_order[1].0.to_bits(),
-                "sweep orders disagree on the objective value"
-            );
-            assert!(
-                per_order[0]
-                    .1
-                    .iter()
-                    .zip(&per_order[1].1)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "sweep orders disagree on the gradient"
-            );
-            (per_order[0].2, per_order[1].2)
-        };
-        let (pk_m_ms, pk_s_ms) = measure(&q_coords, &q_radii);
-        let (sh_m_ms, sh_s_ms) = measure(&s_coords, &s_radii);
-        let packed_speedup = pk_s_ms / pk_m_ms;
-        let shuffled_speedup = sh_s_ms / sh_m_ms;
-
-        let mut by_order = Vec::new();
-        for order in [SweepOrder::Morton, SweepOrder::Strided] {
-            metrics::reset_all();
-            let mut params = PackingParams {
-                batch_size: knobs.batch,
-                target_count: n_big,
-                max_steps: knobs.max_steps,
-                seed: 0,
-                ..PackingParams::default()
-            };
-            params.neighbor.order = order;
-            let container = container.clone();
-            let psd = psd.clone();
-            let (result, elapsed) = timed(|| CollectivePacker::new(container, params).pack(&psd));
-            let psteps: f64 = result
-                .batches
-                .iter()
-                .map(|b| (b.steps * b.requested) as f64)
-                .sum();
-            by_order.push(psteps / secs(elapsed));
-        }
-        let e2e_ratio = by_order[0] / by_order[1];
-        println!(
-            "# sweep kernel at N = {n_big} ({batch_n} queries, Verlet pipeline, bitwise equal):"
-        );
-        println!(
-            "#   packed-order queries:   morton {pk_m_ms:.2} ms/eval, strided {pk_s_ms:.2} \
-             ms/eval ({packed_speedup:.2}x)"
-        );
-        println!(
-            "#   shuffled-order queries: morton {sh_m_ms:.2} ms/eval, strided {sh_s_ms:.2} \
-             ms/eval ({shuffled_speedup:.2}x)"
-        );
-        println!(
-            "# sweep order end-to-end at N = {n_big}: morton {:.0} psteps/s, \
-             strided {:.0} psteps/s ({e2e_ratio:.2}x)",
-            by_order[0], by_order[1]
-        );
-        report.row(format!(
-            "{{\"section\": \"sweep_order\", \"particles\": {n_big}, \"batch_n\": {batch_n}, \
-             \"packed_morton_ms\": {pk_m_ms:.4}, \"packed_strided_ms\": {pk_s_ms:.4}, \
-             \"packed_speedup\": {packed_speedup:.4}, \
-             \"shuffled_morton_ms\": {sh_m_ms:.4}, \"shuffled_strided_ms\": {sh_s_ms:.4}, \
-             \"shuffled_speedup\": {shuffled_speedup:.4}, \"bitwise_equal\": true, \
-             \"e2e_morton_psteps_per_s\": {:.0}, \"e2e_strided_psteps_per_s\": {:.0}, \
-             \"e2e_ratio\": {e2e_ratio:.4}}}",
-            by_order[0], by_order[1]
-        ));
-    }
-
     if !cli::flag("--skip-amdahl") {
         // Amdahl serial fraction at 1/2/4/8 threads, largest N.
         println!("# thread scaling at N = {n_big}:");

@@ -79,7 +79,7 @@ slab below the bed surface are retired from the resident hot set, so
 memory tracks the active surface instead of the particle total. Purely
 a memory knob: tiled packings are bitwise identical to untiled ones,
 and a guard makes any sub-horizon query a hard error (exit 8) instead
-of silent drift. Requires neighbor strategy auto or verlet.
+of silent drift. Requires neighbor strategy verlet (the default).
 
 --checkpoint writes a crash-resume checkpoint (atomic temp+rename,
 rotated history) at the first batch boundary after every

@@ -392,83 +392,6 @@ pub mod par {
         });
     }
 
-    /// Debug-build check that `order` is a permutation of `0..n`; release
-    /// builds keep only the cheap per-element bounds assert in the loops
-    /// (the permuted primitives' callers construct `order` by sorting
-    /// `0..n`, so uniqueness holds by construction).
-    #[inline]
-    fn debug_check_permutation(order: &[u32], n: usize) {
-        debug_assert_eq!(order.len(), n, "order length mismatch");
-        #[cfg(debug_assertions)]
-        {
-            use std::cell::RefCell;
-            thread_local! {
-                // Reused across calls: the permuted sweeps run every
-                // evaluation, and the steady-state allocation audit holds
-                // dev builds to zero allocations per step too.
-                static SEEN: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-            }
-            SEEN.with(|seen| {
-                let mut seen = seen.borrow_mut();
-                seen.clear();
-                seen.resize(n.div_ceil(64), 0);
-                for &i in order {
-                    let (w, b) = (i as usize / 64, i as usize % 64);
-                    assert!(
-                        (i as usize) < n && seen[w] & (1 << b) == 0,
-                        "order is not a permutation of 0..{n}"
-                    );
-                    seen[w] |= 1 << b;
-                }
-            });
-        }
-    }
-
-    /// Permuted-order variant of [`for_each_chunk_zip`]: calls
-    /// `f(i, &mut a[i*chunk..][..chunk], &mut b[i])` for every `i` in
-    /// `order` (which **must** be a permutation of `0..b.len()`), visiting
-    /// slots in the permuted sequence (e.g. Morton order) so spatially
-    /// sorted sweeps walk neighbor memory coherently. Each slot pair is
-    /// written by exactly one task and receives the identical call either
-    /// way, so per-slot results are bitwise independent of `order`.
-    ///
-    /// Panics unless `a.len() == b.len() * chunk` and
-    /// `order.len() == b.len()`.
-    pub fn for_each_chunk_zip_perm<A, B, F>(
-        a: &mut [A],
-        chunk: usize,
-        b: &mut [B],
-        order: &[u32],
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        F: Fn(usize, &mut [A], &mut B) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        assert_eq!(a.len(), b.len() * chunk, "chunked slice length mismatch");
-        let n = b.len();
-        assert_eq!(order.len(), n, "order length mismatch");
-        debug_check_permutation(order, n);
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            annotate_chunk(start, start + len, || {
-                for &idx in &order[start..start + len] {
-                    let i = idx as usize;
-                    assert!(i < n, "order entry {i} out of range");
-                    // SAFETY: `order` is a permutation, so every slot pair
-                    // is visited by exactly one chunk.
-                    let wa = unsafe { raw_a.window(i * chunk, chunk) };
-                    let wb = unsafe { raw_b.window(i, 1) };
-                    f(i, wa, &mut wb[0]);
-                }
-            });
-        });
-    }
-
     /// Calls `f(i, &mut a[i], &mut b[i])` for every `i`, in parallel.
     ///
     /// Panics unless the slices have equal length.
@@ -901,43 +824,6 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * 2);
         }
-    }
-
-    #[test]
-    fn permuted_loops_cover_every_slot_once_under_any_order() {
-        // A deliberately cache-hostile permutation (bit-reversal-ish) over a
-        // non-power-of-two length, at several pool widths.
-        let n = 4099usize;
-        let order: Vec<u32> = {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.sort_by_key(|&i| (i.reverse_bits(), i));
-            idx
-        };
-        for threads in [1, 3, 8] {
-            with_threads(threads, || {
-                let mut grad = vec![0u64; n * 3];
-                let mut vals = vec![0u64; n];
-                par::for_each_chunk_zip_perm(&mut grad, 3, &mut vals, &order, |i, g, v| {
-                    for (k, slot) in g.iter_mut().enumerate() {
-                        *slot = (i * 3 + k) as u64;
-                    }
-                    *v = i as u64 * 7;
-                });
-                for i in 0..n {
-                    assert_eq!(vals[i], i as u64 * 7, "{threads} threads");
-                    for k in 0..3 {
-                        assert_eq!(grad[i * 3 + k], (i * 3 + k) as u64);
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "order length mismatch")]
-    fn permuted_loop_rejects_short_order() {
-        let (mut a, mut b) = (vec![0usize; 8], vec![0usize; 8]);
-        par::for_each_chunk_zip_perm(&mut a, 1, &mut b, &[0, 1, 2], |_, _, _| {});
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::path::{Path, PathBuf};
 
 use adampack_core::{
-    Container, Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SweepOrder,
-    SystemSpec, ZoneRegion, ZoneSpec,
+    Container, Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SystemSpec,
+    ZoneRegion, ZoneSpec,
 };
 use adampack_geometry::{Axis, ConvexHull};
 use adampack_telemetry::{DiagMode, Level};
@@ -97,29 +97,12 @@ impl Default for AlgoParams {
     }
 }
 
-/// The `neighbor:` block (pair-search pipeline knobs).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The `neighbor:` block (the pair-search pipeline).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NeighborConfig {
-    /// `strategy:` — `auto` (default), `verlet` or `naive`.
+    /// `strategy:` — `verlet` (default; `auto` is another spelling of it)
+    /// or `naive`. Both pack the same bytes; `naive` is the exact oracle.
     pub strategy: NeighborStrategy,
-    /// `skin_factor:` — Verlet skin as a fraction of the largest batch
-    /// radius, default 0.4.
-    pub skin_factor: f64,
-    /// `order:` — pair-sweep traversal order, `auto` (default, measures
-    /// each batch), `morton` or `strided`. Bitwise identical results;
-    /// purely a cache-locality knob.
-    pub order: SweepOrder,
-}
-
-impl Default for NeighborConfig {
-    fn default() -> Self {
-        let p = NeighborParams::default();
-        NeighborConfig {
-            strategy: p.strategy,
-            skin_factor: p.skin_factor,
-            order: p.order,
-        }
-    }
 }
 
 impl NeighborConfig {
@@ -127,8 +110,7 @@ impl NeighborConfig {
     pub fn to_params(self) -> NeighborParams {
         NeighborParams {
             strategy: self.strategy,
-            skin_factor: self.skin_factor,
-            order: self.order,
+            ..NeighborParams::default()
         }
     }
 }
@@ -693,22 +675,6 @@ impl PackingConfig {
                     ))
                 })?;
             }
-            if let Some(v) = nb.get("skin_factor").and_then(Value::as_f64) {
-                if !(v > 0.0 && v.is_finite()) {
-                    return Err(field(format!(
-                        "neighbor.skin_factor must be positive and finite, got {v}"
-                    )));
-                }
-                neighbor.skin_factor = v;
-            }
-            if let Some(v) = nb.get("order").and_then(Value::as_str) {
-                neighbor.order = SweepOrder::parse(v).ok_or_else(|| {
-                    field(format!(
-                        "neighbor.order: unknown order '{v}' \
-                         (expected 'auto', 'morton' or 'strided')"
-                    ))
-                })?;
-            }
         }
 
         let mut telemetry = TelemetryConfig::default();
@@ -1169,7 +1135,6 @@ params:
 gravity_axis: z
 neighbor:
     strategy: "verlet"
-    skin_factor: 0.3
 particle_sets:
     - radius_distribution: "uniform"
       radius_min: 0.05
@@ -1203,7 +1168,6 @@ zones:
         assert_eq!(cfg.params.verbosity, 10);
         assert_eq!(cfg.gravity_axis, Axis::Z);
         assert_eq!(cfg.neighbor.strategy, NeighborStrategy::Verlet);
-        assert!((cfg.neighbor.skin_factor - 0.3).abs() < 1e-12);
         assert_eq!(cfg.particle_sets.len(), 2);
         assert_eq!(
             cfg.particle_sets[0],
@@ -1243,7 +1207,6 @@ zones:
         let cfg = PackingConfig::from_str(FIG9).unwrap();
         let params = cfg.to_packing_params();
         assert_eq!(params.neighbor.strategy, NeighborStrategy::Verlet);
-        assert!((params.neighbor.skin_factor - 0.3).abs() < 1e-12);
         assert_eq!(params.max_steps, 1000);
         assert_eq!(params.patience, 50);
         assert_eq!(params.lr.initial_lr(), 0.01);
@@ -1555,28 +1518,24 @@ zones:
         assert!(e.to_string().contains("tiles"), "{e}");
     }
 
+    /// `order` and `skin_factor` no longer exist. Like any unknown key
+    /// they are ignored: neither could change a byte of the packing.
     #[test]
-    fn sweep_order_knob_parses_and_rejects_unknown() {
+    fn removed_neighbor_keys_are_ignored() {
         let base = "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n";
-        let cfg = PackingConfig::from_str(base).unwrap();
-        assert_eq!(cfg.neighbor.order, SweepOrder::Auto, "default is auto");
-        assert_eq!(cfg.to_packing_params().neighbor.order, SweepOrder::Auto);
-
-        let morton = format!("{base}neighbor:\n  order: \"morton\"\n");
-        let cfg = PackingConfig::from_str(&morton).unwrap();
-        assert_eq!(cfg.neighbor.order, SweepOrder::Morton);
-
-        let strided = format!("{base}neighbor:\n  order: \"strided\"\n");
-        let cfg = PackingConfig::from_str(&strided).unwrap();
-        assert_eq!(cfg.neighbor.order, SweepOrder::Strided);
-        assert_eq!(cfg.to_packing_params().neighbor.order, SweepOrder::Strided);
-
-        let bad = format!("{base}neighbor:\n  order: hilbert\n");
-        let e = PackingConfig::from_str(&bad).unwrap_err();
-        assert!(e.to_string().contains("hilbert"), "{e}");
-        assert!(e.to_string().contains("'auto'"), "{e}");
-        assert!(e.to_string().contains("'morton'"), "{e}");
-        assert!(e.to_string().contains("'strided'"), "{e}");
+        let plain = PackingConfig::from_str(base).unwrap().to_packing_params();
+        for block in [
+            "neighbor:\n  order: \"morton\"\n",
+            "neighbor:\n  order: hilbert\n  skin_factor: -0.5\n",
+            "neighbor:\n  skin_factor: 0.3\n",
+        ] {
+            let cfg = PackingConfig::from_str(&format!("{base}{block}")).unwrap();
+            assert_eq!(cfg.neighbor, NeighborConfig::default(), "{block}");
+            assert_eq!(
+                format!("{:?}", cfg.to_packing_params()),
+                format!("{plain:?}")
+            );
+        }
     }
 
     #[test]
@@ -1596,9 +1555,6 @@ zones:
         let bad_strategy = format!("{base}neighbor:\n  strategy: quadtree\n");
         let e = PackingConfig::from_str(&bad_strategy).unwrap_err();
         assert!(e.to_string().contains("quadtree"));
-        let bad_skin = format!("{base}neighbor:\n  skin_factor: -0.5\n");
-        let e = PackingConfig::from_str(&bad_skin).unwrap_err();
-        assert!(e.to_string().contains("skin_factor"));
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub fn to_yaml(cfg: &PackingConfig) -> String {
     if cfg.neighbor != NeighborConfig::default() {
         writeln!(s, "neighbor:").unwrap();
         writeln!(s, "    strategy: \"{}\"", cfg.neighbor.strategy.name()).unwrap();
-        writeln!(s, "    skin_factor: {}", cfg.neighbor.skin_factor).unwrap();
-        writeln!(s, "    order: \"{}\"", cfg.neighbor.order.name()).unwrap();
     }
     if cfg.telemetry != TelemetryConfig::default() {
         writeln!(s, "telemetry:").unwrap();
@@ -200,9 +198,7 @@ mod tests {
             },
             gravity_axis: Axis::Z,
             neighbor: NeighborConfig {
-                strategy: adampack_core::NeighborStrategy::Verlet,
-                skin_factor: 0.25,
-                order: adampack_core::SweepOrder::Strided,
+                strategy: adampack_core::NeighborStrategy::Naive,
             },
             telemetry: TelemetryConfig {
                 level: ConsoleLevel::Fixed(adampack_telemetry::Level::Debug),

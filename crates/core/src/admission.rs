@@ -24,7 +24,7 @@ const BYTES_PER_RESIDENT_SPHERE: u64 = 128;
 
 /// Bytes the workspace holds per batch particle: SoA coordinate columns
 /// (32 B), positions (24 B), objective values/breakdowns
-/// (~48 B), optimizer moments (48 B), Morton keys (12 B), and the
+/// (~48 B), optimizer moments (48 B), and the
 /// Verlet candidate lists, which dominate — a dense batch sees tens of
 /// candidates per particle at 4 B each. `512` bounds all of it.
 const BYTES_PER_BATCH_SLOT: u64 = 512;

@@ -51,6 +51,7 @@ use crate::diagnostics::DiagMode;
 use crate::params::PackingParams;
 use crate::psd::Psd;
 use crate::zone::{self, EmptyZone, ZoneSpec, ZoneStage};
+use crate::PACKING_REVISION;
 
 /// One system of a sweep: a label plus the hyper-parameters and
 /// particle-size distribution it packs with.
@@ -526,7 +527,9 @@ impl BatchedPacker {
         if state.sweep_fingerprint != fp {
             return Err(CheckpointError::StateMismatch(format!(
                 "sweep fingerprint {fp:#018x} does not match checkpoint {:#018x} \
-                 (different batch grid, threads or hyper-parameters)",
+                 (different batch grid, threads or hyper-parameters, or written by a \
+                 build of another packing revision; this build packs revision \
+                 {PACKING_REVISION})",
                 state.sweep_fingerprint
             ))
             .into());

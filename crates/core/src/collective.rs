@@ -30,9 +30,10 @@ use crate::diagnostics::{DiagEngine, DiagMode};
 use crate::metrics::{boundary_stats, contact_stats_vs_fixed};
 use crate::neighbor::{tile_horizon, CsrGrid, FixedBed, Workspace};
 use crate::objective::Objective;
-use crate::params::{LrPolicy, PackingParams};
+use crate::params::{LrPolicy, NeighborParams, PackingParams};
 use crate::particle::Particle;
 use crate::psd::Psd;
+use crate::PACKING_REVISION;
 
 /// Fixed block size for the tracer's parallel reductions. The partial
 /// layout depends only on the input length — never the pool width — so the
@@ -597,12 +598,19 @@ impl CollectivePacker {
         self.diag.as_ref().map_or(0, |d| d.stall_streak())
     }
 
-    /// FNV-1a fingerprint over the hyper-parameters, container geometry and
-    /// the [`CollectivePacker::set_fingerprint_context`] salt, stored in
+    /// FNV-1a fingerprint over the [`PACKING_REVISION`], the
+    /// hyper-parameters, container geometry and the
+    /// [`CollectivePacker::set_fingerprint_context`] salt, stored in
     /// checkpoints and verified on [`CollectivePacker::begin_resumed`].
+    /// The neighbor settings are left out: every strategy packs the same
+    /// bytes, so a run may resume under another spelling.
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
-        let mut s = format!("{:?}", self.params);
+        let params = PackingParams {
+            neighbor: NeighborParams::default(),
+            ..self.params.clone()
+        };
+        let mut s = format!("rev:{PACKING_REVISION}|{params:?}");
         let bb = self.container.aabb();
         for v in [
             bb.min.x,
@@ -690,9 +698,11 @@ impl CollectivePacker {
         // pushes its spheres (amortized O(1) each) instead of rebuilding the
         // whole grid, and the top altitude is a running maximum.
         let bed = FixedBed::from_particles(self.params.gravity, &existing);
+        let mut particles = existing;
+        reserve_target(&mut particles, self.params.target_count);
         RunProgress {
-            preexisting: existing.len(),
-            particles: existing,
+            preexisting: particles.len(),
+            particles,
             batches: Vec::new(),
             bed,
             packed: 0,
@@ -726,7 +736,8 @@ impl CollectivePacker {
         if state.params_fingerprint != fp {
             return Err(CheckpointError::StateMismatch(format!(
                 "parameter fingerprint {fp:#018x} does not match checkpoint {:#018x} \
-                 (different hyper-parameters or container)",
+                 (different hyper-parameters or container, or written by a build \
+                 of another packing revision; this build packs revision {PACKING_REVISION})",
                 state.params_fingerprint
             ))
             .into());
@@ -736,9 +747,15 @@ impl CollectivePacker {
             .restore_counters(state.evals as usize, state.verlet_rebuilds as usize);
         self.recoveries = state.recoveries;
         let bed = FixedBed::from_particles(self.params.gravity, &state.particles);
+        let mut particles = state.particles;
+        let still_to_pack = self
+            .params
+            .target_count
+            .saturating_sub(state.packed as usize);
+        reserve_target(&mut particles, still_to_pack);
         Ok(RunProgress {
             preexisting: state.preexisting as usize,
-            particles: state.particles,
+            particles,
             batches: state.batches,
             bed,
             packed: state.packed as usize,
@@ -1084,7 +1101,6 @@ impl CollectivePacker {
             self.params.neighbor.strategy,
             self.params.neighbor.skin_for(radii),
         )
-        .with_order(self.params.neighbor.order)
         .with_kernel(self.params.kernel);
         // Fresh batch: invalidate the previous batch's Verlet lists while
         // keeping every buffer's capacity.
@@ -1332,6 +1348,15 @@ impl CollectivePacker {
     }
 }
 
+/// Reserves room for `more` particles up front, so the list never grows by
+/// doubling. A doubling frees a large buffer, which lifts glibc's mmap
+/// threshold; the next run's list then grows on the heap and its peak RSS
+/// creeps. A target the allocator refuses (a huge request) is ignored: the
+/// run grows the list as it goes and stops at the lid as before.
+fn reserve_target(particles: &mut Vec<Particle>, more: usize) {
+    let _ = particles.try_reserve(more);
+}
+
 /// Builds the fixed-bed grid from packed particles.
 pub fn build_grid(particles: &[Particle]) -> CsrGrid {
     if particles.is_empty() {
@@ -1383,6 +1408,29 @@ mod tests {
                 p.center
             );
         }
+    }
+
+    /// The particle list reserves the whole target up front, but a target
+    /// no allocator grants must neither panic nor abort: the run grows the
+    /// list as it goes and stops at the lid.
+    #[test]
+    fn huge_target_count_packs_to_the_lid() {
+        let params = PackingParams {
+            batch_size: 16,
+            target_count: usize::MAX / 2,
+            max_steps: 300,
+            patience: 30,
+            ..quick_params()
+        };
+        let mut packer = CollectivePacker::new(small_box_container(), params);
+        let result = packer.pack(&Psd::constant(0.3));
+        assert!(!result.particles.is_empty(), "no particles packed");
+        assert!(!result.reached_target());
+        assert!(
+            result.particles.len() < 100,
+            "{} spheres",
+            result.particles.len()
+        );
     }
 
     #[test]

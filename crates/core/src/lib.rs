@@ -89,6 +89,16 @@ pub mod report;
 pub mod runner;
 pub mod zone;
 
+/// Revision of the packing arithmetic, bumped by every intended change of
+/// the output bytes for unchanged inputs. Folded into every checkpoint
+/// fingerprint and content address, so state written under another
+/// revision is never resumed or served.
+///
+/// * 0 — the packing through the Morton sweep order and the 0.4 r skin.
+/// * 1 — each Verlet row lists its candidates in ascending index: one
+///   pair order for every skin, grid and strategy.
+pub const PACKING_REVISION: u32 = 1;
+
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::admission::{estimate_cost, CostEstimate};
@@ -103,9 +113,7 @@ pub mod prelude {
     pub use crate::diagnostics::{DiagEngine, DiagMode, DiagSummary};
     pub use crate::manifest::{ArtifactEntry, RunManifest};
     pub use crate::metrics::{contact_stats, psd_adherence, ContactStats};
-    pub use crate::neighbor::{
-        CsrGrid, FixedBed, NeighborStrategy, SweepOrder, VerletLists, Workspace,
-    };
+    pub use crate::neighbor::{CsrGrid, FixedBed, NeighborStrategy, VerletLists, Workspace};
     pub use crate::objective::{Objective, ObjectiveBreakdown, ObjectiveWeights};
     pub use crate::params::{
         LrPolicy, NeighborParams, OptimizerKind, PackingParams, SentinelParams,

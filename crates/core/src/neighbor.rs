@@ -23,14 +23,18 @@
 //!    so steady-state optimizer steps perform **zero heap allocation**
 //!    (verified by a counting global allocator in the test suite).
 //!
-//! Exhaustive scans ([`NeighborStrategy::Naive`]) are the correctness
-//! oracle: the property suite asserts CSR == brute force on random clouds.
+//! Exhaustive scans ([`NeighborStrategy::Naive`]) are the exact oracle:
+//! the property suite asserts CSR == brute force on random clouds, and the
+//! packing suites assert naive == Verlet bitwise.
 //!
-//! Determinism: queries visit cells in a fixed z→y→x order and entries in
-//! counting-sort order, both independent of thread count; Verlet lists
-//! freeze that order at build time. Combined with the objective's
-//! one-writer-per-slot gradient layout and sequential value reduction, a
-//! fixed seed gives bitwise-identical packings on any thread count.
+//! Determinism: each Verlet row lists its batch and bed candidates in
+//! ascending index, the order the naive scans visit them in, so a sphere
+//! sums its contacts in one order whatever the skin, the grid geometry or
+//! the rebuild schedule. A candidate that does not touch costs no
+//! floating-point operation, so only the order of the hits matters.
+//! Combined with the objective's one-writer-per-slot gradient layout and
+//! sequential value reduction, a fixed seed gives bitwise-identical
+//! packings on any thread count, skin and strategy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,30 +46,28 @@ use crate::objective::ObjectiveBreakdown;
 use crate::particle::{coords, Particle};
 
 /// How the objective searches for interacting sphere pairs.
+///
+/// Both strategies sum each sphere's contacts in ascending index order, so
+/// they pack bitwise-identical bytes: the choice is speed only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborStrategy {
-    /// Pick per batch: Verlet lists from [`VERLET_THRESHOLD`] particles
-    /// up; below it a naive intra scan plus CSR cell-grid queries against
-    /// the bed (list upkeep only pays off once the pair scan dominates).
-    #[default]
-    Auto,
     /// Skin-padded Verlet candidate lists rebuilt on demand (fastest).
+    #[default]
     Verlet,
-    /// Exhaustive O(n²) scans (correctness oracle; small batches).
+    /// Exhaustive O(n²) scans: the exact oracle.
     Naive,
 }
 
 impl NeighborStrategy {
     /// Every strategy, in knob order.
-    pub const ALL: [NeighborStrategy; 3] = [
-        NeighborStrategy::Auto,
-        NeighborStrategy::Verlet,
-        NeighborStrategy::Naive,
-    ];
+    pub const ALL: [NeighborStrategy; 2] = [NeighborStrategy::Verlet, NeighborStrategy::Naive];
 
-    /// Parses the user-facing knob value (`"auto"` / `"verlet"` /
-    /// `"naive"`, any case).
+    /// Parses the user-facing knob value (`"verlet"` or `"naive"`, any
+    /// case; `"auto"` is the historical spelling of `"verlet"`).
     pub fn parse(s: &str) -> Option<NeighborStrategy> {
+        if s.eq_ignore_ascii_case("auto") {
+            return Some(NeighborStrategy::Verlet);
+        }
         NeighborStrategy::ALL
             .into_iter()
             .find(|k| k.name().eq_ignore_ascii_case(s))
@@ -74,75 +76,37 @@ impl NeighborStrategy {
     /// Canonical knob spelling.
     pub fn name(self) -> &'static str {
         match self {
-            NeighborStrategy::Auto => "auto",
             NeighborStrategy::Verlet => "verlet",
             NeighborStrategy::Naive => "naive",
         }
     }
 }
 
-/// Batch size at which [`NeighborStrategy::Auto`] switches to Verlet lists.
-pub const VERLET_THRESHOLD: usize = 32;
+/// Verlet skin in units of the batch's largest radius. Rows list their
+/// candidates in ascending index, so the skin moves only the rebuild rate
+/// and the row lengths, never a bit of the packing. Of {0.6, 0.8, 1.0,
+/// 1.2}, 1.0 was the one no slower than the others on any packing
+/// workload: 1.2 gained on `column_50k` but lost on `furnace_poly`
+/// (EXPERIMENTS.md, "one pair order").
+pub const SKIN_RADII: f64 = 1.0;
 
-/// Smallest batch for which [`SweepOrder::Auto`] will consider the Morton
-/// permutation; below it the per-rebuild key sort can't amortize.
-pub const AUTO_MORTON_MIN: usize = 64;
+/// The Verlet skin for a batch with these radii: [`SKIN_RADII`] × the
+/// largest radius, floored away from zero for empty or point batches.
+pub fn skin_for(radii: &[f64]) -> f64 {
+    let r_max = radii.iter().copied().fold(0.0, f64::max);
+    (SKIN_RADII * r_max).max(1e-9)
+}
 
-/// [`SweepOrder::Auto`] sortedness cutoff: when at least this fraction of
-/// adjacent identity-order pairs already have non-decreasing Morton keys,
-/// the batch is treated as spatially coherent and swept strided.
-pub const AUTO_SORTED_FRACTION: f64 = 0.75;
-
-/// In which sequence the objective's parallel sweep visits query particles.
-///
-/// Both orders produce **bitwise identical** results: each particle's value
-/// and gradient land in its own slot and the final reduction always runs
-/// sequentially over slot index, so the visit sequence only affects cache
-/// behavior, never arithmetic.
+/// The pair sweep's visit order. Strided (index order) is the only one
+/// left; the type survives solely because the frozen benchmark still
+/// passes `NeighborParams::order` to `Objective::with_order`. Delete both
+/// in the next benchmark change.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepOrder {
-    /// Measure, then pick (default): batches whose identity order is
-    /// already spatially coherent (or too small to amortize a sort) run
-    /// strided; everything else gets the Morton permutation. See
-    /// [`Workspace::use_morton`] for the exact heuristic.
+    /// Batch particles in index order.
     #[default]
-    Auto,
-    /// Z-order (Morton) traversal: query particles sorted by the
-    /// interleaved bits of their quantized cell coordinates, so consecutive
-    /// queries share candidate cells and the pair sweep walks the CSR
-    /// `entries`/SoA memory in cache-sized blocks.
-    Morton,
-    /// Spawn/index order — the pre-PR-8 strided z→y→x behavior, kept as the
-    /// oracle ordering.
     Strided,
-}
-
-impl SweepOrder {
-    /// Parses the user-facing knob value (`"auto"` / `"morton"` /
-    /// `"strided"`).
-    pub fn parse(s: &str) -> Option<SweepOrder> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(SweepOrder::Auto),
-            "morton" => Some(SweepOrder::Morton),
-            "strided" => Some(SweepOrder::Strided),
-            _ => None,
-        }
-    }
-
-    /// Canonical knob spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepOrder::Auto => "auto",
-            SweepOrder::Morton => "morton",
-            SweepOrder::Strided => "strided",
-        }
-    }
-}
-
-impl std::fmt::Display for SweepOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Cap on the number of grid cells; beyond it the cell edge is scaled up.
@@ -177,10 +141,10 @@ const SCAN_BLOCK: usize = 4096;
 /// stored, but the binning geometry (origin, cell edge, dims, `max_radius`,
 /// bounds) is pinned to the values the **full** sphere set would produce, so
 /// every retained sphere lands in exactly the cell the untiled grid would
-/// put it in, in the same counting-sort relative order. Any query whose
-/// window could reach below the horizon increments a relaxed miss counter
-/// instead of silently returning a truncated candidate set; the packing
-/// loop checks the counter every batch and fails hard.
+/// put it in, in the same counting-sort relative order. Any query that
+/// could accept a retired sphere increments a relaxed miss counter instead
+/// of silently returning a truncated candidate set; the packing loop checks
+/// the counter every batch and fails hard.
 #[derive(Debug)]
 pub struct CsrGrid {
     cell: f64,
@@ -204,7 +168,7 @@ pub struct CsrGrid {
     sort_scratch: Vec<u32>,
     /// Hot-window state; `None` outside tiled runs.
     hot: Option<HotWindow>,
-    /// Queries whose window could have reached below the hot floor.
+    /// Queries that could have accepted a sphere below the hot floor.
     horizon_misses: AtomicU64,
 }
 
@@ -544,20 +508,19 @@ impl CsrGrid {
         });
     }
 
-    /// Row-granular variant of [`Self::for_neighbors`]: the callback gets
+    /// Row-granular walk behind [`Self::for_neighbors`]: the callback gets
     /// each candidate x-row as one contiguous index slice (then the pending
-    /// overflow list), in the exact order `for_neighbors` visits individual
-    /// candidates. This is what the vectorized pair kernels consume — a
-    /// whole row can be chunked into SIMD lanes without any per-candidate
-    /// callback overhead.
+    /// overflow list), in the order `for_neighbors` visits them.
     #[inline]
-    pub fn for_neighbor_rows<F: FnMut(&[u32])>(&self, p: Vec3, reach: f64, mut f: F) {
+    fn for_neighbor_rows<F: FnMut(&[u32])>(&self, p: Vec3, reach: f64, mut f: F) {
         if let Some(h) = &self.hot {
-            // The query window dips below the retained horizon: some
-            // candidate the untiled grid would offer may be missing. Count
-            // it (relaxed — the count is checked, never ordered against)
-            // and let the packing loop fail the batch hard.
-            if h.up.dot(p) - (reach + self.max_radius) < h.floor {
+            // Every caller keeps only spheres whose surface is within
+            // `reach` of `p`, and a retired sphere's surface lies below the
+            // floor. Unless `p` is within `reach` of the floor, no sphere a
+            // caller can accept is missing. Otherwise count the query
+            // (relaxed — the count is checked, never ordered against) and
+            // let the packing loop fail the batch hard.
+            if h.up.dot(p) - reach < h.floor {
                 self.horizon_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -619,11 +582,12 @@ impl CsrGrid {
         self.hot.map(|h| h.floor)
     }
 
-    /// Number of queries since the last (hot) rebuild whose search window
-    /// could have reached below the retirement horizon. Always zero
-    /// outside hot-window mode and for a correctly sized window; non-zero
-    /// means candidates may have been silently retired and the run must
-    /// not trust this batch.
+    /// Number of queries since the last (hot) rebuild that could have
+    /// accepted a sphere below the retirement horizon: a query from `p`
+    /// with `up·p − reach` below the floor. Always zero outside hot-window
+    /// mode and for a correctly sized window; non-zero means a candidate
+    /// may have been silently retired and the run must not trust this
+    /// batch.
     pub fn horizon_misses(&self) -> u64 {
         self.horizon_misses.load(Ordering::Relaxed)
     }
@@ -871,8 +835,9 @@ pub fn tile_horizon(tiles: usize, bottom: f64, top: f64, bed_top: f64) -> f64 {
 ///
 /// * `intra` — batch spheres `j ≠ i` with `‖cᵢ−cⱼ‖ < rᵢ + rⱼ + skin`,
 /// * `cross` — fixed-bed spheres passing the same test,
-/// * `walls` — container planes with `sphere_excess(cᵢ, rᵢ) > −skin`, in
-///   ascending plane index.
+/// * `walls` — container planes with `sphere_excess(cᵢ, rᵢ) > −skin`,
+///
+/// each in ascending index.
 ///
 /// Reference coordinates are kept so [`VerletLists::needs_rebuild`] can
 /// apply the half-skin displacement criterion. Until it fires no sphere has
@@ -923,18 +888,18 @@ struct ListInputs<'a> {
 /// Sphere `i`'s candidate lists (see [`VerletLists`]).
 #[derive(Debug, Clone, Copy)]
 pub struct VerletRow<'a> {
-    /// Batch-sphere candidates, in grid query order.
+    /// Batch-sphere candidates, ascending.
     pub intra: &'a [u32],
-    /// Fixed-bed candidates, in grid query order.
+    /// Fixed-bed candidates, ascending.
     pub cross: &'a [u32],
     /// Container planes in reach, ascending.
     pub walls: &'a [u32],
 }
 
 impl ListChunk {
-    /// Refills this chunk with the rows of spheres `rows`, visiting
-    /// candidates in query order and planes in index order, after
-    /// reserving `reserve` `[intra, cross, walls]` entries.
+    /// Refills this chunk with the rows of spheres `rows`, each list in
+    /// ascending index, after reserving `reserve` `[intra, cross, walls]`
+    /// entries.
     fn fill(&mut self, rows: std::ops::Range<usize>, reserve: [usize; 3], inputs: &ListInputs) {
         let ListInputs {
             positions,
@@ -957,6 +922,7 @@ impl ListChunk {
             let ri = radii[i];
             // Pair cutoff rᵢ + rⱼ + skin: the grid query's reach of
             // rᵢ + skin plus its internal r_max margin covers it.
+            let (intra0, cross0) = (self.intra.len(), self.cross.len());
             batch.for_neighbors(ci, ri + skin, |j, cj, rj| {
                 if j != i && ci.distance_sq(cj) < (ri + rj + skin) * (ri + rj + skin) {
                     self.intra.push(j as u32);
@@ -967,6 +933,11 @@ impl ListChunk {
                     self.cross.push(k as u32);
                 }
             });
+            // Index order, the naive scans' order: the sum over a row's
+            // hits then depends on neither the skin nor the grid geometry.
+            // In place, so the steady-state step allocates nothing.
+            self.intra[intra0..].sort_unstable();
+            self.cross[cross0..].sort_unstable();
             // A full skin of margin, twice what the half-skin rule needs,
             // so rounding in the excess can never drop a reachable plane.
             for (k, plane) in planes.iter().enumerate() {
@@ -1110,29 +1081,6 @@ impl VerletLists {
 }
 
 // ---------------------------------------------------------------------------
-// Morton (Z-order) sweep keys
-// ---------------------------------------------------------------------------
-
-/// Spreads the low 10 bits of `v` three positions apart (bit `i` of the
-/// input lands at bit `3i` of the output).
-#[inline]
-fn spread_bits_3(v: u64) -> u64 {
-    let mut x = v & 0x3ff;
-    x = (x | (x << 16)) & 0xff00_00ff;
-    x = (x | (x << 8)) & 0x0300_f00f;
-    x = (x | (x << 4)) & 0x030c_30c3;
-    x = (x | (x << 2)) & 0x0924_9249;
-    x
-}
-
-/// 30-bit Morton key of a quantized lattice coordinate (each component in
-/// `0..1024`): bits of x, y, z interleaved x-lowest.
-#[inline]
-fn morton_key(qx: u64, qy: u64, qz: u64) -> u64 {
-    spread_bits_3(qx) | (spread_bits_3(qy) << 1) | (spread_bits_3(qz) << 2)
-}
-
-// ---------------------------------------------------------------------------
 // Workspace
 // ---------------------------------------------------------------------------
 
@@ -1159,14 +1107,6 @@ pub struct Workspace {
     /// SoA coordinate snapshot for the vectorized kernels, refreshed once
     /// per evaluation (padded to the SIMD lane width).
     pub(crate) soa: SoaCoords,
-    /// Morton sort scratch: `(key << 32) | index` per particle.
-    sweep_keys: Vec<u64>,
-    /// The Morton visit permutation (sweep position → particle index).
-    pub(crate) sweep_order: Vec<u32>,
-    /// Verlet rebuild count the permutation was computed at.
-    sweep_stamp: Option<usize>,
-    /// Cached [`SweepOrder::Auto`] decision: `(n, rebuild stamp, morton?)`.
-    auto_choice: Option<(usize, usize, bool)>,
     /// Evaluations served since creation (diagnostics).
     pub(crate) evals: usize,
 }
@@ -1187,103 +1127,10 @@ impl Workspace {
         self.evals
     }
 
-    /// Resets per-batch state (list reference positions and the sweep
-    /// permutation), keeping every buffer's capacity. Call between batches.
+    /// Resets per-batch state (the lists' reference positions), keeping
+    /// every buffer's capacity. Call between batches.
     pub fn reset_batch(&mut self) {
         self.verlet.ref_coords.clear();
-        self.sweep_stamp = None;
-        self.auto_choice = None;
-    }
-
-    /// Resolves a [`SweepOrder`] knob to "permute this sweep?" for the
-    /// batch of `n` particles at coordinates `c`.
-    ///
-    /// Explicit `Morton`/`Strided` pass straight through. `Auto` measures
-    /// the batch once per Verlet rebuild and picks Morton only when the
-    /// permutation can plausibly pay for its keying + sort:
-    ///
-    /// 1. batches below [`AUTO_MORTON_MIN`] particles run strided — the
-    ///    sort overhead dominates any locality win;
-    /// 2. otherwise the Morton keys are computed and the fraction of
-    ///    adjacent identity-order pairs already in non-decreasing key
-    ///    order is measured; at or above [`AUTO_SORTED_FRACTION`] the
-    ///    batch is considered spatially coherent as-is (e.g. re-packed or
-    ///    checkpoint-restored beds arriving in packed order) and runs
-    ///    strided, below it Morton.
-    ///
-    /// The decision is a pure function of the coordinates, so it is
-    /// deterministic and thread-count independent — and since both orders
-    /// are bitwise identical anyway, it can never change results.
-    pub(crate) fn use_morton(&mut self, order: SweepOrder, c: &[f64], n: usize) -> bool {
-        match order {
-            SweepOrder::Morton => true,
-            SweepOrder::Strided => false,
-            SweepOrder::Auto => {
-                if n < AUTO_MORTON_MIN {
-                    return false;
-                }
-                let stamp = self.verlet.rebuilds();
-                if let Some((cn, cs, choice)) = self.auto_choice {
-                    if cn == n && cs == stamp {
-                        return choice;
-                    }
-                }
-                self.fill_sweep_keys(c, n);
-                let sorted_pairs = self.sweep_keys.windows(2).filter(|w| w[0] <= w[1]).count();
-                let frac = sorted_pairs as f64 / (n - 1) as f64;
-                let choice = frac < AUTO_SORTED_FRACTION;
-                self.auto_choice = Some((n, stamp, choice));
-                choice
-            }
-        }
-    }
-
-    /// Fills `sweep_keys` with `(morton_key << 32) | index` for the batch,
-    /// unsorted (shared by the permutation build and the Auto probe).
-    fn fill_sweep_keys(&mut self, c: &[f64], n: usize) {
-        let mut lo = Vec3::splat(f64::INFINITY);
-        let mut hi = Vec3::splat(f64::NEG_INFINITY);
-        for i in 0..n {
-            let p = coords::get(c, i);
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        let extent = hi - lo;
-        let scale = |e: f64| if e > 0.0 { 1023.0 / e } else { 0.0 };
-        let (sx, sy, sz) = (scale(extent.x), scale(extent.y), scale(extent.z));
-        self.sweep_keys.clear();
-        self.sweep_keys.resize(n, 0);
-        par::fill_with(&mut self.sweep_keys, |i| {
-            let p = coords::get(c, i);
-            let q = |v: f64, lo: f64, s: f64| (((v - lo) * s) as i64).clamp(0, 1023) as u64;
-            let key = morton_key(q(p.x, lo.x, sx), q(p.y, lo.y, sy), q(p.z, lo.z, sz));
-            (key << 32) | i as u64
-        });
-    }
-
-    /// The Morton visit permutation over the batch's `n` particles (from
-    /// the flat interleaved coordinate buffer `c`), recomputed lazily when
-    /// the batch or the Verlet lists changed.
-    ///
-    /// The permutation sorts particles by the Z-order key of their position
-    /// quantized to a 1024³ lattice over the batch AABB, ties broken by
-    /// index (the key embeds the index in its low bits), so the order is
-    /// total, deterministic, and thread-independent. It re-sequences the
-    /// *parallel sweep* only: every output still lands in slot `i` and the
-    /// value reduction stays sequential over slot index, so results are
-    /// bitwise identical to the strided order.
-    pub(crate) fn refresh_sweep_order(&mut self, c: &[f64], n: usize) -> &[u32] {
-        debug_assert_eq!(c.len(), 3 * n);
-        let stamp = self.verlet.rebuilds();
-        if self.sweep_order.len() != n || self.sweep_stamp != Some(stamp) {
-            self.sweep_stamp = Some(stamp);
-            self.fill_sweep_keys(c, n);
-            self.sweep_keys.sort_unstable();
-            self.sweep_order.clear();
-            self.sweep_order
-                .extend(self.sweep_keys.iter().map(|&k| k as u32));
-        }
-        &self.sweep_order
     }
 
     /// Heap bytes resident across every workspace buffer (capacities).
@@ -1295,8 +1142,6 @@ impl Workspace {
             + self.positions.capacity() * size_of::<Vec3>()
             + self.verlet.resident_bytes()
             + self.soa.resident_bytes()
-            + self.sweep_keys.capacity() * size_of::<u64>()
-            + self.sweep_order.capacity() * size_of::<u32>()
     }
 
     /// Restores the cumulative diagnostics counters from a checkpoint so a
@@ -1620,17 +1465,24 @@ mod tests {
             same_rows(&chunked, &format!("{jobs} chunks"));
         }
 
-        // Walls ascend, and every plane a sphere can poke through after
-        // any move of at most skin/2 is listed: probe random directions
-        // and the worst case, straight along each plane's normal.
+        // Every list ascends, and every plane a sphere can poke through
+        // after any move of at most skin/2 is listed: probe random
+        // directions and the worst case, straight along each plane's normal.
         let mut rng = StdRng::seed_from_u64(84);
         let mut straddling = 0;
         for (i, (&ci, &ri)) in centers.iter().zip(&radii).enumerate() {
-            let walls = lists.row(i).walls;
-            assert!(
-                walls.windows(2).all(|w| w[0] < w[1]),
-                "row {i} not ascending"
-            );
+            let row = lists.row(i);
+            for (what, list) in [
+                ("intra", row.intra),
+                ("cross", row.cross),
+                ("wall", row.walls),
+            ] {
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "{what} row {i} not ascending"
+                );
+            }
+            let walls = row.walls;
             straddling += usize::from(planes.iter().any(|p| p.sphere_excess(ci, ri) > 0.0));
             let mut moves: Vec<Vec3> = planes.iter().map(|p| p.normal * (skin / 2.0)).collect();
             for _ in 0..64 {
@@ -1732,9 +1584,9 @@ mod tests {
             // legitimately vanish from the hot walk (they contribute
             // nothing); the parity contract is (a) the hot candidate
             // sequence is exactly the retained-filtered full sequence, in
-            // order, and (b) every candidate that actually overlaps — the
-            // only ones that touch the accumulators — is retained.
-            if p.z - reach - full.max_radius() < horizon {
+            // order, and (b) every candidate whose surface is within
+            // `reach` — the only ones a caller accepts — is retained.
+            if p.z - reach < horizon {
                 continue;
             }
             let mut full_seq = Vec::new();
@@ -1816,90 +1668,19 @@ mod tests {
     }
 
     #[test]
-    fn morton_keys_interleave_axes() {
-        assert_eq!(morton_key(1, 0, 0), 0b001);
-        assert_eq!(morton_key(0, 1, 0), 0b010);
-        assert_eq!(morton_key(0, 0, 1), 0b100);
-        assert_eq!(morton_key(3, 0, 0), 0b001001);
-        assert_eq!(morton_key(0, 0, 3), 0b100100);
-        assert_eq!(morton_key(1023, 1023, 1023), (1u64 << 30) - 1);
-    }
-
-    #[test]
-    fn sweep_order_is_a_cached_permutation() {
-        let (centers, _) = random_cloud(21, 137, 1.0);
-        let c = coords::from_positions(&centers);
-        let n = centers.len();
-        let mut ws = Workspace::new();
-        let order: Vec<u32> = ws.refresh_sweep_order(&c, n).to_vec();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        let identity: Vec<u32> = (0..n as u32).collect();
-        assert_eq!(sorted, identity, "must be a permutation of 0..n");
-        assert_ne!(order, identity, "Morton order should differ from strided");
-        // Same stamp → cached even when coordinates move.
-        let moved: Vec<f64> = c.iter().map(|v| -v).collect();
-        assert_eq!(ws.refresh_sweep_order(&moved, n), &order[..]);
-        // A batch reset invalidates the cache.
-        ws.reset_batch();
-        let recomputed: Vec<u32> = ws.refresh_sweep_order(&moved, n).to_vec();
-        assert_ne!(recomputed, order, "reset must recompute from new coords");
-    }
-
-    #[test]
     fn strategy_parse_and_name_roundtrip() {
         for strategy in NeighborStrategy::ALL {
             assert_eq!(NeighborStrategy::parse(strategy.name()), Some(strategy));
         }
-        assert_eq!(
-            NeighborStrategy::parse("VERLET"),
-            Some(NeighborStrategy::Verlet)
-        );
-        // The per-evaluation grid strategy was folded into `auto`.
-        assert_eq!(NeighborStrategy::parse("grid"), None);
-        assert_eq!(NeighborStrategy::default(), NeighborStrategy::Auto);
-    }
-
-    #[test]
-    fn sweep_order_parse_and_display_roundtrip() {
-        for order in [SweepOrder::Auto, SweepOrder::Morton, SweepOrder::Strided] {
-            assert_eq!(SweepOrder::parse(order.name()), Some(order));
-            assert_eq!(format!("{order}"), order.name());
+        for spelling in ["VERLET", "auto", "Auto"] {
+            assert_eq!(
+                NeighborStrategy::parse(spelling),
+                Some(NeighborStrategy::Verlet)
+            );
         }
-        assert_eq!(SweepOrder::parse("hilbert"), None);
-        assert_eq!(SweepOrder::default(), SweepOrder::Auto);
-    }
-
-    #[test]
-    fn auto_sweep_order_skips_coherent_and_small_batches() {
-        let mut ws = Workspace::new();
-        // Random cloud, big enough: incoherent identity order → Morton.
-        let (centers, _) = random_cloud(77, 512, 1.0);
-        let c = coords::from_positions(&centers);
-        assert!(ws.use_morton(SweepOrder::Auto, &c, centers.len()));
-        // The decision is cached per (n, stamp): moving coordinates
-        // without a rebuild returns the cached choice.
-        let moved: Vec<f64> = c.iter().map(|v| -v).collect();
-        assert!(ws.use_morton(SweepOrder::Auto, &moved, centers.len()));
-
-        // The same cloud presented in Morton order is spatially coherent
-        // already — Auto must decline the (now useless) permutation.
-        ws.reset_batch();
-        let perm: Vec<u32> = ws.refresh_sweep_order(&c, centers.len()).to_vec();
-        let sorted_centers: Vec<Vec3> = perm.iter().map(|&i| centers[i as usize]).collect();
-        let sorted_c = coords::from_positions(&sorted_centers);
-        ws.reset_batch();
-        assert!(!ws.use_morton(SweepOrder::Auto, &sorted_c, sorted_centers.len()));
-
-        // Below AUTO_MORTON_MIN the sort can't amortize → strided.
-        ws.reset_batch();
-        let (small, _) = random_cloud(9, AUTO_MORTON_MIN - 1, 1.0);
-        let small_c = coords::from_positions(&small);
-        assert!(!ws.use_morton(SweepOrder::Auto, &small_c, small.len()));
-
-        // Explicit overrides pass straight through regardless of layout.
-        assert!(ws.use_morton(SweepOrder::Morton, &small_c, small.len()));
-        assert!(!ws.use_morton(SweepOrder::Strided, &sorted_c, sorted_centers.len()));
+        // The per-evaluation grid strategy was folded into the lists.
+        assert_eq!(NeighborStrategy::parse("grid"), None);
+        assert_eq!(NeighborStrategy::default(), NeighborStrategy::Verlet);
     }
 
     #[test]
@@ -1910,7 +1691,7 @@ mod tests {
         let ws = Workspace::new();
         let empty_ws = ws.resident_bytes();
         let mut ws2 = Workspace::new();
-        ws2.refresh_sweep_order(&coords::from_positions(&centers), centers.len());
+        ws2.positions_from(&coords::from_positions(&centers), &radii);
         assert!(ws2.resident_bytes() > empty_ws);
     }
 }

@@ -24,9 +24,9 @@
 //!
 //! Pair search is chosen by [`NeighborStrategy`]: skin-padded Verlet
 //! candidate lists from [`crate::neighbor`] that amortize the search over
-//! many optimizer steps (with a naive-intra / [`CsrGrid`]-cross plan for
-//! batches too small to amortize list upkeep), or exhaustive scans (the
-//! oracle). The same lists carry each sphere's reachable container walls,
+//! many optimizer steps, or exhaustive scans (the exact oracle). Both
+//! visit a sphere's contacts in ascending index, so they give the same
+//! bits. The same lists carry each sphere's reachable container walls,
 //! so under the SIMD kernel's Verlet plan `E_H` costs a couple of planes
 //! per sphere instead of the whole hull. The hot entry points
 //! [`Objective::value_and_grad_ws`] and
@@ -47,9 +47,7 @@ use adampack_telemetry::Phase;
 use rayon::par;
 
 use crate::kernels::{self, FixedView, PlaneSoa, SoaCoords};
-use crate::neighbor::{
-    CsrGrid, NeighborStrategy, SweepOrder, VerletLists, Workspace, VERLET_THRESHOLD,
-};
+use crate::neighbor::{self, CsrGrid, NeighborStrategy, SweepOrder, VerletLists, Workspace};
 use crate::particle::coords;
 
 /// The objective's linear-combination weights (paper eq. 4/5).
@@ -105,16 +103,10 @@ pub struct ObjectiveBreakdown {
     pub total: f64,
 }
 
-/// Default Verlet skin as a fraction of the largest batch radius.
-pub const DEFAULT_SKIN_FACTOR: f64 = 0.4;
-
 /// Resolved per-evaluation pair sources.
 enum PairPlan<'w> {
     /// Exhaustive intra and cross scans ([`NeighborStrategy::Naive`]).
     Naive,
-    /// [`NeighborStrategy::Auto`] below [`VERLET_THRESHOLD`]: exhaustive
-    /// intra scan, fixed-bed candidates from its [`CsrGrid`].
-    SmallBatch,
     /// Both pair terms walk the workspace's Verlet lists; the SIMD
     /// kernel's exterior term walks their wall lists too.
     Verlet(&'w VerletLists),
@@ -133,14 +125,13 @@ pub struct Objective<'a> {
     strategy: NeighborStrategy,
     skin: f64,
     kernel: Kernel,
-    order: SweepOrder,
 }
 
 impl<'a> Objective<'a> {
     /// Creates the objective for a batch with the given radii.
     ///
-    /// The neighbor strategy defaults to [`NeighborStrategy::Auto`] with a
-    /// skin of [`DEFAULT_SKIN_FACTOR`] × the largest batch radius.
+    /// The neighbor strategy defaults to [`NeighborStrategy::Verlet`] with
+    /// the packer's skin, [`neighbor::skin_for`] of the batch radii.
     pub fn new(
         weights: ObjectiveWeights,
         axis: Axis,
@@ -149,7 +140,6 @@ impl<'a> Objective<'a> {
         fixed: &'a CsrGrid,
     ) -> Objective<'a> {
         weights.validate();
-        let r_max = radii.iter().copied().fold(0.0, f64::max);
         Objective {
             weights,
             axis,
@@ -157,10 +147,9 @@ impl<'a> Objective<'a> {
             plane_soa: PlaneSoa::new(halfspaces),
             radii,
             fixed,
-            strategy: NeighborStrategy::Auto,
-            skin: (DEFAULT_SKIN_FACTOR * r_max).max(1e-9),
+            strategy: NeighborStrategy::Verlet,
+            skin: neighbor::skin_for(radii),
             kernel: Kernel::default(),
-            order: SweepOrder::default(),
         }
     }
 
@@ -177,31 +166,16 @@ impl<'a> Objective<'a> {
         self.kernel
     }
 
-    /// Selects the parallel sweep order over batch particles.
-    ///
-    /// [`SweepOrder::Morton`] visits particles along a Z-order curve over
-    /// the batch AABB so spatially close particles — whose candidate rows
-    /// share cache lines — are processed by the same worker back-to-back.
-    /// [`SweepOrder::Strided`] is the plain index order kept as the
-    /// locality-ablation oracle. [`SweepOrder::Auto`] (default) measures
-    /// each batch and permutes only when the identity order is not already
-    /// spatially coherent (see `Workspace::use_morton`). All orders
-    /// produce **bitwise identical** results: each particle's slot is
-    /// written by exactly one task and the value reduction stays
-    /// sequential over slot index.
-    pub fn with_order(mut self, order: SweepOrder) -> Objective<'a> {
-        self.order = order;
+    /// No-op: the sweep runs in index order. Kept only for the frozen
+    /// benchmark's call; delete it in the next benchmark change.
+    #[doc(hidden)]
+    pub fn with_order(self, _order: SweepOrder) -> Objective<'a> {
         self
     }
 
-    /// The sweep order currently selected.
-    pub fn order(&self) -> SweepOrder {
-        self.order
-    }
-
     /// Selects the neighbor pipeline and Verlet skin (absolute length;
-    /// ignored when no Verlet lists are built). Panics on a non-positive
-    /// skin.
+    /// ignored when no Verlet lists are built). The skin changes speed
+    /// only, never a bit of the result. Panics on a non-positive skin.
     pub fn with_neighbor(mut self, strategy: NeighborStrategy, skin: f64) -> Objective<'a> {
         assert!(
             skin > 0.0 && skin.is_finite(),
@@ -215,15 +189,6 @@ impl<'a> Objective<'a> {
     /// The Verlet skin currently configured.
     pub fn skin(&self) -> f64 {
         self.skin
-    }
-
-    /// True when this batch's pairs come from Verlet lists.
-    fn uses_verlet(&self) -> bool {
-        match self.strategy {
-            NeighborStrategy::Auto => self.radii.len() >= VERLET_THRESHOLD,
-            NeighborStrategy::Verlet => true,
-            NeighborStrategy::Naive => false,
-        }
     }
 
     /// Number of batch particles.
@@ -274,8 +239,8 @@ impl<'a> Objective<'a> {
 
     /// The one evaluation body behind both workspace entry points. The
     /// per-particle slot type `P` decides whether the term breakdown is
-    /// recorded; everything else — plan, sweep order, kernel, reduction
-    /// order — is shared.
+    /// recorded; everything else — plan, kernel, reduction order — is
+    /// shared.
     fn evaluate<P: Partial>(
         &self,
         c: &[f64],
@@ -285,10 +250,6 @@ impl<'a> Objective<'a> {
         let n = self.radii.len();
         assert_eq!(c.len(), 3 * n, "coordinate buffer size mismatch");
         assert_eq!(grad.len(), 3 * n, "gradient buffer size mismatch");
-        let morton = ws.use_morton(self.order, c, n);
-        if morton {
-            ws.refresh_sweep_order(c, n);
-        }
         let Workspace {
             values,
             breakdowns,
@@ -297,8 +258,6 @@ impl<'a> Objective<'a> {
             verlet,
             evals,
             soa,
-            sweep_order,
-            ..
         } = ws;
         *evals += 1;
         EVALS_TOTAL.inc();
@@ -315,18 +274,13 @@ impl<'a> Objective<'a> {
             Kernel::Simd => Phase::KernelSimd,
             Kernel::Scalar => Phase::KernelScalar,
         });
-        let body = |i: usize, gslot: &mut [f64], slot: &mut P| {
+        par::for_each_chunk_zip(grad, 3, slots, |i, gslot, slot| {
             let (g, partial) = P::term(self, i, c, &plan, soa);
             gslot[0] = g.x;
             gslot[1] = g.y;
             gslot[2] = g.z;
             *slot = partial;
-        };
-        if morton {
-            par::for_each_chunk_zip_perm(grad, 3, slots, sweep_order, body);
-        } else {
-            par::for_each_chunk_zip(grad, 3, slots, body);
-        }
+        });
         // Sequential reduction keeps the result bitwise-deterministic.
         let (total, sum) = P::reduce(slots);
         if failpoints::should_fail("core.objective.eval") {
@@ -344,24 +298,21 @@ impl<'a> Objective<'a> {
         positions: &'w mut Vec<Vec3>,
         verlet: &'w mut VerletLists,
     ) -> PairPlan<'w> {
-        if self.uses_verlet() {
-            if verlet.skin() != self.skin || verlet.needs_rebuild(c) {
-                verlet.rebuild(
-                    c,
-                    self.radii,
-                    self.fixed,
-                    self.halfspaces.planes(),
-                    self.skin,
-                    batch_grid,
-                    positions,
-                );
-            }
-            PairPlan::Verlet(verlet)
-        } else if self.strategy == NeighborStrategy::Naive {
-            PairPlan::Naive
-        } else {
-            PairPlan::SmallBatch
+        if self.strategy == NeighborStrategy::Naive {
+            return PairPlan::Naive;
         }
+        if verlet.skin() != self.skin || verlet.needs_rebuild(c) {
+            verlet.rebuild(
+                c,
+                self.radii,
+                self.fixed,
+                self.halfspaces.planes(),
+                self.skin,
+                batch_grid,
+                positions,
+            );
+        }
+        PairPlan::Verlet(verlet)
     }
 
     /// Particle `i`'s contribution `(vᵢ, ∂Z/∂cᵢ)` to the objective, through
@@ -425,7 +376,7 @@ impl<'a> Objective<'a> {
                 .intra
                 .iter()
                 .for_each(|&j| intra_term(j as usize)),
-            PairPlan::Naive | PairPlan::SmallBatch => (0..self.radii.len()).for_each(intra_term),
+            PairPlan::Naive => (0..self.radii.len()).for_each(intra_term),
         }
 
         // Cross-layer penetration against the fixed bed (each pair counted
@@ -449,7 +400,6 @@ impl<'a> Objective<'a> {
                 .cross
                 .iter()
                 .for_each(|&k| cross_term(k as usize)),
-            PairPlan::SmallBatch => self.fixed.for_neighbors(ci, ri, |k, _, _| cross_term(k)),
             PairPlan::Naive => (0..self.fixed.len()).for_each(cross_term),
         }
 
@@ -545,33 +495,17 @@ impl<'a> Objective<'a> {
                 &mut g,
                 &mut b.penetration_intra,
             );
-            if let PairPlan::SmallBatch = plan {
-                self.fixed.for_neighbor_rows(ci, ri, |row| {
-                    kernels::pairs_sparse::<FixedView, RECORD, false>(
-                        ci,
-                        ri,
-                        i,
-                        alpha,
-                        row,
-                        &bed,
-                        &mut v,
-                        &mut g,
-                        &mut b.penetration_cross,
-                    )
-                });
-            } else {
-                kernels::pairs_range::<FixedView, RECORD, false>(
-                    ci,
-                    ri,
-                    i,
-                    alpha,
-                    self.fixed.len(),
-                    &bed,
-                    &mut v,
-                    &mut g,
-                    &mut b.penetration_cross,
-                );
-            }
+            kernels::pairs_range::<FixedView, RECORD, false>(
+                ci,
+                ri,
+                i,
+                alpha,
+                self.fixed.len(),
+                &bed,
+                &mut v,
+                &mut g,
+                &mut b.penetration_cross,
+            );
             kernels::planes_term::<RECORD>(
                 ci,
                 ri,
@@ -788,6 +722,8 @@ mod tests {
         assert!((grad[0] + 1.0).abs() < 1e-12, "grad = {grad:?}");
     }
 
+    /// A three-sphere batch runs on Verlet lists like any other, and its
+    /// lists match the naive oracle bit for bit.
     #[test]
     fn small_batch_plan_matches_naive() {
         let hs = box_halfspaces();
@@ -812,17 +748,18 @@ mod tests {
             0.7, -0.7, -0.5,
         ];
         let w = ObjectiveWeights::default();
-        // Three particles: Auto runs the naive-intra / CSR-cross plan.
-        let grid_obj = Objective::new(w, Axis::Z, &hs, &radii, &fixed);
+        let lists_obj = Objective::new(w, Axis::Z, &hs, &radii, &fixed);
         let naive_obj = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
             .with_neighbor(NeighborStrategy::Naive, 0.05);
+        let mut ws = Workspace::new();
         let mut g1 = vec![0.0; 9];
         let mut g2 = vec![0.0; 9];
-        let v1 = grid_obj.value_and_grad(&c, &mut g1);
+        let v1 = lists_obj.value_and_grad_ws(&c, &mut g1, &mut ws);
         let v2 = naive_obj.value_and_grad(&c, &mut g2);
-        assert!((v1 - v2).abs() < 1e-12, "{v1} vs {v2}");
+        assert_eq!(ws.verlet_rebuilds(), 1, "the lists serve every batch size");
+        assert_eq!(v1.to_bits(), v2.to_bits(), "{v1} vs {v2}");
         for (a, b) in g1.iter().zip(&g2) {
-            assert!((a - b).abs() < 1e-12);
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -864,19 +801,23 @@ mod tests {
         let mut g2 = vec![0.0; 3 * n];
         let v1 = naive.value_and_grad(&c, &mut g1);
         let v2 = verlet.value_and_grad_ws(&c, &mut g2, &mut ws);
-        assert!((v1 - v2).abs() < 1e-9 * v1.abs().max(1.0), "{v1} vs {v2}");
-        for (a, b) in g1.iter().zip(&g2) {
-            assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
+        // Rows in index order: the lists are an exact oracle of the scan.
+        assert_eq!(v1.to_bits(), v2.to_bits(), "{v1} vs {v2}");
+        for (k, (a, b)) in g1.iter().zip(&g2).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "grad[{k}]");
         }
-        // Small moves reuse the lists; values still agree.
+        // Small moves reuse the lists; values still agree bit for bit.
         let mut moved = c.clone();
         for (k, v) in moved.iter_mut().enumerate() {
             *v += 0.002 * ((k % 5) as f64 - 2.0);
         }
-        let v1 = naive.value(&moved);
+        let v1 = naive.value_and_grad(&moved, &mut g1);
         let v2 = verlet.value_and_grad_ws(&moved, &mut g2, &mut ws);
         assert_eq!(ws.verlet_rebuilds(), 1, "small move must not rebuild");
-        assert!((v1 - v2).abs() < 1e-9 * v1.abs().max(1.0), "{v1} vs {v2}");
+        assert_eq!(v1.to_bits(), v2.to_bits(), "{v1} vs {v2}");
+        for (k, (a, b)) in g1.iter().zip(&g2).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "moved grad[{k}]");
+        }
     }
 
     /// The central contract of the vectorized kernel layer: for every
@@ -899,9 +840,9 @@ mod tests {
         }
         let fixed = CsrGrid::build(&bed_centers, &bed_radii);
         let w = ObjectiveWeights::default();
-        // 20 particles put Auto on its small-batch plan, 90 on Verlet lists.
+        // A small and a large batch: lists at every batch size.
         for (n, strategy) in [
-            (20, NeighborStrategy::Auto),
+            (20, NeighborStrategy::Verlet),
             (90, NeighborStrategy::Naive),
             (90, NeighborStrategy::Verlet),
         ] {
@@ -942,66 +883,6 @@ mod tests {
         }
     }
 
-    /// The Morton sweep permutation re-sequences the parallel loop only:
-    /// results are bitwise identical to the strided oracle order for every
-    /// kernel and pipeline (slots are disjoint and the reduction stays
-    /// sequential over slot index).
-    #[test]
-    fn morton_order_matches_strided_bitwise() {
-        let hs = box_halfspaces();
-        let fixed = CsrGrid::build(&[Vec3::new(0.0, 0.0, -0.7)], &[0.25]);
-        let n = 70;
-        let radii: Vec<f64> = (0..n).map(|i| 0.08 + 0.003 * (i % 5) as f64).collect();
-        let mut c = Vec::with_capacity(3 * n);
-        for i in 0..n {
-            let t = i as f64 * 0.7548776662;
-            c.extend_from_slice(&[
-                (t % 1.4) - 0.7,
-                ((t * 1.3) % 1.4) - 0.7,
-                ((t * 2.1) % 1.2) - 0.75,
-            ]);
-        }
-        let w = ObjectiveWeights::default();
-        for kernel in Kernel::ALL {
-            for strategy in [NeighborStrategy::Naive, NeighborStrategy::Verlet] {
-                let strided = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-                    .with_neighbor(strategy, 0.05)
-                    .with_kernel(kernel)
-                    .with_order(SweepOrder::Strided);
-                let morton = Objective::new(w, Axis::Z, &hs, &radii, &fixed)
-                    .with_neighbor(strategy, 0.05)
-                    .with_kernel(kernel)
-                    .with_order(SweepOrder::Morton);
-                assert_eq!(morton.order(), SweepOrder::Morton);
-                let mut ws_s = Workspace::new();
-                let mut ws_m = Workspace::new();
-                let mut gs = vec![0.0; 3 * n];
-                let mut gm = vec![0.0; 3 * n];
-                let (vs, bs) = strided.value_grad_breakdown_ws(&c, &mut gs, &mut ws_s);
-                let (vm, bm) = morton.value_grad_breakdown_ws(&c, &mut gm, &mut ws_m);
-                assert_eq!(vs.to_bits(), vm.to_bits(), "{kernel:?}/{strategy:?} value");
-                for (k, (a, b)) in gs.iter().zip(&gm).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{kernel:?}/{strategy:?} grad[{k}]"
-                    );
-                }
-                assert_eq!(
-                    bs.penetration_intra.to_bits(),
-                    bm.penetration_intra.to_bits()
-                );
-                assert_eq!(
-                    bs.penetration_cross.to_bits(),
-                    bm.penetration_cross.to_bits()
-                );
-                // The untraced path agrees with the traced one under Morton.
-                let vu = morton.value_and_grad_ws(&c, &mut gs, &mut ws_m);
-                assert_eq!(vu.to_bits(), vm.to_bits(), "{kernel:?}/{strategy:?}");
-            }
-        }
-    }
-
     #[test]
     fn traced_and_untraced_entry_points_agree_bitwise() {
         let hs = box_halfspaces();
@@ -1023,8 +904,8 @@ mod tests {
         assert!(b.penetration_intra > 0.0 && b.penetration_cross > 0.0);
     }
 
-    /// Every pair plan reports the same term breakdown, and the weighted
-    /// terms add up to the total.
+    /// Every pair plan reports the same term breakdown, bit for bit, and
+    /// the weighted terms add up to the total.
     #[test]
     fn breakdown_agrees_across_pair_plans() {
         let hs = box_halfspaces();
@@ -1063,18 +944,7 @@ mod tests {
             + w.beta * reference.altitude
             + w.gamma * reference.exterior;
         assert!(close(weighted, reference.total));
-        for strategy in [NeighborStrategy::Auto, NeighborStrategy::Verlet] {
-            let b = breakdown(strategy);
-            assert!(
-                close(b.penetration_intra, reference.penetration_intra),
-                "{strategy:?}"
-            );
-            assert!(
-                close(b.penetration_cross, reference.penetration_cross),
-                "{strategy:?}"
-            );
-            assert!(close(b.total, reference.total), "{strategy:?}");
-        }
+        assert_eq!(breakdown(NeighborStrategy::Verlet), reference);
     }
 
     #[test]
@@ -1188,20 +1058,6 @@ mod tests {
                 grad[i]
             );
         }
-    }
-
-    #[test]
-    fn auto_switches_to_verlet_at_threshold() {
-        let hs = box_halfspaces();
-        let fixed = CsrGrid::empty();
-        let w = ObjectiveWeights::default();
-        let small = vec![0.1; VERLET_THRESHOLD - 1];
-        assert!(!Objective::new(w, Axis::Z, &hs, &small, &fixed).uses_verlet());
-        let big = vec![0.01; VERLET_THRESHOLD];
-        assert!(Objective::new(w, Axis::Z, &hs, &big, &fixed).uses_verlet());
-        let naive = Objective::new(w, Axis::Z, &hs, &big, &fixed)
-            .with_neighbor(NeighborStrategy::Naive, 0.05);
-        assert!(!naive.uses_verlet());
     }
 
     #[test]

@@ -11,49 +11,26 @@ use adampack_opt::{
     Optimizer, ReduceLrOnPlateau, ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
 };
 
-use crate::neighbor::{NeighborStrategy, SweepOrder};
+use crate::neighbor::{self, NeighborStrategy, SweepOrder};
 use crate::objective::ObjectiveWeights;
 
 /// Neighbor-search configuration for the objective's pair scans.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NeighborParams {
-    /// Which pair-search pipeline the objective uses.
+    /// Which pair-search pipeline the objective uses. Every strategy packs
+    /// the same bytes; `naive` is the exact oracle.
     pub strategy: NeighborStrategy,
-    /// Verlet skin as a fraction of the largest batch radius. Larger skins
-    /// rebuild less often but scan more candidates per step; ~0.3–0.5 is a
-    /// good range for the paper's polydispersities.
-    pub skin_factor: f64,
-    /// Parallel sweep order over batch particles. Auto (default) measures
-    /// each batch and walks a Z-order curve only when the identity order
-    /// is not already spatially coherent; morton/strided force one choice.
-    /// All produce bitwise identical packings.
+    /// Always [`SweepOrder::Strided`]. Kept only because the frozen
+    /// benchmark reads it; delete it in the next benchmark change.
+    #[doc(hidden)]
     pub order: SweepOrder,
 }
 
-impl Default for NeighborParams {
-    fn default() -> Self {
-        NeighborParams {
-            strategy: NeighborStrategy::Auto,
-            skin_factor: 0.4,
-            order: SweepOrder::Auto,
-        }
-    }
-}
-
 impl NeighborParams {
-    /// Panics on inconsistent settings.
-    pub fn validate(&self) {
-        assert!(
-            self.skin_factor.is_finite() && self.skin_factor > 0.0,
-            "skin_factor must be positive and finite, got {}",
-            self.skin_factor
-        );
-    }
-
-    /// The absolute skin length for a batch with the given radii.
+    /// The Verlet skin for a batch with the given radii: the packer's one
+    /// fixed skin, [`neighbor::skin_for`].
     pub fn skin_for(&self, radii: &[f64]) -> f64 {
-        let r_max = radii.iter().copied().fold(0.0, f64::max);
-        (self.skin_factor * r_max).max(1e-9)
+        neighbor::skin_for(radii)
     }
 }
 
@@ -364,7 +341,6 @@ impl PackingParams {
              (the naive cross scan reads every bed sphere, defeating retirement)"
         );
         self.weights.validate();
-        self.neighbor.validate();
         self.sentinel.validate();
     }
 }
@@ -386,9 +362,7 @@ mod tests {
         assert_eq!(p.gravity, Axis::Z);
         assert_eq!(p.lr.initial_lr(), 1e-2);
         assert!(p.accept_max_overlap >= p.accept_mean_overlap);
-        assert_eq!(p.neighbor.strategy, NeighborStrategy::Auto);
-        assert!((p.neighbor.skin_factor - 0.4).abs() < 1e-12);
-        assert_eq!(p.neighbor.order, SweepOrder::Auto);
+        assert_eq!(p.neighbor.strategy, NeighborStrategy::Verlet);
         assert_eq!(p.kernel, Kernel::Simd);
         assert_eq!(p.tiles, 1);
         assert!(p.sentinel.enabled);
@@ -413,22 +387,10 @@ mod tests {
     #[test]
     fn neighbor_skin_scales_with_batch_radius() {
         let n = NeighborParams::default();
-        assert!((n.skin_for(&[0.1, 0.5, 0.2]) - 0.2).abs() < 1e-12);
+        let skin = n.skin_for(&[0.1, 0.5, 0.2]);
+        assert_eq!(skin, neighbor::SKIN_RADII * 0.5);
         // Empty or zero radii fall back to the epsilon floor.
         assert!(n.skin_for(&[]) > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "skin_factor")]
-    fn zero_skin_rejected() {
-        let p = PackingParams {
-            neighbor: NeighborParams {
-                skin_factor: 0.0,
-                ..NeighborParams::default()
-            },
-            ..PackingParams::default()
-        };
-        p.validate();
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! [`PackingParams`] (so key order, comments, quoting style and spelled-out
 //! defaults all collapse into one struct value), the target count is
 //! resolved from the container the same way the runner resolves it, and
-//! perf-only knobs that are proven not to change the packed bytes are
-//! normalized away:
+//! perf-only knobs that are proven not to change the packed bytes never
+//! reach the hash:
 //!
-//! * `neighbor.order` — all sweep orders produce bitwise identical
-//!   packings (DESIGN.md §13), so `auto`/`morton`/`strided` spellings of
+//! * `neighbor.strategy` — every strategy sums contacts in index order and
+//!   packs bitwise-identical bytes (DESIGN.md §9), so the fingerprint
+//!   leaves the neighbor settings out and `verlet`/`naive` spellings of
 //!   one job coalesce;
 //! * `params.threads` never reaches [`PackingParams`] at all, so thread
 //!   counts coalesce for free.
@@ -47,13 +48,10 @@ pub fn run_salt() -> u64 {
     fnv1a(RUN_SALT_DOMAIN)
 }
 
-/// The canonical content address of a job: parameters with perf-only
-/// knobs normalized, hashed together with the container geometry under
-/// the address domain salt.
+/// The canonical content address of a job: its checkpoint fingerprint
+/// under the address domain salt.
 pub fn content_address(container: &Container, params: &PackingParams) -> u64 {
-    let mut norm = params.clone();
-    norm.neighbor.order = SweepOrder::default();
-    let mut probe = CollectivePacker::new(container.clone(), norm);
+    let mut probe = CollectivePacker::new(container.clone(), params.clone());
     probe.set_fingerprint_context(fnv1a(ADDR_SALT_DOMAIN));
     probe.fingerprint()
 }
@@ -95,16 +93,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_order_is_normalized_but_seed_and_kernel_are_not() {
+    fn strategy_is_normalized_but_seed_and_kernel_are_not() {
         let c = box_container();
         let base = PackingParams::default();
-        let mut morton = base.clone();
-        morton.neighbor.order = SweepOrder::Morton;
-        let mut strided = base.clone();
-        strided.neighbor.order = SweepOrder::Strided;
         let a = content_address(&c, &base);
-        assert_eq!(a, content_address(&c, &morton), "order must coalesce");
-        assert_eq!(a, content_address(&c, &strided), "order must coalesce");
+        for strategy in NeighborStrategy::ALL {
+            let mut spelled = base.clone();
+            spelled.neighbor.strategy = strategy;
+            assert_eq!(
+                a,
+                content_address(&c, &spelled),
+                "{strategy:?} must coalesce"
+            );
+        }
 
         let mut seeded = base.clone();
         seeded.seed = base.seed.wrapping_add(1);

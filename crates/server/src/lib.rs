@@ -9,8 +9,8 @@
 //! * **Content-addressed caching.** Every job is keyed by the canonical
 //!   content address of its resolved parameters (see [`address`]), so
 //!   semantically-equal configs — different YAML key order, spelled-out
-//!   defaults, different thread counts or sweep orders — hash to the same
-//!   job. Duplicate submissions coalesce onto the one running job, and
+//!   defaults, different thread counts or neighbor strategies — hash to the
+//!   same job. Duplicate submissions coalesce onto the one running job, and
 //!   completed results are served from the on-disk artifact cache with
 //!   bitwise-identical bytes.
 //! * **Fair-share preemption.** Workers account consumed wall time per

@@ -76,7 +76,7 @@ fn steady_state_body() {
     let mut rng = StdRng::seed_from_u64(5);
 
     // A fixed bed plus a batch big enough to exercise the parallel kernels
-    // and the Verlet pipeline (n ≥ the auto-threshold).
+    // and the Verlet pipeline.
     let bed: Vec<Vec3> = (0..120)
         .map(|_| {
             Vec3::new(

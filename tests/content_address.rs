@@ -1,7 +1,7 @@
 //! Property tests for job content-address canonicalization
 //! (`adampack_server::address`): semantically-equal configurations must
 //! hash to one address — YAML key order, spelled-out defaults, quoting
-//! style, thread counts and sweep-order spellings are all presentation,
+//! style, thread counts and neighbor strategies are all presentation,
 //! not semantics — while anything that changes the packed bytes (seed,
 //! learning rate, PSD, kernel) must produce a distinct address.
 
@@ -33,7 +33,7 @@ fn addr_of(yaml: &str) -> u64 {
 fn presentation_differences_collapse_to_one_address() {
     // The same job spelled four ways: canonical; keys permuted; defaults
     // spelled out with different quoting; perf-only knobs (threads,
-    // sweep order) varied.
+    // neighbor strategy) varied.
     let canonical = r#"
 container:
     path: "box.stl"
@@ -74,7 +74,7 @@ container:
     path: "box.stl"
 algorithm: "COLLECTIVE_ARRANGEMENT"
 neighbor:
-    order: "strided"
+    strategy: "naive"
 params:
     lr: 0.01
     seed: 42
@@ -93,7 +93,7 @@ particle_sets:
     assert_eq!(
         a,
         addr_of(perf_knobs),
-        "threads and sweep order are presentation"
+        "threads and neighbor strategy are presentation"
     );
 
     // The canonical hex form is stable and parseable.
@@ -157,20 +157,24 @@ proptest! {
         }
     }
 
-    /// Sweep order never reaches the address; seeds always do. (The YAML
-    /// route is covered above; this drives the params route across the
-    /// whole corpus.)
+    /// The neighbor strategy never reaches the address or the checkpoint
+    /// fingerprint; seeds always do. (The YAML route is covered above;
+    /// this drives the params route across the whole corpus.)
     #[test]
-    fn order_is_normalized_for_every_point(p in point()) {
+    fn strategy_is_normalized_for_every_point(p in point()) {
         let container = container();
         let base = params_for(&p, &container);
-        for order in [SweepOrder::Auto, SweepOrder::Morton, SweepOrder::Strided] {
+        let fingerprint = |params: &PackingParams| {
+            CollectivePacker::new(container.clone(), params.clone()).fingerprint()
+        };
+        for strategy in NeighborStrategy::ALL {
             let mut variant = base.clone();
-            variant.neighbor.order = order;
+            variant.neighbor.strategy = strategy;
             prop_assert_eq!(
                 content_address(&container, &base),
                 content_address(&container, &variant)
             );
+            prop_assert_eq!(fingerprint(&base), fingerprint(&variant));
         }
         let mut reseeded = base.clone();
         reseeded.seed = base.seed.wrapping_add(1);
@@ -194,9 +198,9 @@ fn box_simple_hashes_are_pinned() {
     let mut params = cfg.to_packing_params();
     params.target_count = container.capacity_estimate(psd.mean(), 0.6);
     let fingerprint = CollectivePacker::new(container.clone(), params.clone()).fingerprint();
-    assert_eq!(format_address(fingerprint), "d30adfa1497fadc3");
+    assert_eq!(format_address(fingerprint), "9fa1d2bbbedbaf9f");
     assert_eq!(
         format_address(content_address(&container, &params)),
-        "5ee5ec56d1185813"
+        "a014f13bc0cf2897"
     );
 }

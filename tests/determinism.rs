@@ -14,6 +14,15 @@
 //! SIMD lanes reject with element-wise correctly-rounded ops and hit lanes
 //! run the exact scalar arithmetic in candidate order).
 //!
+//! ## One pair order
+//!
+//! Both neighbor strategies sum each sphere's contacts in ascending index,
+//! and a candidate that does not touch costs no floating-point operation.
+//! So the Verlet lists and the `naive` oracle pack the same bytes, and the
+//! Verlet skin changes only how often the lists are rebuilt:
+//! `every_strategy_packs_the_same_bytes` and
+//! `skin_never_changes_the_trajectory` assert both at 0 ULP.
+//!
 //! Note on the sqrt-free rejection (this suite carries no hardcoded golden
 //! values, so the note is documentary): both current kernels test
 //! `d² < (rᵢ+rⱼ)²` where the pre-vectorization code tested
@@ -23,7 +32,7 @@
 //! real overlap.
 
 use adampack_core::prelude::*;
-use adampack_geometry::{shapes, TriMesh, Vec3};
+use adampack_geometry::{shapes, Axis, TriMesh, Vec3};
 use adampack_telemetry::{StepRecord, VecSink};
 
 /// The shim caps a pool's effective width at the hardware thread count
@@ -250,6 +259,119 @@ fn kernel_choice_does_not_change_the_packing() {
         assert!(!simd.particles.is_empty(), "{what}: nothing packed");
         assert_same_packing(&simd, &scalar, &format!("{what}: simd vs scalar kernel"));
     }
+}
+
+#[test]
+fn every_strategy_packs_the_same_bytes() {
+    // A 1×1×1 box asked for more r = 0.1 spheres than it holds runs the
+    // halving ladder down to single-sphere batches; the furnace hull has
+    // 122 planes, of which the lists keep a sphere's nearest few.
+    let cases = [
+        (
+            "box halving ladder",
+            shapes::box_mesh(Vec3::ZERO, Vec3::splat(1.0)),
+            Psd::constant(0.1),
+            200,
+        ),
+        (
+            "furnace hull",
+            shapes::blast_furnace(0.05, 24),
+            Psd::uniform(0.012, 0.018),
+            80,
+        ),
+    ];
+    for (what, mesh, psd, target) in cases {
+        let pack = |strategy| {
+            let mut p = packer_in(&mesh, 123, Kernel::default());
+            let mut params = p.params().clone();
+            params.target_count = target;
+            params.neighbor.strategy = strategy;
+            p = CollectivePacker::new(p.container().clone(), params);
+            p.pack(&psd)
+        };
+        let naive = pack(NeighborStrategy::Naive);
+        assert!(!naive.particles.is_empty(), "{what}: nothing packed");
+        if what == "box halving ladder" {
+            let smallest = naive.batches.iter().map(|b| b.requested).min();
+            assert_eq!(
+                smallest,
+                Some(1),
+                "{what}: the ladder must reach one sphere"
+            );
+        }
+        let lists = pack(NeighborStrategy::Verlet);
+        assert_same_packing(&naive, &lists, &format!("{what}: naive vs verlet"));
+    }
+}
+
+#[test]
+fn skin_never_changes_the_trajectory() {
+    // The last batch of a real packing, lifted and pulled together so it
+    // falls back onto the rest of the bed through changing contacts, then
+    // optimized with AMSGrad at the paper's learning rate.
+    let packed = pack(77);
+    let last = packed.particles.iter().map(|p| p.batch).max().unwrap();
+    let (batch, bed): (Vec<&Particle>, Vec<&Particle>) =
+        packed.particles.iter().partition(|p| p.batch == last);
+    let fixed = CsrGrid::build(
+        &bed.iter().map(|p| p.center).collect::<Vec<_>>(),
+        &bed.iter().map(|p| p.radius).collect::<Vec<_>>(),
+    );
+    let radii: Vec<f64> = batch.iter().map(|p| p.radius).collect();
+    let r_max = radii.iter().copied().fold(0.0, f64::max);
+    let start: Vec<f64> = batch
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| {
+            let c = p.center;
+            [0.7 * c.x, 0.7 * c.y, c.z + 0.3 + 0.02 * (i % 5) as f64]
+        })
+        .collect();
+    let halfspaces = packed.container.halfspaces();
+    let run = |strategy, skin: Option<f64>| {
+        let mut obj = Objective::new(
+            ObjectiveWeights::default(),
+            Axis::Z,
+            halfspaces,
+            &radii,
+            &fixed,
+        );
+        if let Some(skin) = skin {
+            obj = obj.with_neighbor(strategy, skin);
+        }
+        let mut opt =
+            OptimizerKind::AmsGrad.build_with_kernel(1e-2, start.len(), Kernel::default());
+        let (mut c, mut grad, mut ws) = (start.clone(), vec![0.0; start.len()], Workspace::new());
+        for _ in 0..300 {
+            obj.value_and_grad_ws(&c, &mut grad, &mut ws);
+            opt.step(&mut c, &grad);
+        }
+        (c, ws.verlet_rebuilds())
+    };
+    let (reference, default_rebuilds) = run(NeighborStrategy::Verlet, None);
+    assert!(default_rebuilds > 1, "the batch never moved past its skin");
+    let mut rebuilds = Vec::new();
+    for (strategy, skin) in [
+        (NeighborStrategy::Naive, r_max),
+        (NeighborStrategy::Verlet, 0.2 * r_max),
+        (NeighborStrategy::Verlet, 0.5 * r_max),
+        (NeighborStrategy::Verlet, 1.5 * r_max),
+    ] {
+        let (c, n) = run(strategy, Some(skin));
+        rebuilds.push(n);
+        for (k, (a, b)) in reference.iter().zip(&c).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{strategy:?} at skin {skin}: coordinate {k}"
+            );
+        }
+    }
+    // Only the rebuild rate moves: fewer rebuilds as the skin grows.
+    assert!(
+        rebuilds[1] > rebuilds[2] && rebuilds[2] > rebuilds[3],
+        "{rebuilds:?}"
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Scalar-vs-SIMD kernel parity, property-tested: on randomized crowded
 //! configurations the vectorized pair/plane kernels must reproduce the
 //! scalar oracle's objective value, gradient and term breakdown **bitwise**
+//! under every neighbor strategy and Verlet skin
 //! (the spec bound of ≤ 1 ULP is met at 0 ULP — SIMD lanes reject with
 //! element-wise correctly-rounded ops and hit lanes run the exact scalar
 //! arithmetic in candidate order), and the lane-fused Adam/AMSGrad update
@@ -78,13 +79,12 @@ fn bed(n_fixed: usize, frame: &Frame) -> CsrGrid {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Value + gradient + breakdown agree bitwise for every neighbor
-    /// pipeline, on batches whose size sweeps the 4-lane remainder cases
-    /// (and, under `Auto`, both sides of the Verlet threshold), in both
-    /// containers. Each case is evaluated twice on one workspace: as drawn,
-    /// which builds the lists, then with every sphere moved outward by just
-    /// under skin/2, which reuses them — the most a listed-plane walk can
-    /// be asked to cover.
+    /// Value + gradient + breakdown agree bitwise across every neighbor
+    /// strategy, kernel and Verlet skin, on batches whose size sweeps the
+    /// 4-lane remainder cases, in both containers. Each case is evaluated
+    /// twice on one workspace: as drawn, which builds the lists, then with
+    /// every sphere moved outward by just under skin/2, which reuses them —
+    /// the most a listed-plane walk can be asked to cover.
     #[test]
     fn scalar_and_simd_objectives_agree_bitwise(
         seed_offsets in prop::collection::vec(-0.9f64..0.9, 3),
@@ -92,13 +92,14 @@ proptest! {
         n_fixed in 0usize..30,
         scale in 0.4f64..1.0,
         shape in 0usize..2,
+        skin_radii in 0.2f64..1.5,
     ) {
         let container = container(shape);
         let frame = Frame::of(&container);
         let fixed = bed(n_fixed, &frame);
         let radii: Vec<f64> =
             (0..n).map(|i| frame.scale * (0.07 + 0.015 * ((i % 5) as f64))).collect();
-        let skin = frame.scale * 0.04;
+        let skin = skin_radii * radii.iter().copied().fold(0.0, f64::max);
         let mut c = Vec::with_capacity(3 * n);
         for i in 0..n {
             let t = i as f64 * 0.61803398875;
@@ -111,8 +112,9 @@ proptest! {
         }
         let moved = move_outward(&c, frame.center, 0.999 * skin / 2.0);
         let w = ObjectiveWeights::default();
+        // Two evaluations per (strategy, kernel) pipeline, in order.
+        let mut out = Vec::new();
         for strategy in NeighborStrategy::ALL {
-            let mut out = Vec::new();
             for kernel in Kernel::ALL {
                 let obj = Objective::new(w, Axis::Z, container.halfspaces(), &radii, &fixed)
                     .with_neighbor(strategy, skin)
@@ -121,29 +123,31 @@ proptest! {
                 for coords in [&c, &moved] {
                     let mut grad = vec![0.0; 3 * n];
                     let (v, b) = obj.value_grad_breakdown_ws(coords, &mut grad, &mut ws);
-                    out.push((v, grad, b));
+                    out.push((format!("{strategy:?}/{kernel}"), v, grad, b));
                 }
                 prop_assert!(ws.verlet_rebuilds() <= 1, "{:?}: the move rebuilt the lists", strategy);
             }
-            for (step, ((vs, gs, bs), (vv, gv, bv))) in out[..2].iter().zip(&out[2..]).enumerate() {
-                let what = format!("shape {shape}, {strategy:?}, evaluation {step}");
-                prop_assert_eq!(vs.to_bits(), vv.to_bits(), "{}: value", what);
-                for (k, (a, b)) in gs.iter().zip(gv).enumerate() {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: grad[{}]", what, k);
-                }
-                prop_assert_eq!(
-                    bs.penetration_intra.to_bits(),
-                    bv.penetration_intra.to_bits(),
-                    "{}: intra", what
-                );
-                prop_assert_eq!(
-                    bs.penetration_cross.to_bits(),
-                    bv.penetration_cross.to_bits(),
-                    "{}: cross", what
-                );
-                prop_assert_eq!(bs.exterior.to_bits(), bv.exterior.to_bits(), "{}: exterior", what);
-                prop_assert_eq!(bs.altitude.to_bits(), bv.altitude.to_bits(), "{}: altitude", what);
+        }
+        // Every pipeline's evaluation against the first pipeline's.
+        for (k, (pipeline, vv, gv, bv)) in out.iter().enumerate().skip(2) {
+            let (_, vs, gs, bs) = &out[k % 2];
+            let what = format!("shape {shape}, skin {skin_radii} r, {pipeline}, evaluation {}", k % 2);
+            prop_assert_eq!(vs.to_bits(), vv.to_bits(), "{}: value", what);
+            for (k, (a, b)) in gs.iter().zip(gv).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: grad[{}]", what, k);
             }
+            prop_assert_eq!(
+                bs.penetration_intra.to_bits(),
+                bv.penetration_intra.to_bits(),
+                "{}: intra", what
+            );
+            prop_assert_eq!(
+                bs.penetration_cross.to_bits(),
+                bv.penetration_cross.to_bits(),
+                "{}: cross", what
+            );
+            prop_assert_eq!(bs.exterior.to_bits(), bv.exterior.to_bits(), "{}: exterior", what);
+            prop_assert_eq!(bs.altitude.to_bits(), bv.altitude.to_bits(), "{}: altitude", what);
         }
     }
 

@@ -1,17 +1,13 @@
-//! Million-particle scale-out contracts: gravity-axis tiling and
-//! Morton-ordered pair sweeps, proven at the public-API level.
+//! Million-particle scale-out contract: gravity-axis tiling, proven at
+//! the public-API level.
 //!
-//! The load-bearing claims, each tested here end-to-end:
-//!
-//! - **Tiling is a pure memory optimization.** A run with `tiles = T > 1`
-//!   retires settled slabs from the resident hot set but produces the
-//!   bitwise identical packing to the monolithic run, under any thread
-//!   count, and a checkpoint taken mid-tiled-run resumes bitwise.
-//! - **Morton ordering is a pure cache optimization.** The z-order query
-//!   permutation visits every particle exactly once (gradients are
-//!   one-writer-per-slot and values reduce over slot index, not visit
-//!   order), so `order: morton` and `order: strided` packings coincide
-//!   at 0 ULP.
+//! **Tiling is a pure memory optimization.** A run with `tiles = T > 1`
+//! retires settled slabs from the resident hot set but produces the
+//! bitwise identical packing to the monolithic run, under any thread
+//! count, and a checkpoint taken mid-tiled-run resumes bitwise. The hot
+//! grid keeps the retained spheres' relative index order, so each Verlet
+//! row, sorted by index, lists the same contacts in the same order as the
+//! untiled row.
 
 use std::sync::{Arc, Mutex};
 
@@ -32,8 +28,8 @@ fn tall_box() -> Container {
     Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::new(0.8, 0.8, 2.0))).unwrap()
 }
 
-fn params(tiles: usize, kernel: Kernel, order: SweepOrder) -> PackingParams {
-    let mut p = PackingParams {
+fn params(tiles: usize, kernel: Kernel) -> PackingParams {
+    PackingParams {
         batch_size: 24,
         target_count: 120,
         max_steps: 300,
@@ -42,18 +38,16 @@ fn params(tiles: usize, kernel: Kernel, order: SweepOrder) -> PackingParams {
         kernel,
         tiles,
         ..PackingParams::default()
-    };
-    p.neighbor.order = order;
-    p
+    }
 }
 
 fn psd() -> Psd {
     Psd::uniform(0.07, 0.1)
 }
 
-fn pack_with(tiles: usize, kernel: Kernel, order: SweepOrder) -> PackResult {
+fn pack_with(tiles: usize, kernel: Kernel) -> PackResult {
     force_parallel_hardware();
-    let mut packer = CollectivePacker::new(tall_box(), params(tiles, kernel, order));
+    let mut packer = CollectivePacker::new(tall_box(), params(tiles, kernel));
     packer.try_pack(&psd()).expect("run packs")
 }
 
@@ -81,7 +75,7 @@ fn assert_same_packing(a: &PackResult, b: &PackResult, what: &str) {
 fn tiled_matches_untiled_across_kernels_and_thread_counts() {
     force_parallel_hardware();
     for kernel in [Kernel::Scalar, Kernel::Simd] {
-        let reference = pack_with(1, kernel, SweepOrder::Morton);
+        let reference = pack_with(1, kernel);
         assert!(
             reference.particles.len() >= 48,
             "fixture too small to span multiple slabs"
@@ -92,7 +86,7 @@ fn tiled_matches_untiled_across_kernels_and_thread_counts() {
                 .build()
                 .unwrap();
             for tiles in [2usize, 5] {
-                let tiled = pool.install(|| pack_with(tiles, kernel, SweepOrder::Morton));
+                let tiled = pool.install(|| pack_with(tiles, kernel));
                 assert_same_packing(
                     &reference,
                     &tiled,
@@ -100,15 +94,6 @@ fn tiled_matches_untiled_across_kernels_and_thread_counts() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn morton_and_strided_orders_produce_identical_packings() {
-    for kernel in [Kernel::Scalar, Kernel::Simd] {
-        let morton = pack_with(1, kernel, SweepOrder::Morton);
-        let strided = pack_with(1, kernel, SweepOrder::Strided);
-        assert_same_packing(&morton, &strided, &format!("{kernel}: morton vs strided"));
     }
 }
 
@@ -130,7 +115,7 @@ fn checkpointed_run(
     blobs: &Arc<Mutex<Vec<Vec<u8>>>>,
     from: Option<&[u8]>,
 ) -> PackResult {
-    let packer = CollectivePacker::new(tall_box(), params(tiles, Kernel::Simd, SweepOrder::Morton));
+    let packer = CollectivePacker::new(tall_box(), params(tiles, Kernel::Simd));
     let mut driver = BatchedPacker::plain(packer, psd());
     driver.set_checkpoint_sink(Box::new(MemorySink(Arc::clone(blobs))), 150);
     if let Some(bytes) = from {

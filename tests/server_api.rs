@@ -153,8 +153,8 @@ fn artifact_matches_direct_run_and_duplicates_hit_the_cache() {
     );
 
     // A semantically-equal spelling — keys reordered, defaults spelled
-    // out, a different thread count and an explicit sweep order — must
-    // hash to the same address and be answered from the cache.
+    // out, a different thread count and the naive neighbor strategy —
+    // must hash to the same address and be answered from the cache.
     let respelled = r#"
 algorithm: "COLLECTIVE_ARRANGEMENT"
 particle_sets:
@@ -163,7 +163,7 @@ particle_sets:
 container:
     path: "box.stl"
 neighbor:
-    order: "morton"
+    strategy: "naive"
 params:
     seed: 7
     batch_size: 40
@@ -186,6 +186,40 @@ params:
     assert_eq!(hex3, hex);
     assert_eq!(outcome3, "hit");
     assert_eq!(client::artifact(server.addr(), &hex3).unwrap(), reference);
+    server.shutdown();
+}
+
+/// The address ignores the neighbor strategy, so the spelling that
+/// reaches the server first must not pick the plan: a `naive` submission
+/// on a cache miss runs on the Verlet lists (the exhaustive oracle never
+/// rebuilds one) and packs the default bytes, which a default-spelled
+/// resubmission then hits.
+#[test]
+fn naive_submission_runs_on_the_verlet_lists() {
+    let _fp = FailGuard::unarmed();
+    let dir = test_dir("naive");
+    let yaml = config(0.16, 11);
+    let reference = direct_csv(&dir, &yaml, "direct");
+    let naive = format!("{yaml}neighbor:\n    strategy: \"naive\"\n");
+
+    let server = serve(&dir, |_| {});
+    let addr = server.addr();
+    let rebuilds_before = metric(addr, "adampack_verlet_rebuilds_total");
+    let (hex, outcome) = submit_ok(addr, &naive);
+    assert_eq!(outcome, "scheduled");
+    assert_eq!(
+        client::wait_terminal(addr, &hex, Duration::from_secs(120)).unwrap(),
+        "done"
+    );
+    assert!(
+        metric(addr, "adampack_verlet_rebuilds_total") > rebuilds_before,
+        "the job ran on the naive scans"
+    );
+    assert_eq!(client::artifact(addr, &hex).unwrap(), reference);
+
+    let (hex2, outcome2) = submit_ok(addr, &yaml);
+    assert_eq!(hex2, hex, "strategy spellings must share one address");
+    assert_eq!(outcome2, "hit");
     server.shutdown();
 }
 
