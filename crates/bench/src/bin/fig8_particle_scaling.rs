@@ -12,16 +12,13 @@
 //!   workspace) for the monolithic run and for a gravity-axis tiled run —
 //!   the tiled peak tracks the *active surface*, not total N;
 //! * a bitwise tiled-vs-untiled parity check (tiling is a pure memory
-//!   optimization; any divergence is a bug, so the bench hard-asserts it);
+//!   optimization; any divergence is a bug, so the bench hard-asserts it).
 //!
-//! plus a one-shot Amdahl thread sweep (1/2/4/8) at the largest N: serial
-//! fraction `s = (p/S − 1)/(p − 1)` from the measured speedup `S` at `p`
-//! threads.
-//!
-//! Everything lands in `target/experiments/BENCH_scale.json` (and a CSV of
-//! the N sweep), with the usual `--full` paper-scale switch. For
-//! million-particle demonstrations use the tuning knobs, e.g.
-//! `--full --only 1000000 --batch 4000 --repeats 1 --skip-amdahl` (keep
+//! Thread scaling is measured by `fig6_thread_scaling`. Everything lands in
+//! `target/experiments/BENCH_scale.json` (and a CSV of the N sweep), with
+//! the usual `--full` paper-scale switch. For million-particle
+//! demonstrations use the tuning knobs, e.g.
+//! `--full --only 1000000 --batch 4000 --repeats 1` (keep
 //! `--max-steps` at its default: patience ends converged batches early,
 //! while a starved step budget fails acceptance and collapses the
 //! batch-halving ladder).
@@ -206,39 +203,6 @@ fn main() {
             a.mean, a.min, a.max, tiled.hot_peak
         ));
         series.push((n as f64, a.mean));
-    }
-
-    let n_big = *counts.last().unwrap();
-    if !cli::flag("--skip-amdahl") {
-        // Amdahl serial fraction at 1/2/4/8 threads, largest N.
-        println!("# thread scaling at N = {n_big}:");
-        let mut t1 = None;
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool");
-            let run = pool.install(|| run_once(&container, &psd, n_big, 0, 1, &knobs));
-            let base = *t1.get_or_insert(run.secs);
-            let speedup = base / run.secs;
-            // Amdahl: S = 1 / (s + (1−s)/p)  ⇒  s = (p/S − 1)/(p − 1).
-            let serial = if threads > 1 {
-                Some((threads as f64 / speedup - 1.0) / (threads as f64 - 1.0))
-            } else {
-                None
-            };
-            println!(
-                "#   {threads} threads: {:.3} s, speedup {speedup:.2}x, serial fraction {}",
-                run.secs,
-                serial.map_or("-".into(), |s| format!("{s:.3}"))
-            );
-            report.row(format!(
-                "{{\"section\": \"amdahl\", \"particles\": {n_big}, \"threads\": {threads}, \
-                 \"mean_s\": {:.6}, \"speedup\": {speedup:.4}, \"serial_fraction\": {}}}",
-                run.secs,
-                serial.map_or("null".into(), |s| format!("{s:.4}"))
-            ));
-        }
     }
 
     // Linearity check: least-squares slope and the R² of the linear fit.

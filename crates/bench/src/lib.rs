@@ -1,7 +1,7 @@
 //! # adampack-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md §4 for the experiment index) plus Criterion micro-benchmarks.
+//! The experiment harness: one binary per table/figure of the paper and per
+//! ablation (see DESIGN.md §4 for the experiment index).
 //!
 //! Every binary prints the same rows/series the paper plots, at a
 //! laptop-scale default configuration; pass `--full` for the paper-scale
@@ -73,29 +73,6 @@ pub mod cli {
             v.parse()
                 .unwrap_or_else(|e| panic!("invalid value for {name}: {e}"))
         })
-    }
-
-    /// Parses `--name v1,v2,…` as a comma-separated `usize` list, with a
-    /// default when the flag is absent.
-    pub fn usize_list_arg(name: &str, default: &[usize]) -> Vec<usize> {
-        value_arg(name).map_or_else(
-            || default.to_vec(),
-            |v| {
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|e| panic!("invalid value for {name}: {e}"))
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    /// Returns `--name value` as a string when the flag is present.
-    pub fn str_arg(name: &str) -> Option<String> {
-        value_arg(name)
     }
 
     fn value_arg(name: &str) -> Option<String> {
@@ -222,10 +199,6 @@ mod tests {
     fn cli_defaults_apply() {
         assert_eq!(cli::usize_arg("--never-passed", 5), 5);
         assert_eq!(cli::f64_arg("--never-passed", 0.5), 0.5);
-        assert_eq!(
-            cli::usize_list_arg("--never-passed", &[1, 4, 16]),
-            [1, 4, 16]
-        );
         assert!(!cli::flag("--never-passed"));
     }
 

@@ -20,6 +20,7 @@
 use std::path::{Path, PathBuf};
 
 use adampack_config::{BatchConfig, ConfigError, ConsoleLevel, LocationConfig, PackingConfig};
+use adampack_core::checkpoint::fnv1a;
 use adampack_core::metrics;
 use adampack_core::prelude::*;
 use adampack_core::report::QualityReport;
@@ -262,15 +263,6 @@ fn load_latest_checkpoint<T, E: std::fmt::Display>(
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The checkpoint fingerprint salt for the run context: the knobs that
 /// live outside `PackingParams` (thread count, kernel override, sweep
 /// grid) but would make a resumed run diverge from — or mean something
@@ -279,10 +271,7 @@ fn fnv1a(s: &str) -> u64 {
 /// rejected with exit 7 instead of silently diverging.
 fn context_salt(threads: usize, kernel: Kernel, batch: Option<&BatchConfig>) -> u64 {
     let desc = batch.map_or_else(|| "none".to_string(), BatchConfig::descriptor);
-    fnv1a(&format!(
-        "threads={threads}|kernel={}|batch={desc}",
-        kernel.name()
-    ))
+    fnv1a(format!("threads={threads}|kernel={}|batch={desc}", kernel.name()).as_bytes())
 }
 
 /// The effective sweep grid: `--batch-*` flags layered over the YAML
@@ -474,7 +463,7 @@ fn run_pack_configured(
     }
     let checkpoint = checkpoint.filter(|_| checkpointable);
 
-    let mut specs = cfg.systems(&container, batch.as_ref());
+    let mut specs = cfg.systems(&container, batch.as_ref())?;
     let salt = context_salt(cfg.params.threads, cfg.params.kernel, batch.as_ref());
     // Each system's seed and PSD, for its report and manifest: the driver
     // consumes the specs.
@@ -1406,17 +1395,20 @@ mod tests {
         let _serial = serial();
         let dir = std::env::temp_dir().join("adampack_cli_obs_inert");
         let cfg = setup_config(&dir, "COLLECTIVE_ARRANGEMENT", false);
-        let plain = run_pack_opts(
+        let (plain_csv, observed_csv) = (dir.join("plain.csv"), dir.join("observed.csv"));
+        run_pack_opts(
             &cfg,
             &PackOptions {
+                out: Some(plain_csv.clone()),
                 log_level: Some(ConsoleLevel::Off),
                 ..PackOptions::default()
             },
         )
         .unwrap();
-        let observed = run_pack_opts(
+        run_pack_opts(
             &cfg,
             &PackOptions {
+                out: Some(observed_csv.clone()),
                 trace_timeline: Some(dir.join("trace.json")),
                 diagnostics: Some(DiagMode::Events),
                 log_level: Some(ConsoleLevel::Off),
@@ -1424,15 +1416,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(plain.packed, observed.packed);
-        assert_eq!(
-            plain.core_density.to_bits(),
-            observed.core_density.to_bits(),
-            "tracing and diagnostics must not perturb the trajectory"
-        );
-        assert_eq!(
-            plain.mean_overlap_ratio.to_bits(),
-            observed.mean_overlap_ratio.to_bits()
+        let plain = std::fs::read(&plain_csv).unwrap();
+        assert!(!plain.is_empty());
+        assert!(
+            plain == std::fs::read(&observed_csv).unwrap(),
+            "the timeline and diagnostics must not perturb the packed bytes"
         );
     }
 

@@ -91,13 +91,6 @@ pub trait Rng: RngCore {
     fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample_single(self)
     }
-
-    /// A uniformly random `bool` with probability `p` of `true`.
-    #[inline]
-    fn gen_bool(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
 }
 impl<R: RngCore + ?Sized> Rng for R {}
 

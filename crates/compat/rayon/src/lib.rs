@@ -450,52 +450,6 @@ pub mod par {
         });
     }
 
-    /// Calls `f(i, &mut a[i], &mut b[i], &mut c[i], &mut d[i])` for every
-    /// `i`, in parallel. The four-buffer AMSGrad shape (params + m + v +
-    /// v_max).
-    pub fn for_each_slot_zip4<A, B, C, D, F>(
-        a: &mut [A],
-        b: &mut [B],
-        c: &mut [C],
-        d: &mut [D],
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        C: Send,
-        D: Send,
-        F: Fn(usize, &mut A, &mut B, &mut C, &mut D) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), c.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), d.len(), "zipped slice length mismatch");
-        let n = a.len();
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        let raw_c = RawSlice::new(c);
-        let raw_d = RawSlice::new(d);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            // SAFETY: disjoint windows of each slice.
-            let wa = unsafe { raw_a.window(start, len) };
-            let wb = unsafe { raw_b.window(start, len) };
-            let wc = unsafe { raw_c.window(start, len) };
-            let wd = unsafe { raw_d.window(start, len) };
-            annotate_chunk(start, start + len, || {
-                for off in 0..len {
-                    f(
-                        start + off,
-                        &mut wa[off],
-                        &mut wb[off],
-                        &mut wc[off],
-                        &mut wd[off],
-                    );
-                }
-            });
-        });
-    }
-
     /// Hands each job its whole contiguous chunk of three equal-length
     /// slices: `f(start, &mut a[start..end], &mut b[start..end],
     /// &mut c[start..end])`. The window shape lets the callee iterate with
@@ -799,8 +753,7 @@ impl ThreadPool {
 pub mod prelude {
     pub use crate::par::{
         counting_sort_by_key, fill_with, for_each_chunk_zip, for_each_slot, for_each_slot_zip2,
-        for_each_slot_zip3, for_each_slot_zip4, for_each_window_zip3, for_each_window_zip4,
-        map_reduce,
+        for_each_slot_zip3, for_each_window_zip3, for_each_window_zip4, map_reduce,
     };
 }
 
@@ -923,12 +876,9 @@ mod tests {
                 *c = *b * 2;
                 *d = i as i64 + 1;
             });
-            let mut e = vec![0i64; n];
-            par::for_each_slot_zip4(&mut a, &mut c, &mut d, &mut e, |_, a, c, d, e| {
-                *e = *a + *c + *d;
-            });
-            for i in 0..n as i64 {
-                assert_eq!(e[i as usize], i + (-i * 2) + (i + 1));
+            for i in 0..n {
+                let v = i as i64;
+                assert_eq!((a[i], b[i], c[i], d[i]), (v, -v, -2 * v, v + 1));
             }
         });
     }

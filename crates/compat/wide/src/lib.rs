@@ -160,12 +160,6 @@ impl Mask4 {
         self.0 != 0
     }
 
-    /// True when all four lanes are set.
-    #[inline]
-    pub fn all(self) -> bool {
-        self.0 == 0b1111
-    }
-
     /// True when lane `lane` (0..4) is set.
     #[inline]
     pub fn test(self, lane: usize) -> bool {
@@ -299,7 +293,7 @@ mod tests {
         let b = f64x4::splat(0.0);
         let gt = a.gt(b);
         assert!(gt.any());
-        assert!(!gt.all());
+        assert_eq!(gt.to_bits(), 0b0011);
         assert!(gt.test(0) && gt.test(1));
         assert!(!gt.test(2), "negative lane is not > 0");
         assert!(!gt.test(3), "NaN compares unordered, never set");
@@ -308,7 +302,7 @@ mod tests {
         let none = f64x4::splat(1.0).lt(b);
         assert!(!none.any());
         let all = f64x4::splat(-1.0).lt(b);
-        assert!(all.all());
+        assert_eq!(all.to_bits(), 0b1111);
     }
 
     #[test]

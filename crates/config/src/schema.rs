@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 
+use adampack_core::psd::PsdError;
 use adampack_core::{
     Container, Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SystemSpec,
     ZoneRegion, ZoneSpec,
@@ -484,19 +485,27 @@ pub enum ParticleSetConfig {
 }
 
 impl ParticleSetConfig {
-    /// Converts to a runtime PSD (validates ranges).
+    /// Converts to a runtime PSD (the parser has checked its ranges).
     pub fn to_psd(&self) -> Psd {
         self.to_psd_scaled(1.0)
     }
 
     /// Converts to a runtime PSD with every radius parameter multiplied by
-    /// `scale` (used by the `batch:` radius-scale sweep axis).
+    /// `scale` (used by the `batch:` radius-scale sweep axis); panics where
+    /// [`ParticleSetConfig::try_psd_scaled`] fails.
     pub fn to_psd_scaled(&self, scale: f64) -> Psd {
+        self.try_psd_scaled(scale).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ParticleSetConfig::to_psd_scaled`], failing with the PSD's own
+    /// error when a scaled parameter breaks the distribution's invariants.
+    /// The error's `param` is the key's suffix: `radius_{param}`.
+    pub fn try_psd_scaled(&self, scale: f64) -> Result<Psd, PsdError> {
         match *self {
-            ParticleSetConfig::Constant { value } => Psd::constant(value * scale),
-            ParticleSetConfig::Uniform { min, max } => Psd::uniform(min * scale, max * scale),
+            ParticleSetConfig::Constant { value } => Psd::try_constant(value * scale),
+            ParticleSetConfig::Uniform { min, max } => Psd::try_uniform(min * scale, max * scale),
             ParticleSetConfig::Normal { mean, std_dev } => {
-                Psd::normal(mean * scale, std_dev * scale)
+                Psd::try_normal(mean * scale, std_dev * scale)
             }
         }
     }
@@ -590,8 +599,10 @@ impl PackingConfig {
         let mut params = AlgoParams::default();
         if let Some(p) = root.get("params") {
             if let Some(v) = p.get("lr").and_then(Value::as_f64) {
-                if v <= 0.0 {
-                    return Err(field(format!("params.lr must be positive, got {v}")));
+                if !(v > 0.0 && v.is_finite()) {
+                    return Err(field(format!(
+                        "params.lr must be positive and finite, got {v}"
+                    )));
                 }
                 params.lr = v;
             }
@@ -868,8 +879,13 @@ impl PackingConfig {
     /// one per point of the `batch` sweep grid, or the one plain system
     /// (labelled `""`) without a grid. Each packs its first particle set
     /// (radii scaled by its grid point) up to the container's capacity
-    /// estimate at that PSD's mean radius.
-    pub fn systems(&self, container: &Container, batch: Option<&BatchConfig>) -> Vec<SystemSpec> {
+    /// estimate at that PSD's mean radius. Fails when a grid point's radius
+    /// scale takes the set's PSD out of range.
+    pub fn systems(
+        &self,
+        container: &Container,
+        batch: Option<&BatchConfig>,
+    ) -> Result<Vec<SystemSpec>, ConfigError> {
         let points = match batch {
             Some(batch) => batch.expand(&self.params),
             None => vec![BatchSystem {
@@ -886,14 +902,20 @@ impl PackingConfig {
                     .particle_sets
                     .first()
                     .expect("the parser requires a particle set")
-                    .to_psd_scaled(sys.radius_scale);
+                    .try_psd_scaled(sys.radius_scale)
+                    .map_err(|e| {
+                        field(format!(
+                            "particle_sets[0].radius_{} at radius scale {:?}: {e}",
+                            e.param, sys.radius_scale
+                        ))
+                    })?;
                 let mut params = self.to_packing_params_for(&sys);
                 params.target_count = container.capacity_estimate(psd.mean(), 0.6);
-                SystemSpec {
+                Ok(SystemSpec {
                     label: sys.label,
                     params,
                     psd,
-                }
+                })
             })
             .collect()
     }
@@ -1011,22 +1033,27 @@ fn parse_particle_set(i: usize, v: &Value) -> Result<ParticleSetConfig, ConfigEr
             .and_then(Value::as_f64)
             .ok_or_else(|| field(format!("particle_sets[{i}].{key} is required and numeric")))
     };
-    match dist.to_ascii_lowercase().as_str() {
-        "constant" => Ok(ParticleSetConfig::Constant {
+    let set = match dist.to_ascii_lowercase().as_str() {
+        "constant" => ParticleSetConfig::Constant {
             value: num("radius_value")?,
-        }),
-        "uniform" => Ok(ParticleSetConfig::Uniform {
+        },
+        "uniform" => ParticleSetConfig::Uniform {
             min: num("radius_min")?,
             max: num("radius_max")?,
-        }),
-        "normal" => Ok(ParticleSetConfig::Normal {
+        },
+        "normal" => ParticleSetConfig::Normal {
             mean: num("radius_mean")?,
             std_dev: num("radius_std_dev")?,
-        }),
-        other => Err(field(format!(
-            "particle_sets[{i}]: unknown radius_distribution '{other}'"
-        ))),
-    }
+        },
+        other => {
+            return Err(field(format!(
+                "particle_sets[{i}]: unknown radius_distribution '{other}'"
+            )))
+        }
+    };
+    set.try_psd_scaled(1.0)
+        .map_err(|e| field(format!("particle_sets[{i}].radius_{}: {e}", e.param)))?;
+    Ok(set)
 }
 
 fn parse_zone(i: usize, v: &Value, n_sets: usize) -> Result<ZoneConfig, ConfigError> {
@@ -1582,6 +1609,58 @@ zones:
         let bad_props = "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\nzones:\n  - n_particles: 5\n    set_proportions: [0.5, 0.5]\n";
         let e = PackingConfig::from_str(bad_props).unwrap_err();
         assert!(e.to_string().contains("set_proportions"));
+
+        // Numbers the PSD or the optimizer cannot take are config errors
+        // naming the key, not panics further down. The YAML scalar parser
+        // reads `nan` and `inf` as floats and `1e999` as infinity.
+        let constant = |v: &str| format!("constant\n    radius_value: {v}");
+        let uniform =
+            |lo: &str, hi: &str| format!("uniform\n    radius_min: {lo}\n    radius_max: {hi}");
+        let normal =
+            |m: &str, sd: &str| format!("normal\n    radius_mean: {m}\n    radius_std_dev: {sd}");
+        let cases = [
+            (constant("-0.1"), "radius_value"),
+            (constant("0"), "radius_value"),
+            (constant("nan"), "radius_value"),
+            (constant("inf"), "radius_value"),
+            (uniform("nan", "0.1"), "radius_min"),
+            (uniform("0.2", "0.1"), "radius_max"),
+            (uniform("0.1", "1e999"), "radius_max"),
+            (normal("-1", "0"), "radius_mean"),
+            (normal("0.1", "0.05"), "radius_std_dev"),
+            (normal("0.1", "-inf"), "radius_std_dev"),
+        ];
+        for (set, key) in cases {
+            let yaml = format!(
+                "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: {set}\n"
+            );
+            let key = format!("particle_sets[0].{key}");
+            let e = PackingConfig::from_str(&yaml).unwrap_err();
+            assert!(matches!(e, ConfigError::Field(_)), "{set}: {e:?}");
+            assert!(e.to_string().contains(&key), "{set}: {e}");
+        }
+        for lr in ["nan", "inf", "1e999", "0", "-inf"] {
+            let yaml = format!("container:\n  path: a.stl\nparams:\n  lr: {lr}\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n");
+            let e = PackingConfig::from_str(&yaml).unwrap_err();
+            assert!(e.to_string().contains("params.lr"), "lr {lr}: {e}");
+        }
+
+        // A valid radius whose sweep scale overflows it to infinity fails
+        // when the systems are resolved; a large finite radius stays valid.
+        let container = Container::from_mesh(&adampack_geometry::shapes::box_mesh(
+            adampack_geometry::Vec3::ZERO,
+            adampack_geometry::Vec3::splat(2.0),
+        ))
+        .unwrap();
+        let scaled = "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 10\nbatch:\n  radius_scales: [1, 1e308]\n";
+        let cfg = PackingConfig::from_str(scaled).unwrap();
+        let e = cfg.systems(&container, cfg.batch.as_ref()).unwrap_err();
+        assert!(
+            e.to_string().contains("particle_sets[0].radius_value"),
+            "{e}"
+        );
+        let huge = cfg.systems(&container, None).unwrap();
+        assert_eq!(huge[0].params.target_count, 0);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl SoaCoords {
     }
 
     /// Number of real (un-padded) entries.
-    #[allow(dead_code)] // used by tests; handy for future callers
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.n
     }

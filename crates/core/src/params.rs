@@ -52,15 +52,9 @@ pub enum OptimizerKind {
 }
 
 impl OptimizerKind {
-    /// Instantiates the optimizer for `n_params` scalar parameters with the
-    /// default arithmetic kernel.
-    pub fn build(self, lr: f64, n_params: usize) -> Box<dyn Optimizer> {
-        self.build_with_kernel(lr, n_params, Kernel::default())
-    }
-
-    /// Instantiates the optimizer with an explicit arithmetic kernel for
-    /// its update loop (honored by the Adam family; the ablation
-    /// optimizers are scalar-only and ignore it).
+    /// Instantiates the optimizer for `n_params` scalar parameters with an
+    /// explicit arithmetic kernel for its update loop (honored by the Adam
+    /// family; the ablation optimizers are scalar-only and ignore it).
     pub fn build_with_kernel(self, lr: f64, n_params: usize, kernel: Kernel) -> Box<dyn Optimizer> {
         match self {
             OptimizerKind::AmsGrad => Box::new(Adam::new(
@@ -403,9 +397,11 @@ mod tests {
             OptimizerKind::RmsProp,
             OptimizerKind::NAdam,
         ] {
-            let o = kind.build(0.01, 6);
-            assert_eq!(o.n_params(), 6);
-            assert_eq!(o.lr(), 0.01);
+            for kernel in [Kernel::Scalar, Kernel::Simd] {
+                let o = kind.build_with_kernel(0.01, 6, kernel);
+                assert_eq!(o.n_params(), 6);
+                assert_eq!(o.lr(), 0.01);
+            }
         }
     }
 

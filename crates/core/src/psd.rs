@@ -48,45 +48,86 @@ pub enum Psd {
     },
 }
 
+/// A PSD parameter that breaks its distribution's invariants.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PsdError {
+    /// The offending parameter: `value`, `min`, `max`, `mean` or `std_dev`.
+    pub param: &'static str,
+    /// The broken rule, with the rejected value.
+    pub message: String,
+}
+
+impl std::fmt::Display for PsdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for PsdError {}
+
+/// `Ok(())` when `ok` holds, else the error naming `param`.
+fn check(ok: bool, param: &'static str, message: impl FnOnce() -> String) -> Result<(), PsdError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(PsdError {
+            param,
+            message: message(),
+        })
+    }
+}
+
 impl Psd {
-    /// Constant-radius PSD.
+    /// Constant-radius PSD (panics where [`Psd::try_constant`] fails).
     pub fn constant(value: f64) -> Psd {
-        assert!(
-            value > 0.0 && value.is_finite(),
-            "radius must be positive, got {value}"
-        );
-        Psd::Constant { value }
+        Psd::try_constant(value).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Uniform PSD on `[min, max]`.
+    /// Constant-radius PSD; the radius must be positive and finite.
+    pub fn try_constant(value: f64) -> Result<Psd, PsdError> {
+        check(value > 0.0 && value.is_finite(), "value", || {
+            format!("radius must be positive and finite, got {value}")
+        })?;
+        Ok(Psd::Constant { value })
+    }
+
+    /// Uniform PSD on `[min, max]` (panics where [`Psd::try_uniform`]
+    /// fails).
     pub fn uniform(min: f64, max: f64) -> Psd {
-        assert!(
-            min > 0.0 && min.is_finite(),
-            "min radius must be positive, got {min}"
-        );
-        assert!(
-            max >= min && max.is_finite(),
-            "max must be >= min, got [{min}, {max}]"
-        );
-        Psd::Uniform { min, max }
+        Psd::try_uniform(min, max).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Truncated-normal PSD.
+    /// Uniform PSD on `[min, max]`; `min` must be positive and `max` at
+    /// least `min`, both finite.
+    pub fn try_uniform(min: f64, max: f64) -> Result<Psd, PsdError> {
+        check(min > 0.0 && min.is_finite(), "min", || {
+            format!("min radius must be positive and finite, got {min}")
+        })?;
+        check(max >= min && max.is_finite(), "max", || {
+            format!("max radius must be finite and >= min, got [{min}, {max}]")
+        })?;
+        Ok(Psd::Uniform { min, max })
+    }
+
+    /// Truncated-normal PSD (panics where [`Psd::try_normal`] fails).
     pub fn normal(mean: f64, std_dev: f64) -> Psd {
-        assert!(
-            mean > 0.0 && mean.is_finite(),
-            "mean radius must be positive"
-        );
-        assert!(
-            std_dev >= 0.0 && std_dev.is_finite(),
-            "std_dev must be non-negative"
-        );
-        assert!(
-            mean - 3.0 * std_dev > 0.0,
-            "mean - 3σ must stay positive (got mean {mean}, σ {std_dev}); \
-             otherwise truncation would distort the distribution badly"
-        );
-        Psd::Normal { mean, std_dev }
+        Psd::try_normal(mean, std_dev).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Truncated-normal PSD; the mean must be positive and the standard
+    /// deviation non-negative, both finite, with `mean - 3σ > 0` (otherwise
+    /// truncation would distort the distribution badly).
+    pub fn try_normal(mean: f64, std_dev: f64) -> Result<Psd, PsdError> {
+        check(mean > 0.0 && mean.is_finite(), "mean", || {
+            format!("mean radius must be positive and finite, got {mean}")
+        })?;
+        check(std_dev >= 0.0 && std_dev.is_finite(), "std_dev", || {
+            format!("std_dev must be non-negative and finite, got {std_dev}")
+        })?;
+        check(mean - 3.0 * std_dev > 0.0, "std_dev", || {
+            format!("mean - 3σ must stay positive (got mean {mean}, σ {std_dev})")
+        })?;
+        Ok(Psd::Normal { mean, std_dev })
     }
 
     /// Log-normal PSD parameterized by the underlying normal of `ln r`.

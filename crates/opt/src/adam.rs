@@ -190,13 +190,6 @@ impl Optimizer for Adam {
         self.cfg.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.v_max.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-    }
-
     fn n_params(&self) -> usize {
         self.m.len()
     }
@@ -534,34 +527,6 @@ mod tests {
             adam.step(&mut p, &[0.0]); // zero data gradient; only decay acts
         }
         assert!(p[0] < 5.0 && p[0] > 0.0);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut adam = Adam::new(
-            AdamConfig {
-                amsgrad: true,
-                ..AdamConfig::default()
-            },
-            1,
-        );
-        let mut p1 = vec![1.0];
-        adam.step(&mut p1, &[2.0]);
-        adam.step(&mut p1, &[0.5]);
-        adam.reset();
-        assert_eq!(adam.steps_taken(), 0);
-        let mut p2 = vec![1.0];
-        adam.step(&mut p2, &[2.0]);
-        let mut fresh = Adam::new(
-            AdamConfig {
-                amsgrad: true,
-                ..AdamConfig::default()
-            },
-            1,
-        );
-        let mut p3 = vec![1.0];
-        fresh.step(&mut p3, &[2.0]);
-        assert_eq!(p2, p3, "post-reset trajectory matches a fresh optimizer");
     }
 
     #[test]

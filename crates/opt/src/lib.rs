@@ -7,8 +7,9 @@
 //! **AMSGrad** variant \[26\], driven by PyTorch's `ReduceLROnPlateau`
 //! scheduler (§IV-B). This crate implements those two exactly (PyTorch
 //! update-rule semantics, so step-for-step traces match the reference
-//! implementation), plus the classic optimizers the paper positions Adam
-//! against (SGD, Momentum, AdaGrad, RMSProp) for the ablation benchmarks.
+//! implementation), plus the optimizers the ablation benchmark compares it
+//! with (SGD, SGD with momentum, RMSProp, NAdam) and fixed-rate and cosine
+//! schedules.
 //!
 //! All optimizers operate on flat `&mut [f64]` parameter slices — the packing
 //! core stores sphere centres as a structure-of-arrays `[x0..xn, y0..yn,
@@ -31,9 +32,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod adagrad;
 mod adam;
-mod adamw;
 mod kernel;
 mod nadam;
 mod optimizer;
@@ -42,114 +41,66 @@ mod scheduler;
 mod sgd;
 mod state;
 
-pub use adagrad::{AdaGrad, AdaGradConfig};
 pub use adam::{Adam, AdamConfig};
-pub use adamw::{AdamW, AdamWConfig};
 pub use kernel::Kernel;
 pub use nadam::{NAdam, NAdamConfig};
 pub use optimizer::Optimizer;
 pub use rmsprop::{RmsProp, RmsPropConfig};
 pub use scheduler::{
-    ConstantLr, CosineAnnealingLr, ExponentialLr, LrScheduler, ReduceLrOnPlateau,
-    ReduceLrOnPlateauConfig, StepLr, ThresholdMode,
+    ConstantLr, CosineAnnealingLr, LrScheduler, ReduceLrOnPlateau, ReduceLrOnPlateauConfig,
+    ThresholdMode,
 };
 pub use sgd::{Sgd, SgdConfig};
 pub use state::{OptimizerState, SchedulerState, StateMismatch};
-
-/// Constructs any supported optimizer by name — mirrors the string-keyed
-/// algorithm selection of the paper's YAML configuration.
-///
-/// Recognized names (case-insensitive): `sgd`, `momentum`, `adagrad`,
-/// `rmsprop`, `adam`, `amsgrad`, `nadam`, `adamw`.
-pub fn by_name(name: &str, lr: f64, n_params: usize) -> Option<Box<dyn Optimizer>> {
-    let opt: Box<dyn Optimizer> = match name.to_ascii_lowercase().as_str() {
-        "sgd" => Box::new(Sgd::new(
-            SgdConfig {
-                lr,
-                momentum: 0.0,
-                ..SgdConfig::default()
-            },
-            n_params,
-        )),
-        "momentum" => Box::new(Sgd::new(
-            SgdConfig {
-                lr,
-                momentum: 0.9,
-                ..SgdConfig::default()
-            },
-            n_params,
-        )),
-        "adagrad" => Box::new(AdaGrad::new(
-            AdaGradConfig {
-                lr,
-                ..AdaGradConfig::default()
-            },
-            n_params,
-        )),
-        "rmsprop" => Box::new(RmsProp::new(
-            RmsPropConfig {
-                lr,
-                ..RmsPropConfig::default()
-            },
-            n_params,
-        )),
-        "adam" => Box::new(Adam::new(
-            AdamConfig {
-                lr,
-                amsgrad: false,
-                ..AdamConfig::default()
-            },
-            n_params,
-        )),
-        "amsgrad" => Box::new(Adam::new(
-            AdamConfig {
-                lr,
-                amsgrad: true,
-                ..AdamConfig::default()
-            },
-            n_params,
-        )),
-        "nadam" => Box::new(NAdam::new(
-            NAdamConfig {
-                lr,
-                ..NAdamConfig::default()
-            },
-            n_params,
-        )),
-        "adamw" => Box::new(AdamW::new(
-            AdamWConfig {
-                lr,
-                ..AdamWConfig::default()
-            },
-            n_params,
-        )),
-        _ => return None,
-    };
-    Some(opt)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn by_name_constructs_all_variants() {
-        for name in [
-            "sgd", "momentum", "adagrad", "rmsprop", "adam", "AMSGrad", "nadam", "adamw",
-        ] {
-            let opt = by_name(name, 0.01, 3).unwrap_or_else(|| panic!("{name} not found"));
-            assert!((opt.lr() - 0.01).abs() < 1e-15);
-        }
-        assert!(by_name("lbfgs", 0.01, 3).is_none());
-    }
-
-    /// Every optimizer must make progress on a smooth convex quadratic.
+    /// Every optimizer the packer can select must make progress on a
+    /// smooth convex quadratic: the six configurations its optimizer kinds
+    /// build (Adam, AMSGrad, SGD, momentum 0.9, RMSProp, NAdam).
     #[test]
     fn all_optimizers_descend_quadratic_bowl() {
-        for name in [
-            "sgd", "momentum", "adagrad", "rmsprop", "adam", "amsgrad", "nadam", "adamw",
-        ] {
-            let mut opt = by_name(name, 0.05, 2).unwrap();
+        let lr = 0.05;
+        let n = 2;
+        let adam = |amsgrad| AdamConfig {
+            lr,
+            amsgrad,
+            ..AdamConfig::default()
+        };
+        let sgd = |momentum| SgdConfig {
+            lr,
+            momentum,
+            ..SgdConfig::default()
+        };
+        let optimizers: [(&str, Box<dyn Optimizer>); 6] = [
+            ("adam", Box::new(Adam::new(adam(false), n))),
+            ("amsgrad", Box::new(Adam::new(adam(true), n))),
+            ("sgd", Box::new(Sgd::new(sgd(0.0), n))),
+            ("momentum", Box::new(Sgd::new(sgd(0.9), n))),
+            (
+                "rmsprop",
+                Box::new(RmsProp::new(
+                    RmsPropConfig {
+                        lr,
+                        ..RmsPropConfig::default()
+                    },
+                    n,
+                )),
+            ),
+            (
+                "nadam",
+                Box::new(NAdam::new(
+                    NAdamConfig {
+                        lr,
+                        ..NAdamConfig::default()
+                    },
+                    n,
+                )),
+            ),
+        ];
+        for (name, mut opt) in optimizers {
             let mut p = vec![3.0, -2.0];
             let f = |p: &[f64]| p[0] * p[0] + 4.0 * p[1] * p[1];
             let f0 = f(&p);

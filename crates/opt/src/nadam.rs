@@ -104,13 +104,6 @@ impl Optimizer for NAdam {
         self.cfg.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.mu_product = 1.0;
-        self.t = 0;
-    }
-
     fn n_params(&self) -> usize {
         self.m.len()
     }
@@ -170,22 +163,6 @@ mod tests {
         let mut p = vec![0.0, 0.0, 0.0];
         opt.step(&mut p, &[1.0, -2.0, 0.5]);
         assert!(p[0] < 0.0 && p[1] > 0.0 && p[2] < 0.0);
-    }
-
-    #[test]
-    fn reset_reproduces_fresh_trajectory() {
-        let cfg = NAdamConfig::default();
-        let mut a = NAdam::new(cfg, 1);
-        let mut pa = vec![1.0];
-        a.step(&mut pa, &[0.7]);
-        a.step(&mut pa, &[0.3]);
-        a.reset();
-        let mut pb = vec![1.0];
-        a.step(&mut pb, &[0.7]);
-        let mut fresh = NAdam::new(cfg, 1);
-        let mut pc = vec![1.0];
-        fresh.step(&mut pc, &[0.7]);
-        assert_eq!(pb, pc);
     }
 
     #[test]

@@ -17,14 +17,10 @@ pub trait Optimizer: Send {
     /// Replaces the base learning rate (used by schedulers).
     fn set_lr(&mut self, lr: f64);
 
-    /// Clears all accumulated state and the step counter, keeping
-    /// hyper-parameters.
-    fn reset(&mut self);
-
     /// Number of parameters this optimizer was sized for.
     fn n_params(&self) -> usize;
 
-    /// Number of `step` calls since construction/reset.
+    /// Number of `step` calls since construction.
     fn steps_taken(&self) -> u64;
 
     /// Copies the complete mutable state (step counter, learning rate,

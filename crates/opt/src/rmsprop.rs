@@ -107,12 +107,6 @@ impl Optimizer for RmsProp {
         self.cfg.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.sq_avg.iter_mut().for_each(|x| *x = 0.0);
-        self.buf.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-    }
-
     fn n_params(&self) -> usize {
         self.sq_avg.len()
     }

@@ -3,8 +3,8 @@
 //! The paper's best configuration (Fig. 3) pairs Adam with PyTorch's
 //! `ReduceLROnPlateau`; [`ReduceLrOnPlateau`] reproduces that scheduler's
 //! exact semantics (relative/absolute thresholds, patience, cooldown,
-//! minimum LR). Fixed-rate and classic decay schedules are included for the
-//! learning-rate study and ablations.
+//! minimum LR). The fixed-rate schedule gives Fig. 3's constant-rate
+//! baselines; cosine annealing is the remaining learning-rate policy.
 
 use crate::state::SchedulerState;
 
@@ -20,9 +20,6 @@ pub trait LrScheduler: Send {
 
     /// The learning rate the schedule currently prescribes.
     fn current_lr(&self) -> f64;
-
-    /// Restores the initial state.
-    fn reset(&mut self);
 
     /// Snapshots the complete mutable state (allocation-free: the snapshot
     /// is `Copy`). Feeding it back through [`LrScheduler::load_state`] on an
@@ -61,7 +58,6 @@ impl LrScheduler for ConstantLr {
     fn current_lr(&self) -> f64 {
         self.lr
     }
-    fn reset(&mut self) {}
     fn save_state(&self) -> SchedulerState {
         SchedulerState {
             floats: [self.lr, 0.0, 0.0, 0.0],
@@ -75,110 +71,6 @@ impl LrScheduler for ConstantLr {
         // "Constant" bends for divergence recovery: a sentinel cut that
         // left the rate unchanged would deterministically re-diverge.
         self.lr *= 0.5;
-        self.lr
-    }
-}
-
-/// Multiplies the LR by `gamma` every `step_size` steps.
-#[derive(Debug, Clone, Copy)]
-pub struct StepLr {
-    initial_lr: f64,
-    lr: f64,
-    step_size: u64,
-    gamma: f64,
-    t: u64,
-}
-
-impl StepLr {
-    /// Creates a step-decay schedule.
-    pub fn new(initial_lr: f64, step_size: u64, gamma: f64) -> StepLr {
-        assert!(initial_lr > 0.0 && initial_lr.is_finite());
-        assert!(step_size > 0, "step_size must be positive");
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        StepLr {
-            initial_lr,
-            lr: initial_lr,
-            step_size,
-            gamma,
-            t: 0,
-        }
-    }
-}
-
-impl LrScheduler for StepLr {
-    fn step(&mut self, _metric: f64) -> f64 {
-        self.t += 1;
-        if self.t.is_multiple_of(self.step_size) {
-            self.lr *= self.gamma;
-        }
-        self.lr
-    }
-    fn current_lr(&self) -> f64 {
-        self.lr
-    }
-    fn reset(&mut self) {
-        self.lr = self.initial_lr;
-        self.t = 0;
-    }
-    fn save_state(&self) -> SchedulerState {
-        SchedulerState {
-            floats: [self.lr, 0.0, 0.0, 0.0],
-            ints: [self.t, 0, 0, 0],
-        }
-    }
-    fn load_state(&mut self, state: SchedulerState) {
-        self.lr = state.floats[0];
-        self.t = state.ints[0];
-    }
-    fn force_reduction(&mut self) -> f64 {
-        self.lr *= self.gamma;
-        self.lr
-    }
-}
-
-/// Multiplies the LR by `gamma` every step.
-#[derive(Debug, Clone, Copy)]
-pub struct ExponentialLr {
-    initial_lr: f64,
-    lr: f64,
-    gamma: f64,
-}
-
-impl ExponentialLr {
-    /// Creates an exponential-decay schedule.
-    pub fn new(initial_lr: f64, gamma: f64) -> ExponentialLr {
-        assert!(initial_lr > 0.0 && initial_lr.is_finite());
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        ExponentialLr {
-            initial_lr,
-            lr: initial_lr,
-            gamma,
-        }
-    }
-}
-
-impl LrScheduler for ExponentialLr {
-    fn step(&mut self, _metric: f64) -> f64 {
-        self.lr *= self.gamma;
-        self.lr
-    }
-    fn current_lr(&self) -> f64 {
-        self.lr
-    }
-    fn reset(&mut self) {
-        self.lr = self.initial_lr;
-    }
-    fn save_state(&self) -> SchedulerState {
-        SchedulerState {
-            floats: [self.lr, 0.0, 0.0, 0.0],
-            ..SchedulerState::default()
-        }
-    }
-    fn load_state(&mut self, state: SchedulerState) {
-        self.lr = state.floats[0];
-    }
-    fn force_reduction(&mut self) -> f64 {
-        self.lr *= self.gamma;
         self.lr
     }
 }
@@ -217,9 +109,6 @@ impl LrScheduler for CosineAnnealingLr {
         let frac = self.t as f64 / self.t_max as f64;
         self.min_lr
             + (self.initial_lr - self.min_lr) * 0.5 * (1.0 + (std::f64::consts::PI * frac).cos())
-    }
-    fn reset(&mut self) {
-        self.t = 0;
     }
     fn save_state(&self) -> SchedulerState {
         SchedulerState {
@@ -389,14 +278,6 @@ impl LrScheduler for ReduceLrOnPlateau {
         self.lr
     }
 
-    fn reset(&mut self) {
-        self.lr = self.cfg.initial_lr;
-        self.best = f64::INFINITY;
-        self.num_bad = 0;
-        self.cooldown_counter = 0;
-        self.reductions = 0;
-    }
-
     fn save_state(&self) -> SchedulerState {
         SchedulerState {
             floats: [self.lr, self.best, 0.0, 0.0],
@@ -435,23 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn step_lr_decays_on_schedule() {
-        let mut s = StepLr::new(1.0, 3, 0.5);
-        let lrs: Vec<f64> = (0..7).map(|_| s.step(0.0)).collect();
-        assert_eq!(lrs, vec![1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.25]);
-        s.reset();
-        assert_eq!(s.current_lr(), 1.0);
-    }
-
-    #[test]
-    fn exponential_lr_decays_every_step() {
-        let mut s = ExponentialLr::new(1.0, 0.9);
-        s.step(0.0);
-        s.step(0.0);
-        assert!((s.current_lr() - 0.81).abs() < 1e-15);
-    }
-
-    #[test]
     fn cosine_annealing_endpoints() {
         let mut s = CosineAnnealingLr::new(1.0, 0.1, 10);
         assert!((s.current_lr() - 1.0).abs() < 1e-12);
@@ -463,7 +327,7 @@ mod tests {
         s.step(0.0);
         assert!((s.current_lr() - 0.1).abs() < 1e-12);
         // Midpoint is the arithmetic mean.
-        s.reset();
+        let mut s = CosineAnnealingLr::new(1.0, 0.1, 10);
         for _ in 0..5 {
             s.step(0.0);
         }
@@ -550,25 +414,6 @@ mod tests {
         assert_eq!(s.step(1.0), 0.5);
         // Cooldown over: next bad step reduces again.
         assert_eq!(s.step(1.0), 0.25);
-    }
-
-    #[test]
-    fn plateau_reset() {
-        let mut s = ReduceLrOnPlateau::new(ReduceLrOnPlateauConfig {
-            initial_lr: 1.0,
-            patience: 0,
-            threshold_mode: ThresholdMode::Absolute,
-            threshold: 0.0,
-            factor: 0.5,
-            ..ReduceLrOnPlateauConfig::default()
-        });
-        s.step(1.0);
-        s.step(1.0);
-        assert!(s.current_lr() < 1.0);
-        s.reset();
-        assert_eq!(s.current_lr(), 1.0);
-        assert_eq!(s.reductions(), 0);
-        assert_eq!(s.best(), f64::INFINITY);
     }
 
     #[test]
@@ -675,12 +520,6 @@ mod tests {
             }
         }
         check(ConstantLr::new(0.3), ConstantLr::new(0.3), "constant");
-        check(StepLr::new(1.0, 3, 0.5), StepLr::new(1.0, 3, 0.5), "step");
-        check(
-            ExponentialLr::new(1.0, 0.9),
-            ExponentialLr::new(1.0, 0.9),
-            "exponential",
-        );
         check(
             CosineAnnealingLr::new(1.0, 0.01, 40),
             CosineAnnealingLr::new(1.0, 0.01, 40),
@@ -694,10 +533,6 @@ mod tests {
         // worst pinning) the rate for every scheduler kind.
         let mut c = ConstantLr::new(1.0);
         assert_eq!(c.force_reduction(), 0.5);
-        let mut st = StepLr::new(1.0, 10, 0.5);
-        assert_eq!(st.force_reduction(), 0.5);
-        let mut e = ExponentialLr::new(1.0, 0.9);
-        assert!((e.force_reduction() - 0.9).abs() < 1e-15);
         let mut cos = CosineAnnealingLr::new(1.0, 0.0, 100);
         let before = cos.current_lr();
         let after = cos.force_reduction();

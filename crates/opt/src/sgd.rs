@@ -107,11 +107,6 @@ impl Optimizer for Sgd {
         self.cfg.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.velocity.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-    }
-
     fn n_params(&self) -> usize {
         self.velocity.len()
     }
@@ -224,26 +219,6 @@ mod tests {
                 ..SgdConfig::default()
             },
             1,
-        );
-    }
-
-    #[test]
-    fn reset_clears_velocity() {
-        let cfg = SgdConfig {
-            lr: 0.1,
-            momentum: 0.9,
-            ..SgdConfig::default()
-        };
-        let mut sgd = Sgd::new(cfg, 1);
-        let mut p = vec![0.0];
-        sgd.step(&mut p, &[1.0]);
-        sgd.reset();
-        assert_eq!(sgd.steps_taken(), 0);
-        let mut q = vec![0.0];
-        sgd.step(&mut q, &[1.0]);
-        assert!(
-            (q[0] + 0.1).abs() < 1e-15,
-            "first-step semantics after reset"
         );
     }
 }

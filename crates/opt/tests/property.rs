@@ -1,10 +1,46 @@
 //! Property tests for optimizers and schedulers.
 
 use adampack_opt::{
-    by_name, Adam, AdamConfig, ConstantLr, CosineAnnealingLr, LrScheduler, Optimizer,
-    ReduceLrOnPlateau, ReduceLrOnPlateauConfig, StepLr,
+    Adam, AdamConfig, ConstantLr, CosineAnnealingLr, LrScheduler, NAdam, NAdamConfig, Optimizer,
+    ReduceLrOnPlateau, ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
 };
 use proptest::prelude::*;
+
+/// The six configurations the packer's optimizer kinds build (Adam,
+/// AMSGrad, SGD, momentum 0.9, RMSProp, NAdam), by name.
+fn packer_optimizer(name: &str, lr: f64, n: usize) -> Box<dyn Optimizer> {
+    let adam = |amsgrad| AdamConfig {
+        lr,
+        amsgrad,
+        ..AdamConfig::default()
+    };
+    let sgd = |momentum| SgdConfig {
+        lr,
+        momentum,
+        ..SgdConfig::default()
+    };
+    match name {
+        "adam" => Box::new(Adam::new(adam(false), n)),
+        "amsgrad" => Box::new(Adam::new(adam(true), n)),
+        "sgd" => Box::new(Sgd::new(sgd(0.0), n)),
+        "momentum" => Box::new(Sgd::new(sgd(0.9), n)),
+        "rmsprop" => Box::new(RmsProp::new(
+            RmsPropConfig {
+                lr,
+                ..RmsPropConfig::default()
+            },
+            n,
+        )),
+        "nadam" => Box::new(NAdam::new(
+            NAdamConfig {
+                lr,
+                ..NAdamConfig::default()
+            },
+            n,
+        )),
+        other => unreachable!("no optimizer named {other}"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -48,11 +84,11 @@ proptest! {
 
     #[test]
     fn all_optimizers_leave_finite_state(
-        name_idx in 0usize..8,
+        name_idx in 0usize..6,
         grads in prop::collection::vec(-1e6f64..1e6, 1..30),
     ) {
-        let names = ["sgd", "momentum", "adagrad", "rmsprop", "adam", "amsgrad", "nadam", "adamw"];
-        let mut opt = by_name(names[name_idx], 1e-3, 1).unwrap();
+        let names = ["adam", "amsgrad", "sgd", "momentum", "rmsprop", "nadam"];
+        let mut opt = packer_optimizer(names[name_idx], 1e-3, 1);
         let mut p = vec![1.0];
         for g in &grads {
             opt.step(&mut p, &[*g]);
@@ -79,21 +115,6 @@ proptest! {
             prop_assert!(lr > 0.0);
             last = lr;
         }
-    }
-
-    #[test]
-    fn step_lr_hits_exact_powers(
-        step_size in 1u64..20,
-        gamma in 0.1f64..0.99,
-        total in 1u64..100,
-    ) {
-        let mut s = StepLr::new(1.0, step_size, gamma);
-        let mut lr = 1.0;
-        for _ in 0..total {
-            lr = s.step(0.0);
-        }
-        let expect = gamma.powi((total / step_size) as i32);
-        prop_assert!((lr - expect).abs() < 1e-12 * expect.max(1.0));
     }
 
     #[test]

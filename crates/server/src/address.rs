@@ -23,6 +23,7 @@
 //! itself, so two configs pointing at different STL files collide only if
 //! the hulls are geometrically indistinguishable to the packer.
 
+use adampack_core::checkpoint::fnv1a;
 use adampack_core::prelude::*;
 
 /// Domain-separation salt for content addresses (never reused for run
@@ -34,25 +35,16 @@ const ADDR_SALT_DOMAIN: &str = "adampack-server/addr/v1";
 /// server context (and vice versa), mirroring the CLI's context salt.
 const RUN_SALT_DOMAIN: &str = "adampack-server/run/v1";
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The fingerprint salt for server-executed runs.
 pub fn run_salt() -> u64 {
-    fnv1a(RUN_SALT_DOMAIN)
+    fnv1a(RUN_SALT_DOMAIN.as_bytes())
 }
 
 /// The canonical content address of a job: its checkpoint fingerprint
 /// under the address domain salt.
 pub fn content_address(container: &Container, params: &PackingParams) -> u64 {
     let mut probe = CollectivePacker::new(container.clone(), params.clone());
-    probe.set_fingerprint_context(fnv1a(ADDR_SALT_DOMAIN));
+    probe.set_fingerprint_context(fnv1a(ADDR_SALT_DOMAIN.as_bytes()));
     probe.fingerprint()
 }
 

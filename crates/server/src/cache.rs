@@ -69,7 +69,7 @@ impl DiskCache {
     }
 
     /// Total tracked bytes.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn used_bytes(&self) -> u64 {
         self.used
     }

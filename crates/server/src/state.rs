@@ -340,7 +340,10 @@ impl Inner {
         }
         let container =
             Container::from_mesh(&mesh).map_err(|e| SubmitError::bad(format!("container: {e}")))?;
-        let mut spec = cfg.systems(&container, None).remove(0);
+        let mut spec = cfg
+            .systems(&container, None)
+            .map_err(|e| SubmitError::bad(format!("config: {e}")))?
+            .remove(0);
         // Every strategy packs the same bytes and the address ignores it,
         // so a job runs on the Verlet lists whichever spelling reached it
         // first, rather than on the exhaustive oracle.

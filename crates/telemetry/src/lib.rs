@@ -40,9 +40,9 @@
 //!
 //! The counting-allocator test in the workspace suite (`tests/alloc_free.rs`)
 //! proves that steady-state optimizer steps still perform zero heap
-//! allocations with telemetry enabled at the default level, and the
-//! `bench_telemetry` binary in `crates/bench` measures the step-time
-//! overhead (budget: < 2 % with passive telemetry).
+//! allocations with telemetry enabled at the default level; the
+//! repository's `bench_e2e` benchmark estimates the traced share of a run
+//! (`trace.overhead_est_frac`; budget: < 2 % with passive telemetry).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

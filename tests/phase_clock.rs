@@ -3,8 +3,11 @@
 //! from it and the `PHASE_*` histograms are the same clock readings — equal
 //! to the nanosecond, not merely close.
 //!
-//! The histograms are process-global, so this binary holds exactly one
-//! test: nothing else in the process can record into them meanwhile.
+//! Metrics only observe: with them off, the same seed packs the same bits.
+//!
+//! The histograms and the metrics switch are process-global, so this
+//! binary holds exactly one test: nothing else in the process can record
+//! into them or flip the switch meanwhile.
 
 use std::time::Duration;
 
@@ -89,7 +92,8 @@ fn breakdown_counters_and_histograms_read_one_clock() {
     // Metrics on: Σ of each breakdown field is exactly the histogram delta.
     tm::set_enabled(true);
     let before: Vec<u64> = FIELDS.iter().map(|f| f.1.sum_ns()).collect();
-    let result = pack();
+    let metered = pack();
+    let result = &metered;
     for (&(name, hist, field, _), before) in FIELDS.iter().zip(before) {
         let total: u64 = result.batches.iter().map(|b| nanos(field(&b.phase))).sum();
         assert!(total > 0, "{name}: no time recorded");
@@ -140,6 +144,27 @@ fn breakdown_counters_and_histograms_read_one_clock() {
     let after = histogram_state();
     tm::set_enabled(true);
     assert_eq!(after, before, "a histogram moved with metrics off");
+    // The switch steers nothing: the metrics-off pack is bitwise the
+    // metrics-on pack of the same seed.
+    let bits = |r: &PackResult| -> Vec<[u64; 4]> {
+        r.particles
+            .iter()
+            .map(|p| [p.center.x, p.center.y, p.center.z, p.radius].map(f64::to_bits))
+            .collect()
+    };
+    let fitness = |r: &PackResult| -> Vec<u64> {
+        r.batches.iter().map(|b| b.best_fitness.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&result),
+        bits(&metered),
+        "metrics off moved a particle"
+    );
+    assert_eq!(
+        fitness(&result),
+        fitness(&metered),
+        "metrics off changed a batch's fitness"
+    );
     let gradient: Duration = result.batches.iter().map(|b| b.phase.gradient).sum();
     let optimizer: Duration = result.batches.iter().map(|b| b.phase.optimizer).sum();
     assert!(gradient > Duration::ZERO, "gradient time with metrics off");

@@ -4,11 +4,13 @@
 //! with its learning rate pinned inside `[min_lr, initial_lr]`, and
 //! optimizer snapshots must restore the remaining trajectory bitwise —
 //! these are exactly the invariants the divergence sentinel and the
-//! resume path lean on.
+//! resume path lean on. Hostile numbers in a config end in a typed error
+//! before they reach the packer.
 
+use adampack_config::PackingConfig;
 use adampack_core::checkpoint::{self, RunState};
 use adampack_core::prelude::*;
-use adampack_geometry::Vec3;
+use adampack_geometry::{shapes, Vec3};
 use adampack_opt::{
     Adam, AdamConfig, LrScheduler, Optimizer, OptimizerState, ReduceLrOnPlateau,
     ReduceLrOnPlateauConfig,
@@ -186,5 +188,55 @@ proptest! {
         donor.save_state(&mut snap);
         let mut receiver = Adam::new(AdamConfig::default(), m);
         prop_assert!(receiver.load_state(&snap).is_err());
+    }
+}
+
+/// An `f64` from arbitrary bits, with the values that break the PSD and
+/// optimizer rules (NaN, ±∞, zeros, overflowing magnitudes) and a typical
+/// radius drawn often enough that every branch runs.
+fn hostile_f64() -> impl Strategy<Value = f64> {
+    (0u32..10, 0u64..=u64::MAX).prop_map(|(pick, bits)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        4 => 1e308,
+        5 => 0.1,
+        6 => 0.01,
+        _ => f64::from_bits(bits),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any value in a particle set's radius keys, in `params.lr` or on the
+    /// radius-scale axis makes parsing and system resolution return `Ok`
+    /// or a config error, never panic: a panic there killed the server's
+    /// HTTP thread that resolved the submission.
+    #[test]
+    fn hostile_config_numbers_end_in_typed_errors(
+        dist in 0usize..3,
+        a in hostile_f64(),
+        b in hostile_f64(),
+        lr in hostile_f64(),
+        scale in hostile_f64(),
+    ) {
+        let set = match dist {
+            0 => format!("constant\n    radius_value: {a:?}"),
+            1 => format!("uniform\n    radius_min: {a:?}\n    radius_max: {b:?}"),
+            _ => format!("normal\n    radius_mean: {a:?}\n    radius_std_dev: {b:?}"),
+        };
+        let yaml = format!(
+            "container:\n  path: box.stl\nparams:\n  lr: {lr:?}\n\
+             particle_sets:\n  - radius_distribution: {set}\n\
+             batch:\n  radius_scales: [{scale:?}]\n"
+        );
+        let container =
+            Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap();
+        if let Ok(cfg) = PackingConfig::from_str(&yaml) {
+            let _ = cfg.systems(&container, None);
+            let _ = cfg.systems(&container, cfg.batch.as_ref());
+        }
     }
 }

@@ -260,6 +260,23 @@ fn requests_are_validated_and_duplicates_coalesce_until_cancelled() {
         assert_eq!(code, 400, "{body}");
         assert!(body.contains(accepted), "{body}");
     }
+    // Numbers the packer cannot take are 400s naming the key. Each used to
+    // panic the HTTP thread that resolved it; more of them than the server
+    // has HTTP threads left it answering nothing.
+    let hostile = [
+        (config(-0.1, 1), "particle_sets[0].radius_value"),
+        (config(f64::NAN, 1), "particle_sets[0].radius_value"),
+        (
+            config(0.16, 1).replace("lr: 0.01", "lr: 1e999"),
+            "params.lr",
+        ),
+    ];
+    for (yaml, key) in hostile {
+        let (code, body) = client::submit(addr, &yaml).unwrap();
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(code, 400, "{body}");
+        assert!(body.contains(key), "{body}");
+    }
     let (code, _) = client::get(addr, "/jobs/zzzz").unwrap();
     assert_eq!(code, 400);
     let (code, _) = client::get(addr, "/jobs/00000000deadbeef").unwrap();
