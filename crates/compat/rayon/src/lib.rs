@@ -4,7 +4,7 @@
 //! the slice of `rayon` it actually needs: a persistent thread pool with a
 //! [`ThreadPoolBuilder`]/[`ThreadPool::install`] thread-count override, and
 //! the flat data-parallel primitives in [`par`] used by the objective, grid,
-//! optimizer and DEM kernels.
+//! Verlet-list, sweep and DEM kernels.
 //!
 //! Unlike `rayon`'s work-stealing deques, parallel regions here partition
 //! the index space into **contiguous static chunks** claimed from a shared
@@ -12,6 +12,12 @@
 //! output slot from exactly one task and reduces partial values
 //! sequentially afterwards, so the static partition keeps results
 //! bitwise-identical for any thread count while still spreading the work.
+//!
+//! Every slice primitive takes a **grain**, the fewest items one job may
+//! take, so a region over `n` items runs [`job_count`]`(n, grain)` jobs and
+//! below two grains runs inline on the calling thread — the role of the
+//! grain size in PyTorch's `parallel_for`. Callers size the grain from the
+//! measured cost of one item so that a job outweighs the hand-off.
 //!
 //! Wake-ups are chained rather than broadcast: posting a region wakes one
 //! worker, and each worker that claims a job wakes the next only while
@@ -105,6 +111,18 @@ pub fn effective_parallelism() -> usize {
     current_num_threads().min(hardware_threads())
 }
 
+/// The number of jobs a region over `n` items splits into when one job
+/// must take at least `grain` items: `min(effective_parallelism(),
+/// n / grain)`, and at least one. A region of one job runs inline on the
+/// calling thread. Chunking never changes a value in this workspace (one
+/// writer per slot, sequential reductions), so only the cost depends on it.
+///
+/// Panics if `grain` is zero.
+pub fn job_count(n: usize, grain: usize) -> usize {
+    assert!(grain > 0, "grain must be positive");
+    effective_parallelism().min(n / grain).max(1)
+}
+
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
@@ -196,6 +214,8 @@ fn ensure_workers(target: usize) {
 /// job is captured and re-thrown on the posting thread once the region
 /// has quiesced.
 fn run_region(n_jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+    #[cfg(test)]
+    tests::LAST_REGION_JOBS.with(|c| c.set(n_jobs));
     let threads = effective_parallelism();
     if n_jobs <= 1 || threads <= 1 || IN_WORKER.with(|w| w.get()) {
         for k in 0..n_jobs {
@@ -272,7 +292,7 @@ fn run_region(n_jobs: usize, job: &(dyn Fn(usize) + Sync)) {
 /// problem size alone, so the sequential combine gives the same float
 /// result for any thread count.
 pub mod par {
-    use super::{catch_unwind, effective_parallelism, resume_unwind, run_region, AssertUnwindSafe};
+    use super::{catch_unwind, job_count, resume_unwind, run_region, AssertUnwindSafe};
 
     /// Raw slice view that can cross the job boundary. Disjointness of the
     /// per-job subranges is what makes handing out `&mut` views sound.
@@ -310,11 +330,6 @@ pub mod par {
         (start, len)
     }
 
-    #[inline]
-    fn job_count(n: usize) -> usize {
-        effective_parallelism().min(n).max(1)
-    }
-
     fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
         payload
             .downcast_ref::<&'static str>()
@@ -338,14 +353,15 @@ pub mod par {
         }
     }
 
-    /// Calls `f(i, &mut items[i])` for every `i`, in parallel.
-    pub fn for_each_slot<T, F>(items: &mut [T], f: F)
+    /// Calls `f(i, &mut items[i])` for every `i`, in parallel jobs of at
+    /// least `grain` items.
+    pub fn for_each_slot<T, F>(items: &mut [T], grain: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
         let n = items.len();
-        let jobs = job_count(n);
+        let jobs = job_count(n, grain);
         let raw = RawSlice::new(items);
         run_region(jobs, &|k| {
             let (start, len) = chunk_bounds(n, jobs, k);
@@ -360,10 +376,11 @@ pub mod par {
     }
 
     /// Calls `f(i, &mut a[i*chunk..][..chunk], &mut b[i])` for every slot
-    /// pair, in parallel: the fused gradient/value kernel shape.
+    /// pair, in parallel jobs of at least `grain` slots: the fused
+    /// gradient/value kernel shape.
     ///
     /// Panics unless `a.len() == b.len() * chunk`.
-    pub fn for_each_chunk_zip<A, B, F>(a: &mut [A], chunk: usize, b: &mut [B], f: F)
+    pub fn for_each_chunk_zip<A, B, F>(a: &mut [A], chunk: usize, b: &mut [B], grain: usize, f: F)
     where
         A: Send,
         B: Send,
@@ -372,7 +389,7 @@ pub mod par {
         assert!(chunk > 0, "chunk size must be positive");
         assert_eq!(a.len(), b.len() * chunk, "chunked slice length mismatch");
         let n = b.len();
-        let jobs = job_count(n);
+        let jobs = job_count(n, grain);
         let raw_a = RawSlice::new(a);
         let raw_b = RawSlice::new(b);
         run_region(jobs, &|k| {
@@ -392,10 +409,11 @@ pub mod par {
         });
     }
 
-    /// Calls `f(i, &mut a[i], &mut b[i])` for every `i`, in parallel.
+    /// Calls `f(i, &mut a[i], &mut b[i])` for every `i`, in parallel jobs
+    /// of at least `grain` items.
     ///
     /// Panics unless the slices have equal length.
-    pub fn for_each_slot_zip2<A, B, F>(a: &mut [A], b: &mut [B], f: F)
+    pub fn for_each_slot_zip2<A, B, F>(a: &mut [A], b: &mut [B], grain: usize, f: F)
     where
         A: Send,
         B: Send,
@@ -403,7 +421,7 @@ pub mod par {
     {
         assert_eq!(a.len(), b.len(), "zipped slice length mismatch");
         let n = a.len();
-        let jobs = job_count(n);
+        let jobs = job_count(n, grain);
         let raw_a = RawSlice::new(a);
         let raw_b = RawSlice::new(b);
         run_region(jobs, &|k| {
@@ -419,110 +437,14 @@ pub mod par {
         });
     }
 
-    /// Calls `f(i, &mut a[i], &mut b[i], &mut c[i])` for every `i`, in
-    /// parallel. The three-buffer optimizer-state shape (params + two
-    /// moment vectors).
-    pub fn for_each_slot_zip3<A, B, C, F>(a: &mut [A], b: &mut [B], c: &mut [C], f: F)
-    where
-        A: Send,
-        B: Send,
-        C: Send,
-        F: Fn(usize, &mut A, &mut B, &mut C) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), c.len(), "zipped slice length mismatch");
-        let n = a.len();
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        let raw_c = RawSlice::new(c);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            // SAFETY: disjoint windows of each slice.
-            let wa = unsafe { raw_a.window(start, len) };
-            let wb = unsafe { raw_b.window(start, len) };
-            let wc = unsafe { raw_c.window(start, len) };
-            annotate_chunk(start, start + len, || {
-                for off in 0..len {
-                    f(start + off, &mut wa[off], &mut wb[off], &mut wc[off]);
-                }
-            });
-        });
-    }
-
-    /// Hands each job its whole contiguous chunk of three equal-length
-    /// slices: `f(start, &mut a[start..end], &mut b[start..end],
-    /// &mut c[start..end])`. The window shape lets the callee iterate with
-    /// SIMD lanes instead of per-element calls; `chunk_bounds` still
-    /// partitions by `effective_parallelism()`, so where the windows split
-    /// varies with the pool width — callers must keep their per-element
-    /// arithmetic bitwise independent of the split (lane ≡ scalar tail).
-    pub fn for_each_window_zip3<A, B, C, F>(a: &mut [A], b: &mut [B], c: &mut [C], f: F)
-    where
-        A: Send,
-        B: Send,
-        C: Send,
-        F: Fn(usize, &mut [A], &mut [B], &mut [C]) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), c.len(), "zipped slice length mismatch");
-        let n = a.len();
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        let raw_c = RawSlice::new(c);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            // SAFETY: disjoint windows of each slice.
-            let wa = unsafe { raw_a.window(start, len) };
-            let wb = unsafe { raw_b.window(start, len) };
-            let wc = unsafe { raw_c.window(start, len) };
-            annotate_chunk(start, start + len, || f(start, wa, wb, wc));
-        });
-    }
-
-    /// Four-slice variant of [`for_each_window_zip3`] (the AMSGrad state
-    /// shape: params + m + v + v_max).
-    pub fn for_each_window_zip4<A, B, C, D, F>(
-        a: &mut [A],
-        b: &mut [B],
-        c: &mut [C],
-        d: &mut [D],
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        C: Send,
-        D: Send,
-        F: Fn(usize, &mut [A], &mut [B], &mut [C], &mut [D]) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), c.len(), "zipped slice length mismatch");
-        assert_eq!(a.len(), d.len(), "zipped slice length mismatch");
-        let n = a.len();
-        let jobs = job_count(n);
-        let raw_a = RawSlice::new(a);
-        let raw_b = RawSlice::new(b);
-        let raw_c = RawSlice::new(c);
-        let raw_d = RawSlice::new(d);
-        run_region(jobs, &|k| {
-            let (start, len) = chunk_bounds(n, jobs, k);
-            // SAFETY: disjoint windows of each slice.
-            let wa = unsafe { raw_a.window(start, len) };
-            let wb = unsafe { raw_b.window(start, len) };
-            let wc = unsafe { raw_c.window(start, len) };
-            let wd = unsafe { raw_d.window(start, len) };
-            annotate_chunk(start, start + len, || f(start, wa, wb, wc, wd));
-        });
-    }
-
-    /// Fills `out[i] = f(i)` for every `i`, in parallel.
-    pub fn fill_with<T, F>(out: &mut [T], f: F)
+    /// Fills `out[i] = f(i)` for every `i`, in parallel jobs of at least
+    /// `grain` items.
+    pub fn fill_with<T, F>(out: &mut [T], grain: usize, f: F)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        for_each_slot(out, |i, slot| *slot = f(i));
+        for_each_slot(out, grain, |i, slot| *slot = f(i));
     }
 
     /// Upper bound on the number of reduction partials (and thus on the
@@ -605,7 +527,7 @@ pub mod par {
         let mut jobs = if n < PAR_SORT_MIN {
             1
         } else {
-            job_count(n).min(MAX_SORT_JOBS)
+            job_count(n, 1).min(MAX_SORT_JOBS)
         };
         while jobs > 1 && jobs * n_keys > SORT_SCRATCH_CAP {
             jobs /= 2;
@@ -753,7 +675,7 @@ impl ThreadPool {
 pub mod prelude {
     pub use crate::par::{
         counting_sort_by_key, fill_with, for_each_chunk_zip, for_each_slot, for_each_slot_zip2,
-        for_each_slot_zip3, for_each_window_zip3, for_each_window_zip4, map_reduce,
+        map_reduce,
     };
 }
 
@@ -761,6 +683,13 @@ pub mod prelude {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    thread_local! {
+        /// The job count of the last region this thread entered, set by
+        /// `run_region` (test builds only).
+        pub(super) static LAST_REGION_JOBS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         ThreadPoolBuilder::new()
@@ -773,74 +702,10 @@ mod tests {
     #[test]
     fn for_each_slot_visits_every_index_once() {
         let mut v = vec![0usize; 10_000];
-        par::for_each_slot(&mut v, |i, slot| *slot = i * 2);
+        par::for_each_slot(&mut v, 1, |i, slot| *slot = i * 2);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * 2);
         }
-    }
-
-    #[test]
-    fn window_zips_cover_every_index_exactly_once() {
-        for threads in [1, 3, 8] {
-            with_threads(threads, || {
-                let n = 4097;
-                let (mut a, mut b, mut c, mut d) =
-                    (vec![0u64; n], vec![0u64; n], vec![0u64; n], vec![0u64; n]);
-                par::for_each_window_zip3(&mut a, &mut b, &mut c, |start, wa, wb, wc| {
-                    assert_eq!(wa.len(), wb.len());
-                    assert_eq!(wa.len(), wc.len());
-                    for off in 0..wa.len() {
-                        let i = (start + off) as u64;
-                        wa[off] += i;
-                        wb[off] += 2 * i;
-                        wc[off] += 3 * i;
-                    }
-                });
-                par::for_each_window_zip4(
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    &mut d,
-                    |start, wa, wb, wc, wd| {
-                        for off in 0..wa.len() {
-                            let i = (start + off) as u64;
-                            wa[off] += 10 * i;
-                            wb[off] += 20 * i;
-                            wc[off] += 30 * i;
-                            wd[off] += 40 * i;
-                        }
-                    },
-                );
-                for i in 0..n as u64 {
-                    assert_eq!(a[i as usize], 11 * i, "{threads} threads");
-                    assert_eq!(b[i as usize], 22 * i, "{threads} threads");
-                    assert_eq!(c[i as usize], 33 * i, "{threads} threads");
-                    assert_eq!(d[i as usize], 40 * i, "{threads} threads");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn window_zip_panic_reports_chunk_range() {
-        let caught = std::panic::catch_unwind(|| {
-            let n = 64;
-            let (mut a, mut b, mut c) = (vec![0u8; n], vec![0u8; n], vec![0u8; n]);
-            par::for_each_window_zip3(&mut a, &mut b, &mut c, |start, _, _, _| {
-                if start == 0 {
-                    panic!("boom");
-                }
-            });
-        });
-        let msg = caught.unwrap_err();
-        let text = msg
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or("");
-        assert!(
-            text.contains("parallel chunk over indices"),
-            "panic message should carry the chunk range, got: {text}"
-        );
     }
 
     #[test]
@@ -848,7 +713,7 @@ mod tests {
         let n = 4097;
         let mut grad = vec![0.0f64; 3 * n];
         let mut vals = vec![0.0f64; n];
-        par::for_each_chunk_zip(&mut grad, 3, &mut vals, |i, g, v| {
+        par::for_each_chunk_zip(&mut grad, 3, &mut vals, 1, |i, g, v| {
             g[0] = i as f64;
             g[1] = i as f64 + 0.5;
             g[2] = -(i as f64);
@@ -866,21 +731,80 @@ mod tests {
     fn slot_zips_visit_all_lanes() {
         let n = 1537;
         with_threads(4, || {
-            let (mut a, mut b, mut c, mut d) =
-                (vec![0i64; n], vec![0i64; n], vec![0i64; n], vec![0i64; n]);
-            par::for_each_slot_zip2(&mut a, &mut b, |i, a, b| {
+            let (mut a, mut b) = (vec![0i64; n], vec![0i64; n]);
+            par::for_each_slot_zip2(&mut a, &mut b, 1, |i, a, b| {
                 *a = i as i64;
                 *b = -(i as i64);
             });
-            par::for_each_slot_zip3(&mut b, &mut c, &mut d, |i, b, c, d| {
-                *c = *b * 2;
-                *d = i as i64 + 1;
-            });
             for i in 0..n {
                 let v = i as i64;
-                assert_eq!((a[i], b[i], c[i], d[i]), (v, -v, -2 * v, v + 1));
+                assert_eq!((a[i], b[i]), (v, -v));
             }
         });
+    }
+
+    #[test]
+    fn job_count_takes_whole_grains_up_to_the_pool_width() {
+        with_threads(4, || {
+            let width = effective_parallelism();
+            for grain in [1, 7, 512] {
+                assert_eq!(job_count(0, grain), 1);
+                assert_eq!(job_count(2 * grain - 1, grain), 1);
+                for k in 2..=9 {
+                    assert_eq!(job_count(k * grain, grain), width.min(k), "{k} grains");
+                    assert_eq!(job_count(k * grain + grain - 1, grain), width.min(k));
+                }
+            }
+        });
+        with_threads(1, || assert_eq!(job_count(1 << 20, 1), 1));
+    }
+
+    #[test]
+    fn region_below_two_grains_never_leaves_the_posting_thread() {
+        let me = std::thread::current().id();
+        with_threads(4, || {
+            for grain in [1, 64, 512] {
+                let n = 2 * grain - 1;
+                let mut ids = vec![None; n];
+                par::for_each_slot(&mut ids, grain, |_, id| {
+                    *id = Some(std::thread::current().id())
+                });
+                assert!(ids.iter().all(|&id| id == Some(me)), "grain {grain}");
+                assert_eq!(LAST_REGION_JOBS.with(|c| c.get()), 1);
+                let (mut a, mut b) = (vec![None; 3 * n], vec![None; n]);
+                par::for_each_chunk_zip(&mut a, 3, &mut b, grain, |_, wa, id| {
+                    wa.fill(Some(std::thread::current().id()));
+                    *id = Some(std::thread::current().id());
+                });
+                assert!(
+                    a.iter().chain(&b).all(|&id| id == Some(me)),
+                    "grain {grain}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn region_of_k_grains_runs_one_job_per_grain_up_to_the_pool_width() {
+        for threads in [1, 2, 4, 8] {
+            with_threads(threads, || {
+                let width = effective_parallelism();
+                for grain in [1, 64, 512] {
+                    for k in [2, 3, 4, 9] {
+                        let n = k * grain + grain / 2;
+                        let mut v = vec![0usize; n];
+                        par::fill_with(&mut v, grain, |i| i + 1);
+                        let jobs = LAST_REGION_JOBS.with(|c| c.get());
+                        assert_eq!(
+                            jobs,
+                            width.min(k),
+                            "{threads} threads, {k} grains of {grain}"
+                        );
+                        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -895,7 +819,7 @@ mod tests {
     fn single_thread_install_still_computes() {
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let mut v = vec![0usize; 100];
-        pool.install(|| par::for_each_slot(&mut v, |i, s| *s = i + 1));
+        pool.install(|| par::for_each_slot(&mut v, 1, |i, s| *s = i + 1));
         assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
@@ -904,7 +828,7 @@ mod tests {
         let run = |threads: usize| {
             with_threads(threads, || {
                 let mut v = vec![0.0f64; 5000];
-                par::fill_with(&mut v, |i| (i as f64).sin());
+                par::fill_with(&mut v, 1, |i| (i as f64).sin());
                 v
             })
         };
@@ -990,9 +914,9 @@ mod tests {
     fn nested_regions_fall_back_to_sequential() {
         let count = AtomicUsize::new(0);
         let mut outer = vec![0usize; 64];
-        par::for_each_slot(&mut outer, |_, _| {
+        par::for_each_slot(&mut outer, 1, |_, _| {
             let mut inner = vec![0usize; 8];
-            par::for_each_slot(&mut inner, |_, s| {
+            par::for_each_slot(&mut inner, 1, |_, s| {
                 *s = 1;
                 count.fetch_add(1, Ordering::Relaxed);
             });
@@ -1006,7 +930,7 @@ mod tests {
             .map(|t| {
                 std::thread::spawn(move || {
                     let mut v = vec![0usize; 2000];
-                    par::for_each_slot(&mut v, |i, s| *s = i + t);
+                    par::for_each_slot(&mut v, 1, |i, s| *s = i + t);
                     v.iter().enumerate().all(|(i, &x)| x == i + t)
                 })
             })
@@ -1021,7 +945,7 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             with_threads(4, || {
                 let mut v = vec![0usize; 1000];
-                par::for_each_slot(&mut v, |i, _| {
+                par::for_each_slot(&mut v, 1, |i, _| {
                     if i == 777 {
                         panic!("boom at {i}");
                     }
@@ -1044,7 +968,7 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             with_threads(1, || {
                 let mut v = vec![0usize; 16];
-                par::for_each_slot(&mut v, |i, _| {
+                par::for_each_slot(&mut v, 1, |i, _| {
                     if i == 3 {
                         panic!("seq boom");
                     }
@@ -1061,7 +985,7 @@ mod tests {
         let _ = std::panic::catch_unwind(|| {
             with_threads(4, || {
                 let mut v = vec![0usize; 512];
-                par::for_each_slot(&mut v, |i, _| {
+                par::for_each_slot(&mut v, 1, |i, _| {
                     if i % 97 == 5 {
                         panic!("multi boom");
                     }
@@ -1071,7 +995,7 @@ mod tests {
         // The board must be clean: the next region completes normally.
         with_threads(4, || {
             let mut v = vec![0usize; 4096];
-            par::for_each_slot(&mut v, |i, s| *s = i + 1);
+            par::for_each_slot(&mut v, 1, |i, s| *s = i + 1);
             assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
         });
     }

@@ -3,6 +3,7 @@
 use std::path::{Path, PathBuf};
 
 use adampack_core::psd::PsdError;
+use adampack_core::zone::try_zone_psd;
 use adampack_core::{
     Container, Kernel, LrPolicy, NeighborParams, NeighborStrategy, PackingParams, Psd, SystemSpec,
     ZoneRegion, ZoneSpec,
@@ -781,7 +782,7 @@ impl PackingConfig {
                     .ok_or_else(|| field("zones must be a sequence"))?;
                 seq.iter()
                     .enumerate()
-                    .map(|(i, z)| parse_zone(i, z, particle_sets.len()))
+                    .map(|(i, z)| parse_zone(i, z, &particle_sets))
                     .collect::<Result<Vec<_>, _>>()?
             }
         };
@@ -1056,7 +1057,8 @@ fn parse_particle_set(i: usize, v: &Value) -> Result<ParticleSetConfig, ConfigEr
     Ok(set)
 }
 
-fn parse_zone(i: usize, v: &Value, n_sets: usize) -> Result<ZoneConfig, ConfigError> {
+fn parse_zone(i: usize, v: &Value, sets: &[ParticleSetConfig]) -> Result<ZoneConfig, ConfigError> {
+    let n_sets = sets.len();
     let n_particles = v
         .get("n_particles")
         .and_then(Value::as_i64)
@@ -1091,6 +1093,13 @@ fn parse_zone(i: usize, v: &Value, n_sets: usize) -> Result<ZoneConfig, ConfigEr
                     .ok_or_else(|| {
                         field(format!("zones[{i}].location.slice.max_bound required"))
                     })?;
+                for (key, bound) in [("min_bound", min), ("max_bound", max)] {
+                    if !bound.is_finite() {
+                        return Err(field(format!(
+                            "zones[{i}].location.slice.{key} must be finite, got {bound}"
+                        )));
+                    }
+                }
                 if max <= min {
                     return Err(field(format!(
                         "zones[{i}]: slice bounds must satisfy min < max ({min} >= {max})"
@@ -1133,11 +1142,15 @@ fn parse_zone(i: usize, v: &Value, n_sets: usize) -> Result<ZoneConfig, ConfigEr
             props.len()
         )));
     }
-    if props.iter().any(|&w| w < 0.0) || !props.iter().any(|&w| w > 0.0) {
+    if let Some(w) = props.iter().find(|w| !(w.is_finite() && **w >= 0.0)) {
         return Err(field(format!(
-            "zones[{i}].set_proportions must be non-negative with at least one positive"
+            "zones[{i}].set_proportions must be finite and non-negative, got {w}"
         )));
     }
+    // The zone packs the mixture of its positively weighted sets, so the
+    // weights must make a valid one.
+    let psds: Vec<Psd> = sets.iter().map(ParticleSetConfig::to_psd).collect();
+    try_zone_psd(&props, &psds).map_err(|e| field(format!("zones[{i}].set_proportions: {e}")))?;
 
     Ok(ZoneConfig {
         n_particles: n_particles as usize,
@@ -1643,6 +1656,43 @@ zones:
             let yaml = format!("container:\n  path: a.stl\nparams:\n  lr: {lr}\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n");
             let e = PackingConfig::from_str(&yaml).unwrap_err();
             assert!(e.to_string().contains("params.lr"), "lr {lr}: {e}");
+        }
+
+        // Zone weights must make a valid mixture and slice bounds must be
+        // finite: ∞ weights panicked in `Psd::mixture`, NaN ones and NaN
+        // bounds packed unchecked.
+        let zone = |bounds: (&str, &str), weights: &str| {
+            format!(
+                "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n  - radius_distribution: constant\n    radius_value: 0.2\nzones:\n  - n_particles: 5\n    location:\n      slice:\n        axis: z\n        min_bound: {}\n        max_bound: {}\n    set_proportions: [{weights}]\n",
+                bounds.0, bounds.1
+            )
+        };
+        let finite = ("-1.0", "0.0");
+        let weights = "zones[0].set_proportions";
+        let (min, max) = (
+            "zones[0].location.slice.min_bound",
+            "zones[0].location.slice.max_bound",
+        );
+        let cases = [
+            (zone(finite, "1e999, 1.0"), weights),
+            (zone(finite, "nan, 1.0"), weights),
+            (zone(finite, "1.0, -inf"), weights),
+            (zone(finite, "-0.5, 1.0"), weights),
+            (zone(finite, "0.0, 0.0"), weights),
+            (zone(finite, "1e308, 1e308"), weights),
+            (zone(("nan", "0.0"), "1.0, 1.0"), min),
+            (zone(("-inf", "0.0"), "1.0, 1.0"), min),
+            (zone(("-1.0", "1e999"), "1.0, 1.0"), max),
+            (zone(("-1.0", "nan"), "1.0, 1.0"), max),
+        ];
+        for (yaml, key) in cases {
+            let e = PackingConfig::from_str(&yaml).unwrap_err();
+            assert!(matches!(e, ConfigError::Field(_)), "{yaml}: {e:?}");
+            assert!(e.to_string().contains(key), "{yaml}: {e}");
+        }
+        for weights in ["0.7, 0.3", "0.0, 1.0", "1e300, 1e300"] {
+            let yaml = zone(finite, weights);
+            assert!(PackingConfig::from_str(&yaml).is_ok(), "{weights}");
         }
 
         // A valid radius whose sweep scale overflows it to infinity fails

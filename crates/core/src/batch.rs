@@ -607,7 +607,7 @@ impl BatchedPacker {
                 .expect("one-thread pool handle");
             let mut active: Vec<&mut SystemSlot> =
                 self.slots.iter_mut().filter(|s| !s.done()).collect();
-            par::for_each_slot(&mut active, |_, slot| {
+            par::for_each_slot(&mut active, 1, |_, slot| {
                 sequential.install(|| slot.advance(&mut None))
             });
         }

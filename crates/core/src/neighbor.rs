@@ -123,6 +123,18 @@ const PENDING_MIN: usize = 64;
 /// so [`par::map_reduce`] partials have the same shape on any pool width.
 const SCAN_BLOCK: usize = 4096;
 
+/// Fewest spheres one job of the grid's cell-key pass takes. A key costs
+/// 1–3 ns (2-vCPU Xeon VM), so a batch grid keys inline and only bed
+/// rebins of two grains (32 768 spheres) and more split.
+pub const KEY_GRAIN: usize = 16_384;
+
+/// Fewest rows one job of a Verlet rebuild fills. A row (batch, bed and
+/// wall candidates of one sphere) costs 590–665 ns (2-vCPU Xeon VM,
+/// `column_50k`: 293–333 µs per 500-row rebuild), so a job carries
+/// ~40 µs, about twice a pool hand-off: batches under 128 spheres
+/// rebuild inline.
+pub const ROW_GRAIN: usize = 64;
+
 // ---------------------------------------------------------------------------
 // CsrGrid
 // ---------------------------------------------------------------------------
@@ -439,14 +451,15 @@ impl CsrGrid {
         self.dims = dims;
         let ncells = (dims[0] * dims[1] * dims[2]) as usize;
 
-        // Parallel key pass, then the shim's deterministic counting sort
-        // (per-chunk histograms → sequential scan → parallel scatter).
-        // Its output is entry-for-entry identical to a serial counting
-        // sort for any chunk count, so binning stays thread-independent.
+        // Key pass (parallel from two `KEY_GRAIN`s), then the shim's
+        // deterministic counting sort (per-chunk histograms → sequential
+        // scan → parallel scatter). Its output is entry-for-entry
+        // identical to a serial counting sort for any chunk count, so
+        // binning stays thread-independent.
         let (origin, inv_cell) = (self.origin, self.inv_cell);
         self.keys.clear();
         self.keys.resize(n, 0);
-        par::fill_with(&mut self.keys, |i| {
+        par::fill_with(&mut self.keys, KEY_GRAIN, |i| {
             cell_index_raw(centers[i], origin, inv_cell, dims) as u32
         });
         par::counting_sort_by_key(
@@ -990,8 +1003,9 @@ impl VerletLists {
     }
 
     /// Rebuilds all three lists from the current coordinates in one
-    /// parallel pass (one static chunk of spheres per job), reusing buffer
-    /// capacity. `scratch` is the caller's batch-grid workspace.
+    /// parallel pass (one static chunk of at least [`ROW_GRAIN`] spheres
+    /// per job), reusing buffer capacity. `scratch` is the caller's
+    /// batch-grid workspace.
     #[allow(clippy::too_many_arguments)]
     pub fn rebuild(
         &mut self,
@@ -1013,9 +1027,9 @@ impl VerletLists {
         self.ref_coords.extend_from_slice(c);
         self.rebuilds += 1;
 
+        // ~1 ns a sphere: no batch is large enough to pay a hand-off.
         positions.clear();
-        positions.resize(n, Vec3::ZERO);
-        par::fill_with(positions, |i| coords::get(c, i));
+        positions.extend((0..n).map(|i| coords::get(c, i)));
         scratch.rebuild(positions, radii);
         let inputs = ListInputs {
             positions,
@@ -1025,11 +1039,12 @@ impl VerletLists {
             planes,
             skin,
         };
-        self.fill_rows(rayon::effective_parallelism(), &inputs);
+        self.fill_rows(rayon::job_count(n, ROW_GRAIN), &inputs);
     }
 
     /// Fills every sphere's rows in one parallel pass over at most
-    /// `jobs` static chunks of consecutive spheres.
+    /// `jobs` static chunks of consecutive spheres. The rows are the same
+    /// for any chunk count.
     fn fill_rows(&mut self, jobs: usize, inputs: &ListInputs) {
         let n = inputs.radii.len();
         let rows = n.div_ceil(jobs.max(1)).max(1);
@@ -1048,7 +1063,7 @@ impl VerletLists {
                 m[2].max(c.walls.capacity()),
             ]
         });
-        par::for_each_slot(&mut self.chunks[..n_chunks], |k, chunk| {
+        par::for_each_slot(&mut self.chunks[..n_chunks], 1, |k, chunk| {
             let first = k * rows;
             chunk.fill(first..n.min(first + rows), reserve, inputs);
         });

@@ -34,11 +34,12 @@
 //! thread a [`Workspace`] through so steady-state evaluations are
 //! allocation-free.
 //!
-//! Both kernels are data-parallel over batch particles: particle `i`'s slot
-//! of the gradient buffer is written by exactly one task, and per-particle
-//! partial values are reduced **sequentially** from a scratch vector so
-//! results are bitwise-deterministic for a fixed seed regardless of thread
-//! count (the paper fixes seeds the same way, §IV).
+//! Both kernels are data-parallel over batch particles in jobs of at least
+//! [`KERNEL_GRAIN`] spheres, so batches under two grains run inline:
+//! particle `i`'s slot of the gradient buffer is written by exactly one
+//! task, and per-particle partial values are reduced **sequentially** from
+//! a scratch vector so results are bitwise-deterministic for a fixed seed
+//! regardless of thread count (the paper fixes seeds the same way, §IV).
 
 use adampack_geometry::{Axis, HalfSpaceSet, Vec3};
 use adampack_opt::Kernel;
@@ -49,6 +50,12 @@ use rayon::par;
 use crate::kernels::{self, FixedView, PlaneSoa, SoaCoords};
 use crate::neighbor::{self, CsrGrid, NeighborStrategy, SweepOrder, VerletLists, Workspace};
 use crate::particle::coords;
+
+/// Fewest batch spheres one kernel job takes. One sphere's term costs
+/// 75–86 ns serial (2-vCPU Xeon VM, `column_50k`: 37–43 µs per 500-sphere
+/// evaluation), so a job of 512 carries ~40 µs, about twice a pool
+/// hand-off: batches of up to 1 023 spheres evaluate inline.
+pub const KERNEL_GRAIN: usize = 512;
 
 /// The objective's linear-combination weights (paper eq. 4/5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -274,7 +281,7 @@ impl<'a> Objective<'a> {
             Kernel::Simd => Phase::KernelSimd,
             Kernel::Scalar => Phase::KernelScalar,
         });
-        par::for_each_chunk_zip(grad, 3, slots, |i, gslot, slot| {
+        par::for_each_chunk_zip(grad, 3, slots, KERNEL_GRAIN, |i, gslot, slot| {
             let (g, partial) = P::term(self, i, c, &plan, soa);
             gslot[0] = g.x;
             gslot[1] = g.y;

@@ -51,7 +51,8 @@ pub enum Psd {
 /// A PSD parameter that breaks its distribution's invariants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsdError {
-    /// The offending parameter: `value`, `min`, `max`, `mean` or `std_dev`.
+    /// The offending parameter: `value`, `min`, `max`, `mean`, `std_dev`
+    /// or a mixture's `weights`.
     pub param: &'static str,
     /// The broken rule, with the rejected value.
     pub message: String,
@@ -136,17 +137,28 @@ impl Psd {
         Psd::LogNormal { mu, sigma }
     }
 
-    /// Mixture PSD; weights are relative and must be positive.
+    /// Mixture PSD (panics where [`Psd::try_mixture`] fails).
     pub fn mixture(components: Vec<(f64, Psd)>) -> Psd {
-        assert!(
-            !components.is_empty(),
-            "mixture needs at least one component"
-        );
-        assert!(
-            components.iter().all(|(w, _)| *w > 0.0 && w.is_finite()),
-            "mixture weights must be positive"
-        );
-        Psd::Mixture { components }
+        Psd::try_mixture(components).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Mixture PSD; weights are relative. It needs at least one component,
+    /// every weight positive and finite, and a finite total (sampling
+    /// draws from `[0, total)`).
+    pub fn try_mixture(components: Vec<(f64, Psd)>) -> Result<Psd, PsdError> {
+        check(!components.is_empty(), "weights", || {
+            "mixture needs at least one component".into()
+        })?;
+        for (w, _) in &components {
+            check(*w > 0.0 && w.is_finite(), "weights", || {
+                format!("mixture weights must be positive and finite, got {w}")
+            })?;
+        }
+        let total: f64 = components.iter().map(|(w, _)| w).sum();
+        check(total.is_finite(), "weights", || {
+            format!("mixture weights must have a finite sum, got {total}")
+        })?;
+        Ok(Psd::Mixture { components })
     }
 
     /// Draws one radius.

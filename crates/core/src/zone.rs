@@ -11,7 +11,7 @@ use adampack_geometry::{Aabb, Axis, ConvexHull, Plane};
 
 use crate::container::Container;
 use crate::params::PackingParams;
-use crate::psd::Psd;
+use crate::psd::{Psd, PsdError};
 
 /// The spatial extent of a zone.
 #[derive(Debug, Clone)]
@@ -127,7 +127,8 @@ pub(crate) struct ZoneStage {
 /// streams) and the proportion-weighted mixture of `sets`.
 ///
 /// Panics on library misuse the configuration parser already rejects: no
-/// sets or zones, or a proportion vector that does not match `sets`.
+/// sets or zones, a proportion vector that does not match `sets`, or
+/// proportions [`try_zone_psd`] refuses.
 pub(crate) fn stages(
     container: &Container,
     params: &PackingParams,
@@ -179,20 +180,26 @@ pub(crate) fn stages(
         .collect()
 }
 
-/// The effective PSD of a zone: the proportion-weighted mixture of the
-/// shared particle sets.
+/// The effective PSD of a zone (panics where [`try_zone_psd`] fails).
 fn zone_psd(zone: &ZoneSpec, sets: &[Psd]) -> Psd {
-    let components: Vec<(f64, Psd)> = zone
-        .set_proportions
+    try_zone_psd(&zone.set_proportions, sets).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The effective PSD of a zone: the `set_proportions`-weighted mixture of
+/// the shared particle `sets`, leaving out sets of weight zero (a single
+/// set left is its own PSD). Fails where [`Psd::try_mixture`] does: no
+/// positive weight, or weights without a finite sum.
+pub fn try_zone_psd(set_proportions: &[f64], sets: &[Psd]) -> Result<Psd, PsdError> {
+    let mut components: Vec<(f64, Psd)> = set_proportions
         .iter()
         .zip(sets)
         .filter(|(&w, _)| w > 0.0)
         .map(|(&w, psd)| (w, psd.clone()))
         .collect();
     if components.len() == 1 {
-        components.into_iter().next().expect("len checked").1
+        Ok(components.pop().expect("len checked").1)
     } else {
-        Psd::mixture(components)
+        Psd::try_mixture(components)
     }
 }
 

@@ -202,7 +202,7 @@ impl DemSimulation {
         // (once from each side), which keeps the loop embarrassingly
         // parallel at the cost of one redundant sqrt per pair. The buffer is
         // reused across steps, so the force pass allocates nothing.
-        par::fill_with(&mut self.forces, |i| {
+        par::fill_with(&mut self.forces, 1, |i| {
             let pi = positions[i];
             let vi = velocities[i];
             let ri = radii[i];
@@ -253,7 +253,7 @@ impl DemSimulation {
         // Symplectic-Euler integration, one writer per slot: chunking
         // cannot change the arithmetic.
         let (forces, masses) = (&self.forces, &self.masses);
-        par::for_each_slot_zip2(&mut self.positions, &mut self.velocities, |i, p, v| {
+        par::for_each_slot_zip2(&mut self.positions, &mut self.velocities, 1, |i, p, v| {
             *v += forces[i] * (dt / masses[i]);
             *p += *v * dt;
         });

@@ -1,7 +1,6 @@
 //! Adam [Kingma & Ba] and its AMSGrad variant [Reddi, Kale & Kumar] with
 //! PyTorch-compatible update semantics.
 
-use rayon::par;
 use wide::f64x4;
 
 use crate::kernel::Kernel;
@@ -138,12 +137,11 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - beta1.powi(self.t as i32);
         let bc2 = 1.0 - beta2.powi(self.t as i32);
 
-        // Element-wise update, one writer per slot: parallel chunking
-        // cannot change the arithmetic, so the trajectory is bitwise
-        // identical for any thread count. The SIMD kernel fuses four slots
+        // One serial pass: a coordinate costs ~4 ns, and no batch in use
+        // exceeds 15 000 coordinates, short of the two ~40 µs jobs a split
+        // needs to pay for its hand-off. The SIMD kernel fuses four slots
         // per lane but performs the identical IEEE operation sequence per
-        // element, so scalar and simd trajectories are bitwise identical
-        // too.
+        // element, so scalar and simd trajectories are bitwise identical.
         let upd = Update {
             lr,
             beta1,
@@ -153,31 +151,12 @@ impl Optimizer for Adam {
             bc1,
             bc2,
         };
-        let simd = self.cfg.kernel == Kernel::Simd;
-        if amsgrad {
-            par::for_each_window_zip4(
-                params,
-                &mut self.m,
-                &mut self.v,
-                &mut self.v_max,
-                |start, p, m, v, vm| {
-                    let g = &grads[start..start + p.len()];
-                    if simd {
-                        upd.amsgrad_window_simd(p, m, v, vm, g);
-                    } else {
-                        upd.amsgrad_window_scalar(p, m, v, vm, g);
-                    }
-                },
-            );
-        } else {
-            par::for_each_window_zip3(params, &mut self.m, &mut self.v, |start, p, m, v| {
-                let g = &grads[start..start + p.len()];
-                if simd {
-                    upd.plain_window_simd(p, m, v, g);
-                } else {
-                    upd.plain_window_scalar(p, m, v, g);
-                }
-            });
+        let (m, v) = (&mut self.m, &mut self.v);
+        match (amsgrad, self.cfg.kernel) {
+            (true, Kernel::Simd) => upd.amsgrad_simd(params, m, v, &mut self.v_max, grads),
+            (true, Kernel::Scalar) => upd.amsgrad_scalar(params, m, v, &mut self.v_max, grads),
+            (false, Kernel::Simd) => upd.plain_simd(params, m, v, grads),
+            (false, Kernel::Scalar) => upd.plain_scalar(params, m, v, grads),
         }
     }
 
@@ -222,7 +201,7 @@ impl Optimizer for Adam {
 }
 
 /// Per-step scalar constants of the Adam update, shared by the scalar and
-/// SIMD window bodies.
+/// SIMD bodies.
 #[derive(Clone, Copy)]
 struct Update {
     lr: f64,
@@ -241,12 +220,12 @@ fn store(dst: &mut [f64], v: f64x4) {
 }
 
 impl Update {
-    /// Scalar AMSGrad update over one contiguous window (the oracle body;
-    /// also the tail of the SIMD body). `v_eff` uses the SSE-style maximum
+    /// Scalar AMSGrad update (the oracle body; also the tail of the SIMD
+    /// body). `v_eff` uses the SSE-style maximum
     /// (`if a > b { a } else { b }`) so lane and tail agree bitwise
     /// unconditionally; second moments are non-negative, so this matches
     /// `f64::max` on every reachable input.
-    fn amsgrad_window_scalar(
+    fn amsgrad_scalar(
         &self,
         p: &mut [f64],
         m: &mut [f64],
@@ -270,17 +249,8 @@ impl Update {
 
     /// Lane-fused AMSGrad update: four slots per iteration, scalar tail.
     /// Every operation is element-wise IEEE in the same sequence as the
-    /// scalar body, so the result is bitwise identical to it — chunk
-    /// boundaries (which move with the pool width) cannot affect the
-    /// trajectory.
-    fn amsgrad_window_simd(
-        &self,
-        p: &mut [f64],
-        m: &mut [f64],
-        v: &mut [f64],
-        vm: &mut [f64],
-        g: &[f64],
-    ) {
+    /// scalar body, so the result is bitwise identical to it.
+    fn amsgrad_simd(&self, p: &mut [f64], m: &mut [f64], v: &mut [f64], vm: &mut [f64], g: &[f64]) {
         let n = p.len();
         let lanes = n - n % 4;
         let b1 = f64x4::splat(self.beta1);
@@ -307,7 +277,7 @@ impl Update {
             store(&mut vm[i..], v_eff);
             i += 4;
         }
-        self.amsgrad_window_scalar(
+        self.amsgrad_scalar(
             &mut p[lanes..],
             &mut m[lanes..],
             &mut v[lanes..],
@@ -316,8 +286,8 @@ impl Update {
         );
     }
 
-    /// Scalar plain-Adam update over one contiguous window.
-    fn plain_window_scalar(&self, p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]) {
+    /// Scalar plain-Adam update.
+    fn plain_scalar(&self, p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]) {
         for i in 0..p.len() {
             let gi = g[i] + self.weight_decay * p[i];
             let m_new = self.beta1 * m[i] + (1.0 - self.beta1) * gi;
@@ -330,8 +300,8 @@ impl Update {
         }
     }
 
-    /// Lane-fused plain-Adam update (see [`Update::amsgrad_window_simd`]).
-    fn plain_window_simd(&self, p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]) {
+    /// Lane-fused plain-Adam update (see [`Update::amsgrad_simd`]).
+    fn plain_simd(&self, p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]) {
         let n = p.len();
         let lanes = n - n % 4;
         let b1 = f64x4::splat(self.beta1);
@@ -356,7 +326,7 @@ impl Update {
             store(&mut v[i..], v_new);
             i += 4;
         }
-        self.plain_window_scalar(
+        self.plain_scalar(
             &mut p[lanes..],
             &mut m[lanes..],
             &mut v[lanes..],

@@ -1,7 +1,5 @@
 //! NAdam (Dozat, 2016): Adam with Nesterov momentum, PyTorch semantics.
 
-use rayon::par;
-
 use crate::optimizer::{check_sizes, Optimizer};
 use crate::state::{check_slots, load_slot, mismatch, OptimizerState, StateMismatch};
 
@@ -84,15 +82,19 @@ impl Optimizer for NAdam {
         self.mu_product = mu_product;
         let bc2 = 1.0 - beta2.powi(self.t as i32);
 
-        par::for_each_slot_zip3(params, &mut self.m, &mut self.v, |i, p, m, v| {
-            let g = grads[i];
+        for (((p, m), v), &g) in params
+            .iter_mut()
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+            .zip(grads)
+        {
             *m = beta1 * *m + (1.0 - beta1) * g;
             *v = beta2 * *v + (1.0 - beta2) * g * g;
             let denom = (*v / bc2).sqrt() + eps;
             // Nesterov blend of current gradient and next-step momentum.
             *p -= lr * (1.0 - mu_t) / (1.0 - mu_product) * g / denom
                 + lr * mu_next / (1.0 - mu_product_next) * *m / denom;
-        });
+        }
     }
 
     fn lr(&self) -> f64 {

@@ -1,7 +1,5 @@
 //! RMSProp (Tieleman & Hinton, 2012).
 
-use rayon::par;
-
 use crate::optimizer::{check_sizes, Optimizer};
 use crate::state::{check_slots, load_slot, OptimizerState, StateMismatch};
 
@@ -81,20 +79,21 @@ impl Optimizer for RmsProp {
             weight_decay,
         } = self.cfg;
         if momentum > 0.0 {
-            par::for_each_slot_zip3(params, &mut self.sq_avg, &mut self.buf, |i, p, sq, buf| {
-                let g = grads[i] + weight_decay * *p;
+            let slots = params.iter_mut().zip(&mut self.sq_avg).zip(&mut self.buf);
+            for (((p, sq), buf), &g) in slots.zip(grads) {
+                let g = g + weight_decay * *p;
                 *sq = alpha * *sq + (1.0 - alpha) * g * g;
                 let denom = sq.sqrt() + eps;
                 *buf = momentum * *buf + g / denom;
                 *p -= lr * *buf;
-            });
+            }
         } else {
-            par::for_each_slot_zip2(params, &mut self.sq_avg, |i, p, sq| {
-                let g = grads[i] + weight_decay * *p;
+            for ((p, sq), &g) in params.iter_mut().zip(&mut self.sq_avg).zip(grads) {
+                let g = g + weight_decay * *p;
                 *sq = alpha * *sq + (1.0 - alpha) * g * g;
                 let denom = sq.sqrt() + eps;
                 *p -= lr * g / denom;
-            });
+            }
         }
     }
 

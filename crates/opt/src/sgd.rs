@@ -1,7 +1,5 @@
 //! Stochastic gradient descent with optional (Nesterov) momentum.
 
-use rayon::par;
-
 use crate::optimizer::{check_sizes, Optimizer};
 use crate::state::{check_slots, load_slot, OptimizerState, StateMismatch};
 
@@ -80,8 +78,8 @@ impl Optimizer for Sgd {
             weight_decay,
         } = self.cfg;
         let first_step = self.t == 1;
-        par::for_each_slot_zip2(params, &mut self.velocity, |i, p, vel| {
-            let g = grads[i] + weight_decay * *p;
+        for ((p, vel), &g) in params.iter_mut().zip(&mut self.velocity).zip(grads) {
+            let g = g + weight_decay * *p;
             let d = if momentum > 0.0 {
                 // PyTorch initializes the buffer with the first gradient.
                 let b = if first_step { g } else { momentum * *vel + g };
@@ -95,7 +93,7 @@ impl Optimizer for Sgd {
                 g
             };
             *p -= lr * d;
-        });
+        }
     }
 
     fn lr(&self) -> f64 {

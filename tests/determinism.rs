@@ -23,6 +23,15 @@
 //! `every_strategy_packs_the_same_bytes` and
 //! `skin_never_changes_the_trajectory` assert both at 0 ULP.
 //!
+//! ## Regions that split
+//!
+//! A pool region splits only from two grains (`rayon::job_count`), so the
+//! reference packing's 40-sphere batches run the kernel and the Verlet
+//! rebuild inline on any pool. The thread-count tests also pack one
+//! 1 100-sphere batch (`SPLIT`), whose kernel and rebuild split under the
+//! wider pools, and the `split_*` tests compare a traced kernel trajectory
+//! and a bed rebin at sizes that split; each asserts that it splits.
+//!
 //! Note on the sqrt-free rejection (this suite carries no hardcoded golden
 //! values, so the note is documentary): both current kernels test
 //! `d² < (rᵢ+rⱼ)²` where the pre-vectorization code tested
@@ -31,36 +40,104 @@
 //! changes which *zero-penetration* pairs are counted, never the value of a
 //! real overlap.
 
+use adampack_core::neighbor::{KEY_GRAIN, ROW_GRAIN};
+use adampack_core::objective::KERNEL_GRAIN;
 use adampack_core::prelude::*;
 use adampack_geometry::{shapes, Axis, TriMesh, Vec3};
 use adampack_telemetry::{StepRecord, VecSink};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The shim caps a pool's effective width at the hardware thread count
 /// (oversubscription buys nothing in production). This suite exists to prove
-/// thread-count independence, so raise the cap before the process's first
-/// parallel region resolves (and caches) it — otherwise a 1-core CI box
-/// would run every "parallel" pool serially and prove nothing.
+/// thread-count independence, so raise the cap to 8 unless
+/// `RAYON_NUM_THREADS` already allows two jobs, before the process's first
+/// parallel region resolves (and caches) it — otherwise a 1-core CI box, or
+/// `RAYON_NUM_THREADS=1`, would run every "parallel" pool serially and prove
+/// nothing.
 fn force_parallel_hardware() {
-    if std::env::var_os("RAYON_NUM_THREADS").is_none() {
+    let cap = std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok());
+    if cap.is_none_or(|n| n < 2) {
         std::env::set_var("RAYON_NUM_THREADS", "8");
     }
 }
 
-fn packer_with_kernel(seed: u64, kernel: Kernel) -> CollectivePacker {
+fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(op)
+}
+
+/// Asserts that a region of `n` items at `grain` splits under 4 threads.
+fn assert_splits(n: usize, grain: usize, what: &str) {
+    force_parallel_hardware();
+    let jobs = with_threads(4, || rayon::job_count(n, grain));
+    assert!(
+        jobs >= 2,
+        "{what}: {n} items at grain {grain} run {jobs} job(s) under 4 threads"
+    );
+}
+
+/// Asserts that the kernel and the Verlet rebuild of a `batch`-sphere
+/// batch split under 4 threads.
+fn assert_batch_splits(batch: usize) {
+    assert_splits(batch, KERNEL_GRAIN, "kernel");
+    assert_splits(batch, ROW_GRAIN, "row fill");
+}
+
+/// The size of a packing the tests repeat.
+#[derive(Clone, Copy)]
+struct Size {
+    batch_size: usize,
+    target_count: usize,
+    max_steps: usize,
+    /// Radius bounds of the uniform PSD.
+    radii: (f64, f64),
+}
+
+impl Size {
+    fn psd(self) -> Psd {
+        Psd::uniform(self.radii.0, self.radii.1)
+    }
+}
+
+/// The reference packing: two 40-sphere batches.
+const REFERENCE: Size = Size {
+    batch_size: 40,
+    target_count: 80,
+    max_steps: 500,
+    radii: (0.09, 0.13),
+};
+
+/// One short batch of 1 100 smaller spheres, whose kernel and Verlet
+/// rebuild split under a 4-thread pool.
+const SPLIT: Size = Size {
+    batch_size: 1100,
+    target_count: 1100,
+    max_steps: 40,
+    radii: (0.03, 0.05),
+};
+
+fn packer_with_kernel(seed: u64, kernel: Kernel, size: Size) -> CollectivePacker {
     packer_in(
         &shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0)),
         seed,
         kernel,
+        size,
     )
 }
 
-fn packer_in(mesh: &TriMesh, seed: u64, kernel: Kernel) -> CollectivePacker {
+fn packer_in(mesh: &TriMesh, seed: u64, kernel: Kernel, size: Size) -> CollectivePacker {
     force_parallel_hardware();
     let container = Container::from_mesh(mesh).unwrap();
     let params = PackingParams {
-        batch_size: 40,
-        target_count: 80,
-        max_steps: 500,
+        batch_size: size.batch_size,
+        target_count: size.target_count,
+        max_steps: size.max_steps,
         patience: 50,
         seed,
         kernel,
@@ -70,11 +147,11 @@ fn packer_in(mesh: &TriMesh, seed: u64, kernel: Kernel) -> CollectivePacker {
 }
 
 fn packer(seed: u64) -> CollectivePacker {
-    packer_with_kernel(seed, Kernel::default())
+    packer_with_kernel(seed, Kernel::default(), REFERENCE)
 }
 
 fn pack(seed: u64) -> PackResult {
-    packer(seed).pack(&Psd::uniform(0.09, 0.13))
+    packer(seed).pack(&REFERENCE.psd())
 }
 
 /// Which consumers of the per-step record stream a run installs.
@@ -85,25 +162,26 @@ enum Observed {
     Diagnosed,
 }
 
-/// Runs the reference packing under an `n`-thread pool with the given
-/// record consumers, returning the result and the collected trace.
-fn pack_with_threads(threads: usize, observed: Observed) -> (PackResult, Vec<StepRecord>) {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap();
-    pool.install(|| {
-        let mut p = packer(77);
+/// Runs a packing of `size` at seed 77 under an `n`-thread pool with the
+/// given record consumers, returning the result and the collected trace.
+fn pack_with_threads(
+    threads: usize,
+    observed: Observed,
+    size: Size,
+) -> (PackResult, Vec<StepRecord>) {
+    with_threads(threads, || {
+        let mut p = packer_with_kernel(77, Kernel::default(), size);
         let trace = VecSink::default();
         match observed {
             Observed::Not => {}
             Observed::Traced => p.set_trace_sink(Box::new(trace.clone())),
             Observed::Diagnosed => p.set_diagnostics(DiagMode::Summary),
         }
-        let result = p.pack(&Psd::uniform(0.09, 0.13));
+        let result = p.pack(&size.psd());
         if let Observed::Diagnosed = observed {
             assert_eq!(p.diagnostics().len(), result.batches.len());
         }
+        assert_eq!(result.batches[0].requested, size.batch_size);
         (result, trace.records())
     })
 }
@@ -173,11 +251,17 @@ fn determinism_is_thread_count_independent() {
     // Run the identical packing under 1/2/4/8-thread pools: final centers,
     // per-batch step counts, fitnesses and acceptance decisions must all be
     // bitwise identical (static contiguous chunking + fixed-shape sequential
-    // reductions make the arithmetic independent of the pool width).
-    let (reference, _) = pack_with_threads(1, Observed::Not);
-    for threads in [2, 4, 8] {
-        let (run, _) = pack_with_threads(threads, Observed::Not);
-        assert_same_packing(&reference, &run, &format!("{threads} threads"));
+    // reductions make the arithmetic independent of the pool width), for
+    // batches that run inline and for one that splits.
+    assert_batch_splits(SPLIT.batch_size);
+    for size in [REFERENCE, SPLIT] {
+        let (reference, _) = pack_with_threads(1, Observed::Not, size);
+        assert!(!reference.particles.is_empty(), "nothing packed");
+        for threads in [2, 4, 8] {
+            let (run, _) = pack_with_threads(threads, Observed::Not, size);
+            let what = format!("{}-sphere batches, {threads} threads", size.batch_size);
+            assert_same_packing(&reference, &run, &what);
+        }
     }
 }
 
@@ -188,14 +272,14 @@ fn tracing_is_thread_count_independent_and_free_of_side_effects() {
     // packing, and the trace itself (loss, gradient norm, displacement)
     // must be bitwise identical for any thread count. Diagnostics consume
     // the same record stream without a sink, and must not perturb either.
-    let (untraced, _) = pack_with_threads(1, Observed::Not);
-    let (reference, ref_trace) = pack_with_threads(1, Observed::Traced);
+    let (untraced, _) = pack_with_threads(1, Observed::Not, REFERENCE);
+    let (reference, ref_trace) = pack_with_threads(1, Observed::Traced, REFERENCE);
     assert_same_packing(&untraced, &reference, "traced vs untraced");
-    let (diagnosed, _) = pack_with_threads(1, Observed::Diagnosed);
+    let (diagnosed, _) = pack_with_threads(1, Observed::Diagnosed, REFERENCE);
     assert_same_packing(&untraced, &diagnosed, "diagnosed vs untraced");
     assert!(!ref_trace.is_empty(), "tracer must record steps");
     for threads in [2, 4, 8] {
-        let (run, trace) = pack_with_threads(threads, Observed::Traced);
+        let (run, trace) = pack_with_threads(threads, Observed::Traced, REFERENCE);
         assert_same_packing(&reference, &run, &format!("traced, {threads} threads"));
         assert_eq!(
             trace.len(),
@@ -254,8 +338,8 @@ fn kernel_choice_does_not_change_the_packing() {
         ),
     ];
     for (what, mesh, psd) in cases {
-        let simd = packer_in(&mesh, 123, Kernel::Simd).pack(&psd);
-        let scalar = packer_in(&mesh, 123, Kernel::Scalar).pack(&psd);
+        let simd = packer_in(&mesh, 123, Kernel::Simd, REFERENCE).pack(&psd);
+        let scalar = packer_in(&mesh, 123, Kernel::Scalar, REFERENCE).pack(&psd);
         assert!(!simd.particles.is_empty(), "{what}: nothing packed");
         assert_same_packing(&simd, &scalar, &format!("{what}: simd vs scalar kernel"));
     }
@@ -282,7 +366,7 @@ fn every_strategy_packs_the_same_bytes() {
     ];
     for (what, mesh, psd, target) in cases {
         let pack = |strategy| {
-            let mut p = packer_in(&mesh, 123, Kernel::default());
+            let mut p = packer_in(&mesh, 123, Kernel::default(), REFERENCE);
             let mut params = p.params().clone();
             params.target_count = target;
             params.neighbor.strategy = strategy;
@@ -379,26 +463,151 @@ fn simd_kernel_is_thread_count_independent() {
     // Belt-and-braces restatement of `determinism_is_thread_count_
     // independent` with the kernel pinned explicitly (the other test relies
     // on the default): 1/2/4/8-thread pools under the SIMD kernel agree
-    // bitwise, as do 1/2/4/8-thread pools under the scalar kernel.
+    // bitwise, as do 1/2/4/8-thread pools under the scalar kernel, for
+    // batches that run inline and for one that splits.
+    assert_batch_splits(SPLIT.batch_size);
+    for size in [REFERENCE, SPLIT] {
+        for kernel in [Kernel::Simd, Kernel::Scalar] {
+            let pack = |threads| {
+                with_threads(threads, || {
+                    packer_with_kernel(77, kernel, size).pack(&size.psd())
+                })
+            };
+            let reference = pack(1);
+            for threads in [2, 4, 8] {
+                let what = format!(
+                    "{}-sphere batches, {kernel} kernel, {threads} threads",
+                    size.batch_size
+                );
+                assert_same_packing(&reference, &pack(threads), &what);
+            }
+        }
+    }
+}
+
+/// One value + gradient + traced breakdown per step over a few AMSGrad
+/// steps, every bit of them, for a 1 100-sphere batch settling onto a bed.
+fn kernel_trajectory(threads: usize, kernel: Kernel) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(41);
+    let bed: Vec<Vec3> = (0..600)
+        .map(|_| {
+            Vec3::new(
+                rng.gen_range(-0.95..0.95),
+                rng.gen_range(-0.95..0.95),
+                rng.gen_range(-0.95..-0.6),
+            )
+        })
+        .collect();
+    let bed_radii: Vec<f64> = (0..bed.len()).map(|_| rng.gen_range(0.03..0.05)).collect();
+    let fixed = CsrGrid::build(&bed, &bed_radii);
+    let n = 1100;
+    let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(0.03..0.05)).collect();
+    let mut c: Vec<f64> = (0..n)
+        .flat_map(|_| {
+            [
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-0.7..0.1),
+            ]
+        })
+        .collect();
+    let container = Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap();
+    let objective = Objective::new(
+        ObjectiveWeights::default(),
+        Axis::Z,
+        container.halfspaces(),
+        &radii,
+        &fixed,
+    )
+    .with_kernel(kernel);
+    let mut opt = OptimizerKind::AmsGrad.build_with_kernel(1e-2, c.len(), kernel);
+    let (mut grad, mut ws) = (vec![0.0; c.len()], Workspace::new());
+    let mut bits = Vec::new();
+    with_threads(threads, || {
+        for step in 0..6 {
+            if step % 2 == 0 {
+                bits.push(
+                    objective
+                        .value_and_grad_ws(&c, &mut grad, &mut ws)
+                        .to_bits(),
+                );
+            } else {
+                let (z, b) = objective.value_grad_breakdown_ws(&c, &mut grad, &mut ws);
+                bits.extend(
+                    [
+                        z,
+                        b.penetration_intra,
+                        b.penetration_cross,
+                        b.altitude,
+                        b.exterior,
+                    ]
+                    .map(f64::to_bits),
+                );
+            }
+            bits.extend(grad.iter().map(|g| g.to_bits()));
+            opt.step(&mut c, &grad);
+        }
+    });
+    assert!(ws.verlet_rebuilds() >= 1);
+    bits.extend(c.iter().map(|x| x.to_bits()));
+    bits
+}
+
+#[test]
+fn split_kernel_and_rebuild_give_the_same_bits_at_any_width() {
+    // Every evaluation of a batch whose kernel and Verlet rebuild split,
+    // over a bed and through the box walls, under either kernel.
+    assert_batch_splits(1100);
+    let reference = kernel_trajectory(1, Kernel::Simd);
     for kernel in [Kernel::Simd, Kernel::Scalar] {
-        let reference = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| packer_with_kernel(77, kernel).pack(&Psd::uniform(0.09, 0.13)));
-        for threads in [2, 4, 8] {
-            let run = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| packer_with_kernel(77, kernel).pack(&Psd::uniform(0.09, 0.13)));
-            assert_same_packing(
-                &reference,
-                &run,
-                &format!("{kernel} kernel, {threads} threads"),
+        for threads in [1, 2, 4, 8] {
+            let run = kernel_trajectory(threads, kernel);
+            assert_eq!(run.len(), reference.len());
+            let first = reference.iter().zip(&run).position(|(a, b)| a != b);
+            assert_eq!(
+                first, None,
+                "{kernel} kernel, {threads} threads: first differing bit"
             );
         }
     }
+}
+
+#[test]
+fn split_bed_rebin_bins_the_same_at_any_width() {
+    // A bed of two key grains and more (`column_50k` reaches 50 000)
+    // splits the key pass and the counting sort under a 4-thread pool.
+    // Every sphere's query must visit the one-thread grid's candidates in
+    // its order, so each cell holds the same entries in the same order.
+    let n = 2 * KEY_GRAIN + 1234;
+    assert_splits(n, KEY_GRAIN, "key pass");
+    let mut rng = StdRng::seed_from_u64(91);
+    let centers: Vec<Vec3> = (0..n)
+        .map(|_| {
+            Vec3::new(
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+            )
+        })
+        .collect();
+    let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(0.005..0.02)).collect();
+    let visits = |threads| {
+        let grid = with_threads(threads, || CsrGrid::build(&centers, &radii));
+        let mut order = Vec::new();
+        for (&c, &r) in centers.iter().zip(&radii) {
+            grid.for_neighbors(c, r, |j, _, _| order.push(j as u32));
+        }
+        order
+    };
+    let serial = visits(1);
+    assert!(
+        serial.len() > n,
+        "every query visits at least its own sphere"
+    );
+    assert!(
+        serial == visits(4),
+        "4-thread bins differ from the serial ones"
+    );
 }
 
 #[test]

@@ -239,4 +239,56 @@ proptest! {
             let _ = cfg.systems(&container, cfg.batch.as_ref());
         }
     }
+
+    /// Any value in a zone's set weights or slice bounds makes parsing
+    /// and the zone resolution `adampack pack` runs (systems, zone specs,
+    /// `BatchedPacker::zoned`) return `Ok` or a typed error, never panic:
+    /// an infinite weight panicked in `Psd::mixture`, and NaN weights or
+    /// bounds packed unchecked.
+    #[test]
+    fn hostile_zone_numbers_end_in_typed_errors(
+        w0 in hostile_f64(),
+        w1 in hostile_f64(),
+        lo in hostile_f64(),
+        hi in hostile_f64(),
+    ) {
+        if let Ok(cfg) = PackingConfig::from_str(&zone_yaml([w0, w1], lo, hi)) {
+            prop_assert!(w0.is_finite() && w1.is_finite() && lo.is_finite() && hi.is_finite());
+            let _ = resolve_zones(&cfg);
+        }
+    }
+}
+
+/// A two-set config with one slice zone over z ∈ `[lo, hi]` weighting the
+/// sets by `w`.
+fn zone_yaml(w: [f64; 2], lo: f64, hi: f64) -> String {
+    format!(
+        "container:\n  path: box.stl\nparams:\n  batch_size: 5\n\
+         particle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n\
+         \x20 - radius_distribution: uniform\n    radius_min: 0.05\n    radius_max: 0.2\n\
+         zones:\n  - n_particles: 5\n    location:\n      slice:\n        axis: z\n\
+         \x20       min_bound: {lo:?}\n        max_bound: {hi:?}\n\
+         \x20   set_proportions: [{:?}, {:?}]\n",
+        w[0], w[1]
+    )
+}
+
+/// The zone resolution `adampack pack` runs on a zoned config, in a 2×2×2
+/// box: systems, zone specs, then the zoned driver.
+fn resolve_zones(cfg: &PackingConfig) -> Result<BatchedPacker, EmptyZone> {
+    let container = Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap();
+    let specs = cfg.systems(&container, None).expect("valid radii");
+    let zones = cfg
+        .zone_specs(|_| unreachable!("slice zones load no shape"))
+        .expect("slice zones");
+    BatchedPacker::zoned(&container, specs[0].params.clone(), &cfg.psds(), &zones)
+}
+
+#[test]
+fn zone_template_resolves_for_sane_numbers() {
+    let cfg = PackingConfig::from_str(&zone_yaml([0.7, 0.3], -1.0, 0.0)).unwrap();
+    assert_eq!(cfg.zones.len(), 1);
+    assert!(resolve_zones(&cfg).is_ok());
+    let outside = PackingConfig::from_str(&zone_yaml([1.0, 0.0], 5.0, 6.0)).unwrap();
+    assert!(resolve_zones(&outside).is_err());
 }
