@@ -50,8 +50,7 @@ fn main() {
         let bed = packer.empty_bed();
         let init = packer.spawn_batch(&radii, &bed);
         let lr = LrPolicy::paper_default();
-        let (run, elapsed) =
-            timed(|| packer.optimize_batch_with(&radii, init, bed.grid(), max_steps, 50, &lr));
+        let (run, elapsed) = timed(|| packer.optimize_batch_with(&radii, init, max_steps, 50, &lr));
         println!(
             "{:>10} {:>8} {:>14.4} {:>10.3}",
             format!("{kind:?}"),

@@ -42,8 +42,7 @@ fn main() {
             patience: 20,
             min_lr: 1e-6,
         };
-        let (run, elapsed) =
-            timed(|| packer.optimize_batch_with(&radii, init, bed.grid(), max_steps, 50, &lr));
+        let (run, elapsed) = timed(|| packer.optimize_batch_with(&radii, init, max_steps, 50, &lr));
         println!(
             "{factor:>8.1} {:>8} {:>14.4} {:>10.3}",
             run.steps,

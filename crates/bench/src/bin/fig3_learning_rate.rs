@@ -71,7 +71,7 @@ fn main() {
         let init = packer.spawn_batch(&radii, &bed);
         let sink = VecSink::default();
         packer.set_trace_sink(Box::new(sink.clone()));
-        let run = packer.optimize_batch_with(&radii, init, bed.grid(), max_steps, 50, lr);
+        let run = packer.optimize_batch_with(&radii, init, max_steps, 50, lr);
 
         let trace = sink.records();
         for t in &trace {

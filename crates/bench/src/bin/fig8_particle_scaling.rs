@@ -9,10 +9,14 @@
 //! * wall-clock time and particle·steps/s throughput (each optimizer step
 //!   covers `requested` particles, so `Σ steps·requested / t` is exact);
 //! * the resident hot-set peak (`adampack_hot_set_bytes` gauge: bed grid +
-//!   workspace) for the monolithic run and for a gravity-axis tiled run —
-//!   the tiled peak tracks the *active surface*, not total N;
-//! * a bitwise tiled-vs-untiled parity check (tiling is a pure memory
-//!   optimization; any divergence is a bug, so the bench hard-asserts it).
+//!   workspace) next to the bed size: the bed grid holds only the spheres
+//!   a batch can reach, so the peak tracks the *active surface*, not
+//!   total N;
+//! * the bed heals (`adampack_bed_heals_total`): batch queries that
+//!   reached below the bed grid's floor and rebuilt it deeper.
+//!
+//! That retirement never changes a byte is asserted by the
+//! `bed_retirement` suite against the never-retiring naive oracle.
 //!
 //! Thread scaling is measured by `fig6_thread_scaling`. Everything lands in
 //! `target/experiments/BENCH_scale.json` (and a CSV of the N sweep), with
@@ -32,7 +36,6 @@ struct Knobs {
     batch: usize,
     max_steps: usize,
     radius: f64,
-    tiles: usize,
 }
 
 struct Run {
@@ -41,23 +44,16 @@ struct Run {
     /// Exact particle·steps of the run: `Σ_batches steps × requested`.
     psteps: f64,
     hot_peak: u64,
+    heals: u64,
 }
 
-fn run_once(
-    container: &Container,
-    psd: &Psd,
-    n: usize,
-    seed: u64,
-    tiles: usize,
-    knobs: &Knobs,
-) -> Run {
+fn run_once(container: &Container, psd: &Psd, n: usize, seed: u64, knobs: &Knobs) -> Run {
     metrics::reset_all();
     let params = PackingParams {
         batch_size: knobs.batch,
         target_count: n,
         max_steps: knobs.max_steps,
         seed,
-        tiles,
         ..PackingParams::default()
     };
     let container = container.clone();
@@ -78,19 +74,7 @@ fn run_once(
         secs: secs(elapsed),
         psteps,
         hot_peak: metrics::HOT_SET_BYTES.peak(),
-    }
-}
-
-/// Tiling must be invisible in the output: every center, radius and batch
-/// statistic bitwise equal to the monolithic run.
-fn assert_bitwise_equal(a: &PackResult, b: &PackResult, what: &str) {
-    assert_eq!(a.particles.len(), b.particles.len(), "{what}: count");
-    for (pa, pb) in a.particles.iter().zip(&b.particles) {
-        let same = pa.center.x.to_bits() == pb.center.x.to_bits()
-            && pa.center.y.to_bits() == pb.center.y.to_bits()
-            && pa.center.z.to_bits() == pb.center.z.to_bits()
-            && pa.radius.to_bits() == pb.radius.to_bits();
-        assert!(same, "{what}: particle drifted — tiling parity bug");
+        heals: metrics::BED_HEALS_TOTAL.get(),
     }
 }
 
@@ -105,7 +89,6 @@ fn main() {
         batch: cli::usize_arg("--batch", 500),
         max_steps: cli::usize_arg("--max-steps", if full { 2000 } else { 500 }),
         radius: cli::f64_arg("--radius", if full { 0.03 } else { 0.05 }),
-        tiles: cli::usize_arg("--tiles", 8),
     };
     let mut counts: Vec<usize> = if full {
         vec![12_500, 25_000, 50_000, 100_000, 200_000]
@@ -135,18 +118,18 @@ fn main() {
 
     println!("# Fig. 8 / BENCH_scale — time, throughput and hot-set memory vs N");
     println!(
-        "# tall box 2x2 base, height {height:.1}, radius = {}, batch = {}, max_steps = {}, tiles = {}, repeats = {repeats}",
-        knobs.radius, knobs.batch, knobs.max_steps, knobs.tiles
+        "# tall box 2x2 base, height {height:.1}, radius = {}, batch = {}, max_steps = {}, repeats = {repeats}",
+        knobs.radius, knobs.batch, knobs.max_steps
     );
     println!(
-        "{:>10} {:>10} {:>12} {:>14} {:>12} {:>12} {:>8}",
-        "particles", "mean_s", "s_per_1k", "psteps_per_s", "hot_MiB", "tiled_MiB", "shrink"
+        "{:>10} {:>10} {:>12} {:>14} {:>10} {:>12} {:>6}",
+        "particles", "mean_s", "s_per_1k", "psteps_per_s", "bed", "hot_MiB", "heals"
     );
 
     let (path, mut csv) = csv_writer("fig8_particle_scaling").expect("csv");
     write_row(
         &mut csv,
-        &["particles,mean_s,min_s,max_s,psteps_per_s,hot_peak_bytes,tiled_hot_peak_bytes".into()],
+        &["particles,mean_s,min_s,max_s,psteps_per_s,bed_spheres,hot_peak_bytes,bed_heals".into()],
     )
     .unwrap();
 
@@ -155,7 +138,6 @@ fn main() {
         .meta("radius", knobs.radius)
         .meta("batch", knobs.batch)
         .meta("max_steps", knobs.max_steps)
-        .meta("tiles", knobs.tiles)
         .meta("repeats", repeats)
         .meta("threads", rayon::current_num_threads())
         .meta("kernel", json_str(Kernel::default().name()));
@@ -164,43 +146,37 @@ fn main() {
     for &n in &counts {
         let mut times = Vec::new();
         let mut psteps_per_s = 0.0f64;
-        let mut hot_peak = 0u64;
-        let mut last = None;
+        let (mut hot_peak, mut bed, mut heals) = (0u64, 0usize, 0u64);
         for rep in 0..repeats {
-            let run = run_once(&container, &psd, n, rep as u64, 1, &knobs);
+            let run = run_once(&container, &psd, n, rep as u64, &knobs);
             psteps_per_s = psteps_per_s.max(run.psteps / run.secs);
             hot_peak = hot_peak.max(run.hot_peak);
+            bed = bed.max(run.result.particles.len());
+            heals = heals.max(run.heals);
             times.push(run.secs);
-            last = Some(run);
         }
-        // One tiled replica of the last seed: same packing, smaller hot set.
-        let last = last.unwrap();
-        let tiled = run_once(&container, &psd, n, repeats as u64 - 1, knobs.tiles, &knobs);
-        assert_bitwise_equal(&last.result, &tiled.result, "tiled vs untiled");
         let a = aggregate(&times);
-        let shrink = hot_peak as f64 / tiled.hot_peak.max(1) as f64;
         println!(
-            "{n:>10} {:>10.3} {:>12.4} {:>14.0} {:>12.2} {:>12.2} {shrink:>8.2}",
+            "{n:>10} {:>10.3} {:>12.4} {:>14.0} {bed:>10} {:>12.2} {heals:>6}",
             a.mean,
             a.mean / (n as f64 / 1000.0),
             psteps_per_s,
             mib(hot_peak),
-            mib(tiled.hot_peak),
         );
         write_row(
             &mut csv,
             &[format!(
-                "{n},{},{},{},{psteps_per_s},{hot_peak},{}",
-                a.mean, a.min, a.max, tiled.hot_peak
+                "{n},{},{},{},{psteps_per_s},{bed},{hot_peak},{heals}",
+                a.mean, a.min, a.max
             )],
         )
         .unwrap();
         report.row(format!(
             "{{\"section\": \"n_sweep\", \"particles\": {n}, \"mean_s\": {:.6}, \
              \"min_s\": {:.6}, \"max_s\": {:.6}, \"psteps_per_s\": {psteps_per_s:.0}, \
-             \"hot_peak_bytes\": {hot_peak}, \"tiled_hot_peak_bytes\": {}, \
-             \"tiled_bitwise_equal\": true}}",
-            a.mean, a.min, a.max, tiled.hot_peak
+             \"bed_spheres\": {bed}, \"hot_peak_bytes\": {hot_peak}, \
+             \"bed_heals\": {heals}}}",
+            a.mean, a.min, a.max
         ));
         series.push((n as f64, a.mean));
     }

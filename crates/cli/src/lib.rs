@@ -58,7 +58,6 @@ impl CliError {
             CliError::Io(_) => 5,
             CliError::Pack(PackError::Diverged { .. }) => 6,
             CliError::Pack(PackError::Resume(_)) | CliError::Checkpoint(_) => 7,
-            CliError::Pack(PackError::HorizonBreach { .. }) => 8,
             CliError::Server(_) => 9,
         }
     }
@@ -163,10 +162,6 @@ pub struct PackOptions {
     /// to the configuration's `params.kernel` (default `simd`). `scalar`
     /// and `simd` produce bitwise identical packings.
     pub kernel: Option<Kernel>,
-    /// Gravity-axis tiling override (`--tiles`); `None` defers to the
-    /// configuration's `params.tiles` (default 1 = monolithic). Purely a
-    /// memory knob: tiled packings are bitwise identical to untiled ones.
-    pub tiles: Option<usize>,
     /// Checkpoint file (`--checkpoint`); overrides `checkpoint.path`.
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint cadence (`--checkpoint-every`): save at the first batch
@@ -326,9 +321,6 @@ pub fn run_pack_opts(config_path: &Path, opts: &PackOptions) -> Result<RunSummar
     if let Some(kernel) = opts.kernel {
         cfg.params.kernel = kernel;
     }
-    if let Some(tiles) = opts.tiles {
-        cfg.params.tiles = tiles;
-    }
 
     // Observability wiring: flags override YAML, YAML overrides the
     // verbosity-derived default.
@@ -413,13 +405,6 @@ fn run_pack_configured(
 ) -> Result<RunSummary, CliError> {
     let mesh = load_container_mesh(&cfg.container_path)?;
     let container = Container::from_mesh(&mesh).map_err(|e| CliError::Geometry(e.to_string()))?;
-    if cfg.params.tiles > 1 && cfg.neighbor.strategy == NeighborStrategy::Naive {
-        return Err(CliError::Usage(
-            "tiles > 1 requires neighbor strategy 'auto' or 'verlet': the \
-             naive cross scan reads every bed sphere and defeats slab retirement"
-                .into(),
-        ));
-    }
 
     let collective = cfg.algorithm.eq_ignore_ascii_case("COLLECTIVE_ARRANGEMENT");
     let zoned = !cfg.zones.is_empty();
@@ -671,7 +656,6 @@ fn run_pack_configured(
                 batch_grid: batch
                     .as_ref()
                     .map_or_else(String::new, BatchConfig::descriptor),
-                tiles: cfg.params.tiles as u64,
                 hot_set_peak_bytes: report.hot_set_peak_bytes,
                 packed: result.particles.len() as u64,
                 target: result.target as u64,
@@ -1026,11 +1010,6 @@ mod tests {
             })
             .exit_code(),
             CliError::Checkpoint("c".into()).exit_code(),
-            CliError::Pack(PackError::HorizonBreach {
-                batch: 3,
-                misses: 4,
-            })
-            .exit_code(),
             CliError::Server("s".into()).exit_code(),
         ];
         let mut unique = codes.to_vec();

@@ -16,7 +16,6 @@ USAGE:
                   [--trace-out <run.jsonl>] [--metrics-out <metrics.prom>]
                   [--log-level <error|warn|info|debug|trace|off>]
                   [--threads <n>] [--kernel <scalar|simd>]
-                  [--tiles <n>]
                   [--checkpoint <run.ckpt>] [--checkpoint-every <steps>]
                   [--checkpoint-keep <n>] [--resume]
                   [--batch-seeds <s1,s2,…>] [--batch-lrs <lr1,lr2,…>]
@@ -72,15 +71,6 @@ bitwise identical for any value.
 kernel for the hot loops (default simd). scalar and simd produce
 bitwise identical packings; scalar survives as the correctness oracle.
 
---tiles overrides the configuration's `params.tiles` gravity-axis
-tiling (default 1 = monolithic). With N > 1 tiles the container's
-altitude range is split into N slabs and settled slabs more than one
-slab below the bed surface are retired from the resident hot set, so
-memory tracks the active surface instead of the particle total. Purely
-a memory knob: tiled packings are bitwise identical to untiled ones,
-and a guard makes any sub-horizon query a hard error (exit 8) instead
-of silent drift. Requires neighbor strategy verlet (the default).
-
 --checkpoint writes a crash-resume checkpoint (atomic temp+rename,
 rotated history) at the first batch boundary after every
 --checkpoint-every optimizer steps (default 500), keeping
@@ -122,7 +112,7 @@ diagnostics on or off.
 EXIT CODES:
     0 success   2 usage   3 configuration   4 geometry   5 i/o
     6 divergence budget exhausted   7 checkpoint/resume failure
-    8 tiled retirement horizon breached   9 job server failure
+    9 job server failure
 ";
 
 fn parse_num_list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, CliError> {
@@ -260,19 +250,6 @@ fn dispatch(args: Vec<String>) -> Result<(), CliError> {
                             ))
                         })?);
                     }
-                    "--tiles" => {
-                        let v = it.next().ok_or_else(|| {
-                            CliError::Usage(
-                                "--tiles requires a tile count (a positive integer)".into(),
-                            )
-                        })?;
-                        let tiles: usize = v.parse().ok().filter(|&t| t >= 1).ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "--tiles expects a positive integer (1 = untiled), got '{v}'"
-                            ))
-                        })?;
-                        opts.tiles = Some(tiles);
-                    }
                     "--log-level" => {
                         let v = it.next().ok_or_else(|| {
                             CliError::Usage("--log-level requires a level".into())
@@ -284,7 +261,9 @@ fn dispatch(args: Vec<String>) -> Result<(), CliError> {
                         });
                     }
                     other => {
-                        return Err(CliError::Usage(format!("unknown flag '{other}'")));
+                        return Err(CliError::Usage(format!(
+                            "unknown flag '{other}' (try 'adampack help' for the accepted flags)"
+                        )));
                     }
                 }
             }
@@ -379,7 +358,9 @@ fn dispatch(args: Vec<String>) -> Result<(), CliError> {
                             nonneg("--job-step-ceiling", &value("--job-step-ceiling")?)?
                     }
                     other => {
-                        return Err(CliError::Usage(format!("unknown flag '{other}'")));
+                        return Err(CliError::Usage(format!(
+                            "unknown flag '{other}' (try 'adampack help' for the accepted flags)"
+                        )));
                     }
                 }
             }
@@ -466,14 +447,17 @@ mod tests {
         assert!(msg.contains(mixed), "{msg}");
     }
 
+    /// Every run retires settled spheres, so `--tiles` is gone: any value,
+    /// valid count or not, is an unknown-flag usage error that points at
+    /// the help listing the accepted flags.
     #[test]
     fn bad_tiles_is_usage_error_naming_accepted_values() {
-        for bad in ["0", "-3", "two", "1.5"] {
-            let err = dispatch(args(&["pack", "cfg.yaml", "--tiles", bad])).unwrap_err();
-            assert_eq!(err.exit_code(), 2, "--tiles {bad}");
+        for v in ["0", "-3", "two", "1.5", "3"] {
+            let err = dispatch(args(&["pack", "cfg.yaml", "--tiles", v])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--tiles {v}");
             let msg = err.to_string();
-            assert!(msg.contains("positive integer"), "{msg}");
-            assert!(msg.contains(bad), "{msg}");
+            assert!(msg.contains("unknown flag '--tiles'"), "{msg}");
+            assert!(msg.contains("try 'adampack help'"), "{msg}");
         }
     }
 
@@ -481,7 +465,7 @@ mod tests {
     fn missing_tiles_value_is_usage_error() {
         let err = dispatch(args(&["pack", "cfg.yaml", "--tiles"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--tiles"));
+        assert!(err.to_string().contains("unknown flag '--tiles'"), "{err}");
     }
 
     #[test]

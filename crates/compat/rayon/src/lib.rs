@@ -308,8 +308,15 @@ pub mod par {
                 len: s.len(),
             }
         }
-        /// SAFETY: callers must pass non-overlapping `(start, len)` windows.
-        unsafe fn window(&self, start: usize, len: usize) -> &mut [T] {
+        /// A `&mut` view of the `len` elements from `start`.
+        ///
+        /// # Safety
+        ///
+        /// `start + len` must not exceed the slice, views in use at the
+        /// same time must not overlap, and each must be dropped before the
+        /// slice the view was made from is used again: as with
+        /// `slice::from_raw_parts_mut`, the caller picks the lifetime.
+        unsafe fn window<'a>(&self, start: usize, len: usize) -> &'a mut [T] {
             debug_assert!(start + len <= self.len);
             std::slice::from_raw_parts_mut(self.ptr.add(start), len)
         }
@@ -474,7 +481,7 @@ pub mod par {
         if n == 0 {
             return identity;
         }
-        let blocks = n.div_ceil(block).min(MAX_PARTIALS).max(1);
+        let blocks = n.div_ceil(block).clamp(1, MAX_PARTIALS);
         let mut partials = [identity; MAX_PARTIALS];
         let raw = RawSlice::new(&mut partials[..blocks]);
         run_region(blocks, &|k| {
@@ -592,8 +599,8 @@ pub mod par {
             let row = unsafe { raw_scratch.window(c * n_keys, n_keys) };
             let (start, len) = chunk_bounds(n, jobs, c);
             annotate_chunk(start, start + len, || {
-                for i in start..start + len {
-                    let k = keys[i] as usize;
+                for (i, &k) in (start..).zip(&keys[start..start + len]) {
+                    let k = k as usize;
                     let pos = row[k] as usize;
                     row[k] += 1;
                     // SAFETY: cursor ranges are pairwise disjoint.

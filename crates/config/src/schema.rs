@@ -75,12 +75,6 @@ pub struct AlgoParams {
     /// or `scalar`. Both produce bitwise identical packings; `scalar` is
     /// the correctness oracle.
     pub kernel: Kernel,
-    /// Gravity-axis tiling (`tiles`), default 1 = monolithic. With `tiles:
-    /// T > 1` the container's altitude range is split into T slabs and
-    /// settled slabs more than one slab below the bed surface are retired
-    /// from the resident hot set. Purely a memory knob: the packing is
-    /// bitwise identical to the untiled run.
-    pub tiles: usize,
 }
 
 impl Default for AlgoParams {
@@ -94,7 +88,6 @@ impl Default for AlgoParams {
             seed: 0,
             threads: 0,
             kernel: Kernel::default(),
-            tiles: 1,
         }
     }
 }
@@ -645,12 +638,6 @@ impl PackingConfig {
                     ))
                 })?;
             }
-            if let Some(v) = p.get("tiles").and_then(Value::as_i64) {
-                if v < 1 {
-                    return Err(field(format!("params.tiles must be >= 1, got {v}")));
-                }
-                params.tiles = v as usize;
-            }
         }
 
         let gravity_axis = match root.get("gravity_axis") {
@@ -844,7 +831,6 @@ impl PackingConfig {
             },
             neighbor: self.neighbor.to_params(),
             kernel: self.params.kernel,
-            tiles: self.params.tiles,
             ..PackingParams::default()
         }
     }
@@ -1541,21 +1527,18 @@ zones:
         assert!(msg.contains("'auto', 'verlet' or 'naive'"), "{msg}");
     }
 
+    /// Every run retires settled spheres from the bed grid, so the deleted
+    /// retirement key is ignored like any unknown key, whatever its value:
+    /// older configs (and the frozen benchmark's) still load.
     #[test]
-    fn tiles_knob_parses_and_rejects_nonpositive() {
+    fn removed_retirement_key_is_ignored() {
         let base = "container:\n  path: a.stl\nparticle_sets:\n  - radius_distribution: constant\n    radius_value: 0.1\n";
-        let cfg = PackingConfig::from_str(base).unwrap();
-        assert_eq!(cfg.params.tiles, 1, "default must be monolithic");
-        assert_eq!(cfg.to_packing_params().tiles, 1);
-
-        let tiled = format!("{base}params:\n  tiles: 8\n");
-        let cfg = PackingConfig::from_str(&tiled).unwrap();
-        assert_eq!(cfg.params.tiles, 8);
-        assert_eq!(cfg.to_packing_params().tiles, 8);
-
-        let bad = format!("{base}params:\n  tiles: 0\n");
-        let e = PackingConfig::from_str(&bad).unwrap_err();
-        assert!(e.to_string().contains("tiles"), "{e}");
+        let plain = PackingConfig::from_str(base).unwrap().to_packing_params();
+        for v in ["1", "8", "0", "-3"] {
+            let block = format!("params:\n  tiles: {v}\n");
+            let cfg = PackingConfig::from_str(&format!("{base}{block}")).unwrap();
+            assert_eq!(cfg.to_packing_params(), plain, "{block}");
+        }
     }
 
     /// `order` and `skin_factor` no longer exist. Like any unknown key

@@ -31,7 +31,6 @@ pub fn to_yaml(cfg: &PackingConfig) -> String {
         seed,
         threads,
         kernel,
-        tiles,
     } = cfg.params;
     writeln!(s, "params:").unwrap();
     writeln!(s, "    lr: {lr}").unwrap();
@@ -42,7 +41,6 @@ pub fn to_yaml(cfg: &PackingConfig) -> String {
     writeln!(s, "    seed: {seed}").unwrap();
     writeln!(s, "    threads: {threads}").unwrap();
     writeln!(s, "    kernel: \"{}\"", kernel.name()).unwrap();
-    writeln!(s, "    tiles: {tiles}").unwrap();
     let axis = match cfg.gravity_axis {
         adampack_geometry::Axis::X => "x",
         adampack_geometry::Axis::Y => "y",
@@ -194,7 +192,6 @@ mod tests {
                 seed: 7,
                 threads: 4,
                 kernel: adampack_core::Kernel::Scalar,
-                tiles: 6,
             },
             gravity_axis: Axis::Z,
             neighbor: NeighborConfig {

@@ -50,17 +50,9 @@ pub struct CostEstimate {
 /// Predicts the peak hot-set bytes and worst-case step count of packing
 /// `params.target_count` spheres from `psd` into `container`.
 pub fn estimate_cost(container: &Container, params: &PackingParams, psd: &Psd) -> CostEstimate {
+    // Every packed sphere stays resident in the particle list, and a bed
+    // query that reaches deep enough can put the whole bed in the grid.
     let n = params.target_count.max(1) as u64;
-
-    // Gravity-axis tiling retires settled slabs from the hot grid: the
-    // resident count tracks roughly two slabs (the active surface plus
-    // one full settled slab kept under it) instead of the total.
-    let resident = if params.tiles > 1 {
-        let per_slab = n.div_ceil(params.tiles as u64);
-        (2 * per_slab).min(n)
-    } else {
-        n
-    };
 
     // Grid cells: the CSR grid bins at a cell pitch of one interaction
     // diameter; bound the cell count by the container AABB. Tiny radii
@@ -82,7 +74,7 @@ pub fn estimate_cost(container: &Container, params: &PackingParams, psd: &Psd) -
 
     let batch = params.batch_size.max(1) as u64;
     let peak_bytes = BASE_BYTES
-        .saturating_add(resident.saturating_mul(BYTES_PER_RESIDENT_SPHERE))
+        .saturating_add(n.saturating_mul(BYTES_PER_RESIDENT_SPHERE))
         .saturating_add(cells.saturating_mul(BYTES_PER_GRID_CELL))
         .saturating_add(batch.saturating_mul(BYTES_PER_BATCH_SLOT));
 
@@ -103,7 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_grows_with_target_count_and_shrinks_with_tiles() {
+    fn estimate_grows_with_target_count() {
         let c = box_container(1.0);
         let psd = Psd::constant(0.05);
         let small = PackingParams {
@@ -116,15 +108,6 @@ mod tests {
         let b = estimate_cost(&c, &big, &psd);
         assert!(b.peak_bytes > a.peak_bytes, "{a:?} vs {b:?}");
         assert!(b.steps > a.steps);
-
-        let mut tiled = big.clone();
-        tiled.tiles = 8;
-        let t = estimate_cost(&c, &tiled, &psd);
-        assert!(
-            t.peak_bytes < b.peak_bytes,
-            "tiling must shrink the prediction: {t:?} vs {b:?}"
-        );
-        assert_eq!(t.steps, b.steps, "tiling is a memory knob, not a step knob");
     }
 
     #[test]

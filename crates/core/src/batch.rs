@@ -483,7 +483,7 @@ impl BatchedPacker {
                             step,
                             recoveries,
                         } => [*batch as u64, *step as u64, *recoveries as u64],
-                        PackError::Resume(_) | PackError::HorizonBreach { .. } => [u64::MAX; 3],
+                        PackError::Resume(_) => [u64::MAX; 3],
                     }),
                     state: capture(slot),
                 })

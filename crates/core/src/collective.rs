@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use adampack_geometry::Vec3;
+use adampack_geometry::{Axis, Vec3};
 use adampack_opt::{LrScheduler, Optimizer, OptimizerState, SchedulerState};
 use adampack_telemetry::metrics::{
     BATCHES_ACCEPTED_TOTAL, BATCHES_TOTAL, CHECKPOINT_FAILURES_TOTAL, CHECKPOINT_WRITES_TOTAL,
@@ -28,8 +28,8 @@ use crate::checkpoint::{self, CheckpointError, RunState};
 use crate::container::Container;
 use crate::diagnostics::{DiagEngine, DiagMode};
 use crate::metrics::{boundary_stats, contact_stats_vs_fixed};
-use crate::neighbor::{tile_horizon, CsrGrid, FixedBed, Workspace};
-use crate::objective::Objective;
+use crate::neighbor::{CsrGrid, FixedBed, NeighborStrategy, Workspace};
+use crate::objective::{Objective, ObjectiveBreakdown};
 use crate::params::{LrPolicy, NeighborParams, PackingParams};
 use crate::particle::Particle;
 use crate::psd::Psd;
@@ -160,16 +160,6 @@ pub enum PackError {
     },
     /// A resume was attempted from an unusable checkpoint.
     Resume(CheckpointError),
-    /// A tiled run's retirement guard tripped: a neighbor query reached
-    /// below the gravity-axis horizon, so retired spheres could have been
-    /// observed and the bitwise-parity contract with the untiled run can
-    /// no longer be certified.
-    HorizonBreach {
-        /// Batch whose queries reached below the horizon.
-        batch: usize,
-        /// Number of sub-horizon queries observed in that batch.
-        misses: u64,
-    },
 }
 
 impl std::fmt::Display for PackError {
@@ -185,12 +175,6 @@ impl std::fmt::Display for PackError {
                  after {recoveries} sentinel recoveries"
             ),
             PackError::Resume(e) => write!(f, "cannot resume: {e}"),
-            PackError::HorizonBreach { batch, misses } => write!(
-                f,
-                "tiled retirement horizon breached in batch {batch} \
-                 ({misses} sub-horizon queries); rerun with fewer tiles \
-                 (`tiles` keeps one full slab of settled spheres resident)"
-            ),
         }
     }
 }
@@ -591,13 +575,6 @@ impl CollectivePacker {
             .map_or_else(Vec::new, |d| d.take_records())
     }
 
-    /// Consecutive batches the diagnostics classified as stalled (0 when
-    /// diagnostics are off). Advisory — surfaced next to, never instead
-    /// of, the divergence sentinel.
-    pub fn diag_stall_streak(&self) -> u64 {
-        self.diag.as_ref().map_or(0, |d| d.stall_streak())
-    }
-
     /// FNV-1a fingerprint over the [`PACKING_REVISION`], the
     /// hyper-parameters, container geometry and the
     /// [`CollectivePacker::set_fingerprint_context`] salt, stored in
@@ -652,12 +629,6 @@ impl CollectivePacker {
         FixedBed::new(self.params.gravity)
     }
 
-    /// Workspace diagnostics: total objective evaluations and Verlet
-    /// rebuilds served so far.
-    pub fn workspace_stats(&self) -> (usize, usize) {
-        (self.workspace.evals(), self.workspace.verlet_rebuilds())
-    }
-
     /// Packs `params.target_count` particles drawn from `psd`.
     ///
     /// Panics if the divergence sentinel gives up (see
@@ -688,16 +659,13 @@ impl CollectivePacker {
     /// `existing` particles form a fixed bed the run packs on top of (a
     /// zoned run's lower zones). `checkpointing` opts into the checkpointing
     /// contract (parameter fingerprint computed so resumes can verify it) —
-    /// pass true whenever the run's state may be captured. The bed grid is
-    /// canonicalized at every batch start regardless, so its layout is a
-    /// pure function of the particle list for any run.
+    /// pass true whenever the run's state may be captured. The bed is
+    /// rebuilt from the particle list at every batch start, so it is a pure
+    /// function of that list for any run, fresh or resumed.
     pub fn begin_run(&mut self, existing: Vec<Particle>, checkpointing: bool) -> RunProgress {
         self.recoveries = 0;
         let fingerprint = if checkpointing { self.fingerprint() } else { 0 };
-        // The bed is built once and grown incrementally: accepting a batch
-        // pushes its spheres (amortized O(1) each) instead of rebuilding the
-        // whole grid, and the top altitude is a running maximum.
-        let bed = FixedBed::from_particles(self.params.gravity, &existing);
+        let bed = FixedBed::new(self.params.gravity);
         let mut particles = existing;
         reserve_target(&mut particles, self.params.target_count);
         RunProgress {
@@ -746,7 +714,7 @@ impl CollectivePacker {
         self.workspace
             .restore_counters(state.evals as usize, state.verlet_rebuilds as usize);
         self.recoveries = state.recoveries;
-        let bed = FixedBed::from_particles(self.params.gravity, &state.particles);
+        let bed = FixedBed::new(self.params.gravity);
         let mut particles = state.particles;
         let still_to_pack = self
             .params
@@ -829,31 +797,26 @@ impl CollectivePacker {
             c.anchor(prog.steps_taken);
         }
         let _batch = span(Phase::Batch);
-        // The grid layout must be a pure function of the particle list so
-        // a resumed run's rebuilt bed matches the straight run's
-        // incrementally grown one bit for bit — and so a tiled run's hot
-        // window (same canonical layout, settled slabs retired) produces
-        // the identical candidate sequences as the untiled grid.
-        if self.params.tiles > 1 {
-            let (bottom, top) = self.container.altitude_range(self.params.gravity);
-            let bed_top = if prog.bed.is_empty() {
-                f64::NEG_INFINITY
-            } else {
-                prog.bed.top()
-            };
-            let horizon = tile_horizon(self.params.tiles, bottom, top, bed_top);
-            prog.bed.canonicalize_hot(&prog.particles, horizon);
-        } else {
-            prog.bed.canonicalize();
-        }
-        HOT_SET_BYTES.set((prog.bed.resident_bytes() + self.workspace.resident_bytes()) as u64);
-        let spawn = span(Phase::Spawn);
         if let Some(tr) = self.tracer.as_mut() {
             tr.batch = prog.batch_index as u64;
             tr.prev.clear();
         }
         let n = prog.batch_size.min(prog.target - prog.packed);
         let radii = psd.sample_n(&mut self.rng, n);
+        // The bed grid holds the spheres the batch can reach: it spawns in
+        // a slab `h` high above the bed top and settles onto the surface,
+        // so its queries are expected to reach about `2h + skin` below the
+        // top. A deeper query heals the bed first (`optimize_batch_core`).
+        // The naive oracle's exhaustive scans keep the whole bed.
+        let depth = match self.params.neighbor.strategy {
+            NeighborStrategy::Naive => f64::INFINITY,
+            NeighborStrategy::Verlet => {
+                2.0 * self.spawn_height(&radii) + self.params.neighbor.skin_for(&radii)
+            }
+        };
+        prog.bed.rebuild(&prog.particles, depth);
+        self.note_hot_set(&prog.bed);
+        let spawn = span(Phase::Spawn);
         let init = self.spawn_batch(&radii, &prog.bed);
         let mut phase = BatchPhaseBreakdown {
             spawn: spawn.finish(),
@@ -864,7 +827,8 @@ impl CollectivePacker {
         let run = self.optimize_batch_core(
             &radii,
             init,
-            prog.bed.grid(),
+            &mut prog.bed,
+            &prog.particles,
             self.params.max_steps,
             self.params.patience,
             &lr,
@@ -877,6 +841,13 @@ impl CollectivePacker {
         // to radius must stay below the configured threshold
         // (Algorithm 1 line 19).
         let acceptance = span(Phase::Acceptance);
+        // Its bed query reaches `rᵢ` below each final center. The rows
+        // already kept that above the floor; the check makes this query
+        // complete on its own.
+        let lowest = lowest_reach(&run.coords, &radii, self.params.gravity);
+        if lowest < prog.bed.floor() {
+            prog.bed.heal(&prog.particles, lowest);
+        }
         // Read the final coordinates through the workspace's SoA
         // snapshot instead of an interleaved-gather allocation.
         let centers = self.workspace.positions_from(&run.coords, &radii);
@@ -958,7 +929,6 @@ impl CollectivePacker {
 
         if accepted {
             for (i, &c) in centers.iter().enumerate() {
-                prog.bed.push(c, radii[i]);
                 prog.particles.push(Particle {
                     center: c,
                     radius: radii[i],
@@ -969,19 +939,6 @@ impl CollectivePacker {
             prog.packed += n;
         } else {
             prog.batch_size /= 2;
-        }
-        // Retirement guard: the hot window keeps one full slab below the
-        // bed surface, so no query should ever reach a retired sphere. A
-        // single sub-horizon candidate probe voids the bitwise-parity
-        // certificate and is a hard error rather than a silent drift.
-        if self.params.tiles > 1 {
-            let misses = prog.bed.grid().horizon_misses();
-            if misses > 0 {
-                return Err(PackError::HorizonBreach {
-                    batch: prog.batch_index - 1,
-                    misses,
-                });
-            }
         }
         // Checkpoint at the boundary: a pure read of a complete state, so
         // the cadence never changes the packing.
@@ -1007,20 +964,10 @@ impl CollectivePacker {
         let axis = self.params.gravity;
         let up = axis.up();
         debug_assert_eq!(bed.axis(), axis, "bed tracks a different gravity axis");
-        let (bottom, top_of_container) = self.container.altitude_range(axis);
-        // O(1): the bed maintains its top altitude incrementally.
+        let (bottom, _) = self.container.altitude_range(axis);
         let bed_top = if bed.is_empty() { bottom } else { bed.top() };
-
-        let batch_volume: f64 = radii
-            .iter()
-            .map(|r| 4.0 / 3.0 * std::f64::consts::PI * r * r * r)
-            .sum();
-        let height_range = (top_of_container - bottom).max(1e-9);
-        let mean_area = self.container.volume() / height_range;
-        let r_max = radii.iter().copied().fold(0.0, f64::max);
-        let slab_h = (batch_volume / (self.params.spawn_density * mean_area)).max(2.5 * r_max);
         let lo = bed_top;
-        let hi = bed_top + slab_h;
+        let hi = bed_top + self.spawn_height(radii);
 
         let bb = self.container.aabb();
         let mut out = Vec::with_capacity(radii.len() * 3);
@@ -1046,8 +993,29 @@ impl CollectivePacker {
         out
     }
 
-    /// Runs the inner optimization loop on one batch, as one `optimize`
-    /// span, and drains its step records to the installed consumers.
+    /// Height of the spawn slab for a batch with these radii: thick enough
+    /// that the batch fills it at `spawn_density`, and at least 2.5 of its
+    /// largest radii.
+    fn spawn_height(&self, radii: &[f64]) -> f64 {
+        let (bottom, top_of_container) = self.container.altitude_range(self.params.gravity);
+        let batch_volume: f64 = radii
+            .iter()
+            .map(|r| 4.0 / 3.0 * std::f64::consts::PI * r * r * r)
+            .sum();
+        let height_range = (top_of_container - bottom).max(1e-9);
+        let mean_area = self.container.volume() / height_range;
+        let r_max = radii.iter().copied().fold(0.0, f64::max);
+        (batch_volume / (self.params.spawn_density * mean_area)).max(2.5 * r_max)
+    }
+
+    /// Records the hot set (bed grid and workspace buffers) in its gauge.
+    fn note_hot_set(&self, bed: &FixedBed) {
+        HOT_SET_BYTES.set((bed.resident_bytes() + self.workspace.resident_bytes()) as u64);
+    }
+
+    /// Runs the inner optimization loop on one batch over an empty bed, as
+    /// one `optimize` span, and drains its step records to the installed
+    /// consumers.
     ///
     /// Public so experiments (e.g. the Fig. 3 learning-rate study) can drive
     /// a single batch with custom step budgets; a sink installed with
@@ -1058,15 +1026,25 @@ impl CollectivePacker {
         &mut self,
         radii: &[f64],
         init: Vec<f64>,
-        fixed: &CsrGrid,
         max_steps: usize,
         patience: usize,
         lr: &LrPolicy,
     ) -> BatchOptimization {
         let optimize = span(Phase::Optimize);
         let mut phase = BatchPhaseBreakdown::default();
+        let mut bed = self.empty_bed();
         let run = self
-            .optimize_batch_core(radii, init, fixed, max_steps, patience, lr, 0, &mut phase)
+            .optimize_batch_core(
+                radii,
+                init,
+                &mut bed,
+                &[],
+                max_steps,
+                patience,
+                lr,
+                0,
+                &mut phase,
+            )
             .unwrap_or_else(|e| panic!("batch optimization failed: {e}"));
         drop(optimize);
         if let Some(tr) = self.tracer.as_mut() {
@@ -1075,14 +1053,16 @@ impl CollectivePacker {
         run
     }
 
-    /// The full inner loop: optimization plus the divergence sentinel.
-    /// Gradient and optimizer span durations accumulate into `phase`.
+    /// The full inner loop: optimization plus the divergence sentinel, over
+    /// `bed`, the grid of the packed `particles`. Gradient and optimizer
+    /// span durations accumulate into `phase`.
     #[allow(clippy::too_many_arguments)]
     fn optimize_batch_core(
         &mut self,
         radii: &[f64],
         init: Vec<f64>,
-        fixed: &CsrGrid,
+        bed: &mut FixedBed,
+        particles: &[Particle],
         max_steps: usize,
         patience: usize,
         lr: &LrPolicy,
@@ -1090,18 +1070,8 @@ impl CollectivePacker {
         phase: &mut BatchPhaseBreakdown,
     ) -> Result<BatchOptimization, PackError> {
         assert_eq!(init.len(), radii.len() * 3, "init buffer size mismatch");
-        let objective = Objective::new(
-            self.params.weights,
-            self.params.gravity,
-            self.container.halfspaces(),
-            radii,
-            fixed,
-        )
-        .with_neighbor(
-            self.params.neighbor.strategy,
-            self.params.neighbor.skin_for(radii),
-        )
-        .with_kernel(self.params.kernel);
+        let skin = self.params.neighbor.skin_for(radii);
+        let mut objective = batch_objective(&self.params, &self.container, radii, bed.grid());
         // Fresh batch: invalidate the previous batch's Verlet lists while
         // keeping every buffer's capacity.
         self.workspace.reset_batch();
@@ -1169,15 +1139,26 @@ impl CollectivePacker {
                 );
             }
             let gradient = span(Phase::Gradient);
-            // Recorded steps use the fused kernel: value, gradient and term
-            // breakdown from one neighbor traversal, with a loss bitwise
-            // equal to the unrecorded call's.
-            let (z, breakdown) = if self.tracer.is_some() {
-                objective.value_grad_breakdown_ws(&coords, &mut grad, &mut self.workspace)
-            } else {
-                let z = objective.value_and_grad_ws(&coords, &mut grad, &mut self.workspace);
-                (z, Default::default())
-            };
+            let traced = self.tracer.is_some();
+            let rebuilds = self.workspace.verlet_rebuilds();
+            let (mut z, mut breakdown) =
+                evaluate(&objective, &coords, &mut grad, &mut self.workspace, traced);
+            // A Verlet rebuild queried the bed from each sphere with reach
+            // `rᵢ + skin`. If that reached below the floor, its rows may
+            // miss bed spheres: heal the bed, which renumbers its grid, and
+            // evaluate again over the new grid with freshly built rows.
+            if self.workspace.verlet_rebuilds() != rebuilds {
+                let lowest = lowest_reach(&coords, radii, self.params.gravity) - skin;
+                if lowest < bed.floor() {
+                    drop(objective);
+                    bed.heal(particles, lowest);
+                    self.note_hot_set(bed);
+                    objective = batch_objective(&self.params, &self.container, radii, bed.grid());
+                    self.workspace.reset_batch();
+                    (z, breakdown) =
+                        evaluate(&objective, &coords, &mut grad, &mut self.workspace, traced);
+                }
+            }
             phase.gradient += gradient.finish();
             // Divergence sentinel, stage 1: a non-finite loss or gradient
             // poisons everything downstream — roll back before it spreads.
@@ -1348,6 +1329,52 @@ impl CollectivePacker {
     }
 }
 
+/// The batch's objective over a bed grid, as the packer configures it.
+fn batch_objective<'a>(
+    params: &PackingParams,
+    container: &'a Container,
+    radii: &'a [f64],
+    fixed: &'a CsrGrid,
+) -> Objective<'a> {
+    Objective::new(
+        params.weights,
+        params.gravity,
+        container.halfspaces(),
+        radii,
+        fixed,
+    )
+    .with_neighbor(params.neighbor.strategy, params.neighbor.skin_for(radii))
+    .with_kernel(params.kernel)
+}
+
+/// One evaluation at `coords`. Traced steps use the fused kernel: value,
+/// gradient and term breakdown from one neighbor traversal, with a loss
+/// bitwise equal to the plain call's.
+fn evaluate(
+    objective: &Objective,
+    coords: &[f64],
+    grad: &mut [f64],
+    ws: &mut Workspace,
+    traced: bool,
+) -> (f64, ObjectiveBreakdown) {
+    if traced {
+        objective.value_grad_breakdown_ws(coords, grad, ws)
+    } else {
+        let z = objective.value_and_grad_ws(coords, grad, ws);
+        (z, ObjectiveBreakdown::default())
+    }
+}
+
+/// The lowest altitude along `axis` that a query of reach `rᵢ` from any
+/// sphere of the flat coordinate buffer `coords` reaches: `min(up·cᵢ − rᵢ)`.
+fn lowest_reach(coords: &[f64], radii: &[f64], axis: Axis) -> f64 {
+    coords
+        .chunks_exact(3)
+        .zip(radii)
+        .map(|(c, r)| axis.up().dot(Vec3::new(c[0], c[1], c[2])) - r)
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Reserves room for `more` particles up front, so the list never grows by
 /// doubling. A doubling frees a large buffer, which lifts glibc's mmap
 /// threshold; the next run's list then grows on the heap and its peak RSS
@@ -1357,21 +1384,10 @@ fn reserve_target(particles: &mut Vec<Particle>, more: usize) {
     let _ = particles.try_reserve(more);
 }
 
-/// Builds the fixed-bed grid from packed particles.
-pub fn build_grid(particles: &[Particle]) -> CsrGrid {
-    if particles.is_empty() {
-        CsrGrid::empty()
-    } else {
-        let centers: Vec<Vec3> = particles.iter().map(|p| p.center).collect();
-        let radii: Vec<f64> = particles.iter().map(|p| p.radius).collect();
-        CsrGrid::build(&centers, &radii)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::OptimizerKind;
+    use crate::params::{NeighborParams, OptimizerKind};
     use crate::particle::coords;
     use adampack_geometry::{shapes, Axis};
 
@@ -1469,95 +1485,159 @@ mod tests {
         }
     }
 
-    /// A tall, narrow box: the bed grows high enough along the gravity
-    /// axis for tiled runs to actually retire settled slabs.
+    /// A tall, narrow box: with small batches the bed climbs far above
+    /// the depth a batch's queries reach, so most of it is retired.
     fn tall_box_container() -> Container {
-        Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::new(0.8, 0.8, 2.0))).unwrap()
+        Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::new(0.6, 0.6, 3.0))).unwrap()
     }
 
-    fn tall_params(tiles: usize, kernel: adampack_opt::Kernel) -> PackingParams {
+    fn tall_params(strategy: NeighborStrategy, kernel: adampack_opt::Kernel) -> PackingParams {
         PackingParams {
-            batch_size: 24,
-            target_count: 120,
+            batch_size: 12,
+            target_count: 240,
             max_steps: 300,
             patience: 40,
             seed: 11,
-            tiles,
             kernel,
+            neighbor: NeighborParams {
+                strategy,
+                ..NeighborParams::default()
+            },
             ..PackingParams::default()
         }
     }
 
-    #[test]
-    fn tiled_packing_is_bitwise_equal_to_untiled() {
-        // The tentpole contract: gravity-axis tiling is a pure memory
-        // optimization. Retiring settled slabs must leave every center,
-        // radius, step count and fitness bitwise identical to the
-        // monolithic run, for both the scalar oracle and the SIMD kernel.
-        let psd = Psd::uniform(0.07, 0.1);
-        for kernel in [adampack_opt::Kernel::Scalar, adampack_opt::Kernel::Simd] {
-            let run = |tiles| {
-                let mut packer =
-                    CollectivePacker::new(tall_box_container(), tall_params(tiles, kernel));
-                packer.try_pack(&psd).unwrap()
-            };
-            let untiled = run(1);
-            assert!(
-                untiled.particles.len() >= 48,
-                "fixture too small to grow a multi-slab bed: {} particles",
-                untiled.particles.len()
+    fn assert_same_packing(a: &PackResult, b: &PackResult, what: &str) {
+        assert_eq!(a.particles.len(), b.particles.len(), "{what}: count");
+        for (pa, pb) in a.particles.iter().zip(&b.particles) {
+            assert_eq!(pa.center.x.to_bits(), pb.center.x.to_bits(), "{what}");
+            assert_eq!(pa.center.y.to_bits(), pb.center.y.to_bits(), "{what}");
+            assert_eq!(pa.center.z.to_bits(), pb.center.z.to_bits(), "{what}");
+            assert_eq!(pa.radius.to_bits(), pb.radius.to_bits(), "{what}");
+        }
+        assert_eq!(a.batches.len(), b.batches.len(), "{what}: batches");
+        for (x, y) in a.batches.iter().zip(&b.batches) {
+            assert_eq!(x.steps, y.steps, "{what}: steps");
+            assert_eq!(x.accepted, y.accepted, "{what}: acceptance");
+            assert_eq!(x.best_fitness.to_bits(), y.best_fitness.to_bits());
+            assert_eq!(
+                x.mean_overlap_ratio.to_bits(),
+                y.mean_overlap_ratio.to_bits(),
+                "{what}: acceptance sum"
             );
-            for tiles in [3, 5] {
-                let tiled = run(tiles);
-                assert_eq!(
-                    untiled.particles.len(),
-                    tiled.particles.len(),
-                    "{kernel} kernel, {tiles} tiles: particle count"
-                );
-                for (a, b) in untiled.particles.iter().zip(&tiled.particles) {
-                    assert_eq!(a.center.x.to_bits(), b.center.x.to_bits());
-                    assert_eq!(a.center.y.to_bits(), b.center.y.to_bits());
-                    assert_eq!(a.center.z.to_bits(), b.center.z.to_bits());
-                    assert_eq!(a.radius.to_bits(), b.radius.to_bits());
-                }
-                assert_eq!(untiled.batches.len(), tiled.batches.len());
-                for (a, b) in untiled.batches.iter().zip(&tiled.batches) {
-                    assert_eq!(a.steps, b.steps, "{kernel}, {tiles} tiles: steps");
-                    assert_eq!(a.accepted, b.accepted);
-                    assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
-                }
-            }
         }
     }
 
     #[test]
-    fn tiled_run_retires_settled_slabs_without_breaching() {
-        // Drive the stepping API so the bed is inspectable mid-run: the
-        // hot set must actually shrink below the full population once the
-        // bed spans enough slabs, the retirement guard must never trip
-        // (advance_batch would return HorizonBreach), and the hot-set
-        // gauge must have recorded a resident-memory reading.
-        let psd = Psd::uniform(0.07, 0.1);
+    fn retiring_packing_is_bitwise_equal_to_naive() {
+        // Retiring settled spheres from the bed grid only saves memory:
+        // every center, radius, step count, fitness and acceptance sum is
+        // bitwise the never-retiring naive oracle's, for both kernels.
+        let psd = Psd::uniform(0.05, 0.07);
+        for kernel in [adampack_opt::Kernel::Scalar, adampack_opt::Kernel::Simd] {
+            let run = |strategy| {
+                let mut packer =
+                    CollectivePacker::new(tall_box_container(), tall_params(strategy, kernel));
+                packer.try_pack(&psd).unwrap()
+            };
+            let retiring = run(NeighborStrategy::Verlet);
+            let naive = run(NeighborStrategy::Naive);
+            assert!(
+                retiring.reached_target(),
+                "{} packed",
+                retiring.particles.len()
+            );
+            assert_same_packing(&retiring, &naive, &format!("{kernel} kernel"));
+        }
+    }
+
+    #[test]
+    fn run_retires_settled_spheres_from_the_bed_grid() {
+        // Drive the stepping API so the bed is inspectable mid-run: by the
+        // last batch the grid must hold under half of the bed, and the
+        // hot-set gauge must have recorded a reading.
+        let psd = Psd::uniform(0.05, 0.07);
         let mut packer = CollectivePacker::new(
             tall_box_container(),
-            tall_params(5, adampack_opt::Kernel::Simd),
+            tall_params(NeighborStrategy::Verlet, adampack_opt::Kernel::Simd),
         );
         let mut prog = packer.begin_run(Vec::new(), false);
-        let mut cadence = None;
-        let mut retired_max = 0usize;
+        let mut last = (0, 0);
         while !prog.finished() {
-            packer.advance_batch(&psd, &mut prog, &mut cadence).unwrap();
-            retired_max = retired_max.max(prog.particles.len() - prog.bed.grid().len());
+            let bed = prog.particles.len();
+            packer.advance_batch(&psd, &mut prog, &mut None).unwrap();
+            last = (prog.bed.grid().len(), bed);
         }
+        let (held, bed) = last;
         assert!(
-            retired_max > 0,
-            "a {}-particle bed under 5 tiles never retired a settled slab",
-            prog.particles.len()
+            2 * held < bed,
+            "the last batch's grid held {held} of {bed} bed spheres"
         );
         assert!(
             HOT_SET_BYTES.peak() > 0,
             "hot-set gauge never recorded a reading"
         );
+    }
+
+    /// A floor layer at the bottom of the 2×2×2 box and a pillar that
+    /// raises the bed top 20 radii above it: a batch spawned above the
+    /// pillar falls past the floor the bed derives from the top.
+    fn funnel_bed(r: f64) -> Vec<Particle> {
+        let mut bed = Vec::new();
+        let n = (2.0 / (2.0 * r)) as i32;
+        for i in 0..n {
+            for j in 0..n {
+                let (x, y) = (-1.0 + r * (2 * i + 1) as f64, -1.0 + r * (2 * j + 1) as f64);
+                bed.push(Particle::new(Vec3::new(x, y, -1.0 + r), r));
+            }
+        }
+        for k in 1..=10 {
+            bed.push(Particle::new(
+                Vec3::new(0.0, 0.0, -1.0 + r + 2.0 * r * k as f64),
+                r,
+            ));
+        }
+        bed
+    }
+
+    #[test]
+    fn funnel_heals_the_bed_and_packs_bitwise_equal_to_naive() {
+        let r = 0.05;
+        let existing = funnel_bed(r);
+        let psd = Psd::constant(r);
+        let run = |strategy| {
+            let params = PackingParams {
+                batch_size: 10,
+                target_count: 10,
+                neighbor: NeighborParams {
+                    strategy,
+                    ..NeighborParams::default()
+                },
+                ..quick_params()
+            };
+            let mut packer = CollectivePacker::new(small_box_container(), params);
+            let mut prog = packer.begin_run(existing.clone(), false);
+            packer.advance_batch(&psd, &mut prog, &mut None).unwrap();
+            let floor = prog.bed.floor();
+            while !prog.finished() {
+                packer.advance_batch(&psd, &mut prog, &mut None).unwrap();
+            }
+            (packer.finish_run(prog), floor)
+        };
+        // The floor the first batch starts from retires the floor layer.
+        let mut bed = FixedBed::new(Axis::Z);
+        let h = 2.5 * r;
+        bed.rebuild(&existing, 2.0 * h + r);
+        let layer_top = -1.0 + 2.0 * r;
+        assert!(bed.floor() > layer_top, "the rule floor keeps the layer");
+        let (retiring, floor) = run(NeighborStrategy::Verlet);
+        assert!(
+            floor < layer_top,
+            "no heal: the first batch ended with its floor at {floor}"
+        );
+        let (naive, _) = run(NeighborStrategy::Naive);
+        assert!(retiring.particles.len() > existing.len());
+        assert_same_packing(&retiring, &naive, "funnel");
     }
 
     #[test]
@@ -1612,14 +1692,7 @@ mod tests {
         let init = packer.spawn_batch(&radii, &bed);
         let sink = adampack_telemetry::VecSink::default();
         packer.set_trace_sink(Box::new(sink.clone()));
-        let run = packer.optimize_batch_with(
-            &radii,
-            init,
-            bed.grid(),
-            400,
-            50,
-            &LrPolicy::paper_default(),
-        );
+        let run = packer.optimize_batch_with(&radii, init, 400, 50, &LrPolicy::paper_default());
         // The batch's records are drained when the call returns.
         let trace = sink.records();
         assert_eq!(run.steps, trace.len());
@@ -1715,7 +1788,8 @@ mod tests {
     fn spawn_positions_start_above_bed() {
         let mut packer = CollectivePacker::new(small_box_container(), quick_params());
         let spheres: Vec<Particle> = vec![Particle::new(Vec3::new(0.0, 0.0, -0.5), 0.3)];
-        let bed = FixedBed::from_particles(Axis::Z, &spheres);
+        let mut bed = FixedBed::new(Axis::Z);
+        bed.rebuild(&spheres, f64::INFINITY);
         let radii = vec![0.1; 10];
         let buf = packer.spawn_batch(&radii, &bed);
         for i in 0..10 {

@@ -83,7 +83,6 @@ pub mod neighbor;
 pub mod objective;
 pub mod params;
 pub mod particle;
-pub mod postprocess;
 pub mod psd;
 pub mod report;
 pub mod runner;

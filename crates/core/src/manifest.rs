@@ -49,8 +49,6 @@ pub struct RunManifest {
     pub isa: String,
     /// Human-readable sweep-grid descriptor (empty when not a sweep).
     pub batch_grid: String,
-    /// Gravity-axis tile count the run used (1 = monolithic).
-    pub tiles: u64,
     /// High-water mark of resident hot-set bytes (bed grid + workspace);
     /// 0 when metrics were disabled.
     pub hot_set_peak_bytes: u64,
@@ -107,8 +105,8 @@ impl RunManifest {
         }
         write!(
             s,
-            ",\n  \"tiles\": {},\n  \"hot_set_peak_bytes\": {},\n  \"packed\": {},\n  \"target\": {},\n  \"wall_seconds\": {:.6}",
-            self.tiles, self.hot_set_peak_bytes, self.packed, self.target, self.wall_seconds
+            ",\n  \"hot_set_peak_bytes\": {},\n  \"packed\": {},\n  \"target\": {},\n  \"wall_seconds\": {:.6}",
+            self.hot_set_peak_bytes, self.packed, self.target, self.wall_seconds
         )
         .unwrap();
         s.push_str(",\n  \"phase_ns\": {");
@@ -160,7 +158,6 @@ mod tests {
             backend: "avx2".to_string(),
             isa: "avx2".to_string(),
             batch_grid: "seeds=[3,4]|lrs=[0.01]".to_string(),
-            tiles: 4,
             hot_set_peak_bytes: 1 << 20,
             packed: 120,
             target: 150,
@@ -186,7 +183,6 @@ mod tests {
         assert!(json.contains("\"fingerprint\": \"deadbeef01234567\""));
         assert!(json.contains("\"context_salt\": \"0000000000000042\""));
         assert!(json.contains("\"gradient\": 300"));
-        assert!(json.contains("\"tiles\": 4"));
         assert!(json.contains("\"hot_set_peak_bytes\": 1048576"));
         assert!(json.contains("\"path\": \"out.s3_lr0.01.vtk\", \"bytes\": 4096"));
         // Flat-parseable sanity: every quote is balanced.

@@ -62,6 +62,10 @@ pub fn contact_stats(particles: &[Particle]) -> ContactStats {
 
 /// Overlap statistics of a batch against itself **and** a fixed bed — the
 /// acceptance test of Algorithm 1 line 19.
+///
+/// Each sphere sums its bed contacts in ascending bed index, as the Verlet
+/// rows do, so the statistics depend on which spheres the grid holds and
+/// their order, never on its binning geometry.
 pub fn contact_stats_vs_fixed(centers: &[Vec3], radii: &[f64], fixed: &CsrGrid) -> ContactStats {
     assert_eq!(centers.len(), radii.len());
     let n = centers.len();
@@ -88,10 +92,20 @@ pub fn contact_stats_vs_fixed(centers: &[Vec3], radii: &[f64], fixed: &CsrGrid) 
         Accum::default(),
         |s, e| {
             let mut acc = Accum::default();
+            let mut hits = Vec::new();
             for i in s..e {
-                fixed.for_neighbors(centers[i], radii[i], |_, cf, rf| {
-                    acc.add_pair(centers[i], radii[i], cf, rf);
+                let (ci, ri) = (centers[i], radii[i]);
+                hits.clear();
+                fixed.for_neighbors(ci, ri, |k, cf, rf| {
+                    if ci.distance_sq(cf) < (ri + rf) * (ri + rf) {
+                        hits.push(k);
+                    }
                 });
+                hits.sort_unstable();
+                for &k in &hits {
+                    let (cf, rf) = fixed.sphere(k);
+                    acc.add_pair(ci, ri, cf, rf);
+                }
             }
             acc
         },
@@ -324,6 +338,53 @@ mod tests {
         // Pairs: (batch0, fixed) pen 0.1; (batch0, batch1) pen 0.2.
         assert_eq!(s.contacts, 2);
         assert!((s.mean_penetration - 0.15).abs() < 1e-12);
+    }
+
+    #[test]
+    fn vs_fixed_bits_do_not_depend_on_the_bed_grid_geometry() {
+        use crate::neighbor::FixedBed;
+        use adampack_geometry::Axis;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut sphere = |z: std::ops::Range<f64>, r: std::ops::Range<f64>| {
+            Particle::new(
+                Vec3::new(
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(z),
+                ),
+                rng.gen_range(r),
+            )
+        };
+        // Large spheres deep down, then a layer of small ones on top.
+        let mut bed: Vec<Particle> = (0..40).map(|_| sphere(-3.0..-2.0, 0.2..0.3)).collect();
+        bed.extend((0..800).map(|_| sphere(-1.0..-0.5, 0.05..0.1)));
+        let batch: Vec<Particle> = (0..200).map(|_| sphere(-0.6..-0.3, 0.05..0.1)).collect();
+        let centers: Vec<Vec3> = batch.iter().map(|p| p.center).collect();
+        let radii: Vec<f64> = batch.iter().map(|p| p.radius).collect();
+
+        // The whole bed, and the same bed's top layer binned on its own:
+        // other cell edge, origin and dims, and compacted indices.
+        let mut full = FixedBed::new(Axis::Z);
+        full.rebuild(&bed, f64::INFINITY);
+        let mut top = FixedBed::new(Axis::Z);
+        top.rebuild(&bed, 0.5);
+        assert_eq!(top.grid().len(), 800, "the deep spheres are retired");
+        assert_ne!(top.grid().max_radius(), full.grid().max_radius());
+        assert_ne!(top.grid().bounds().min, full.grid().bounds().min);
+
+        let a = contact_stats_vs_fixed(&centers, &radii, full.grid());
+        let b = contact_stats_vs_fixed(&centers, &radii, top.grid());
+        assert!(a.contacts > 200, "{} contacts", a.contacts);
+        assert_eq!(a.contacts, b.contacts);
+        for (x, y) in [
+            (a.mean_overlap_ratio, b.mean_overlap_ratio),
+            (a.max_overlap_ratio, b.max_overlap_ratio),
+            (a.mean_penetration, b.mean_penetration),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!    counting-sorted into `cell_start`/`entries` over the bounded AABB of
 //!    their centers. Queries walk whole x-rows of cells as one contiguous
 //!    `entries` slice, so candidate iteration is branch-light, sequential
-//!    and allocation-free. [`CsrGrid::push`] supports incremental growth
-//!    (the fixed bed gains one batch at a time) through a pending overflow
-//!    list with amortized geometric rebinning.
+//!    and allocation-free. [`FixedBed`] rebuilds its grid from the
+//!    particle list at every batch start, over only the spheres the batch
+//!    can reach.
 //! 2. [`VerletLists`] — per-particle candidate lists (batch pairs, bed
 //!    pairs and container walls) built once with a `skin` of slack in one
 //!    parallel pass and reused across optimizer steps. Per-step work drops
@@ -35,8 +35,6 @@
 //! Combined with the objective's one-writer-per-slot gradient layout and
 //! sequential value reduction, a fixed seed gives bitwise-identical
 //! packings on any thread count, skin and strategy.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use adampack_geometry::{Aabb, Axis, Plane, Vec3};
 use rayon::par;
@@ -113,12 +111,6 @@ pub enum SweepOrder {
 /// Bounds memory for sparse clouds spread over a huge AABB.
 const MAX_CELLS: usize = 1 << 21;
 
-/// Rebinning threshold for incremental pushes: the pending overflow list
-/// is folded into the CSR structure once it exceeds a quarter of the
-/// binned population (amortized O(1) per push).
-const PENDING_FRACTION: usize = 4;
-const PENDING_MIN: usize = 64;
-
 /// Reduction block for AABB / max-radius scans. Fixed (thread-independent)
 /// so [`par::map_reduce`] partials have the same shape on any pool width.
 const SCAN_BLOCK: usize = 4096;
@@ -145,19 +137,7 @@ pub const ROW_GRAIN: usize = 64;
 /// holds the indices of the spheres whose center falls in cell `c`, and
 /// cells are linearized x-fastest so a query's x-row of cells is one
 /// contiguous `entries` range.
-///
-/// # Hot-window mode
-///
-/// [`CsrGrid::rebuild_hot`] puts the grid in *hot-window* mode for tiled
-/// runs: only spheres whose surface reaches the retirement horizon are
-/// stored, but the binning geometry (origin, cell edge, dims, `max_radius`,
-/// bounds) is pinned to the values the **full** sphere set would produce, so
-/// every retained sphere lands in exactly the cell the untiled grid would
-/// put it in, in the same counting-sort relative order. Any query that
-/// could accept a retired sphere increments a relaxed miss counter instead
-/// of silently returning a truncated candidate set; the packing loop checks
-/// the counter every batch and fails hard.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CsrGrid {
     cell: f64,
     inv_cell: f64,
@@ -170,54 +150,12 @@ pub struct CsrGrid {
     centers: Vec<Vec3>,
     radii: Vec<f64>,
     max_radius: f64,
-    /// Surface-inclusive bounds, maintained incrementally.
+    /// Surface-inclusive bounds.
     bounds: Aabb,
-    /// Indices pushed since the last rebin; scanned linearly by queries.
-    pending: Vec<u32>,
     /// Per-sphere cell keys (rebin scratch, reused).
     keys: Vec<u32>,
     /// Per-chunk histogram scratch for the parallel counting sort.
     sort_scratch: Vec<u32>,
-    /// Hot-window state; `None` outside tiled runs.
-    hot: Option<HotWindow>,
-    /// Queries that could have accepted a sphere below the hot floor.
-    horizon_misses: AtomicU64,
-}
-
-/// Pinned geometry and floor of a hot-window ([`CsrGrid::rebuild_hot`]).
-#[derive(Debug, Clone, Copy)]
-struct HotWindow {
-    /// Gravity-axis unit vector altitudes are measured along.
-    up: Vec3,
-    /// Retirement horizon: spheres with `up·c + r < floor` are not stored.
-    floor: f64,
-    /// Center AABB of the **full** sphere set, maintained across pushes so
-    /// mid-batch rebins reproduce the untiled grid's binning geometry.
-    center_lo: Vec3,
-    /// See `center_lo`.
-    center_hi: Vec3,
-}
-
-impl Clone for CsrGrid {
-    fn clone(&self) -> CsrGrid {
-        CsrGrid {
-            cell: self.cell,
-            inv_cell: self.inv_cell,
-            origin: self.origin,
-            dims: self.dims,
-            cell_start: self.cell_start.clone(),
-            entries: self.entries.clone(),
-            centers: self.centers.clone(),
-            radii: self.radii.clone(),
-            max_radius: self.max_radius,
-            bounds: self.bounds,
-            pending: self.pending.clone(),
-            keys: self.keys.clone(),
-            sort_scratch: self.sort_scratch.clone(),
-            hot: self.hot,
-            horizon_misses: AtomicU64::new(self.horizon_misses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl Default for CsrGrid {
@@ -251,182 +189,46 @@ impl CsrGrid {
             radii: Vec::new(),
             max_radius: 0.0,
             bounds: Aabb::empty(),
-            pending: Vec::new(),
             keys: Vec::new(),
             sort_scratch: Vec::new(),
-            hot: None,
-            horizon_misses: AtomicU64::new(0),
         }
     }
 
     /// Re-populates the grid in place, reusing every buffer's capacity.
-    /// Leaves (or returns the grid to) the ordinary full-population mode.
     pub fn rebuild(&mut self, centers: &[Vec3], radii: &[f64]) {
         assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
-        self.hot = None;
         self.centers.clear();
         self.centers.extend_from_slice(centers);
         self.radii.clear();
         self.radii.extend_from_slice(radii);
-        let (lo, hi, max_r) = surface_scan(centers, radii);
-        self.max_radius = max_r;
-        self.bounds = Aabb::empty();
-        if !centers.is_empty() {
-            self.bounds.expand_point(lo);
-            self.bounds.expand_point(hi);
-        }
+        let _span = adampack_telemetry::span(adampack_telemetry::Phase::GridBuild);
         self.rebin();
     }
 
-    /// Re-populates the grid in *hot-window* mode: geometry and bounds are
-    /// computed from the **full** `centers`/`radii` arrays (bitwise the
-    /// values [`CsrGrid::rebuild`] would produce), but only spheres whose
-    /// surface altitude along `up` reaches `horizon` are stored and binned.
-    ///
-    /// Because the geometry is pinned to the full set and the counting sort
-    /// is stable, the retained spheres occupy the same cells in the same
-    /// relative order as in the untiled grid, so any query that stays above
-    /// the horizon (see [`CsrGrid::horizon_misses`]) sees a candidate
-    /// sequence whose accepted pairs are identical to the untiled run's.
-    pub fn rebuild_hot(&mut self, centers: &[Vec3], radii: &[f64], up: Vec3, horizon: f64) {
-        assert_eq!(centers.len(), radii.len(), "centers/radii length mismatch");
-        self.rebuild_hot_impl(centers.len(), |i| (centers[i], radii[i]), up, horizon);
-    }
-
-    /// [`CsrGrid::rebuild_hot`] reading straight from a particle list — no
-    /// O(total) staging copy, so a tiled run's resident memory really is
-    /// the retained window plus transient scan state.
-    pub fn rebuild_hot_particles(&mut self, particles: &[Particle], up: Vec3, horizon: f64) {
-        self.rebuild_hot_impl(
-            particles.len(),
-            |i| (particles[i].center, particles[i].radius),
-            up,
-            horizon,
-        );
-    }
-
-    /// Shared body of the hot rebuilds. The scans replicate
-    /// [`surface_scan`] / [`center_aabb`] exactly — same fixed block
-    /// decomposition, same per-block loop order, same combine — so the
-    /// binning geometry is bitwise the one the untiled grid computes.
-    fn rebuild_hot_impl(
-        &mut self,
-        n: usize,
-        sphere: impl Fn(usize) -> (Vec3, f64) + Sync,
-        up: Vec3,
-        horizon: f64,
-    ) {
-        self.horizon_misses.store(0, Ordering::Relaxed);
-        let (lo_s, hi_s, max_r) = par::map_reduce(
-            n,
-            SCAN_BLOCK,
-            (
-                Vec3::splat(f64::INFINITY),
-                Vec3::splat(f64::NEG_INFINITY),
-                0.0,
-            ),
-            |s, e| {
-                let mut lo = Vec3::splat(f64::INFINITY);
-                let mut hi = Vec3::splat(f64::NEG_INFINITY);
-                let mut max_r = 0.0f64;
-                for i in s..e {
-                    let (c, r) = sphere(i);
-                    lo = lo.min(c - Vec3::splat(r));
-                    hi = hi.max(c + Vec3::splat(r));
-                    max_r = max_r.max(r);
-                }
-                (lo, hi, max_r)
-            },
-            |a, b| (a.0.min(b.0), a.1.max(b.1), a.2.max(b.2)),
-        );
-        self.max_radius = max_r;
-        self.bounds = Aabb::empty();
-        if n > 0 {
-            self.bounds.expand_point(lo_s);
-            self.bounds.expand_point(hi_s);
-        }
-        let (center_lo, center_hi) = if n == 0 {
-            (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY))
-        } else {
-            par::map_reduce(
-                n,
-                SCAN_BLOCK,
-                (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY)),
-                |s, e| {
-                    let mut lo = sphere(s).0;
-                    let mut hi = lo;
-                    for i in s + 1..e {
-                        let c = sphere(i).0;
-                        lo = lo.min(c);
-                        hi = hi.max(c);
-                    }
-                    (lo, hi)
-                },
-                |a, b| (a.0.min(b.0), a.1.max(b.1)),
-            )
-        };
-        self.hot = Some(HotWindow {
-            up,
-            floor: horizon,
-            center_lo,
-            center_hi,
-        });
+    /// Re-populates the grid with the particles whose top along `up`
+    /// reaches `floor`, read straight from the list (no copy of the whole
+    /// set is staged). They keep their relative order, so ascending grid
+    /// index is ascending particle index. Untimed: [`FixedBed`] times its
+    /// whole rebuild.
+    fn rebuild_above(&mut self, particles: &[Particle], up: Vec3, floor: f64) {
         self.centers.clear();
         self.radii.clear();
-        for i in 0..n {
-            let (c, r) = sphere(i);
-            if up.dot(c) + r >= horizon {
-                self.centers.push(c);
-                self.radii.push(r);
-            }
+        for p in particles.iter().filter(|p| p.top_along(up) >= floor) {
+            self.centers.push(p.center);
+            self.radii.push(p.radius);
         }
         self.rebin();
     }
 
-    /// Appends one sphere. Amortized O(1): the sphere lands on a pending
-    /// overflow list (scanned linearly by queries) that is folded into the
-    /// CSR structure once it exceeds a fraction of the binned population.
-    pub fn push(&mut self, center: Vec3, radius: f64) {
-        let i = self.centers.len() as u32;
-        self.centers.push(center);
-        self.radii.push(radius);
-        self.max_radius = self.max_radius.max(radius);
-        self.bounds.expand_point(center + Vec3::splat(radius));
-        self.bounds.expand_point(center - Vec3::splat(radius));
-        if let Some(h) = &mut self.hot {
-            // Track the full-set center AABB so a mid-batch rebin keeps
-            // reproducing the untiled binning geometry.
-            h.center_lo = h.center_lo.min(center);
-            h.center_hi = h.center_hi.max(center);
-        }
-        self.pending.push(i);
-        let binned = self.entries.len();
-        if self.pending.len() > PENDING_MIN.max(binned / PENDING_FRACTION) {
-            self.rebin();
-        }
-    }
-
-    /// Folds any pending spheres into the CSR structure.
-    ///
-    /// After this the grid layout is a pure function of the `(centers,
-    /// radii)` arrays in insertion order — the same canonical layout
-    /// [`CsrGrid::rebuild`] produces — regardless of how pushes and
-    /// automatic rebins interleaved. Checkpointing calls this at every
-    /// cadence point so a resumed run (which rebuilds the grid from the
-    /// particle list) sees a bitwise-identical neighbor structure.
-    pub fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            self.rebin();
-        }
-    }
-
-    /// Counting-sorts all spheres into `cell_start`/`entries` and clears
-    /// the pending list. Reuses buffer capacity.
+    /// Counting-sorts all spheres into `cell_start`/`entries`. Reuses
+    /// buffer capacity.
     fn rebin(&mut self) {
         if failpoints::should_fail("core.grid.rebuild") {
             panic!("failpoint core.grid.rebuild: injected grid-rebuild fault");
         }
-        self.pending.clear();
+        let (lo, hi, max_r) = surface_scan(&self.centers, &self.radii);
+        self.max_radius = max_r;
+        self.bounds = Aabb::empty();
         let n = self.centers.len();
         if n == 0 {
             self.cell_start.clear();
@@ -434,16 +236,12 @@ impl CsrGrid {
             self.dims = [1, 1, 1];
             return;
         }
-        let _span = adampack_telemetry::span(adampack_telemetry::Phase::GridBuild);
+        self.bounds.expand_point(lo);
+        self.bounds.expand_point(hi);
         // Bin over the AABB of the centers (surfaces don't matter for
-        // binning; `max_radius` widens the query window instead). In
-        // hot-window mode the AABB of the *full* set (maintained across
-        // pushes) is used so the geometry matches the untiled grid's.
+        // binning; `max_radius` widens the query window instead).
         let centers = &self.centers;
-        let (lo, hi) = match &self.hot {
-            Some(h) => (h.center_lo, h.center_hi),
-            None => center_aabb(centers),
-        };
+        let (lo, hi) = center_aabb(centers);
         let (cell, dims) = binning_geometry(hi - lo, self.max_radius);
         self.cell = cell;
         self.inv_cell = 1.0 / cell;
@@ -508,9 +306,8 @@ impl CsrGrid {
     /// The callback receives `(index, center, radius)`. Candidates outside
     /// the reach are *not* filtered here (the caller's distance math
     /// already computes the exact distance); only whole cells are culled.
-    /// Visit order is deterministic: binned spheres in z→y→x cell order
-    /// (entries in counting-sort order within a row), then pending spheres
-    /// in insertion order.
+    /// Visit order is deterministic: z→y→x cell order, entries in
+    /// counting-sort order within a row.
     #[inline]
     pub fn for_neighbors<F: FnMut(usize, Vec3, f64)>(&self, p: Vec3, reach: f64, mut f: F) {
         self.for_neighbor_rows(p, reach, |row| {
@@ -522,21 +319,10 @@ impl CsrGrid {
     }
 
     /// Row-granular walk behind [`Self::for_neighbors`]: the callback gets
-    /// each candidate x-row as one contiguous index slice (then the pending
-    /// overflow list), in the order `for_neighbors` visits them.
+    /// each candidate x-row as one contiguous index slice, in the order
+    /// `for_neighbors` visits them.
     #[inline]
     fn for_neighbor_rows<F: FnMut(&[u32])>(&self, p: Vec3, reach: f64, mut f: F) {
-        if let Some(h) = &self.hot {
-            // Every caller keeps only spheres whose surface is within
-            // `reach` of `p`, and a retired sphere's surface lies below the
-            // floor. Unless `p` is within `reach` of the floor, no sphere a
-            // caller can accept is missing. Otherwise count the query
-            // (relaxed — the count is checked, never ordered against) and
-            // let the packing loop fail the batch hard.
-            if h.up.dot(p) - reach < h.floor {
-                self.horizon_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         if !self.entries.is_empty() {
             let range = reach + self.max_radius;
             let lo_x = ((p.x - range - self.origin.x) * self.inv_cell).floor() as i64;
@@ -561,9 +347,6 @@ impl CsrGrid {
                 }
             }
         }
-        if !self.pending.is_empty() {
-            f(&self.pending);
-        }
     }
 
     /// Collects the indices of spheres actually overlapping the query
@@ -585,33 +368,12 @@ impl CsrGrid {
         self.bounds
     }
 
-    /// True when the grid is in hot-window mode ([`CsrGrid::rebuild_hot`]).
-    pub fn is_hot(&self) -> bool {
-        self.hot.is_some()
-    }
-
-    /// The hot-window retirement horizon, if in hot-window mode.
-    pub fn hot_floor(&self) -> Option<f64> {
-        self.hot.map(|h| h.floor)
-    }
-
-    /// Number of queries since the last (hot) rebuild that could have
-    /// accepted a sphere below the retirement horizon: a query from `p`
-    /// with `up·p − reach` below the floor. Always zero outside hot-window
-    /// mode and for a correctly sized window; non-zero means a candidate
-    /// may have been silently retired and the run must not trust this
-    /// batch.
-    pub fn horizon_misses(&self) -> u64 {
-        self.horizon_misses.load(Ordering::Relaxed)
-    }
-
     /// Heap bytes resident in the grid's buffers (capacities, not lengths
     /// — this is what the allocator actually holds).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.cell_start.capacity()
             + self.entries.capacity()
-            + self.pending.capacity()
             + self.keys.capacity()
             + self.sort_scratch.capacity())
             * size_of::<u32>()
@@ -708,16 +470,28 @@ fn cell_index_raw(p: Vec3, origin: Vec3, inv_cell: f64, dims: [i64; 3]) -> usize
 // FixedBed
 // ---------------------------------------------------------------------------
 
-/// The packed bed a batch optimizes against: an incrementally grown
-/// [`CsrGrid`] plus the running top altitude along the gravity axis.
+/// The packed bed a batch optimizes against: a [`CsrGrid`] over the bed
+/// spheres the batch can reach, rebuilt from the particle list at every
+/// batch start, plus the bed's top altitude along the gravity axis.
 ///
-/// Replaces the seed's per-batch full rebuild (`build_grid(&particles)` and
-/// an O(packed) bed-top rescan in `spawn_batch`) with O(batch) pushes.
+/// A batch spawns above the bed top and settles onto its surface, so its
+/// queries reach only the top few layers. The grid holds the spheres whose
+/// top reaches the *floor*: sphere `k` is left out when
+/// `up·c_k + r_k < floor`. A query from batch sphere `i` with reach `ρ` can
+/// list `k` only if `up·cᵢ − ρ < up·c_k + r_k`, so while every query keeps
+/// `up·cᵢ − ρ ≥ floor` the grid returns the full bed's candidate set. A
+/// query that would reach deeper [heals](FixedBed::heal) the bed first.
+/// Rows and sums run in ascending index, which the kept spheres preserve,
+/// so no packed byte depends on the floor (DESIGN §13).
 #[derive(Debug, Clone)]
 pub struct FixedBed {
     grid: CsrGrid,
     axis: Axis,
     top: f64,
+    /// Largest radius in the whole bed.
+    max_radius: f64,
+    /// Spheres whose top lies below this altitude are left out of the grid.
+    floor: f64,
 }
 
 impl FixedBed {
@@ -727,56 +501,47 @@ impl FixedBed {
             grid: CsrGrid::empty(),
             axis,
             top: f64::NEG_INFINITY,
+            max_radius: 0.0,
+            floor: f64::NEG_INFINITY,
         }
     }
 
-    /// Builds the bed from already packed particles.
-    pub fn from_particles(axis: Axis, particles: &[Particle]) -> FixedBed {
-        let mut bed = FixedBed::new(axis);
-        if particles.is_empty() {
-            return bed;
-        }
-        let centers: Vec<Vec3> = particles.iter().map(|p| p.center).collect();
-        let radii: Vec<f64> = particles.iter().map(|p| p.radius).collect();
-        bed.grid.rebuild(&centers, &radii);
-        let up = axis.up();
-        bed.top = particles
-            .iter()
-            .map(|p| up.dot(p.center) + p.radius)
-            .fold(f64::NEG_INFINITY, f64::max);
-        bed
-    }
-
-    /// Adds one packed sphere (amortized O(1)).
-    pub fn push(&mut self, center: Vec3, radius: f64) {
-        self.top = self.top.max(self.axis.up().dot(center) + radius);
-        self.grid.push(center, radius);
-    }
-
-    /// Folds pending pushes into the canonical CSR layout (see
-    /// [`CsrGrid::flush_pending`]). Called at checkpoint cadence points so
-    /// straight and resumed runs agree bitwise on the bed's grid.
-    pub fn canonicalize(&mut self) {
-        self.grid.flush_pending();
-    }
-
-    /// Tiled-run variant of [`FixedBed::canonicalize`]: rebuilds the grid
-    /// in hot-window mode from the master particle list, retiring every
-    /// sphere whose surface sits below `horizon` while pinning the binning
-    /// geometry to the full set (see [`CsrGrid::rebuild_hot`]). The bed top
-    /// is refreshed from the full list, so spawn altitudes are unaffected
-    /// by retirement.
-    pub fn canonicalize_hot(&mut self, particles: &[Particle], horizon: f64) {
+    /// Rebuilds the bed from the packed particles for a batch whose queries
+    /// are expected to reach `depth` below the bed top (`∞` keeps every
+    /// sphere). The floor sits a further bed-sphere diameter lower: the
+    /// top is the highest sphere's, and the surface elsewhere can lie that
+    /// much deeper.
+    pub fn rebuild(&mut self, particles: &[Particle], depth: f64) {
+        let _span = adampack_telemetry::span(adampack_telemetry::Phase::GridBuild);
         let up = self.axis.up();
-        let mut top = f64::NEG_INFINITY;
-        for p in particles {
-            top = top.max(up.dot(p.center) + p.radius);
-        }
-        self.top = top;
-        self.grid.rebuild_hot_particles(particles, up, horizon);
+        (self.top, self.max_radius) = particles
+            .iter()
+            .fold((f64::NEG_INFINITY, 0.0f64), |(top, r), p| {
+                (top.max(p.top_along(up)), r.max(p.radius))
+            });
+        self.floor = self.top - depth - 2.0 * self.max_radius;
+        self.grid.rebuild_above(particles, up, self.floor);
     }
 
-    /// The neighbor-query structure over the bed.
+    /// Lowers the floor a bed-sphere diameter below `lowest`, the deepest
+    /// altitude a query is about to reach, and rebuilds the grid from the
+    /// same particles. Call it before any query that reaches below
+    /// [`FixedBed::floor`]; the grid's indices change, so rows built
+    /// against the old grid must be rebuilt.
+    pub fn heal(&mut self, particles: &[Particle], lowest: f64) {
+        let _span = adampack_telemetry::span(adampack_telemetry::Phase::GridBuild);
+        adampack_telemetry::metrics::BED_HEALS_TOTAL.inc();
+        adampack_telemetry::debug!(
+            "bed heal: a query reaches {:.4} below the top, past the floor at {:.4}",
+            self.top - lowest,
+            self.top - self.floor,
+        );
+        self.floor = lowest - 2.0 * self.max_radius;
+        self.grid
+            .rebuild_above(particles, self.axis.up(), self.floor);
+    }
+
+    /// The neighbor-query structure over the bed spheres above the floor.
     pub fn grid(&self) -> &CsrGrid {
         &self.grid
     }
@@ -791,50 +556,21 @@ impl FixedBed {
         self.top
     }
 
-    /// Number of packed spheres.
-    pub fn len(&self) -> usize {
-        self.grid.len()
+    /// The altitude below which spheres are left out of the grid (`-∞`
+    /// when it holds the whole bed).
+    pub fn floor(&self) -> f64 {
+        self.floor
     }
 
     /// True when nothing is packed yet.
     pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
+        self.top == f64::NEG_INFINITY
     }
 
     /// Heap bytes resident in the bed (the grid's buffers).
     pub fn resident_bytes(&self) -> usize {
         self.grid.resident_bytes()
     }
-}
-
-/// Slab-quantized retirement horizon for a gravity-axis tiled run.
-///
-/// The container span `[bottom, top]` is divided into `tiles` equal slabs.
-/// The horizon is the bottom of the slab **below** the one containing the
-/// bed top, so the hot window always keeps at least one full slab of
-/// settled material under the active surface — enough to dominate any
-/// realistic interaction reach. Quantizing to slab boundaries (instead of
-/// tracking `bed_top − margin` continuously) means the horizon moves a few
-/// times per run, keeping hot rebuild churn negligible.
-///
-/// Returns `-∞` (retain everything) while the bed is empty, for one tile,
-/// for a degenerate container span, or while the bed top is still inside
-/// the bottom two slabs: a horizon at the container floor retires nothing,
-/// but as a finite hot-window floor it would turn every floor-adjacent
-/// query window into a spurious breach.
-pub fn tile_horizon(tiles: usize, bottom: f64, top: f64, bed_top: f64) -> f64 {
-    if tiles <= 1 || !bed_top.is_finite() {
-        return f64::NEG_INFINITY;
-    }
-    let slab = (top - bottom) / tiles as f64;
-    if slab.is_nan() || slab <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    let k = ((bed_top - bottom) / slab).floor() - 1.0;
-    if k <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    bottom + slab * k
 }
 
 // ---------------------------------------------------------------------------
@@ -869,6 +605,8 @@ pub struct VerletLists {
     /// the chunks the last build used are kept for their capacity.
     chunks: Vec<ListChunk>,
     chunk_rows: usize,
+    /// The longest `[intra, cross, walls]` row any build has listed.
+    longest: [usize; 3],
     rebuilds: usize,
 }
 
@@ -884,6 +622,8 @@ struct ListChunk {
     intra: Vec<u32>,
     cross: Vec<u32>,
     walls: Vec<u32>,
+    /// The longest row of each list in the last fill.
+    longest: [usize; 3],
 }
 
 /// What one list build reads: the batch at its build-time positions and
@@ -930,6 +670,7 @@ impl ListChunk {
         self.cross.reserve(reserve[1]);
         self.walls.reserve(reserve[2]);
         self.ends.push([0; 3]);
+        self.longest = [0; 3];
         for i in rows {
             let ci = positions[i];
             let ri = radii[i];
@@ -958,11 +699,16 @@ impl ListChunk {
                     self.walls.push(k as u32);
                 }
             }
-            self.ends.push([
+            let start = self.ends[self.ends.len() - 1];
+            let end = [
                 self.intra.len() as u32,
                 self.cross.len() as u32,
                 self.walls.len() as u32,
-            ]);
+            ];
+            for ((l, e), s) in self.longest.iter_mut().zip(end).zip(start) {
+                *l = (*l).max((e - s) as usize);
+            }
+            self.ends.push(end);
         }
     }
 
@@ -1053,20 +799,21 @@ impl VerletLists {
             self.chunks.resize_with(n_chunks, ListChunk::default);
         }
         self.chunk_rows = rows;
-        // Chunks are interchangeable, so each reserves what the fullest one
-        // ever held: a shift of density between chunks allocates nothing,
-        // only outgrowing every earlier chunk does.
-        let reserve = self.chunks.iter().fold([0; 3], |m, c| {
-            [
-                m[0].max(c.intra.capacity()),
-                m[1].max(c.cross.capacity()),
-                m[2].max(c.walls.capacity()),
-            ]
-        });
+        // Each chunk reserves room for every one of its rows at the longest
+        // row any build has listed. A batch settling onto its bed gains
+        // contacts row by row, but no row outgrows the densest one seen, so
+        // the buffers regrow only when a longer row first appears, and a
+        // shift of density between chunks allocates nothing.
+        let reserve = self.longest.map(|l| l * rows);
         par::for_each_slot(&mut self.chunks[..n_chunks], 1, |k, chunk| {
             let first = k * rows;
             chunk.fill(first..n.min(first + rows), reserve, inputs);
         });
+        for chunk in &self.chunks[..n_chunks] {
+            for (l, c) in self.longest.iter_mut().zip(chunk.longest) {
+                *l = (*l).max(c);
+            }
+        }
     }
 
     /// Sphere `i`'s candidate lists.
@@ -1259,40 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_push_matches_bulk_build() {
-        let (centers, radii) = random_cloud(42, 500, 2.0);
-        let bulk = CsrGrid::build(&centers, &radii);
-        let mut inc = CsrGrid::empty();
-        for (&c, &r) in centers.iter().zip(&radii) {
-            inc.push(c, r);
-        }
-        assert_eq!(inc.len(), bulk.len());
-        let mut rng = StdRng::seed_from_u64(43);
-        for _ in 0..100 {
-            let p = Vec3::new(
-                rng.gen_range(-2.5..2.5),
-                rng.gen_range(-2.5..2.5),
-                rng.gen_range(-2.5..2.5),
-            );
-            let r = rng.gen_range(0.05..0.5);
-            assert_eq!(inc.overlapping(p, r), bulk.overlapping(p, r));
-        }
-        // Incremental bounds match the bulk bounds.
-        assert_eq!(inc.bounds().min, bulk.bounds().min);
-        assert_eq!(inc.bounds().max, bulk.bounds().max);
-    }
-
-    #[test]
-    fn push_with_growing_radius_stays_correct() {
-        // A pushed sphere larger than anything binned must still be found
-        // (max_radius grows, widening the query window).
-        let mut g = CsrGrid::build(&[Vec3::ZERO], &[0.1]);
-        g.push(Vec3::new(5.0, 0.0, 0.0), 3.0);
-        assert_eq!(g.overlapping(Vec3::new(8.5, 0.0, 0.0), 1.0), vec![1]);
-        assert_eq!(g.max_radius(), 3.0);
-    }
-
-    #[test]
     fn rebuild_reuses_buffers() {
         let (centers, radii) = random_cloud(9, 400, 2.0);
         let mut g = CsrGrid::build(&centers, &radii);
@@ -1326,27 +1039,34 @@ mod tests {
         assert_eq!(g.overlapping(Vec3::splat(1e6), 0.005), vec![1]);
     }
 
+    /// Spheres at `(x, y, z, r)`.
+    fn spheres(list: &[[f64; 4]]) -> Vec<Particle> {
+        list.iter()
+            .map(|&[x, y, z, r]| Particle::new(Vec3::new(x, y, z), r))
+            .collect()
+    }
+
     #[test]
-    fn fixed_bed_tracks_top_incrementally() {
+    fn fixed_bed_top_comes_from_the_whole_list() {
         let mut bed = FixedBed::new(Axis::Z);
         assert!(bed.is_empty());
         assert_eq!(bed.top(), f64::NEG_INFINITY);
-        bed.push(Vec3::new(0.0, 0.0, 1.0), 0.5);
+        bed.rebuild(&[], 1.0);
+        assert!(bed.is_empty());
+        let particles = spheres(&[
+            [0.0, 0.0, 1.0, 0.5],
+            [1.0, 0.0, 0.2, 0.1],
+            [0.0, 1.0, 2.0, 0.25],
+        ]);
+        bed.rebuild(&particles[..2], 1.0);
         assert_eq!(bed.top(), 1.5);
-        bed.push(Vec3::new(1.0, 0.0, 0.2), 0.1);
-        assert_eq!(bed.top(), 1.5);
-        bed.push(Vec3::new(0.0, 1.0, 2.0), 0.25);
+        bed.rebuild(&particles, 1.0);
         assert_eq!(bed.top(), 2.25);
-        assert_eq!(bed.len(), 3);
-
-        let particles: Vec<Particle> = vec![
-            Particle::new(Vec3::new(0.0, 0.0, 1.0), 0.5),
-            Particle::new(Vec3::new(1.0, 0.0, 0.2), 0.1),
-            Particle::new(Vec3::new(0.0, 1.0, 2.0), 0.25),
-        ];
-        let rebuilt = FixedBed::from_particles(Axis::Z, &particles);
-        assert_eq!(rebuilt.top(), bed.top());
-        assert_eq!(rebuilt.len(), bed.len());
+        assert!(!bed.is_empty());
+        // Along x the tops are 0.5, 1.1 and 0.25.
+        let mut sideways = FixedBed::new(Axis::X);
+        sideways.rebuild(&particles, 1.0);
+        assert_eq!(sideways.top(), 1.1);
     }
 
     #[test]
@@ -1530,135 +1250,137 @@ mod tests {
     }
 
     #[test]
-    fn tile_horizon_keeps_a_full_slab_below_the_surface() {
-        // tiles <= 1 or an empty bed disable tiling entirely.
-        assert_eq!(tile_horizon(1, 0.0, 10.0, 5.0), f64::NEG_INFINITY);
-        assert_eq!(
-            tile_horizon(4, 0.0, 10.0, f64::NEG_INFINITY),
-            f64::NEG_INFINITY
-        );
-        // Degenerate container span.
-        assert_eq!(tile_horizon(4, 2.0, 2.0, 1.0), f64::NEG_INFINITY);
-        // 5 tiles over [0, 10]: slab = 2. Bed top 5 sits in slab 2, so the
-        // horizon retreats one full slab to 2.
-        assert_eq!(tile_horizon(5, 0.0, 10.0, 5.0), 2.0);
-        // A bed still inside the bottom two slabs retires nothing, and the
-        // horizon must stay -inf (a finite floor at the container bottom
-        // would count floor-adjacent query windows as spurious breaches).
-        assert_eq!(tile_horizon(5, 0.0, 10.0, 1.9), f64::NEG_INFINITY);
-        assert_eq!(tile_horizon(5, 0.0, 10.0, 3.9), f64::NEG_INFINITY);
-        assert_eq!(tile_horizon(5, 0.0, 10.0, 4.1), 2.0);
-        // The horizon is monotone in bed_top.
-        let mut last = f64::NEG_INFINITY;
-        for t in 0..50 {
-            let h = tile_horizon(8, -1.0, 7.0, -1.0 + 0.16 * t as f64);
-            assert!(h >= last, "horizon must be monotone");
-            last = h;
-        }
+    fn bed_floor_sits_a_batch_depth_and_a_diameter_below_the_top() {
+        let particles = spheres(&[
+            [0.0, 0.0, 1.0, 0.5],
+            [1.0, 0.0, 0.2, 0.1],
+            [0.0, 1.0, 2.0, 0.25],
+        ]);
+        let mut bed = FixedBed::new(Axis::Z);
+        assert_eq!(bed.floor(), f64::NEG_INFINITY);
+        // An empty bed keeps everything it will ever hold.
+        bed.rebuild(&[], 0.5);
+        assert_eq!(bed.floor(), f64::NEG_INFINITY);
+        // Top 2.25, a 0.5 batch depth and a 2 × 0.5 diameter: the sphere
+        // whose top is 0.3 is retired, the others are kept.
+        bed.rebuild(&particles, 0.5);
+        assert_eq!(bed.floor(), 0.75);
+        assert_eq!(bed.grid().len(), 2);
+        assert_eq!(bed.grid().sphere(0), (Vec3::new(0.0, 0.0, 1.0), 0.5));
+        assert_eq!(bed.grid().sphere(1), (Vec3::new(0.0, 1.0, 2.0), 0.25));
+        // An unbounded depth (the naive oracle's) keeps the whole bed.
+        bed.rebuild(&particles, f64::INFINITY);
+        assert_eq!(bed.floor(), f64::NEG_INFINITY);
+        assert_eq!(bed.grid().len(), 3);
+    }
+
+    /// A random bed of 500 spheres in `[-2, 2]³`.
+    fn random_bed(seed: u64) -> Vec<Particle> {
+        let (centers, radii) = random_cloud(seed, 500, 2.0);
+        centers
+            .into_iter()
+            .zip(radii)
+            .map(|(c, r)| Particle::new(c, r))
+            .collect()
+    }
+
+    /// The bed spheres within `reach` of `p` (the ones a caller keeps), as
+    /// particle indices: `index` maps a grid index to its particle.
+    fn within(grid: &CsrGrid, index: &[usize], p: Vec3, reach: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        grid.for_neighbors(p, reach, |k, c, r| {
+            if p.distance(c) < reach + r {
+                out.push(index[k]);
+            }
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// Particle index of each sphere a bed grid holds.
+    fn kept(bed: &FixedBed, particles: &[Particle]) -> Vec<usize> {
+        (0..particles.len())
+            .filter(|&k| particles[k].top_along(Vec3::Z) >= bed.floor())
+            .collect()
     }
 
     #[test]
-    fn hot_rebuild_pins_full_set_geometry() {
-        let (centers, radii) = random_cloud(11, 400, 2.0);
-        let full = CsrGrid::build(&centers, &radii);
-        let mut hot = CsrGrid::empty();
-        hot.rebuild_hot(&centers, &radii, Vec3::Z, 0.5);
-        assert!(hot.is_hot());
-        assert_eq!(hot.hot_floor(), Some(0.5));
-        assert!(hot.len() < full.len(), "horizon must retire something");
-        // The binning geometry is pinned to the FULL set: identical cell
-        // size, origin, dims and query window regardless of retirement.
-        assert_eq!(hot.cell.to_bits(), full.cell.to_bits());
-        assert_eq!(hot.origin.x.to_bits(), full.origin.x.to_bits());
-        assert_eq!(hot.origin.y.to_bits(), full.origin.y.to_bits());
-        assert_eq!(hot.origin.z.to_bits(), full.origin.z.to_bits());
-        assert_eq!(hot.dims, full.dims);
-        assert_eq!(hot.max_radius.to_bits(), full.max_radius.to_bits());
-        assert_eq!(hot.bounds.min, full.bounds.min);
-        assert_eq!(hot.bounds.max, full.bounds.max);
-    }
+    fn bed_queries_above_the_floor_match_the_full_bed() {
+        let particles = random_bed(12);
+        let all: Vec<usize> = (0..particles.len()).collect();
+        let mut full = FixedBed::new(Axis::Z);
+        full.rebuild(&particles, f64::INFINITY);
+        let mut bed = FixedBed::new(Axis::Z);
+        bed.rebuild(&particles, 1.0);
+        let floor = bed.floor();
+        let index = kept(&bed, &particles);
+        assert_eq!(index.len(), bed.grid().len());
+        assert!(index.len() < particles.len() / 2, "the floor must retire");
 
-    #[test]
-    fn hot_grid_queries_above_horizon_match_full_grid_in_order() {
-        let (centers, radii) = random_cloud(12, 500, 2.0);
-        let horizon = 0.3;
-        let full = CsrGrid::build(&centers, &radii);
-        let mut hot = CsrGrid::empty();
-        hot.rebuild_hot(&centers, &radii, Vec3::Z, horizon);
-        let retained = |c: Vec3, r: f64| c.z + r >= horizon;
+        // Random queries that stay above the floor see the full bed's set.
         let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..100 {
+        let mut compared = 0;
+        while compared < 100 {
             let p = Vec3::new(
                 rng.gen_range(-2.0..2.0),
                 rng.gen_range(-2.0..2.0),
-                rng.gen_range(-2.0..2.0),
+                rng.gen_range(-2.0..3.0),
             );
             let reach = rng.gen_range(0.05..0.5);
-            // Only query where the guard inequality holds. `for_neighbors`
-            // visits cell-window *candidates*, so sub-horizon non-hits may
-            // legitimately vanish from the hot walk (they contribute
-            // nothing); the parity contract is (a) the hot candidate
-            // sequence is exactly the retained-filtered full sequence, in
-            // order, and (b) every candidate whose surface is within
-            // `reach` — the only ones a caller accepts — is retained.
-            if p.z - reach < horizon {
+            if p.z - reach < floor {
                 continue;
             }
-            let mut full_seq = Vec::new();
-            full.for_neighbors(p, reach, |_, c, r| {
-                if p.distance(c) < reach + r {
-                    assert!(
-                        retained(c, r),
-                        "guard violated: overlapping candidate retired"
-                    );
-                }
-                if retained(c, r) {
-                    full_seq.push((c.x.to_bits(), c.y.to_bits(), c.z.to_bits(), r.to_bits()));
-                }
-            });
-            let mut hot_seq = Vec::new();
-            hot.for_neighbors(p, reach, |_, c, r| {
-                hot_seq.push((c.x.to_bits(), c.y.to_bits(), c.z.to_bits(), r.to_bits()));
-            });
-            assert_eq!(full_seq, hot_seq, "candidate sequence must match bitwise");
+            let hits = within(bed.grid(), &index, p, reach);
+            assert_eq!(hits, within(full.grid(), &all, p, reach));
+            compared += 1;
         }
-        assert_eq!(hot.horizon_misses(), 0);
-        // A query reaching below the floor trips the sentinel.
-        hot.for_neighbors(Vec3::new(0.0, 0.0, horizon - 1.0), 0.1, |_, _, _| {});
-        assert!(hot.horizon_misses() > 0);
+
+        // The highest retired sphere, and a query that just reaches it.
+        let k = (0..particles.len())
+            .filter(|&k| particles[k].top_along(Vec3::Z) < floor)
+            .max_by(|&a, &b| {
+                particles[a]
+                    .top_along(Vec3::Z)
+                    .total_cmp(&particles[b].top_along(Vec3::Z))
+            })
+            .unwrap();
+        let (c, r) = particles[k].sphere();
+        let reach = 0.2;
+        let below = c + Vec3::Z * (r + reach - 1e-9);
+        assert!(below.z - reach < floor);
+        assert!(within(full.grid(), &all, below, reach).contains(&k));
+        assert!(!within(bed.grid(), &index, below, reach).contains(&k));
+        // Just above the floor, straight over that sphere: nothing is
+        // missing.
+        let above = Vec3::new(c.x, c.y, floor + reach + 1e-9);
+        let hits = within(bed.grid(), &index, above, reach);
+        assert!(!hits.is_empty());
+        assert_eq!(hits, within(full.grid(), &all, above, reach));
+        // The heal makes the deeper query complete.
+        bed.heal(&particles, below.z - reach);
+        let index = kept(&bed, &particles);
+        assert_eq!(
+            within(bed.grid(), &index, below, reach),
+            within(full.grid(), &all, below, reach)
+        );
     }
 
     #[test]
-    fn hot_grid_push_and_rebin_keep_full_set_aabb() {
-        let (centers, radii) = random_cloud(14, 300, 1.5);
-        let mut full = CsrGrid::build(&centers, &radii);
-        let mut hot = CsrGrid::empty();
-        hot.rebuild_hot(&centers, &radii, Vec3::Z, 0.2);
-        // Push enough new spheres to trigger a pending fold on both grids;
-        // the hot rebin must reproduce the untiled geometry bitwise because
-        // its AABB tracks the full set, not the retained subset.
-        let mut rng = StdRng::seed_from_u64(15);
-        for _ in 0..200 {
-            let c = Vec3::new(
-                rng.gen_range(-1.5..1.5),
-                rng.gen_range(-1.5..1.5),
-                rng.gen_range(0.5..2.5),
-            );
-            let r = rng.gen_range(0.05..0.3);
-            full.push(c, r);
-            hot.push(c, r);
-        }
-        full.flush_pending();
-        hot.flush_pending();
-        assert_eq!(hot.cell.to_bits(), full.cell.to_bits());
-        assert_eq!(hot.origin.x.to_bits(), full.origin.x.to_bits());
-        assert_eq!(hot.origin.y.to_bits(), full.origin.y.to_bits());
-        assert_eq!(hot.origin.z.to_bits(), full.origin.z.to_bits());
-        assert_eq!(hot.dims, full.dims);
+    fn bed_heal_lowers_the_floor_a_diameter_below_the_query() {
+        let particles = random_bed(14);
+        let mut bed = FixedBed::new(Axis::Z);
+        bed.rebuild(&particles, 1.0);
+        let (top, floor, held) = (bed.top(), bed.floor(), bed.grid().len());
+        let r_max = particles.iter().map(|p| p.radius).fold(0.0, f64::max);
+        bed.heal(&particles, floor - 0.5);
+        assert_eq!(bed.floor(), floor - 0.5 - 2.0 * r_max);
+        assert_eq!(bed.top(), top, "a heal keeps the top");
+        assert!(bed.grid().len() > held, "a deeper floor keeps more spheres");
+        assert_eq!(bed.grid().len(), kept(&bed, &particles).len());
     }
 
     #[test]
-    fn canonicalize_hot_retires_but_keeps_top() {
+    fn bed_rebuild_retires_below_the_floor_but_keeps_the_top() {
         let particles: Vec<Particle> = (0..60)
             .map(|i| {
                 Particle::new(
@@ -1671,15 +1393,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut full = FixedBed::from_particles(Axis::Z, &particles);
-        full.canonicalize();
-        let mut tiled = FixedBed::new(Axis::Z);
-        tiled.canonicalize_hot(&particles, 3.0);
-        assert_eq!(tiled.top(), full.top(), "top must come from the full set");
-        assert_eq!(full.len(), particles.len());
-        assert!(tiled.grid().is_hot());
-        assert!(tiled.grid().len() < particles.len());
-        assert!(tiled.grid().resident_bytes() < full.grid().resident_bytes());
+        let mut full = FixedBed::new(Axis::Z);
+        full.rebuild(&particles, f64::INFINITY);
+        let mut bed = FixedBed::new(Axis::Z);
+        bed.rebuild(&particles, 2.0);
+        assert_eq!(bed.top(), full.top(), "top must come from the full set");
+        assert_eq!(full.grid().len(), particles.len());
+        assert!(bed.grid().len() < particles.len());
+        assert!(bed.resident_bytes() < full.resident_bytes());
     }
 
     #[test]

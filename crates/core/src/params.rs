@@ -7,8 +7,8 @@
 
 use adampack_geometry::Axis;
 use adampack_opt::{
-    Adam, AdamConfig, ConstantLr, CosineAnnealingLr, Kernel, LrScheduler, NAdam, NAdamConfig,
-    Optimizer, ReduceLrOnPlateau, ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
+    Adam, AdamConfig, ConstantLr, Kernel, LrScheduler, NAdam, NAdamConfig, Optimizer,
+    ReduceLrOnPlateau, ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
 };
 
 use crate::neighbor::{self, NeighborStrategy, SweepOrder};
@@ -124,15 +124,6 @@ pub enum LrPolicy {
         /// Lower bound on the LR.
         min_lr: f64,
     },
-    /// Cosine annealing over the batch's `max_steps`.
-    Cosine {
-        /// Initial learning rate.
-        initial: f64,
-        /// Final learning rate.
-        min_lr: f64,
-        /// Annealing horizon in steps.
-        t_max: u64,
-    },
 }
 
 impl LrPolicy {
@@ -151,7 +142,6 @@ impl LrPolicy {
         match *self {
             LrPolicy::Fixed(lr) => lr,
             LrPolicy::Plateau { initial, .. } => initial,
-            LrPolicy::Cosine { initial, .. } => initial,
         }
     }
 
@@ -171,11 +161,6 @@ impl LrPolicy {
                 min_lr,
                 ..ReduceLrOnPlateauConfig::default()
             })),
-            LrPolicy::Cosine {
-                initial,
-                min_lr,
-                t_max,
-            } => Box::new(CosineAnnealingLr::new(initial, min_lr, t_max)),
         }
     }
 }
@@ -274,15 +259,6 @@ pub struct PackingParams {
     /// the Adam update). `Simd` and `Scalar` are bitwise interchangeable;
     /// the scalar path survives as the correctness oracle.
     pub kernel: Kernel,
-    /// Gravity-axis domain tiles. `1` (default) keeps the whole bed hot;
-    /// `t > 1` splits the container span into `t` slabs and retires settled
-    /// spheres more than one full slab below the bed surface from the hot
-    /// grid after each batch, bounding resident memory by the active
-    /// surface instead of the total count. Packings are bitwise identical
-    /// to the untiled run (the retirement horizon is chosen so no query
-    /// window can reach a retired sphere; a breach is a hard
-    /// [`crate::collective::PackError::HorizonBreach`]).
-    pub tiles: usize,
 }
 
 impl Default for PackingParams {
@@ -304,7 +280,6 @@ impl Default for PackingParams {
             neighbor: NeighborParams::default(),
             sentinel: SentinelParams::default(),
             kernel: Kernel::default(),
-            tiles: 1,
         }
     }
 }
@@ -327,12 +302,6 @@ impl PackingParams {
         assert!(
             self.spawn_density > 0.0 && self.spawn_density < 1.0,
             "spawn_density must be in (0, 1)"
-        );
-        assert!(self.tiles >= 1, "tiles must be >= 1");
-        assert!(
-            self.tiles == 1 || self.neighbor.strategy != NeighborStrategy::Naive,
-            "tiles > 1 requires neighbor strategy 'auto' or 'verlet' \
-             (the naive cross scan reads every bed sphere, defeating retirement)"
         );
         self.weights.validate();
         self.sentinel.validate();
@@ -358,7 +327,6 @@ mod tests {
         assert!(p.accept_max_overlap >= p.accept_mean_overlap);
         assert_eq!(p.neighbor.strategy, NeighborStrategy::Verlet);
         assert_eq!(p.kernel, Kernel::Simd);
-        assert_eq!(p.tiles, 1);
         assert!(p.sentinel.enabled);
         assert_eq!(p.sentinel.max_recoveries, 8);
         assert_eq!(p.sentinel.snapshot_every, 25);
@@ -407,44 +375,12 @@ mod tests {
 
     #[test]
     fn lr_policies_build_and_report_initial() {
-        for policy in [
-            LrPolicy::Fixed(1e-3),
-            LrPolicy::paper_default(),
-            LrPolicy::Cosine {
-                initial: 1e-2,
-                min_lr: 1e-4,
-                t_max: 100,
-            },
-        ] {
+        for policy in [LrPolicy::Fixed(1e-3), LrPolicy::paper_default()] {
             let mut s = policy.build();
             assert_eq!(s.current_lr(), policy.initial_lr());
             let lr = s.step(1.0);
             assert!(lr > 0.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tiles")]
-    fn zero_tiles_rejected() {
-        let p = PackingParams {
-            tiles: 0,
-            ..PackingParams::default()
-        };
-        p.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "requires neighbor strategy 'auto' or 'verlet'")]
-    fn tiling_with_naive_strategy_rejected() {
-        let p = PackingParams {
-            tiles: 4,
-            neighbor: NeighborParams {
-                strategy: NeighborStrategy::Naive,
-                ..NeighborParams::default()
-            },
-            ..PackingParams::default()
-        };
-        p.validate();
     }
 
     #[test]

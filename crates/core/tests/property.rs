@@ -73,12 +73,18 @@ proptest! {
         // The production CSR grid must agree with the O(n²) scan.
         let csr = CsrGrid::build(&pts, &radii);
         prop_assert_eq!(csr.overlapping(q, qr), want.clone());
-        // And an incrementally-grown CSR grid sees the same set.
-        let mut grown = CsrGrid::empty();
-        for (i, &c) in pts.iter().enumerate() {
-            grown.push(c, radii[i]);
-        }
-        prop_assert_eq!(grown.overlapping(q, qr), want);
+        // And so does a bed grid whose floor lies below the query's
+        // lowest reach, with its indices mapped back to the particles.
+        let particles: Vec<Particle> =
+            pts.iter().zip(&radii).map(|(&c, &r)| Particle::new(c, r)).collect();
+        let mut bed = FixedBed::new(Axis::Z);
+        bed.rebuild(&particles, f64::INFINITY);
+        bed.heal(&particles, q.z - qr);
+        let kept: Vec<usize> = (0..particles.len())
+            .filter(|&i| particles[i].top_along(Vec3::Z) >= bed.floor())
+            .collect();
+        let seen: Vec<usize> = bed.grid().overlapping(q, qr).into_iter().map(|k| kept[k]).collect();
+        prop_assert_eq!(seen, want);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! scheduler (§IV-B). This crate implements those two exactly (PyTorch
 //! update-rule semantics, so step-for-step traces match the reference
 //! implementation), plus the optimizers the ablation benchmark compares it
-//! with (SGD, SGD with momentum, RMSProp, NAdam) and fixed-rate and cosine
-//! schedules.
+//! with (SGD, SGD with momentum, RMSProp, NAdam) and a fixed-rate
+//! schedule.
 //!
 //! All optimizers operate on flat `&mut [f64]` parameter slices — the packing
 //! core stores sphere centres as a structure-of-arrays `[x0..xn, y0..yn,
@@ -47,8 +47,7 @@ pub use nadam::{NAdam, NAdamConfig};
 pub use optimizer::Optimizer;
 pub use rmsprop::{RmsProp, RmsPropConfig};
 pub use scheduler::{
-    ConstantLr, CosineAnnealingLr, LrScheduler, ReduceLrOnPlateau, ReduceLrOnPlateauConfig,
-    ThresholdMode,
+    ConstantLr, LrScheduler, ReduceLrOnPlateau, ReduceLrOnPlateauConfig, ThresholdMode,
 };
 pub use sgd::{Sgd, SgdConfig};
 pub use state::{OptimizerState, SchedulerState, StateMismatch};

@@ -4,7 +4,7 @@
 //! `ReduceLROnPlateau`; [`ReduceLrOnPlateau`] reproduces that scheduler's
 //! exact semantics (relative/absolute thresholds, patience, cooldown,
 //! minimum LR). The fixed-rate schedule gives Fig. 3's constant-rate
-//! baselines; cosine annealing is the remaining learning-rate policy.
+//! baselines.
 
 use crate::state::SchedulerState;
 
@@ -72,59 +72,6 @@ impl LrScheduler for ConstantLr {
         // left the rate unchanged would deterministically re-diverge.
         self.lr *= 0.5;
         self.lr
-    }
-}
-
-/// Cosine annealing from the initial LR down to `min_lr` over `t_max` steps,
-/// then holding `min_lr`.
-#[derive(Debug, Clone, Copy)]
-pub struct CosineAnnealingLr {
-    initial_lr: f64,
-    min_lr: f64,
-    t_max: u64,
-    t: u64,
-}
-
-impl CosineAnnealingLr {
-    /// Creates a cosine annealing schedule.
-    pub fn new(initial_lr: f64, min_lr: f64, t_max: u64) -> CosineAnnealingLr {
-        assert!(initial_lr > 0.0 && initial_lr.is_finite());
-        assert!(min_lr >= 0.0 && min_lr <= initial_lr);
-        assert!(t_max > 0);
-        CosineAnnealingLr {
-            initial_lr,
-            min_lr,
-            t_max,
-            t: 0,
-        }
-    }
-}
-
-impl LrScheduler for CosineAnnealingLr {
-    fn step(&mut self, _metric: f64) -> f64 {
-        self.t = (self.t + 1).min(self.t_max);
-        self.current_lr()
-    }
-    fn current_lr(&self) -> f64 {
-        let frac = self.t as f64 / self.t_max as f64;
-        self.min_lr
-            + (self.initial_lr - self.min_lr) * 0.5 * (1.0 + (std::f64::consts::PI * frac).cos())
-    }
-    fn save_state(&self) -> SchedulerState {
-        SchedulerState {
-            ints: [self.t, 0, 0, 0],
-            ..SchedulerState::default()
-        }
-    }
-    fn load_state(&mut self, state: SchedulerState) {
-        self.t = state.ints[0];
-    }
-    fn force_reduction(&mut self) -> f64 {
-        // The rate is a pure function of `t`, so a cut means jumping the
-        // clock: halve the remaining annealing window (monotone decrease,
-        // lands on min_lr after a bounded number of cuts).
-        self.t = ((self.t + self.t_max).div_ceil(2)).min(self.t_max);
-        self.current_lr()
     }
 }
 
@@ -316,25 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_annealing_endpoints() {
-        let mut s = CosineAnnealingLr::new(1.0, 0.1, 10);
-        assert!((s.current_lr() - 1.0).abs() < 1e-12);
-        for _ in 0..10 {
-            s.step(0.0);
-        }
-        assert!((s.current_lr() - 0.1).abs() < 1e-12);
-        // Holds min after t_max.
-        s.step(0.0);
-        assert!((s.current_lr() - 0.1).abs() < 1e-12);
-        // Midpoint is the arithmetic mean.
-        let mut s = CosineAnnealingLr::new(1.0, 0.1, 10);
-        for _ in 0..5 {
-            s.step(0.0);
-        }
-        assert!((s.current_lr() - 0.55).abs() < 1e-12);
-    }
-
-    #[test]
     fn plateau_reduces_after_patience_exceeded() {
         let cfg = ReduceLrOnPlateauConfig {
             initial_lr: 1.0,
@@ -520,11 +448,6 @@ mod tests {
             }
         }
         check(ConstantLr::new(0.3), ConstantLr::new(0.3), "constant");
-        check(
-            CosineAnnealingLr::new(1.0, 0.01, 40),
-            CosineAnnealingLr::new(1.0, 0.01, 40),
-            "cosine",
-        );
     }
 
     #[test]
@@ -533,19 +456,5 @@ mod tests {
         // worst pinning) the rate for every scheduler kind.
         let mut c = ConstantLr::new(1.0);
         assert_eq!(c.force_reduction(), 0.5);
-        let mut cos = CosineAnnealingLr::new(1.0, 0.0, 100);
-        let before = cos.current_lr();
-        let after = cos.force_reduction();
-        assert!(
-            after < before,
-            "cosine cut must shrink: {before} -> {after}"
-        );
-        // Repeated cuts converge on eta_min instead of oscillating.
-        let mut last = after;
-        for _ in 0..10 {
-            let next = cos.force_reduction();
-            assert!(next <= last + 1e-15);
-            last = next;
-        }
     }
 }

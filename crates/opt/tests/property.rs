@@ -1,8 +1,8 @@
 //! Property tests for optimizers and schedulers.
 
 use adampack_opt::{
-    Adam, AdamConfig, ConstantLr, CosineAnnealingLr, LrScheduler, NAdam, NAdamConfig, Optimizer,
-    ReduceLrOnPlateau, ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
+    Adam, AdamConfig, ConstantLr, LrScheduler, NAdam, NAdamConfig, Optimizer, ReduceLrOnPlateau,
+    ReduceLrOnPlateauConfig, RmsProp, RmsPropConfig, Sgd, SgdConfig,
 };
 use proptest::prelude::*;
 
@@ -115,24 +115,6 @@ proptest! {
             prop_assert!(lr > 0.0);
             last = lr;
         }
-    }
-
-    #[test]
-    fn cosine_lr_bounded_and_monotone(
-        initial in 0.01f64..1.0,
-        frac_min in 0.0f64..0.9,
-        t_max in 2u64..200,
-    ) {
-        let min_lr = initial * frac_min;
-        let mut s = CosineAnnealingLr::new(initial, min_lr, t_max);
-        let mut prev = s.current_lr();
-        for _ in 0..t_max + 5 {
-            let lr = s.step(0.0);
-            prop_assert!(lr <= prev + 1e-15, "cosine decay must be monotone");
-            prop_assert!(lr >= min_lr - 1e-15 && lr <= initial + 1e-15);
-            prev = lr;
-        }
-        prop_assert!((prev - min_lr).abs() < 1e-12);
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl Inner {
             SERVER_REJECTED_OVERSIZE_TOTAL.inc();
             return Err(SubmitError::oversize(format!(
                 "job predicted to need {} bytes resident, over the server budget of {budget} \
-                 (shrink the container, raise the radii, or use tiles)",
+                 (shrink the container, raise the radii, or lower the target count)",
                 est.peak_bytes
             )));
         }

@@ -271,6 +271,12 @@ pub static VERLET_REBUILDS_TOTAL: Counter = Counter::new(
     "adampack_verlet_rebuilds_total",
     "Verlet candidate-list rebuilds",
 );
+/// Bed-grid heals: a batch query reached below the bed's floor, so the
+/// grid was rebuilt deeper before the query ran.
+pub static BED_HEALS_TOTAL: Counter = Counter::new(
+    "adampack_bed_heals_total",
+    "Bed-grid rebuilds below the floor for a query that reached deeper",
+);
 /// Learning-rate reductions by plateau schedulers.
 pub static LR_REDUCTIONS_TOTAL: Counter = Counter::new(
     "adampack_lr_reductions_total",
@@ -422,8 +428,9 @@ pub static PHASE_KERNEL_SIMD: Histogram = Histogram::new(
 );
 
 /// Resident bytes of the packing loop's hot set (bed grid + workspace
-/// buffers). In a tiled run this tracks the active surface, not total N;
-/// the peak is the number the scale benchmark and QualityReport surface.
+/// buffers). The bed grid holds only the spheres a batch can reach, so
+/// this tracks the active surface, not total N; the peak is the number the
+/// scale benchmark and QualityReport surface.
 pub static HOT_SET_BYTES: Gauge = Gauge::new(
     "adampack_hot_set_bytes",
     "Resident bytes of the neighbor structures and workspace (hot set)",
@@ -438,13 +445,14 @@ pub static SERVER_CACHE_BYTES: Gauge = Gauge::new(
 
 static GAUGES: [&Gauge; 2] = [&HOT_SET_BYTES, &SERVER_CACHE_BYTES];
 
-static COUNTERS: [&Counter; 27] = [
+static COUNTERS: [&Counter; 28] = [
     &STEPS_TOTAL,
     &EVALS_TOTAL,
     &BATCHES_TOTAL,
     &BATCHES_ACCEPTED_TOTAL,
     &PARTICLES_PACKED_TOTAL,
     &VERLET_REBUILDS_TOTAL,
+    &BED_HEALS_TOTAL,
     &LR_REDUCTIONS_TOTAL,
     &DEM_STEPS_TOTAL,
     &TRACE_RECORDS_TOTAL,

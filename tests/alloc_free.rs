@@ -13,18 +13,18 @@
 //! traversal used by traced runs and a grid rebuild.
 //!
 //! Two audits run one after the other inside a 4-thread pool (the counter
-//! is process-wide, so they never overlap):
+//! is process-wide, so they never overlap). In both, the measured steps
+//! continue from the warm state, as a packing's steps do, so every buffer
+//! must already hold what the next steps need:
 //!
-//! * an 80-sphere batch whose measured steps continue from the warm state,
-//!   as a packing's steps do, so every buffer must already hold what the
-//!   next steps need;
+//! * an 80-sphere batch over a 120-sphere bed;
 //! * a 1 100-sphere batch, large enough that the kernel and the Verlet
 //!   rebuild split into jobs (a region splits only from two grains), beside
 //!   a grid large enough to split its key pass: split regions must post
-//!   work to the persistent workers without allocating. Its window replays
-//!   100 steps an unmeasured rehearsal ran first: a batch this large is
-//!   still settling onto the bed after warm-up, and its bed-candidate lists
-//!   grow (amortized, like any `Vec`) as the contacts accumulate.
+//!   work to the persistent workers without allocating. The batch is still
+//!   settling onto its bed, so its bed-candidate rows keep growing; each
+//!   chunk reserves room for all its rows at the longest row any build has
+//!   listed, so that growth fits in what the warm-up reserved.
 //!
 //! Before either window is armed every worker runs a job at once, so no
 //! worker is first scheduled (and sets up its thread) inside the window.
@@ -88,28 +88,17 @@ fn steady_state_steps_do_not_allocate() {
         .build()
         .unwrap();
     pool.install(|| {
-        continuing_audit();
+        small_audit();
         split_audit();
     });
 }
 
-/// How the measured window starts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Window {
-    /// The measured steps continue from the warm state.
-    Continuing,
-    /// An unmeasured rehearsal runs the steps first; the measured window
-    /// replays them from the same coordinates, optimizer state and a fresh
-    /// Verlet build, so it counts what a repeated step allocates.
-    Replayed,
-}
-
 /// A fixed bed plus a batch that settles onto it.
-fn continuing_audit() {
+fn small_audit() {
     let mut rng = StdRng::seed_from_u64(5);
     let bed = cloud(&mut rng, 120, [-0.8..0.8, -0.8..0.8, -0.95..-0.5]);
     let batch = cloud(&mut rng, 80, [-0.7..0.7, -0.7..0.7, -0.4..0.4]);
-    audit((&bed, 0.1), (&batch, 0.08), (&bed, 0.1), Window::Continuing);
+    audit((&bed, 0.1), (&batch, 0.08), (&bed, 0.1));
 }
 
 /// A batch whose kernel and Verlet rebuild split into jobs, and a grid
@@ -134,12 +123,7 @@ fn split_audit() {
             "the {what} must split: {n} items run {jobs} job(s)"
         );
     }
-    audit(
-        (&bed, 0.05),
-        (&batch, 0.04),
-        (&grid, 0.01),
-        Window::Replayed,
-    );
+    audit((&bed, 0.05), (&batch, 0.04), (&grid, 0.01));
 }
 
 /// `n` points drawn uniformly from the box `ranges`.
@@ -160,7 +144,7 @@ fn cloud(rng: &mut StdRng, n: usize, ranges: [Range<f64>; 3]) -> Vec<Vec3> {
 /// box `[-1, 1]³`, rebuilding a separate grid over `grid` every tenth step
 /// (the bed's grid stays borrowed by the objective). Each argument is a set
 /// of centers and their common radius.
-fn audit(bed: (&[Vec3], f64), batch: (&[Vec3], f64), grid: (&[Vec3], f64), window: Window) {
+fn audit(bed: (&[Vec3], f64), batch: (&[Vec3], f64), grid: (&[Vec3], f64)) {
     let container = Container::from_mesh(&shapes::box_mesh(Vec3::ZERO, Vec3::splat(2.0))).unwrap();
     let (bed, bed_radii) = (bed.0, vec![bed.1; bed.0.len()]);
     let fixed = CsrGrid::build(bed, &bed_radii);
@@ -210,66 +194,51 @@ fn audit(bed: (&[Vec3], f64), batch: (&[Vec3], f64), grid: (&[Vec3], f64), windo
     rebuilt.rebuild(grid, &grid_radii);
 
     adampack_telemetry::set_enabled(true);
-    let start = (coords.clone(), opt.clone());
-    let mut steps = |measured: bool| {
-        if window == Window::Replayed {
-            coords.copy_from_slice(&start.0);
-            opt = start.1.clone();
-            ws.reset_batch();
+    // A preallocated trace ring large enough that no record is dropped
+    // inside the window.
+    let mut ring = adampack_telemetry::TraceRing::with_capacity(128);
+    // Every worker runs a job at once: each of `width` jobs waits for all
+    // the others, so each is on its own thread.
+    let width = rayon::effective_parallelism();
+    let all_running = Barrier::new(width);
+    let mut slots = vec![(); width];
+    rayon::par::for_each_slot(&mut slots, 1, |_, _| {
+        all_running.wait();
+    });
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    // Steps instrumented the way `CollectivePacker` instruments them.
+    for step in 0..100u64 {
+        let span = adampack_telemetry::span(adampack_telemetry::Phase::Gradient);
+        let z = if step % 2 == 0 {
+            objective.value_and_grad_ws(&coords, &mut grad, &mut ws)
+        } else {
+            objective
+                .value_grad_breakdown_ws(&coords, &mut grad, &mut ws)
+                .0
+        };
+        drop(span);
+        adampack_telemetry::metrics::STEPS_TOTAL.inc();
+        ring.push(adampack_telemetry::StepRecord {
+            step,
+            loss: z,
+            ..adampack_telemetry::StepRecord::default()
+        });
+        let _span = adampack_telemetry::span(adampack_telemetry::Phase::OptimizerStep);
+        opt.step(&mut coords, &grad);
+        if step % 10 == 0 {
+            // Timed by its own grid-build span.
+            rebuilt.rebuild(grid, &grid_radii);
         }
-        // A preallocated trace ring large enough that no record is
-        // dropped inside the window.
-        let mut ring = adampack_telemetry::TraceRing::with_capacity(128);
-        if measured {
-            // Every worker runs a job at once: each of `width` jobs waits
-            // for all the others, so each is on its own thread.
-            let width = rayon::effective_parallelism();
-            let all_running = Barrier::new(width);
-            let mut slots = vec![(); width];
-            rayon::par::for_each_slot(&mut slots, 1, |_, _| {
-                all_running.wait();
-            });
-            ALLOCS.store(0, Ordering::SeqCst);
-            ARMED.store(true, Ordering::SeqCst);
-        }
-        // Steps instrumented the way `CollectivePacker` instruments them.
-        for step in 0..100u64 {
-            let span = adampack_telemetry::span(adampack_telemetry::Phase::Gradient);
-            let z = if step % 2 == 0 {
-                objective.value_and_grad_ws(&coords, &mut grad, &mut ws)
-            } else {
-                objective
-                    .value_grad_breakdown_ws(&coords, &mut grad, &mut ws)
-                    .0
-            };
-            drop(span);
-            adampack_telemetry::metrics::STEPS_TOTAL.inc();
-            ring.push(adampack_telemetry::StepRecord {
-                step,
-                loss: z,
-                ..adampack_telemetry::StepRecord::default()
-            });
-            let _span = adampack_telemetry::span(adampack_telemetry::Phase::OptimizerStep);
-            opt.step(&mut coords, &grad);
-            if step % 10 == 0 {
-                let _span = adampack_telemetry::span(adampack_telemetry::Phase::GridBuild);
-                rebuilt.rebuild(grid, &grid_radii);
-            }
-        }
-        ARMED.store(false, Ordering::SeqCst);
-        ring
-    };
-    if window == Window::Replayed {
-        steps(false);
     }
-    let ring = steps(true);
+    ARMED.store(false, Ordering::SeqCst);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let n = radii.len();
     assert_eq!(
         allocs, 0,
-        "{n}-sphere batch, {window:?} window: steady-state optimizer steps \
-         allocated {allocs} times in 100 steps"
+        "{n}-sphere batch: steady-state optimizer steps allocated {allocs} \
+         times in 100 steps"
     );
     assert!(
         ws.evals() >= 500,

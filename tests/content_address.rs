@@ -198,9 +198,9 @@ fn box_simple_hashes_are_pinned() {
     let mut params = cfg.to_packing_params();
     params.target_count = container.capacity_estimate(psd.mean(), 0.6);
     let fingerprint = CollectivePacker::new(container.clone(), params.clone()).fingerprint();
-    assert_eq!(format_address(fingerprint), "9fa1d2bbbedbaf9f");
+    assert_eq!(format_address(fingerprint), "ebfcea9e518afc2d");
     assert_eq!(
         format_address(content_address(&container, &params)),
-        "a014f13bc0cf2897"
+        "b6c2a9c63ce1c229"
     );
 }
